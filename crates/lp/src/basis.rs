@@ -27,6 +27,7 @@
 //! right-hand side.
 
 use crate::sparse::CscMatrix;
+use std::cell::Cell;
 
 /// Entries smaller than this are dropped from stored factor vectors.
 const DROP_TOL: f64 = 1e-12;
@@ -375,10 +376,62 @@ pub struct LuBasis {
     updates: usize,
     /// Stored nonzeros of `U` (diagonals included), tracked across updates.
     unnz: usize,
-    // Scratch (factorization + update).
+    // Scratch (factorization + update). A stamp equal to an epoch handed out
+    // by `reserve_epochs` marks a live entry; every older stamp is stale.
     scratch: Vec<f64>,
     scratch_stamp: Vec<u32>,
     scratch_epoch: u32,
+    /// Elimination and update buffers, cleared but never freed between
+    /// calls (see [`LuWorkspace`]).
+    ws: LuWorkspace,
+}
+
+/// The working storage of [`LuBasis::refactorize`] and
+/// [`LuBasis::update`]. It lives in the factorization and keeps its
+/// capacity from call to call, so a reused `LuBasis` stops allocating once
+/// its buffers fit the bases it factorizes (per-row lists beyond the
+/// current basis size are freed, see [`clear_lists`]). Every buffer is
+/// cleared before use and filled in the same order as a fresh one would be,
+/// so reuse never changes a result.
+#[derive(Debug, Default)]
+struct LuWorkspace {
+    /// The active matrix: one working column per basis slot.
+    cols: Vec<Vec<(u32, f64)>>,
+    col_alive: Vec<bool>,
+    row_alive: Vec<bool>,
+    col_count: Vec<usize>,
+    row_count: Vec<usize>,
+    /// Per row: the working columns that may hold an entry in it.
+    rowlist: Vec<Vec<u32>>,
+    /// Count buckets (lazily invalidated) for the min-count column lookup.
+    buckets: Vec<Vec<u32>>,
+    /// The basis as passed in, before slots are permuted to pivot rows.
+    saved: Vec<usize>,
+    /// The current step's `L` multipliers.
+    lents: Vec<(u32, f64)>,
+    /// Fill created in one working column by the current step.
+    fills: Vec<(u32, f64)>,
+    /// Update: the removed entries of the leaving row, by column key.
+    row_cols: Vec<u32>,
+    row_vals: Vec<f64>,
+    /// Update: the row transform `f`, by pivot row.
+    f_rows: Vec<u32>,
+    f_vals: Vec<f64>,
+}
+
+/// Makes `lists` exactly `len` empty lists. The lists kept keep their
+/// capacity; lists beyond `len`, left from a larger basis, are freed, so a
+/// small LP does not hold a large one's storage.
+fn clear_lists<T>(lists: &mut Vec<Vec<T>>, len: usize) {
+    lists.truncate(len);
+    lists.iter_mut().for_each(Vec::clear);
+    lists.resize_with(len, Vec::new);
+}
+
+/// Sets `v` to `len` copies of `value`, reusing its capacity.
+fn refill<T: Clone>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
 }
 
 impl LuBasis {
@@ -387,6 +440,7 @@ impl LuBasis {
         LuBasis::default()
     }
 
+    /// Empties the factorization for an `m × m` basis.
     fn reset(&mut self, m: usize) {
         self.m = m;
         self.op_kind.clear();
@@ -395,16 +449,11 @@ impl LuBasis {
         self.op_start.push(0);
         self.op_idx.clear();
         self.op_val.clear();
-        self.ucol.clear();
-        self.ucol.resize(m, Vec::new());
-        self.udiag.clear();
-        self.udiag.resize(m, 0.0);
-        self.row_of_pos.clear();
-        self.row_of_pos.resize(m, 0);
-        self.pos_of_row.clear();
-        self.pos_of_row.resize(m, 0);
-        self.urows.clear();
-        self.urows.resize(m, Vec::new());
+        clear_lists(&mut self.ucol, m);
+        refill(&mut self.udiag, m, 0.0);
+        refill(&mut self.row_of_pos, m, 0);
+        refill(&mut self.pos_of_row, m, 0);
+        clear_lists(&mut self.urows, m);
         self.spike_rows.clear();
         self.spike_vals.clear();
         self.updates = 0;
@@ -523,17 +572,21 @@ impl LuBasis {
         }
     }
 
-    fn bump_scratch_epoch(&mut self) -> u32 {
-        self.scratch_epoch = self.scratch_epoch.wrapping_add(1);
-        if self.scratch_epoch == 0 {
+    /// Reserves `n` consecutive scratch epochs and returns the first. Every
+    /// stamp written so far is below it. When the counter would overflow,
+    /// all stamps are cleared and counting restarts at 1 instead of
+    /// wrapping, so a stale stamp can never equal a reserved epoch however
+    /// long the factorization is reused.
+    fn reserve_epochs(&mut self, n: u32) -> u32 {
+        if self.scratch_epoch > u32::MAX - n {
             self.scratch_stamp.iter_mut().for_each(|s| *s = 0);
-            self.scratch_epoch = 1;
+            self.scratch_epoch = 0;
         }
-        self.scratch_epoch
+        let first = self.scratch_epoch + 1;
+        self.scratch_epoch += n;
+        first
     }
-}
 
-impl BasisFactorization for LuBasis {
     /// Right-looking sparse Gaussian elimination with Markowitz-flavoured
     /// pivot selection: at each step the active column with the fewest
     /// active nonzeros is eliminated (deterministic tie-breaking through the
@@ -542,7 +595,7 @@ impl BasisFactorization for LuBasis {
     /// slack/artificial columns therefore pivot first with zero fill, and
     /// the network columns of the multicast LPs triangularize almost
     /// completely.
-    fn refactorize(&mut self, a: &CscMatrix, basis: &mut [usize]) -> bool {
+    fn eliminate(&mut self, a: &CscMatrix, basis: &mut [usize], ws: &mut LuWorkspace) -> bool {
         let m = a.rows();
         self.reset(m);
         if m == 0 {
@@ -550,59 +603,60 @@ impl BasisFactorization for LuBasis {
         }
 
         // The active matrix: one working column per basis slot.
-        let mut cols: Vec<Vec<(u32, f64)>> = basis
-            .iter()
-            .map(|&j| {
-                let (rows, vals) = a.col(j);
-                rows.iter().copied().zip(vals.iter().copied()).collect()
-            })
-            .collect();
-        let mut col_alive = vec![true; m];
-        let mut row_alive = vec![true; m];
-        let mut col_count: Vec<usize> = cols.iter().map(Vec::len).collect();
-        let mut row_count = vec![0usize; m];
-        let mut rowlist: Vec<Vec<u32>> = vec![Vec::new(); m];
+        clear_lists(&mut ws.cols, m);
+        for (col, &j) in ws.cols.iter_mut().zip(basis.iter()) {
+            let (rows, vals) = a.col(j);
+            col.extend(rows.iter().copied().zip(vals.iter().copied()));
+        }
+        let cols = &mut ws.cols;
+        refill(&mut ws.col_alive, m, true);
+        refill(&mut ws.row_alive, m, true);
+        ws.col_count.clear();
+        ws.col_count.extend(cols.iter().map(Vec::len));
+        refill(&mut ws.row_count, m, 0);
+        clear_lists(&mut ws.rowlist, m);
         for (k, col) in cols.iter().enumerate() {
-            for &(r, _) in col {
-                row_count[r as usize] += 1;
-                rowlist[r as usize].push(k as u32);
+            for &(r, _) in col.iter() {
+                ws.row_count[r as usize] += 1;
+                ws.rowlist[r as usize].push(k as u32);
             }
         }
         // Count buckets with lazy invalidation for min-count column lookup.
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); m + 1];
-        for (k, &c) in col_count.iter().enumerate() {
-            buckets[c].push(k as u32);
+        clear_lists(&mut ws.buckets, m + 1);
+        for (k, &c) in ws.col_count.iter().enumerate() {
+            ws.buckets[c].push(k as u32);
         }
         let mut cur = 0usize;
 
-        let saved: Vec<usize> = basis.to_vec();
+        ws.saved.clear();
+        ws.saved.extend_from_slice(basis);
         for step in 0..m {
             // Pick the live column with the smallest active count.
             let pc = loop {
                 if cur > m {
                     return false;
                 }
-                match buckets[cur].last().copied() {
+                match ws.buckets[cur].last().copied() {
                     None => cur += 1,
                     Some(k) => {
                         let ku = k as usize;
-                        if !col_alive[ku] || col_count[ku] != cur {
-                            buckets[cur].pop();
+                        if !ws.col_alive[ku] || ws.col_count[ku] != cur {
+                            ws.buckets[cur].pop();
                             continue;
                         }
                         break ku;
                     }
                 }
             };
-            buckets[cur].pop();
-            col_alive[pc] = false;
+            ws.buckets[cur].pop();
+            ws.col_alive[pc] = false;
 
             // Threshold partial pivoting inside the column: among rows with
             // |v| within MARKOWITZ_THRESHOLD of the column max, take the one
             // with the fewest active nonzeros (ties: smallest row index).
             let mut colmax = 0.0f64;
             for &(r, v) in &cols[pc] {
-                if row_alive[r as usize] {
+                if ws.row_alive[r as usize] {
                     colmax = colmax.max(v.abs());
                 }
             }
@@ -614,12 +668,12 @@ impl BasisFactorization for LuBasis {
             let mut d = 0.0;
             for &(r, v) in &cols[pc] {
                 let ru = r as usize;
-                if !row_alive[ru] || v.abs() < MARKOWITZ_THRESHOLD * colmax {
+                if !ws.row_alive[ru] || v.abs() < MARKOWITZ_THRESHOLD * colmax {
                     continue;
                 }
-                if row_count[ru] < pr_count || (row_count[ru] == pr_count && ru < pr) {
+                if ws.row_count[ru] < pr_count || (ws.row_count[ru] == pr_count && ru < pr) {
                     pr = ru;
-                    pr_count = row_count[ru];
+                    pr_count = ws.row_count[ru];
                     d = v;
                 }
             }
@@ -627,82 +681,219 @@ impl BasisFactorization for LuBasis {
 
             // Emit the L column op (multipliers below the pivot) and the U
             // column (finalized entries at already-pivoted rows + diagonal).
-            let mut lents: Vec<(u32, f64)> = Vec::new();
-            let mut uents: Vec<(u32, f64)> = Vec::new();
+            // `reset` emptied `ucol[pr]`, and each row pivots once.
+            ws.lents.clear();
             for &(r, v) in &cols[pc] {
                 let ru = r as usize;
                 if ru == pr {
                     continue;
                 }
-                if row_alive[ru] {
+                if ws.row_alive[ru] {
                     if v.abs() > DROP_TOL {
-                        lents.push((r, v / d));
+                        ws.lents.push((r, v / d));
                     }
-                    row_count[ru] = row_count[ru].saturating_sub(1);
+                    ws.row_count[ru] = ws.row_count[ru].saturating_sub(1);
                 } else if v.abs() > DROP_TOL {
-                    uents.push((r, v));
+                    self.ucol[pr].push((r, v));
                 }
             }
-            self.unnz += uents.len() + 1;
-            for &(r, _) in &uents {
+            self.unnz += self.ucol[pr].len() + 1;
+            for &(r, _) in &self.ucol[pr] {
                 self.urows[r as usize].push(pr as u32);
             }
-            self.ucol[pr] = uents;
             self.udiag[pr] = d;
             self.row_of_pos[step] = pr as u32;
             self.pos_of_row[pr] = step as u32;
-            row_alive[pr] = false;
-            basis[pr] = saved[pc];
-            self.push_op(LOpKind::Col, pr as u32, lents.iter().copied());
+            ws.row_alive[pr] = false;
+            basis[pr] = ws.saved[pc];
+            self.push_op(LOpKind::Col, pr as u32, ws.lents.iter().copied());
 
             // Right-looking update of every live column containing the
-            // pivot row.
-            let affected = std::mem::take(&mut rowlist[pr]);
-            let epoch = self.bump_scratch_epoch();
-            for &ck in &affected {
+            // pivot row. Fill only lands in live rows, so `rowlist[pr]`
+            // stays fixed while it is walked.
+            // One epoch per column, so each column's index below is fresh.
+            let epoch = self.reserve_epochs(m as u32);
+            for a in 0..ws.rowlist[pr].len() {
+                let ck = ws.rowlist[pr][a];
                 let c = ck as usize;
-                if !col_alive[c] {
+                if !ws.col_alive[c] {
                     continue;
                 }
                 let Some(&(_, v_prc)) = cols[c].iter().find(|&&(r, _)| r as usize == pr) else {
                     continue; // stale rowlist entry
                 };
                 // Index the column's live entries for O(1) lookup.
-                let epoch_c = epoch.wrapping_add(ck); // distinct per column
-                let epoch_c = if epoch_c == 0 { 1 } else { epoch_c };
+                let epoch_c = epoch + ck;
                 for (slot, &(r, _)) in cols[c].iter().enumerate() {
                     self.scratch_stamp[r as usize] = epoch_c;
                     self.scratch[r as usize] = slot as f64;
                 }
-                let mut fills: Vec<(u32, f64)> = Vec::new();
-                for &(i, l) in &lents {
+                ws.fills.clear();
+                for &(i, l) in &ws.lents {
                     let iu = i as usize;
                     let delta = l * v_prc;
                     if self.scratch_stamp[iu] == epoch_c {
                         let slot = self.scratch[iu] as usize;
                         cols[c][slot].1 -= delta;
                     } else if delta.abs() > DROP_TOL {
-                        fills.push((i, -delta));
+                        ws.fills.push((i, -delta));
                     }
                 }
                 // The pivot-row entry leaves the active count (it is now a
                 // finalized U entry of column c).
-                col_count[c] = col_count[c].saturating_sub(1) + fills.len();
-                for (i, v) in fills {
+                let count = ws.col_count[c].saturating_sub(1) + ws.fills.len();
+                ws.col_count[c] = count;
+                for &(i, v) in &ws.fills {
                     cols[c].push((i, v));
-                    row_count[i as usize] += 1;
-                    rowlist[i as usize].push(ck);
+                    ws.row_count[i as usize] += 1;
+                    ws.rowlist[i as usize].push(ck);
                 }
-                buckets[col_count[c]].push(ck);
-                cur = cur.min(col_count[c]);
+                ws.buckets[count].push(ck);
+                cur = cur.min(count);
             }
-            // `bump_scratch_epoch` above only advanced by one while we used
-            // per-column offsets; resynchronize so later callers start clean.
-            self.scratch_epoch = self.scratch_epoch.wrapping_add(m as u32);
         }
         true
     }
 
+    /// The Forrest–Tomlin update of [`BasisFactorization::update`] (see
+    /// there), with its buffers in `ws`.
+    fn forrest_tomlin(&mut self, rt: usize, ws: &mut LuWorkspace) -> bool {
+        let t = self.pos_of_row[rt] as usize;
+        let m = self.m;
+
+        // 1. Extract (and delete) row rt of U at positions > t, keyed by
+        //    column pivot row. All entries of row rt live in columns with a
+        //    later pivot position by the triangularity invariant. Row rt's
+        //    column list is emptied afterwards.
+        ws.row_cols.clear();
+        ws.row_vals.clear();
+        for &c in &self.urows[rt] {
+            let cu = c as usize;
+            let col = &mut self.ucol[cu];
+            if let Some(slot) = col.iter().position(|&(r, _)| r as usize == rt) {
+                let (_, v) = col.swap_remove(slot);
+                self.unnz -= 1;
+                if v != 0.0 {
+                    ws.row_cols.push(c);
+                    ws.row_vals.push(v);
+                }
+            }
+        }
+        self.urows[rt].clear();
+
+        // 2. Solve fᵀ U_JJ = rᵀ over trailing positions (ascending), f keyed
+        //    by pivot row in the scratch vector. Row-value markers carry
+        //    `epoch`, f entries `f_epoch`.
+        let epoch = self.reserve_epochs(2);
+        let f_epoch = epoch + 1;
+        ws.f_rows.clear();
+        ws.f_vals.clear();
+        let mut remaining = ws.row_cols.len();
+        for (c, v) in ws.row_cols.iter().zip(&ws.row_vals) {
+            self.scratch_stamp[*c as usize] = epoch;
+            self.scratch[*c as usize] = *v;
+        }
+        if remaining > 0 {
+            for p in (t + 1)..m {
+                let c = self.row_of_pos[p] as usize;
+                let mut acc = if self.scratch_stamp[c] == epoch {
+                    remaining -= 1;
+                    self.scratch[c]
+                } else {
+                    0.0
+                };
+                if !ws.f_rows.is_empty() {
+                    for &(i, v) in &self.ucol[c] {
+                        if self.scratch_stamp[i as usize] == f_epoch {
+                            acc -= v * self.scratch[i as usize];
+                        }
+                    }
+                }
+                if acc != 0.0 {
+                    let fv = acc / self.udiag[c];
+                    if fv.abs() > DROP_TOL {
+                        self.scratch_stamp[c] = f_epoch;
+                        self.scratch[c] = fv;
+                        ws.f_rows.push(c as u32);
+                        ws.f_vals.push(fv);
+                    } else {
+                        self.scratch_stamp[c] = 0;
+                    }
+                } else if self.scratch_stamp[c] == epoch {
+                    self.scratch_stamp[c] = 0;
+                }
+                if remaining == 0 && ws.f_rows.is_empty() {
+                    break;
+                }
+            }
+        }
+
+        // 3. New diagonal of the spike column: the row transform applied to
+        //    the spike's rt entry.
+        let mut d_new = 0.0;
+        let spike_at = |r: usize| -> f64 {
+            for (i, &sr) in self.spike_rows.iter().enumerate() {
+                if sr as usize == r {
+                    return self.spike_vals[i];
+                }
+            }
+            0.0
+        };
+        d_new += spike_at(rt);
+        for (&fr, &fv) in ws.f_rows.iter().zip(&ws.f_vals) {
+            d_new -= fv * spike_at(fr as usize);
+        }
+        // A vanishing transformed diagonal means the updated factorization
+        // would be numerically worthless: force a refactorization instead.
+        let mut spike_scale = d_new.abs();
+        for v in &self.spike_vals {
+            spike_scale = spike_scale.max(v.abs());
+        }
+        if d_new.abs() <= SINGULAR_TOL || d_new.abs() < 1e-9 * spike_scale {
+            return false;
+        }
+
+        // 4. Append the row transform to the L ops.
+        if !ws.f_rows.is_empty() {
+            let entries = ws.f_rows.iter().copied().zip(ws.f_vals.iter().copied());
+            self.push_op(LOpKind::Row, rt as u32, entries);
+        }
+
+        // 5. Install the spike as the (new last) column keyed by rt.
+        self.unnz -= self.ucol[rt].len() + 1;
+        self.ucol[rt].clear();
+        for (&sr, &v) in self.spike_rows.iter().zip(&self.spike_vals) {
+            if sr as usize != rt && v.abs() > DROP_TOL {
+                self.ucol[rt].push((sr, v));
+                self.urows[sr as usize].push(rt as u32);
+            }
+        }
+        self.unnz += self.ucol[rt].len() + 1;
+        self.udiag[rt] = d_new;
+
+        // 6. Cycle position t to the end.
+        for p in t..m - 1 {
+            let r = self.row_of_pos[p + 1];
+            self.row_of_pos[p] = r;
+            self.pos_of_row[r as usize] = p as u32;
+        }
+        self.row_of_pos[m - 1] = rt as u32;
+        self.pos_of_row[rt] = (m - 1) as u32;
+
+        self.updates += 1;
+        true
+    }
+}
+
+impl BasisFactorization for LuBasis {
+    /// Sparse LU by right-looking elimination (see `LuBasis::eliminate`),
+    /// run in the factorization's own workspace.
+    fn refactorize(&mut self, a: &CscMatrix, basis: &mut [usize]) -> bool {
+        let mut ws = std::mem::take(&mut self.ws);
+        let ok = self.eliminate(a, basis, &mut ws);
+        self.ws = ws;
+        ok
+    }
     fn ftran(&self, x: &mut [f64]) {
         self.apply_l(x);
         self.u_solve(x);
@@ -791,139 +982,10 @@ impl BasisFactorization for LuBasis {
     /// Per-update cost is therefore proportional to `U` fill, not to the
     /// number of updates performed since the last refactorization.
     fn update(&mut self, row: usize, _w: &[f64], _touched: &[u32]) -> bool {
-        let rt = row;
-        let t = self.pos_of_row[rt] as usize;
-        let m = self.m;
-
-        // 1. Extract (and delete) row rt of U at positions > t, keyed by
-        //    column pivot row. All entries of row rt live in columns with a
-        //    later pivot position by the triangularity invariant.
-        let mut row_cols: Vec<u32> = Vec::new();
-        let mut row_vals: Vec<f64> = Vec::new();
-        let cand = std::mem::take(&mut self.urows[rt]);
-        for &c in &cand {
-            let cu = c as usize;
-            let col = &mut self.ucol[cu];
-            if let Some(slot) = col.iter().position(|&(r, _)| r as usize == rt) {
-                let (_, v) = col.swap_remove(slot);
-                self.unnz -= 1;
-                if v != 0.0 {
-                    row_cols.push(c);
-                    row_vals.push(v);
-                }
-            }
-        }
-
-        // 2. Solve fᵀ U_JJ = rᵀ over trailing positions (ascending), f keyed
-        //    by pivot row in the scratch vector.
-        let epoch = self.bump_scratch_epoch();
-        let mut f_rows: Vec<u32> = Vec::new();
-        let mut remaining = row_cols.len();
-        for (c, v) in row_cols.iter().zip(&row_vals) {
-            self.scratch_stamp[*c as usize] = epoch;
-            self.scratch[*c as usize] = *v;
-        }
-        if remaining > 0 {
-            for p in (t + 1)..m {
-                let c = self.row_of_pos[p] as usize;
-                let mut acc = if self.scratch_stamp[c] == epoch {
-                    remaining -= 1;
-                    self.scratch[c]
-                } else {
-                    0.0
-                };
-                if !f_rows.is_empty() {
-                    for &(i, v) in &self.ucol[c] {
-                        if self.scratch_stamp[i as usize] == epoch + 1 {
-                            acc -= v * self.scratch[i as usize];
-                        }
-                    }
-                }
-                if acc != 0.0 {
-                    let fv = acc / self.udiag[c];
-                    if fv.abs() > DROP_TOL {
-                        // f entries carry epoch + 1 to stay distinct from the
-                        // row-value markers.
-                        self.scratch_stamp[c] = epoch + 1;
-                        self.scratch[c] = fv;
-                        f_rows.push(c as u32);
-                    } else {
-                        self.scratch_stamp[c] = 0;
-                    }
-                } else if self.scratch_stamp[c] == epoch {
-                    self.scratch_stamp[c] = 0;
-                }
-                if remaining == 0 && f_rows.is_empty() {
-                    break;
-                }
-            }
-        }
-        // Reserve the `epoch + 1` marker we used for f entries.
-        self.scratch_epoch = self.scratch_epoch.wrapping_add(1);
-        if self.scratch_epoch == 0 {
-            self.scratch_stamp.iter_mut().for_each(|s| *s = 0);
-            self.scratch_epoch = 1;
-        }
-
-        // 3. New diagonal of the spike column: the row transform applied to
-        //    the spike's rt entry.
-        let mut d_new = 0.0;
-        let spike_at = |r: usize| -> f64 {
-            for (i, &sr) in self.spike_rows.iter().enumerate() {
-                if sr as usize == r {
-                    return self.spike_vals[i];
-                }
-            }
-            0.0
-        };
-        d_new += spike_at(rt);
-        for &fr in &f_rows {
-            let fv = self.scratch[fr as usize];
-            d_new -= fv * spike_at(fr as usize);
-        }
-        // A vanishing transformed diagonal means the updated factorization
-        // would be numerically worthless: force a refactorization instead.
-        let mut spike_scale = d_new.abs();
-        for v in &self.spike_vals {
-            spike_scale = spike_scale.max(v.abs());
-        }
-        if d_new.abs() <= SINGULAR_TOL || d_new.abs() < 1e-9 * spike_scale {
-            return false;
-        }
-
-        // 4. Append the row transform to the L ops.
-        if !f_rows.is_empty() {
-            let scratch = &self.scratch;
-            let entries: Vec<(u32, f64)> =
-                f_rows.iter().map(|&r| (r, scratch[r as usize])).collect();
-            self.push_op(LOpKind::Row, rt as u32, entries.into_iter());
-        }
-
-        // 5. Install the spike as the (new last) column keyed by rt.
-        self.unnz -= self.ucol[rt].len() + 1;
-        let mut newcol: Vec<(u32, f64)> = Vec::with_capacity(self.spike_rows.len());
-        for (i, &sr) in self.spike_rows.iter().enumerate() {
-            let v = self.spike_vals[i];
-            if sr as usize != rt && v.abs() > DROP_TOL {
-                newcol.push((sr, v));
-                self.urows[sr as usize].push(rt as u32);
-            }
-        }
-        self.unnz += newcol.len() + 1;
-        self.ucol[rt] = newcol;
-        self.udiag[rt] = d_new;
-
-        // 6. Cycle position t to the end.
-        for p in t..m - 1 {
-            let r = self.row_of_pos[p + 1];
-            self.row_of_pos[p] = r;
-            self.pos_of_row[r as usize] = p as u32;
-        }
-        self.row_of_pos[m - 1] = rt as u32;
-        self.pos_of_row[rt] = (m - 1) as u32;
-
-        self.updates += 1;
-        true
+        let mut ws = std::mem::take(&mut self.ws);
+        let ok = self.forrest_tomlin(row, &mut ws);
+        self.ws = ws;
+        ok
     }
 
     fn updates_since_refactor(&self) -> usize {
@@ -942,21 +1004,43 @@ impl BasisFactorization for LuBasis {
 pub(crate) enum BasisRepr {
     /// Product-form eta file (`PM_LP_BASIS=eta`).
     Eta(EtaBasis),
-    /// Sparse LU with Forrest–Tomlin updates (the default).
-    Lu(LuBasis),
+    /// Sparse LU with Forrest–Tomlin updates (the default). Boxed, so a
+    /// spare factorization moves in and out of [`SPARE_LU`] by pointer.
+    Lu(Box<LuBasis>),
+}
+
+thread_local! {
+    /// The LU factorization of the last engine dropped on this thread (see
+    /// [`BasisRepr::recycle`]). The next engine takes it over, so solve
+    /// after solve reuses one set of factor and workspace buffers instead
+    /// of allocating them afresh.
+    static SPARE_LU: Cell<Option<Box<LuBasis>>> = const { Cell::new(None) };
 }
 
 impl BasisRepr {
     /// A factorization of the `m × m` identity — the engines' all-slack
     /// start basis — ready for pivot updates without a prior refactorize.
+    /// The LU variant reuses the thread's spare factorization when there is
+    /// one: it is reset first, and its stale scratch stamps are all older
+    /// than any epoch it hands out next, so no state carries over.
     pub(crate) fn new(kind: crate::solver::BasisKind, m: usize) -> Self {
         match kind {
             crate::solver::BasisKind::Eta => BasisRepr::Eta(EtaBasis::new()),
             crate::solver::BasisKind::Lu => {
-                let mut lu = LuBasis::new();
+                let mut lu = SPARE_LU.with(Cell::take).unwrap_or_default();
                 lu.reset_identity(m);
                 BasisRepr::Lu(lu)
             }
+        }
+    }
+
+    /// Gives an LU factorization to the thread's spare slot, replacing any
+    /// spare already there, for the next [`BasisRepr::new`] to reuse.
+    pub(crate) fn recycle(self) {
+        if let BasisRepr::Lu(lu) = self {
+            // Fails only while the thread is shutting down; the factorization
+            // is then simply freed.
+            let _ = SPARE_LU.try_with(|slot| slot.set(Some(lu)));
         }
     }
 
@@ -1084,7 +1168,7 @@ mod tests {
     fn factor_kinds() -> Vec<BasisRepr> {
         vec![
             BasisRepr::Eta(EtaBasis::new()),
-            BasisRepr::Lu(LuBasis::new()),
+            BasisRepr::Lu(Box::default()),
         ]
     }
 
@@ -1173,11 +1257,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chained_updates_stay_accurate() {
-        // Random-ish chain of column exchanges on a larger matrix: both
-        // factorizations must keep solving exactly, with the LU update cost
-        // staying bounded (covered implicitly by the unnz tracking).
+    /// A 12-row matrix of 10 random structural columns (`entries` draws
+    /// each) followed by the 12 unit columns; returns it with the
+    /// structural column count.
+    fn chain_matrix(entries: usize) -> (CscMatrix, usize) {
         let m = 12;
         let mut triplets = Vec::new();
         let mut seed = 0x5eed_1234u64;
@@ -1187,10 +1270,9 @@ mod tests {
             seed ^= seed << 17;
             seed
         };
-        // Structural columns with 3 entries each + unit columns.
         let n_struct = 10;
         for j in 0..n_struct {
-            for k in 0..3 {
+            for k in 0..entries {
                 let r = ((next() as usize) + k) % m;
                 let v = ((next() % 9) as f64 - 4.0).abs() + 0.5;
                 triplets.push((r, j, if next() % 2 == 0 { v } else { -v }));
@@ -1199,7 +1281,19 @@ mod tests {
         for r in 0..m {
             triplets.push((r, n_struct + r, 1.0));
         }
-        let a = CscMatrix::from_triplets(m, n_struct + m, &triplets);
+        (
+            CscMatrix::from_triplets(m, n_struct + m, &triplets),
+            n_struct,
+        )
+    }
+
+    #[test]
+    fn chained_updates_stay_accurate() {
+        // Random-ish chain of column exchanges on a larger matrix: both
+        // factorizations must keep solving exactly, with the LU update cost
+        // staying bounded (covered implicitly by the unnz tracking).
+        let (a, n_struct) = chain_matrix(3);
+        let m = a.rows();
         for mut fac in factor_kinds() {
             let mut basis: Vec<usize> = (0..m).map(|r| n_struct + r).collect();
             assert!(fac.refactorize(&a, &mut basis));
@@ -1236,6 +1330,94 @@ mod tests {
                 fac.ftran(&mut x);
                 check_ftran(&a, &basis, &x, &rhs);
             }
+        }
+    }
+
+    /// Runs one fixed script on `lu` over a dense [`chain_matrix`]:
+    /// factorize the unit basis, exchange every structural column in,
+    /// refactorize the mixed basis, exchange the unit columns back. Returns
+    /// the bits of every FTRAN and BTRAN result along the way, the update
+    /// verdicts and the bases.
+    fn lu_script(lu: &mut LuBasis) -> Vec<u64> {
+        let (a, n_struct) = chain_matrix(8);
+        let m = a.rows();
+        let mut trace = Vec::new();
+        let solves = |lu: &LuBasis, trace: &mut Vec<u64>| {
+            let mut x: Vec<f64> = (0..m).map(|r| r as f64 - 3.5).collect();
+            lu.ftran(&mut x);
+            let mut y: Vec<f64> = (0..m).map(|r| 1.0 / (r as f64 + 1.0)).collect();
+            lu.btran(&mut y);
+            trace.extend(x.iter().chain(&y).map(|v| v.to_bits()));
+        };
+        let mut basis: Vec<usize> = (0..m).map(|r| n_struct + r).collect();
+        let mut stamp = vec![0u32; m];
+        let mut epoch = 0u32;
+        for round in 0..2 {
+            assert!(lu.refactorize(&a, &mut basis));
+            trace.extend(basis.iter().map(|&j| j as u64));
+            solves(lu, &mut trace);
+            let entering = if round == 0 {
+                0..n_struct
+            } else {
+                n_struct..n_struct + m
+            };
+            for q in entering {
+                if basis.contains(&q) {
+                    continue;
+                }
+                let mut work = vec![0.0; m];
+                let mut touched: Vec<u32> = Vec::new();
+                epoch += 1;
+                let (rows, vals) = a.col(q);
+                for (&r, &v) in rows.iter().zip(vals) {
+                    stamp[r as usize] = epoch;
+                    touched.push(r);
+                    work[r as usize] = v;
+                }
+                lu.ftran_sparse(&mut work, &mut touched, &mut stamp, epoch);
+                trace.extend(work.iter().map(|v| v.to_bits()));
+                let Some(row) = (0..m)
+                    .filter(|&r| work[r].abs() > 1e-6 && (round == 1 || basis[r] >= n_struct))
+                    .max_by(|&x, &y| work[x].abs().total_cmp(&work[y].abs()))
+                else {
+                    continue;
+                };
+                let ok = lu.update(row, &work, &touched);
+                trace.push(ok as u64);
+                if ok {
+                    basis[row] = q;
+                } else {
+                    assert!(lu.refactorize(&a, &mut basis));
+                }
+                solves(lu, &mut trace);
+            }
+        }
+        trace
+    }
+
+    /// A factorization reused for a long time walks its scratch epochs up
+    /// to the `u32` limit, with stale stamps of any smaller value in its
+    /// scratch. Moved just below the limit, with small stale stamps on
+    /// every row (the values a wrapped counter would hand out next), it
+    /// must factorize, solve and update bit for bit like a fresh
+    /// factorization. The offsets make the limit fall at every epoch the
+    /// script takes: in every refactorization step and every update.
+    #[test]
+    fn scratch_epochs_restart_cleanly_at_the_limit() {
+        let mut fresh = LuBasis::new();
+        let expected = lu_script(&mut fresh);
+        let span = fresh.scratch_epoch;
+        for offset in 0..=span {
+            let mut reused = LuBasis::new();
+            lu_script(&mut reused);
+            for (r, stamp) in reused.scratch_stamp.iter_mut().enumerate() {
+                *stamp = 1 + (r as u32 * 5 + offset) % 24;
+            }
+            reused.scratch_epoch = u32::MAX - offset;
+            assert!(
+                lu_script(&mut reused) == expected,
+                "offset {offset}: a reused factorization near the epoch limit diverged"
+            );
         }
     }
 

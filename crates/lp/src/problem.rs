@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a decision variable in an [`LpProblem`].
 ///
@@ -201,6 +202,20 @@ pub struct LpProblem {
     /// grown on demand, so it may be shorter than `names`). See
     /// [`LpProblem::set_secondary_coeff`].
     secondary: Vec<f64>,
+    /// Content stamp of the variables, constraint matrix and right-hand
+    /// sides: a process-wide unique number, renewed by every edit of them.
+    /// A clone keeps the stamp (same content), so equal stamps imply an
+    /// equal standard form — the key of the revised engine's per-thread
+    /// standard-form reuse. Objective, secondary and fixed-variable edits
+    /// leave it alone: the standard form does not contain them.
+    stamp: u64,
+}
+
+/// A content stamp no problem has had before. `Relaxed` suffices: the
+/// counter publishes no other data, it only has to hand out distinct values.
+fn fresh_stamp() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl LpProblem {
@@ -213,6 +228,7 @@ impl LpProblem {
             constraints: Vec::new(),
             fixed: Vec::new(),
             secondary: Vec::new(),
+            stamp: fresh_stamp(),
         }
     }
 
@@ -284,6 +300,7 @@ impl LpProblem {
             constraints,
             fixed,
             secondary: Vec::new(),
+            stamp: fresh_stamp(),
         };
         problem.validate()?;
         Ok(problem)
@@ -301,6 +318,7 @@ impl LpProblem {
         self.names.push(name.to_string());
         self.objective_coeffs.push(0.0);
         self.fixed.push(false);
+        self.stamp = fresh_stamp();
         id
     }
 
@@ -345,6 +363,7 @@ impl LpProblem {
     pub fn set_rhs(&mut self, row: usize, rhs: f64) {
         assert!(rhs.is_finite(), "constraint {row} rhs must be finite");
         self.constraints[row].rhs = rhs;
+        self.stamp = fresh_stamp();
     }
 
     /// The right-hand side of constraint `row`.
@@ -385,6 +404,7 @@ impl LpProblem {
                 )
             });
         term.1 = coeff;
+        self.stamp = fresh_stamp();
     }
 
     /// The coefficient of `var` in constraint `row` (0 when the term is not
@@ -489,12 +509,18 @@ impl LpProblem {
             relation,
             rhs,
         });
+        self.stamp = fresh_stamp();
         self.constraints.len() - 1
     }
 
     /// The constraints of the problem.
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
+    }
+
+    /// The content stamp (see the field docs).
+    pub(crate) fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Validates the model: every referenced variable exists and every

@@ -32,7 +32,7 @@
 //! [`WarmStartCache::scope`], every [`crate::LpProblem::solve`] call looks
 //! up the basis of the last solve with the same constraint pattern.
 
-use crate::basis::{BasisFactorization, BasisRepr};
+use crate::basis::{BasisFactorization, BasisRepr, EtaBasis};
 use crate::chaos::{ChaosFault, ChaosPlan};
 use crate::problem::{LpError, LpProblem, LpSolution, Objective, Relation, VarId};
 use crate::solver::{
@@ -40,10 +40,11 @@ use crate::solver::{
     BasisKind, SolveBudget,
 };
 use crate::sparse::CscMatrix;
-use std::cell::RefCell;
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 
 /// Numerical tolerance (same value as the dense engine).
 const EPS: f64 = 1e-9;
@@ -253,13 +254,11 @@ pub struct SolveOutcome {
 /// be declared, so drift can never certify a wrong optimum. Weights follow
 /// the classical devex reference-framework recurrence with the framework
 /// reset whenever a weight overflows its trust range.
+///
+/// The pivot row `α = ρᵀA` is gathered sparsely over the CSR mirror of the
+/// constraint matrix that [`StandardForm::csr`] keeps.
 #[derive(Debug)]
 struct DevexPricing {
-    /// CSR mirror of the constraint matrix (row pointers, column indices,
-    /// values) for gathering the pivot row `α = ρᵀA` sparsely.
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    vals: Vec<f64>,
     /// Maintained reduced costs, one per column.
     rc: Vec<f64>,
     /// Devex reference weights, one per column.
@@ -281,18 +280,14 @@ struct DevexPricing {
 }
 
 impl DevexPricing {
-    fn new(a: &CscMatrix, m: usize, n_total: usize) -> Self {
-        let (row_ptr, col_idx, vals) = a.to_csr();
+    fn new(m: usize, n_total: usize) -> Self {
         DevexPricing {
-            row_ptr,
-            col_idx,
-            vals,
             rc: vec![0.0; n_total],
             weights: vec![1.0; n_total],
             valid: false,
             dirty: false,
             alpha: vec![0.0; n_total],
-            acols: Vec::new(),
+            acols: Vec::with_capacity(n_total),
             astamp: vec![0; n_total],
             aepoch: 0,
             rho: vec![0.0; m],
@@ -351,23 +346,13 @@ impl EngineCfg {
 
 /// The revised-simplex working state.
 struct Engine {
-    a: CscMatrix,
-    /// Perturbed RHS (drives ratio tests, never reported).
-    b: Vec<f64>,
-    /// Exact RHS (solution values are read from its transform).
-    b_shadow: Vec<f64>,
+    /// The standard form being solved (shared, read-only).
+    form: Rc<StandardForm>,
     m: usize,
     n_user: usize,
     /// First artificial column; structural + slack columns are below.
     artificial_start: usize,
     n_total: usize,
-    /// Per row: its slack/surplus column, if any.
-    row_slack: Vec<Option<usize>>,
-    /// Per row: its artificial column, if any.
-    row_artificial: Vec<Option<usize>>,
-    /// Per row: whether the `b ≥ 0` normalisation negated it (needed to map
-    /// the standard-form duals back to the user's rows).
-    row_flip: Vec<bool>,
     /// Basic column of each row.
     basis: Vec<usize>,
     in_basis: Vec<bool>,
@@ -427,97 +412,16 @@ struct Engine {
 }
 
 impl Engine {
-    /// Builds the standard-form matrix, mirroring the dense engine: rows are
-    /// normalised to `b ≥ 0`, `Le` rows get a slack, `Ge` rows a surplus and
-    /// an artificial, `Eq` rows an artificial; inequality RHS are relaxed by
-    /// the seeded anti-degeneracy perturbation with an exact shadow. The
-    /// overlay's RHS overrides are applied before normalisation and its
-    /// fixed-variable marks are merged with the problem's own.
+    /// Sets up a solve of the problem's standard form (see
+    /// [`StandardForm`]) from the all-slack/artificial basis. The overlay's
+    /// RHS overrides go into the standard form; its fixed-variable marks
+    /// are merged with the problem's own.
     fn new(problem: &LpProblem, overlay: Option<&BoundsOverlay>, cfg: EngineCfg) -> Engine {
+        let form = standard_form(problem, overlay);
         let n_user = problem.num_vars();
-        let constraints = problem.constraints();
-        let m = constraints.len();
-
-        let mut rhs_override: Vec<Option<f64>> = Vec::new();
-        if let Some(overlay) = overlay {
-            if !overlay.rhs.is_empty() {
-                rhs_override = vec![None; m];
-                for &(r, v) in &overlay.rhs {
-                    rhs_override[r] = Some(v);
-                }
-            }
-        }
-        let row_rhs = |r: usize, stored: f64| -> f64 {
-            rhs_override.get(r).and_then(|o| *o).unwrap_or(stored)
-        };
-
-        let mut num_slack = 0usize;
-        let mut num_artificial = 0usize;
-        let mut relations = Vec::with_capacity(m);
-        for (r, c) in constraints.iter().enumerate() {
-            let relation = effective_relation(c.relation, row_rhs(r, c.rhs) < 0.0);
-            relations.push(relation);
-            match relation {
-                Relation::Le => num_slack += 1,
-                Relation::Ge => {
-                    num_slack += 1;
-                    num_artificial += 1;
-                }
-                Relation::Eq => num_artificial += 1,
-            }
-        }
-        let artificial_start = n_user + num_slack;
-        let n_total = artificial_start + num_artificial;
-
-        let nnz_guess: usize = constraints.iter().map(|c| c.terms.len()).sum();
-        let mut triplets = Vec::with_capacity(nnz_guess + num_slack + num_artificial);
-        let mut b = vec![0.0; m];
-        let mut basis = vec![usize::MAX; m];
-        let mut row_slack = vec![None; m];
-        let mut row_artificial = vec![None; m];
-        let mut row_flip = vec![false; m];
-        let mut slack_idx = n_user;
-        let mut art_idx = artificial_start;
-        for (r, c) in constraints.iter().enumerate() {
-            let rhs = row_rhs(r, c.rhs);
-            let flip = rhs < 0.0;
-            row_flip[r] = flip;
-            let sign = if flip { -1.0 } else { 1.0 };
-            for &(v, coeff) in &c.terms {
-                triplets.push((r, v.index(), sign * coeff));
-            }
-            b[r] = sign * rhs;
-            match relations[r] {
-                Relation::Le => {
-                    triplets.push((r, slack_idx, 1.0));
-                    row_slack[r] = Some(slack_idx);
-                    basis[r] = slack_idx;
-                    slack_idx += 1;
-                }
-                Relation::Ge => {
-                    triplets.push((r, slack_idx, -1.0));
-                    row_slack[r] = Some(slack_idx);
-                    slack_idx += 1;
-                    triplets.push((r, art_idx, 1.0));
-                    row_artificial[r] = Some(art_idx);
-                    basis[r] = art_idx;
-                    art_idx += 1;
-                }
-                Relation::Eq => {
-                    triplets.push((r, art_idx, 1.0));
-                    row_artificial[r] = Some(art_idx);
-                    basis[r] = art_idx;
-                    art_idx += 1;
-                }
-            }
-        }
-        let a = CscMatrix::from_triplets(m, n_total, &triplets);
-
-        // Anti-degeneracy RHS perturbation with exact shadow (shared scheme
-        // and seed with the dense engine, see `solver::perturb_rhs`).
-        let b_shadow = b.clone();
-        perturb_rhs(&mut b, &relations, n_total);
-
+        let m = form.a.rows();
+        let n_total = form.n_total;
+        let basis = form.start_basis.clone();
         let mut in_basis = vec![false; n_total];
         for &j in &basis {
             in_basis[j] = true;
@@ -534,24 +438,19 @@ impl Engine {
         let any_fixed = fixed.iter().any(|&f| f);
         let kind = cfg.basis.unwrap_or_else(crate::solver::default_basis);
         let pricing = match kind {
-            BasisKind::Lu => Some(DevexPricing::new(&a, m, n_total)),
+            BasisKind::Lu => Some(DevexPricing::new(m, n_total)),
             BasisKind::Eta => None,
         };
         Engine {
-            x_b: b.clone(),
-            x_shadow: b_shadow.clone(),
+            x_b: form.b.clone(),
+            x_shadow: form.b_shadow.clone(),
             fac: BasisRepr::new(kind, m),
             pricing,
-            a,
-            b,
-            b_shadow,
             m,
             n_user,
-            artificial_start,
+            artificial_start: form.artificial_start,
             n_total,
-            row_slack,
-            row_artificial,
-            row_flip,
+            form,
             basis,
             in_basis,
             fixed,
@@ -645,7 +544,7 @@ impl Engine {
     /// basis is singular.
     fn refactorize(&mut self) -> bool {
         self.refactorizations += 1;
-        if !self.fac.refactorize(&self.a, &mut self.basis) {
+        if !self.fac.refactorize(&self.form.a, &mut self.basis) {
             return false;
         }
         self.recompute_solution_vectors();
@@ -659,14 +558,14 @@ impl Engine {
     /// factorization (used after refactorizations to shed accumulated
     /// drift).
     fn recompute_solution_vectors(&mut self) {
-        self.x_b.copy_from_slice(&self.b);
+        self.x_b.copy_from_slice(&self.form.b);
         self.fac.ftran(&mut self.x_b);
         for v in &mut self.x_b {
             if v.abs() < EPS {
                 *v = 0.0;
             }
         }
-        self.x_shadow.copy_from_slice(&self.b_shadow);
+        self.x_shadow.copy_from_slice(&self.form.b_shadow);
         self.fac.ftran(&mut self.x_shadow);
     }
 
@@ -683,7 +582,7 @@ impl Engine {
             self.stamp.iter_mut().for_each(|s| *s = 0);
             self.epoch = 1;
         }
-        let (rows, vals) = self.a.col(j);
+        let (rows, vals) = self.form.a.col(j);
         for (&r, &v) in rows.iter().zip(vals) {
             self.stamp[r as usize] = self.epoch;
             self.touched.push(r);
@@ -708,7 +607,7 @@ impl Engine {
     /// Reduced cost of column `j` under the current pricing vector.
     #[inline]
     fn reduced_cost(&self, j: usize) -> f64 {
-        self.cost[j] - self.a.col_dot(j, &self.price)
+        self.cost[j] - self.form.a.col_dot(j, &self.price)
     }
 
     /// Whether column `j` may not enter the basis: already basic, fixed to
@@ -783,7 +682,7 @@ impl Engine {
     /// fill outgrows a small multiple of the matrix.
     fn maybe_refactorize(&mut self) -> Result<(), LpError> {
         let due = self.fac.updates_since_refactor() >= self.refactor_every
-            || self.fac.wants_refactor(&self.a);
+            || self.fac.wants_refactor(&self.form.a);
         if due && !self.refactorize() {
             return Err(self.fail(RecoveryTrigger::SingularBasis));
         }
@@ -978,7 +877,7 @@ impl Engine {
         self.compute_pricing_vector();
         let p = self.pricing.as_mut().expect("devex path");
         for j in 0..self.n_total {
-            p.rc[j] = self.cost[j] - self.a.col_dot(j, &self.price);
+            p.rc[j] = self.cost[j] - self.form.a.col_dot(j, &self.price);
         }
         p.valid = true;
         p.dirty = false;
@@ -989,6 +888,7 @@ impl Engine {
     /// the pivot is applied: the devex rc/weight recurrences are algebra on
     /// the pre-pivot basis.
     fn compute_pivot_row(&mut self, row: usize) {
+        let (row_ptr, col_idx, vals) = self.form.csr();
         let p = self.pricing.as_mut().expect("devex path");
         p.rho.iter_mut().for_each(|v| *v = 0.0);
         p.rho[row] = 1.0;
@@ -1003,14 +903,14 @@ impl Engine {
             if ri.abs() <= 1e-12 {
                 continue;
             }
-            for e in p.row_ptr[i]..p.row_ptr[i + 1] {
-                let j = p.col_idx[e] as usize;
+            for e in row_ptr[i]..row_ptr[i + 1] {
+                let j = col_idx[e] as usize;
                 if p.astamp[j] != p.aepoch {
                     p.astamp[j] = p.aepoch;
                     p.alpha[j] = 0.0;
                     p.acols.push(j as u32);
                 }
-                p.alpha[j] += ri * p.vals[e];
+                p.alpha[j] += ri * vals[e];
             }
         }
     }
@@ -1189,7 +1089,7 @@ impl Engine {
             // Redundant rows re-enter on their own artificial (or slack for
             // an inequality row, which has one by construction).
             let col = if c == Basis::REDUNDANT {
-                match self.row_artificial[r].or(self.row_slack[r]) {
+                match self.form.row_artificial[r].or(self.form.row_slack[r]) {
                     Some(col) => col,
                     None => return WarmInstall::Rejected,
                 }
@@ -1300,7 +1200,7 @@ impl Engine {
                 if self.col_blocked(j) {
                     continue;
                 }
-                if self.a.col_dot(j, &self.price).abs() > PIVOT_TOL {
+                if self.form.a.col_dot(j, &self.price).abs() > PIVOT_TOL {
                     pivot_col = Some(j);
                     break;
                 }
@@ -1447,7 +1347,7 @@ impl Engine {
         };
         let duals: Vec<f64> = (0..self.m)
             .map(|r| {
-                let y = if self.row_flip[r] {
+                let y = if self.form.row_flip[r] {
                     -self.price[r]
                 } else {
                     self.price[r]
@@ -1470,6 +1370,181 @@ impl Engine {
             LpSolution::with_duals(objective, values, duals),
             Basis { cols },
         )
+    }
+}
+
+/// The standard form of a problem, as the revised engine solves it: rows
+/// normalised to `b ≥ 0`, `Le` rows with a slack, `Ge` rows with a surplus
+/// and an artificial, `Eq` rows with an artificial; inequality RHS relaxed
+/// by the seeded anti-degeneracy perturbation with an exact shadow.
+///
+/// It is a pure function of the problem's variables, matrix and RHS (plus
+/// any overlay RHS overrides) and never changes during a solve, so engines
+/// share it read-only: see [`standard_form`] for its per-thread reuse.
+#[derive(Debug)]
+struct StandardForm {
+    a: CscMatrix,
+    /// CSR mirror of `a` (row pointers, column indices, values) for the
+    /// devex pivot rows, built on first use.
+    csr: OnceCell<(Vec<usize>, Vec<u32>, Vec<f64>)>,
+    /// Perturbed RHS (drives ratio tests, never reported).
+    b: Vec<f64>,
+    /// Exact RHS (solution values are read from its transform).
+    b_shadow: Vec<f64>,
+    /// First artificial column; structural + slack columns are below.
+    artificial_start: usize,
+    n_total: usize,
+    /// Per row: its slack/surplus column, if any.
+    row_slack: Vec<Option<usize>>,
+    /// Per row: its artificial column, if any.
+    row_artificial: Vec<Option<usize>>,
+    /// Per row: whether the `b ≥ 0` normalisation negated it (needed to map
+    /// the standard-form duals back to the user's rows).
+    row_flip: Vec<bool>,
+    /// The all-slack/artificial start basis, one column per row.
+    start_basis: Vec<usize>,
+}
+
+impl StandardForm {
+    /// Builds the standard form, mirroring the dense engine. The overlay's
+    /// RHS overrides are applied before normalisation.
+    fn build(problem: &LpProblem, overlay: Option<&BoundsOverlay>) -> StandardForm {
+        let n_user = problem.num_vars();
+        let constraints = problem.constraints();
+        let m = constraints.len();
+
+        let mut rhs_override: Vec<Option<f64>> = Vec::new();
+        if let Some(overlay) = overlay {
+            if !overlay.rhs.is_empty() {
+                rhs_override = vec![None; m];
+                for &(r, v) in &overlay.rhs {
+                    rhs_override[r] = Some(v);
+                }
+            }
+        }
+        let row_rhs = |r: usize, stored: f64| -> f64 {
+            rhs_override.get(r).and_then(|o| *o).unwrap_or(stored)
+        };
+
+        let mut num_slack = 0usize;
+        let mut num_artificial = 0usize;
+        let mut relations = Vec::with_capacity(m);
+        for (r, c) in constraints.iter().enumerate() {
+            let relation = effective_relation(c.relation, row_rhs(r, c.rhs) < 0.0);
+            relations.push(relation);
+            match relation {
+                Relation::Le => num_slack += 1,
+                Relation::Ge => {
+                    num_slack += 1;
+                    num_artificial += 1;
+                }
+                Relation::Eq => num_artificial += 1,
+            }
+        }
+        let artificial_start = n_user + num_slack;
+        let n_total = artificial_start + num_artificial;
+
+        let nnz_guess: usize = constraints.iter().map(|c| c.terms.len()).sum();
+        let mut triplets = Vec::with_capacity(nnz_guess + num_slack + num_artificial);
+        let mut b = vec![0.0; m];
+        let mut start_basis = vec![usize::MAX; m];
+        let mut row_slack = vec![None; m];
+        let mut row_artificial = vec![None; m];
+        let mut row_flip = vec![false; m];
+        let mut slack_idx = n_user;
+        let mut art_idx = artificial_start;
+        for (r, c) in constraints.iter().enumerate() {
+            let rhs = row_rhs(r, c.rhs);
+            let flip = rhs < 0.0;
+            row_flip[r] = flip;
+            let sign = if flip { -1.0 } else { 1.0 };
+            for &(v, coeff) in &c.terms {
+                triplets.push((r, v.index(), sign * coeff));
+            }
+            b[r] = sign * rhs;
+            match relations[r] {
+                Relation::Le => {
+                    triplets.push((r, slack_idx, 1.0));
+                    row_slack[r] = Some(slack_idx);
+                    start_basis[r] = slack_idx;
+                    slack_idx += 1;
+                }
+                Relation::Ge => {
+                    triplets.push((r, slack_idx, -1.0));
+                    row_slack[r] = Some(slack_idx);
+                    slack_idx += 1;
+                    triplets.push((r, art_idx, 1.0));
+                    row_artificial[r] = Some(art_idx);
+                    start_basis[r] = art_idx;
+                    art_idx += 1;
+                }
+                Relation::Eq => {
+                    triplets.push((r, art_idx, 1.0));
+                    row_artificial[r] = Some(art_idx);
+                    start_basis[r] = art_idx;
+                    art_idx += 1;
+                }
+            }
+        }
+        let a = CscMatrix::from_triplets(m, n_total, &triplets);
+
+        // Anti-degeneracy RHS perturbation with exact shadow (shared scheme
+        // and seed with the dense engine, see `solver::perturb_rhs`).
+        let b_shadow = b.clone();
+        perturb_rhs(&mut b, &relations, n_total);
+        StandardForm {
+            a,
+            csr: OnceCell::new(),
+            b,
+            b_shadow,
+            artificial_start,
+            n_total,
+            row_slack,
+            row_artificial,
+            row_flip,
+            start_basis,
+        }
+    }
+
+    /// The CSR mirror of the matrix as `(row_ptr, col_idx, values)`.
+    fn csr(&self) -> (&[usize], &[u32], &[f64]) {
+        let (row_ptr, col_idx, vals) = self.csr.get_or_init(|| self.a.to_csr());
+        (row_ptr, col_idx, vals)
+    }
+}
+
+thread_local! {
+    /// The standard form of the last problem solved on this thread without
+    /// RHS overrides, with the problem's content stamp.
+    static LAST_FORM: Cell<Option<(u64, Rc<StandardForm>)>> = const { Cell::new(None) };
+}
+
+/// The standard form of `problem` under `overlay`. A solve of the problem
+/// the thread solved last, with unchanged content (same
+/// [`LpProblem::stamp`]), shares that solve's form: the greedy heuristics'
+/// masked re-solves differ only in fixed columns, which are not part of it.
+/// Overlays with RHS overrides always build a private form. The slot is
+/// only touched through `Cell::take`/`set`, never borrowed, so the recovery
+/// ladder's nested engines can consult it freely.
+fn standard_form(problem: &LpProblem, overlay: Option<&BoundsOverlay>) -> Rc<StandardForm> {
+    if overlay.is_some_and(|o| !o.rhs.is_empty()) {
+        return Rc::new(StandardForm::build(problem, overlay));
+    }
+    let stamp = problem.stamp();
+    // A form of other content is dropped before the new one is built.
+    let form = match LAST_FORM.with(Cell::take).filter(|(s, _)| *s == stamp) {
+        Some((_, form)) => form,
+        None => Rc::new(StandardForm::build(problem, None)),
+    };
+    LAST_FORM.with(|slot| slot.set(Some((stamp, Rc::clone(&form)))));
+    form
+}
+
+/// Returns the engine's LU factorization to the thread for the next engine.
+impl Drop for Engine {
+    fn drop(&mut self) {
+        // An empty eta file allocates nothing.
+        std::mem::replace(&mut self.fac, BasisRepr::Eta(EtaBasis::default())).recycle();
     }
 }
 
@@ -1743,7 +1818,7 @@ fn solve_with_overlay(
         |attempt: &Attempt, warm: WarmStatus, rung: RecoveryRung, degraded: bool| SolveStats {
             m: attempt.engine.m,
             n: attempt.engine.n_total,
-            nnz: attempt.engine.a.nnz(),
+            nnz: attempt.engine.form.a.nnz(),
             phase1_pivots: attempt.phase1_pivots,
             phase2_pivots: attempt.phase2_pivots,
             refactorizations: attempt.engine.refactorizations,
@@ -2829,5 +2904,82 @@ mod tests {
             }
         }
         assert!(recovered_late, "no seed in 0..200 struck this solve");
+    }
+
+    #[test]
+    fn standard_form_is_shared_until_an_edit() {
+        let lp = sample_lp();
+        let first = standard_form(&lp, None);
+        assert!(Rc::ptr_eq(&first, &standard_form(&lp, None)));
+        // Fixed columns are not part of the standard form.
+        let mut fixes = BoundsOverlay::new();
+        fixes.fix_zero.push(VarId(0));
+        assert!(Rc::ptr_eq(&first, &standard_form(&lp, Some(&fixes))));
+        // RHS overrides build a private form and leave the shared one.
+        let mut rhs = BoundsOverlay::new();
+        rhs.rhs.push((0, 3.0));
+        assert!(!Rc::ptr_eq(&first, &standard_form(&lp, Some(&rhs))));
+        assert!(Rc::ptr_eq(&first, &standard_form(&lp, None)));
+        // A clone has the same content; an edit renews the stamp.
+        let mut copy = lp.clone();
+        assert!(Rc::ptr_eq(&first, &standard_form(&copy, None)));
+        copy.set_rhs(0, 4.0);
+        assert!(!Rc::ptr_eq(&first, &standard_form(&copy, None)));
+    }
+
+    /// The bits of everything a solve reports: objective, values, duals and
+    /// basis.
+    fn outcome_bits(outcome: &SolveOutcome) -> Vec<u64> {
+        let solution = &outcome.solution;
+        std::iter::once(solution.objective)
+            .chain(solution.values().iter().copied())
+            .chain(solution.duals().iter().copied())
+            .map(f64::to_bits)
+            .chain(outcome.basis.columns().iter().map(|&c| c as u64))
+            .collect()
+    }
+
+    /// Solves `problem` on a new thread, which starts without a cached
+    /// standard form or a spare factorization.
+    fn fresh_thread_solve(problem: &LpProblem) -> Vec<u64> {
+        let problem = problem.clone();
+        std::thread::spawn(move || outcome_bits(&solve_with_hint(&problem, None).unwrap()))
+            .join()
+            .unwrap()
+    }
+
+    #[test]
+    fn edits_after_a_solve_match_a_fresh_solve_bit_for_bit() {
+        type Edit = fn(&mut LpProblem);
+        let edits: [(&str, Edit); 4] = [
+            ("set_coeff", |lp| lp.set_coeff(2, VarId(0), 2.5)),
+            ("set_rhs", |lp| lp.set_rhs(1, 10.0)),
+            ("add_constraint", |lp| {
+                lp.add_constraint(vec![(VarId(0), 1.0), (VarId(1), 1.0)], Relation::Le, 7.0);
+            }),
+            ("add_var", |lp| {
+                let z = lp.add_var("z");
+                lp.set_objective_coeff(z, -1.0);
+            }),
+        ];
+        for (name, edit) in edits {
+            let mut lp = sample_lp();
+            let before = solve_with_hint(&lp, None).unwrap();
+            let mut overlay = BoundsOverlay::new();
+            overlay.rhs.push((0, 3.0));
+            resolve_with_bounds(&lp, &overlay, Some(&before.basis)).unwrap();
+            edit(&mut lp);
+            let after = outcome_bits(&solve_with_hint(&lp, None).unwrap());
+            assert_ne!(
+                after,
+                outcome_bits(&before),
+                "{name}: the edit must move the optimum"
+            );
+            assert_eq!(
+                after,
+                fresh_thread_solve(&lp),
+                "{name}: stale standard form"
+            );
+        }
     }
 }

@@ -54,17 +54,21 @@ impl CscMatrix {
             rows[slot] = r as u32;
             vals[slot] = v;
         }
-        // Sort each column by row, then compress duplicates and zeros.
+        // Sort each column by row (through one reused buffer), then compress
+        // duplicates and zeros.
         let mut col_ptr = vec![0usize; n + 1];
         let mut out_rows: Vec<u32> = Vec::with_capacity(triplets.len());
         let mut out_vals: Vec<f64> = Vec::with_capacity(triplets.len());
+        let mut entries: Vec<(u32, f64)> = Vec::new();
         for j in 0..n {
             let (lo, hi) = (counts[j], counts[j + 1]);
-            let mut entries: Vec<(u32, f64)> = rows[lo..hi]
-                .iter()
-                .copied()
-                .zip(vals[lo..hi].iter().copied())
-                .collect();
+            entries.clear();
+            entries.extend(
+                rows[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(vals[lo..hi].iter().copied()),
+            );
             entries.sort_by_key(|&(r, _)| r);
             let mut k = 0;
             while k < entries.len() {
