@@ -12,6 +12,10 @@
 //!         [--multi]
 //!
 //! With no class argument both classes are swept (the full Figure 11).
+//! `--smoke` selects the tiny CI configuration (one platform, density 0.5,
+//! seed 42, scatter / lower bound / MCPH) for each of the platforms,
+//! densities, seeds and kinds that no explicit flag chose, in any flag
+//! order: `--smoke --full` and `--full --smoke` both run all seven kinds.
 //! Machine-readable results are always written — to `fig11_sweep.json` /
 //! `fig11_sweep.csv` by default, or wherever `--json` / `--csv` point: two
 //! runs with the same configuration produce byte-identical files, which is
@@ -91,6 +95,8 @@ fn main() {
     let mut steps: Option<usize> = None;
     let mut kinds_explicit = false;
     let mut density_explicit = false;
+    let mut platforms_explicit = false;
+    let mut seeds_explicit = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -130,16 +136,10 @@ fn main() {
                     }
                 }
             }
-            // The CI bench-smoke configuration: tiny and cheap.
-            "--smoke" => {
-                smoke = true;
-                let ci = BatchConfig::ci_smoke();
-                config.platforms = ci.platforms;
-                config.densities = ci.densities;
-                config.seeds = ci.seeds;
-                config.kinds = ci.kinds;
-                config.kinds_big = ci.kinds_big;
-            }
+            // The CI bench-smoke configuration: tiny and cheap. It fills
+            // only the fields no explicit flag set (after the loop), so
+            // the flag order does not matter.
+            "--smoke" => smoke = true,
             // Dynamic-platform scenario sweep on long-lived sessions.
             "--drift" => drift = true,
             // Fault-injected robust-realization frontier sweep.
@@ -198,12 +198,14 @@ fn main() {
             }
             "--platforms" => {
                 i += 1;
+                platforms_explicit = true;
                 config.platforms = flag_value(&args, i, "--platforms")
                     .parse()
                     .expect("--platforms takes an integer");
             }
             "--seeds" => {
                 i += 1;
+                seeds_explicit = true;
                 config.seeds = flag_value(&args, i, "--seeds")
                     .split(',')
                     .map(|s| s.parse().expect("--seeds takes comma-separated integers"))
@@ -212,6 +214,7 @@ fn main() {
             // Backwards-compatible alias: a single base seed.
             "--seed" => {
                 i += 1;
+                seeds_explicit = true;
                 config.seeds = vec![flag_value(&args, i, "--seed")
                     .parse()
                     .expect("--seed takes an integer")];
@@ -238,6 +241,22 @@ fn main() {
             }
         }
         i += 1;
+    }
+    if smoke {
+        let ci = BatchConfig::ci_smoke();
+        if !platforms_explicit {
+            config.platforms = ci.platforms;
+        }
+        if !density_explicit {
+            config.densities = ci.densities;
+        }
+        if !seeds_explicit {
+            config.seeds = ci.seeds;
+        }
+        if !kinds_explicit {
+            config.kinds = ci.kinds;
+            config.kinds_big = ci.kinds_big;
+        }
     }
     if let Some(classes) = &classes {
         config.classes = classes.clone();

@@ -11,12 +11,12 @@
 //!   sources in the `MulticastMultiSource-UB` formulation.
 //!
 //! All three run on the *masked* formulations of [`crate::masked`]: the LP
-//! is built once per run on the full platform, every candidate sub-platform
-//! is a bound-update re-solve warm-started from the round's optimal basis,
-//! and each round's candidate batch is evaluated in fixed-size parallel
-//! chunks with a deterministic "first improving candidate in score order
-//! wins" reduction — byte-identical results regardless of thread count,
-//! mirroring the ordered pool of `pm_bench::sweep`.
+//! is built once per run on the full platform, and every candidate
+//! sub-platform is a bound-update re-solve warm-started from the round's
+//! optimal basis. Each round solves its candidates one at a time in score
+//! order and stops at the first one that does not degrade the period, as
+//! the sequential loops of Figures 6–8 do: no solve is thrown away, and the
+//! results do not depend on the thread count.
 //!
 //! Tree-based heuristic (Section 6):
 //!
@@ -39,7 +39,6 @@ use pm_platform::graph::{EdgeId, NodeId};
 use pm_platform::instances::MulticastInstance;
 use pm_platform::mask::NodeMask;
 use pm_sched::tree::{MulticastTree, WeightedTreeSet};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Result of running a heuristic on an instance.
@@ -221,53 +220,11 @@ pub trait ThroughputHeuristic {
 /// already bounded by the platform size).
 const MAX_GREEDY_STEPS: usize = 256;
 
-/// Candidates evaluated per parallel batch inside the greedy rounds. Fixed
-/// (not derived from the thread count) so that the number of LPs solved —
-/// and with it every deterministic counter in the fig11 artifacts — is
-/// machine-independent: a batch is always fully evaluated before the
-/// first-improving reduction, whether its solves ran on one core or eight.
-const CANDIDATE_CHUNK: usize = 8;
-
-/// Per-candidate warm-start memory of a greedy run.
-///
-/// The round basis is the natural hint for a candidate, but it was optimal
-/// for a *different* commodity/bound pattern — deactivating a commodity
-/// moves its demand RHS, and a basis whose solution carried that demand can
-/// turn primal infeasible under the new RHS, forcing a cold solve. A
-/// candidate that was evaluated (and rejected) in an earlier round, though,
-/// left behind a basis in which its own deactivation is already priced in;
-/// that basis is the better hint when the candidate comes up again.
-struct CandidateBases {
-    per_node: Vec<Option<pm_lp::Basis>>,
-}
-
-impl CandidateBases {
-    fn new(n: usize) -> Self {
-        CandidateBases {
-            per_node: (0..n).map(|_| None).collect(),
-        }
-    }
-
-    fn hint<'a>(
-        &'a self,
-        node: NodeId,
-        round: Option<&'a pm_lp::Basis>,
-    ) -> Option<&'a pm_lp::Basis> {
-        self.per_node[node.index()].as_ref().or(round)
-    }
-
-    fn remember(&mut self, node: NodeId, basis: &pm_lp::Basis) {
-        self.per_node[node.index()] = Some(basis.clone());
-    }
-}
-
-/// A masked candidate solve's result, as the chunked evaluation loop needs
-/// it: a period to compare, a basis to remember, and a warm status to
-/// account.
-trait CandidateOutcome: Send {
+/// A masked candidate solve's result, as the greedy rounds need it: a
+/// period to compare and a warm status to account.
+trait CandidateOutcome {
     fn period(&self) -> f64;
     fn stats(&self) -> &crate::masked::MaskedStats;
-    fn basis(&self) -> &pm_lp::Basis;
 }
 
 impl CandidateOutcome for MaskedFlow {
@@ -276,9 +233,6 @@ impl CandidateOutcome for MaskedFlow {
     }
     fn stats(&self) -> &crate::masked::MaskedStats {
         &self.stats
-    }
-    fn basis(&self) -> &pm_lp::Basis {
-        &self.basis
     }
 }
 
@@ -289,62 +243,44 @@ impl CandidateOutcome for MaskedMultiSource {
     fn stats(&self) -> &crate::masked::MaskedStats {
         &self.stats
     }
-    fn basis(&self) -> &pm_lp::Basis {
-        &self.basis
-    }
 }
 
-/// Evaluates `candidates` (already in score order) with `solve` in parallel
-/// chunks of [`CANDIDATE_CHUNK`] and returns the first candidate, in score
-/// order, whose period does not degrade `best` — the same acceptance rule
-/// the sequential greedy loops of Figures 6–8 use. Chunks after the
-/// accepting one are never solved; the full-chunk evaluation before the
-/// reduction is what keeps the LP counters machine-independent.
+/// Solves `candidates` (already in score order) one at a time and returns
+/// the first one whose period does not degrade `best` — the acceptance rule
+/// of the sequential greedy loops of Figures 6–8. The candidates after it
+/// are never solved.
 ///
-/// `solve(candidate, hint)` maps a candidate to its masked solve (node
-/// removal for `REDUCED BROADCAST`, addition for `AUGMENTED MULTICAST`,
-/// source promotion for `AUGMENTED SOURCES`); the hint is the candidate's
-/// remembered basis or the round basis. A candidate rejected before the LP
-/// (`Unreachable` from the reachability pre-check) has period +∞ and costs
-/// no solve; like the sequential loops, it still "does not degrade" an
-/// infinite `best` — this is how `AUGMENTED MULTICAST` grows its node set
-/// while the restricted platform is not yet connected — and such an
-/// acceptance carries no solution.
+/// `solve(candidate)` maps a candidate to its masked solve (node removal
+/// for `REDUCED BROADCAST`, addition for `AUGMENTED MULTICAST`, source
+/// promotion for `AUGMENTED SOURCES`), warm-started from the round's
+/// optimal basis. A candidate rejected before the LP (`Unreachable` from
+/// the reachability pre-check) has period +∞ and costs no solve; like the
+/// sequential loops, it still "does not degrade" an infinite `best` — this
+/// is how `AUGMENTED MULTICAST` grows its node set while the restricted
+/// platform is not yet connected — and such an acceptance carries no
+/// solution.
 fn first_improving<P: CandidateOutcome>(
     candidates: &[(f64, NodeId)],
-    solve: impl Fn(NodeId, Option<&pm_lp::Basis>) -> Result<P, FormulationError> + Sync,
-    round_hint: Option<&pm_lp::Basis>,
-    bases: &mut CandidateBases,
+    solve: impl Fn(NodeId) -> Result<P, FormulationError>,
     best: f64,
     counters: &mut LpCounters,
 ) -> Option<(NodeId, Option<P>)> {
-    for chunk in candidates.chunks(CANDIDATE_CHUNK) {
-        let outcomes: Vec<Result<P, FormulationError>> = chunk
-            .par_iter()
-            .map(|&(_, v)| solve(v, bases.hint(v, round_hint)))
-            .collect();
-        let mut found: Option<(NodeId, Option<P>)> = None;
-        for (&(_, v), outcome) in chunk.iter().zip(outcomes) {
-            match outcome {
-                Ok(out) => {
-                    counters.note(out.stats());
-                    bases.remember(v, out.basis());
-                    if found.is_none() && out.period() <= best + 1e-9 {
-                        found = Some((v, Some(out)));
-                    }
+    for &(_, v) in candidates {
+        match solve(v) {
+            Ok(out) => {
+                counters.note(out.stats());
+                if out.period() <= best + 1e-9 {
+                    return Some((v, Some(out)));
                 }
-                // Disconnected candidate: period +∞, no LP solved.
-                Err(FormulationError::Unreachable(_)) => {
-                    if found.is_none() && best.is_infinite() {
-                        found = Some((v, None));
-                    }
-                }
-                Err(FormulationError::InvalidArgument(_)) => {}
-                Err(FormulationError::Lp(_)) => counters.note_failed(),
             }
-        }
-        if found.is_some() {
-            return found;
+            // Disconnected candidate: period +∞, no LP solved.
+            Err(FormulationError::Unreachable(_)) => {
+                if best.is_infinite() {
+                    return Some((v, None));
+                }
+            }
+            Err(FormulationError::InvalidArgument(_)) => {}
+            Err(FormulationError::Lp(_)) => counters.note_failed(),
         }
     }
     None
@@ -401,7 +337,6 @@ impl ReducedBroadcast {
             });
         };
         let mut best = current.flow.period;
-        let mut bases = CandidateBases::new(platform.node_count());
         let mut steps = 0;
         while steps < MAX_GREEDY_STEPS {
             steps += 1;
@@ -416,9 +351,7 @@ impl ReducedBroadcast {
             candidates.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
             let accepted = first_improving(
                 &candidates,
-                |v, hint| template.solve(&mask.without(v), hint),
-                Some(&current.basis),
-                &mut bases,
+                |v| template.solve(&mask.without(v), Some(&current.basis)),
                 best,
                 &mut counters,
             );
@@ -528,7 +461,6 @@ impl AugmentedMulticast {
             .collect();
         candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
 
-        let mut bases = CandidateBases::new(platform.node_count());
         let mut steps = 0;
         while steps < MAX_GREEDY_STEPS {
             steps += 1;
@@ -537,11 +469,10 @@ impl AugmentedMulticast {
                 .copied()
                 .filter(|&(_, v)| !mask.contains(v))
                 .collect();
+            let round_basis = current.as_ref().map(|out| &out.basis);
             let accepted = first_improving(
                 &round,
-                |v, hint| eb_template.solve(&mask.with(v), hint),
-                current.as_ref().map(|out| &out.basis),
-                &mut bases,
+                |v| eb_template.solve(&mask.with(v), round_basis),
                 best,
                 &mut counters,
             );
@@ -630,7 +561,6 @@ impl AugmentedSources {
         counters.note(&initial.stats);
         let mut best = initial.solution.period;
         let mut current = initial;
-        let mut bases = CandidateBases::new(n);
 
         let mut steps = 0;
         while steps < MAX_GREEDY_STEPS {
@@ -650,13 +580,11 @@ impl AugmentedSources {
             candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
             let accepted = first_improving(
                 &candidates,
-                |v, hint| {
+                |v| {
                     let mut extended = sources.clone();
                     extended.push(v);
-                    template.solve_opts(base_mask, &extended, hint, false)
+                    template.solve_opts(base_mask, &extended, Some(&current.basis), false)
                 },
-                Some(&current.basis),
-                &mut bases,
                 best,
                 &mut counters,
             );

@@ -91,9 +91,9 @@ enum FlowKind {
 /// A reusable full-platform template of one of the single-source
 /// formulations, re-solvable under any [`NodeMask`].
 ///
-/// The template is immutable after construction: concurrent candidate
-/// evaluations share one template (and one hint basis) and each build only a
-/// per-solve [`BoundsOverlay`].
+/// The template is immutable after construction: a solve builds only a
+/// per-solve [`BoundsOverlay`], so a greedy round re-solves one template
+/// under each candidate's mask, every time from the round's basis.
 #[derive(Debug, Clone)]
 pub struct MaskedFlowLp {
     instance: MulticastInstance,
