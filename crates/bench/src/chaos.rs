@@ -552,6 +552,7 @@ mod tests {
 
     #[test]
     fn chaos_batch_recovers_every_strike_and_heals_the_panic() {
+        let _lock = crate::chaos_lock::chaos();
         let result = run_chaos(&tiny_config());
         assert_eq!(result.scenarios.len(), 1);
         let scenario = &result.scenarios[0];
@@ -587,6 +588,7 @@ mod tests {
 
     #[test]
     fn chaos_json_is_deterministic_modulo_wall_time() {
+        let _lock = crate::chaos_lock::chaos();
         let config = tiny_config();
         let a = run_chaos(&config);
         let b = run_chaos(&config);

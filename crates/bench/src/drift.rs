@@ -544,6 +544,7 @@ mod tests {
 
     #[test]
     fn drift_scenarios_step_and_stay_valid() {
+        let _lock = crate::chaos_lock::solving();
         let result = run_drift(&tiny_config());
         assert_eq!(result.scenarios.len(), 1);
         let scenario = &result.scenarios[0];
@@ -573,6 +574,7 @@ mod tests {
 
     #[test]
     fn drift_json_is_deterministic_modulo_wall_time() {
+        let _lock = crate::chaos_lock::solving();
         let config = tiny_config();
         let a = run_drift(&config);
         let b = run_drift(&config);

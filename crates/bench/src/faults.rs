@@ -763,6 +763,7 @@ mod tests {
 
     #[test]
     fn worked_example_pins_full_redundancy() {
+        let _lock = crate::chaos_lock::solving();
         let result = run_faults(&tiny_config());
         let we = &result.worked_example;
         assert_eq!(
@@ -801,6 +802,7 @@ mod tests {
 
     #[test]
     fn faults_frontier_holds_invariants() {
+        let _lock = crate::chaos_lock::solving();
         let result = run_faults(&tiny_config());
         assert_eq!(result.scenarios.len(), 1);
         let scenario = &result.scenarios[0];
@@ -850,6 +852,7 @@ mod tests {
 
     #[test]
     fn faults_json_is_deterministic_modulo_wall_time() {
+        let _lock = crate::chaos_lock::solving();
         let config = tiny_config();
         let a = run_faults(&config);
         let b = run_faults(&config);

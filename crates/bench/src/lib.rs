@@ -28,3 +28,26 @@ pub use sweep::{
     SweepPoint, SweepResult,
 };
 pub use table::{format_period_table, format_ratio_table};
+
+/// Serializes this crate's tests around the process-wide chaos
+/// configuration: a chaos batch turns it on for every thread of the test
+/// process, so the chaos tests hold this lock exclusively and every other
+/// test that solves LPs holds it shared.
+#[cfg(test)]
+pub(crate) mod chaos_lock {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    // The lock guards no data, so a test that panicked holding it leaves
+    // nothing inconsistent behind.
+    static LOCK: RwLock<()> = RwLock::new(());
+
+    /// Held by a test that solves LPs: no chaos batch runs meanwhile.
+    pub(crate) fn solving() -> RwLockReadGuard<'static, ()> {
+        LOCK.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Held by a test that runs a chaos batch.
+    pub(crate) fn chaos() -> RwLockWriteGuard<'static, ()> {
+        LOCK.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}

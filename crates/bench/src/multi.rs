@@ -648,6 +648,7 @@ mod tests {
 
     #[test]
     fn multi_cells_meet_every_commodity_rate_with_zero_violations() {
+        let _lock = crate::chaos_lock::solving();
         let result = run_multi(&tiny_config());
         assert_eq!(result.cells.len(), 6);
         for cell in &result.cells {
@@ -683,6 +684,7 @@ mod tests {
 
     #[test]
     fn multi_json_is_deterministic_modulo_wall_time() {
+        let _lock = crate::chaos_lock::solving();
         let config = tiny_config();
         let a = run_multi(&config);
         let b = run_multi(&config);

@@ -706,6 +706,7 @@ mod tests {
 
     #[test]
     fn tiny_sweep_produces_ordered_curves() {
+        let _lock = crate::chaos_lock::solving();
         let config = SweepConfig {
             class: PlatformClass::Small,
             paper_scale: false,
@@ -745,6 +746,7 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_across_runs() {
+        let _lock = crate::chaos_lock::solving();
         let config = SweepConfig {
             class: PlatformClass::Small,
             paper_scale: false,
@@ -768,6 +770,7 @@ mod tests {
 
     #[test]
     fn realized_sweep_aggregates_simulated_throughput() {
+        let _lock = crate::chaos_lock::solving();
         let config = SweepConfig {
             class: PlatformClass::Small,
             paper_scale: false,
@@ -816,6 +819,7 @@ mod tests {
 
     #[test]
     fn batch_covers_every_class_seed_cell() {
+        let _lock = crate::chaos_lock::solving();
         let config = BatchConfig {
             classes: vec![PlatformClass::Small, PlatformClass::Big],
             seeds: vec![3, 5],
@@ -841,6 +845,7 @@ mod tests {
 
     #[test]
     fn batch_cell_matches_standalone_sweep() {
+        let _lock = crate::chaos_lock::solving();
         let batch_config = BatchConfig {
             classes: vec![PlatformClass::Small],
             seeds: vec![9],

@@ -31,6 +31,16 @@
 //! automates this for solver-agnostic callers: inside a
 //! [`WarmStartCache::scope`], every [`crate::LpProblem::solve`] call looks
 //! up the basis of the last solve with the same constraint pattern.
+//!
+//! A hinted basis may hold artificial and fixed-to-zero columns at level
+//! zero: the artificial of a row that was redundant under the hint's
+//! overlay, or a column basic at zero that the new overlay fixes. From
+//! phase 2 on the ratio test boxes each such basic column in `[0, 0]`: an
+//! entering column that would push it up, not only down, pivots it out at
+//! step `max(0, x_b / w)`. Phases 2 and 3 therefore keep those columns at
+//! zero, and a warm re-solve needs no cold fallback for them. The check
+//! after the solve that they sit at zero stays as a safety net (see
+//! [`RecoveryRung::Cold`]).
 
 use crate::basis::{BasisFactorization, BasisRepr, EtaBasis};
 use crate::chaos::{ChaosFault, ChaosPlan};
@@ -164,7 +174,12 @@ pub enum RecoveryTrigger {
 pub enum RecoveryRung {
     /// The ordinary first attempt (warm-started when a hint was given).
     First,
-    /// The warm-start hint was discarded and the solve restarted cold.
+    /// The warm-start hint was discarded and the solve restarted cold:
+    /// after any error of a warm attempt (a singular basis, a stalled
+    /// pricing loop, an injected fault), or when an artificial or
+    /// fixed-to-zero column ended the solve off zero. The phase-2/3 ratio
+    /// test holds such columns at zero, so the latter takes numerical
+    /// drift past the check's tolerance.
     Cold,
     /// Cold restart under aggressive refactorization (every
     /// [`AGGRESSIVE_REFACTOR_EVERY`] pivots), to shed numerical drift.
@@ -362,6 +377,11 @@ struct Engine {
     fixed: Vec<bool>,
     /// Whether any column is fixed (skips the per-column test otherwise).
     any_fixed: bool,
+    /// Set from phase 2 on: the ratio test boxes every basic artificial
+    /// and fixed-to-zero column in `[0, 0]` (see [`Engine::pinned`]).
+    /// Phase 1, its drive-out and the bound repair run without it, because
+    /// they must move those columns.
+    hold_pinned: bool,
     /// Entering-column restriction of the lexicographic phase 3 (empty
     /// outside it): only columns whose primary reduced cost was zero at the
     /// phase-2 optimum may enter, so pivots move along the optimal face.
@@ -455,6 +475,7 @@ impl Engine {
             in_basis,
             fixed,
             any_fixed,
+            hold_pinned: false,
             restrict: Vec::new(),
             cost: vec![0.0; n_total],
             price_ptr: 0,
@@ -620,6 +641,20 @@ impl Engine {
             || (!self.restrict.is_empty() && !self.restrict[j])
     }
 
+    /// Whether column `j` must sit at level zero whenever it is basic: an
+    /// artificial, or a column fixed to zero.
+    #[inline]
+    fn pinned(&self, j: usize) -> bool {
+        j >= self.artificial_start || (self.any_fixed && self.fixed[j])
+    }
+
+    /// Whether the ratio test holds the basic column of row `r` at zero
+    /// from both sides (from phase 2 on, for pinned columns only).
+    #[inline]
+    fn held(&self, r: usize) -> bool {
+        self.hold_pinned && self.pinned(self.basis[r])
+    }
+
     /// Objective of the current phase at the current (perturbed) point.
     fn phase_objective(&self) -> f64 {
         let mut z = 0.0;
@@ -643,9 +678,16 @@ impl Engine {
     /// vanishing Forrest–Tomlin diagonal), the basis is refactorized from
     /// scratch instead — an error there means the exchanged basis is
     /// singular beyond repair.
+    ///
+    /// A held row (see [`Engine::held`]) left through a negative pivot
+    /// element steps by `max(0, x_b / w)`: its column goes back to zero,
+    /// never past it.
     fn apply_pivot(&mut self, row: usize, entering: usize) -> Result<(), LpError> {
         let w_r = self.work[row];
-        let theta = self.x_b[row] / w_r;
+        let mut theta = self.x_b[row] / w_r;
+        if w_r < 0.0 && self.held(row) {
+            theta = theta.max(0.0);
+        }
         let theta_shadow = self.x_shadow[row] / w_r;
         if !theta.is_finite() || !theta_shadow.is_finite() {
             // A NaN/inf ratio would poison every touched row: stop on the
@@ -742,21 +784,26 @@ impl Engine {
     }
 
     /// The ratio test over `self.work` (the FTRANed entering column):
-    /// smallest `x_b / w` over `w > EPS`, ties broken by smallest basis
-    /// index under Bland and by seeded reservoir sampling otherwise
-    /// (ported from the dense engine, same rationale).
+    /// smallest `x_b / w` over `w > EPS`, plus `max(0, x_b / w)` over
+    /// `w < −EPS` on held rows (see [`Engine::held`]), ties broken by
+    /// smallest basis index under Bland and by seeded reservoir sampling
+    /// otherwise (ported from the dense engine, same rationale).
     fn choose_leaving(&mut self, use_bland: bool) -> Option<usize> {
         let mut leaving: Option<usize> = None;
         let mut best_ratio = f64::INFINITY;
         let mut ties = 0usize;
-        // Only touched entries of the FTRANed column can be positive. The
+        // Only touched entries of the FTRANed column can be nonzero. The
         // traversal order (insertion order of the fill) is deterministic,
         // so the seeded reservoir tie-break stays reproducible.
         for ti in 0..self.touched.len() {
             let r = self.touched[ti] as usize;
             let w = self.work[r];
-            if w > EPS {
-                let ratio = self.x_b[r] / w;
+            let held_below = w < -EPS && self.held(r);
+            if w > EPS || held_below {
+                let mut ratio = self.x_b[r] / w;
+                if held_below {
+                    ratio = ratio.max(0.0);
+                }
                 match leaving {
                     None => {
                         leaving = Some(r);
@@ -1121,11 +1168,7 @@ impl Engine {
             debug_assert!(ok, "initial unit basis cannot be singular");
             return WarmInstall::Rejected;
         }
-        let violated = (0..self.m).any(|r| {
-            let j = self.basis[r];
-            (j >= self.artificial_start || (self.any_fixed && self.fixed[j]))
-                && self.x_b[r] > PIVOT_TOL
-        });
+        let violated = (0..self.m).any(|r| self.pinned(self.basis[r]) && self.x_b[r] > PIVOT_TOL);
         if violated {
             WarmInstall::NeedsRepair
         } else {
@@ -1224,16 +1267,14 @@ impl Engine {
     /// after [`Engine::extract`], whose final refactorization has just
     /// recomputed `x_shadow` to factorization accuracy.
     fn bounds_at_zero(&self) -> bool {
-        (0..self.m).all(|r| {
-            let j = self.basis[r];
-            (j < self.artificial_start && !(self.any_fixed && self.fixed[j]))
-                || self.x_shadow[r].abs() <= 1e-6
-        })
+        (0..self.m).all(|r| !self.pinned(self.basis[r]) || self.x_shadow[r].abs() <= 1e-6)
     }
 
     /// Phase 2: minimize the (sense-normalised) user objective; artificial
-    /// columns may never re-enter.
+    /// columns may never re-enter, and from here on the ratio test holds
+    /// the pinned basic columns at zero.
     fn phase2(&mut self, problem: &LpProblem) -> Result<usize, LpError> {
+        self.hold_pinned = true;
         let sense = match problem.objective() {
             Objective::Minimize => 1.0,
             Objective::Maximize => -1.0,
@@ -1329,8 +1370,9 @@ impl Engine {
             if j < self.n_user && !(self.any_fixed && self.fixed[j]) {
                 values[j] = self.x_shadow[r].max(0.0);
             }
-            // A fixed column still basic is at level ~0 (enforced by the
-            // caller's `bounds_at_zero` check); report it as exactly 0.
+            // A fixed column still basic is at level ~0 (held there by the
+            // phase-2/3 ratio test and checked by the caller's
+            // `bounds_at_zero`); report it as exactly 0.
         }
         let objective = problem.objective_value_at(&values);
         // Duals: `y = B⁻ᵀ c_B` under the phase-2 costs still installed in
@@ -1685,14 +1727,16 @@ fn solve_with_overlay(
         BasisKind::Eta => BasisKind::Lu,
     };
 
-    // The deterministic recovery ladder. Rung 0 and rung 1 are byte-for-byte
-    // the pre-ladder engine: the ordinary (possibly warm-started) attempt,
-    // and the legacy hint-discarding cold fallback. A hinted basis skipped
-    // phase 1, so its result carries an extra proof obligation — every
-    // re-entered artificial and fixed column must have stayed at level zero
-    // through phase 2 — and a violation (or any error: the hint can steer
-    // the iteration budget into a corner the cold path avoids) discards the
-    // hint entirely. Rungs 2–4 only run on failures the old engine would
+    // The deterministic recovery ladder. Rung 0 and rung 1 are the ordinary
+    // (possibly warm-started) attempt and the hint-discarding cold fallback.
+    // A hinted basis skipped phase 1, so its result carries an extra proof
+    // obligation — every re-entered artificial and fixed column must have
+    // stayed at level zero through phase 2 — and a violation (or any error:
+    // the hint can steer the iteration budget into a corner the cold path
+    // avoids) discards the hint entirely. The phase-2/3 ratio test holds
+    // those columns at zero, so the obligation fails only on faults; it
+    // stays because it is what makes any hint, however corrupt, safe to
+    // accept. Rungs 2–4 only run on failures the old engine would
     // have surfaced raw: tighter refactorization against drift, the other
     // basis backend against factorization bugs, Bland's rule against
     // cycling. The dense oracle terminates the ladder unconditionally.
@@ -2653,8 +2697,9 @@ mod tests {
         // Corrupt warm-start hints by marking arbitrary rows REDUNDANT (so
         // their artificial re-enters the basis): whatever the hint claims,
         // a successful solve must return a feasible point with the dense
-        // oracle's objective — the post-phase-2 artificial check falls back
-        // to a cold solve whenever a re-entered artificial drifts off zero.
+        // oracle's objective — the bound repair and the phase-2 ratio test
+        // keep re-entered artificials at zero, and the check after the
+        // solve falls back to a cold solve if one still ends off zero.
         let mut rng_state = 0x1234_5678_9abc_def0u64;
         for case in 0..40u64 {
             let mut lp = LpProblem::new(if case % 2 == 0 {
@@ -2772,6 +2817,80 @@ mod tests {
             inplace.set_rhs(demand, d);
             approx(inplace.solve().unwrap().objective, d.max(1.0));
         }
+    }
+
+    /// A relay platform: the source reaches the target directly (`n_st`,
+    /// cost 3) or through a relay `v` (`n_sv` then `n_vt`, cost 1 each).
+    /// Row 0 is the relay's conservation row, row 1 the target's demand.
+    fn relay_lp() -> LpProblem {
+        let mut lp = LpProblem::new(Objective::Minimize);
+        let n_st = lp.add_var("n_st");
+        let n_sv = lp.add_var("n_sv");
+        let n_vt = lp.add_var("n_vt");
+        lp.set_objective_coeff(n_st, 3.0);
+        lp.set_objective_coeff(n_sv, 1.0);
+        lp.set_objective_coeff(n_vt, 1.0);
+        lp.add_constraint(vec![(n_sv, 1.0), (n_vt, -1.0)], Relation::Eq, 0.0);
+        lp.add_constraint(vec![(n_st, 1.0), (n_vt, 1.0)], Relation::Eq, 1.0);
+        lp
+    }
+
+    fn fixing(vars: &[usize]) -> BoundsOverlay {
+        BoundsOverlay {
+            fix_zero: vars.iter().map(|&j| VarId(j)).collect(),
+            rhs: vec![],
+        }
+    }
+
+    /// Re-solves `lp` under `overlay` from `hint` and checks that the hint
+    /// survives phase 2 in one attempt, on both basis engines, and lands
+    /// where a cold solve does.
+    fn assert_stays_warm(lp: &LpProblem, hint: &Basis, overlay: &BoundsOverlay) {
+        let warm = resolve_with_bounds(lp, overlay, Some(hint)).unwrap();
+        assert_eq!(warm.stats.warm, WarmStatus::Hit);
+        assert_eq!(warm.stats.attempts, 1);
+        assert_eq!(warm.stats.rung, RecoveryRung::First);
+        let cold = resolve_with_bounds(lp, overlay, None).unwrap();
+        assert!((warm.solution.objective - cold.solution.objective).abs() <= 1e-9);
+        for (w, c) in warm.solution.values().iter().zip(cold.solution.values()) {
+            assert!((w - c).abs() <= 1e-9, "warm {w} vs cold {c}");
+        }
+        // The devex (LU) and Dantzig (eta) loops share the ratio test.
+        for kind in [BasisKind::Lu, BasisKind::Eta] {
+            let mut cfg = EngineCfg::new(None);
+            cfg.basis = Some(kind);
+            let (attempt, warm) = attempt_solve(lp, Some(overlay), Some(hint), cfg);
+            assert_eq!(warm, WarmStatus::Hit, "{kind:?}");
+            assert!(attempt.outcome.is_ok(), "{kind:?}");
+            assert!(attempt.engine.bounds_at_zero(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_fixed_column_basic_at_zero_stays_at_zero_through_phase_2() {
+        // With the edge v -> t cut, the relay row keeps n_sv basic at level
+        // zero. Fixing n_sv and restoring n_vt makes n_vt the first entering
+        // column, and its entry in n_sv's row is -1: an unguarded pivot
+        // would route the demand through the fixed edge.
+        let lp = relay_lp();
+        let hint = resolve_with_bounds(&lp, &fixing(&[2]), None).unwrap().basis;
+        assert_eq!(hint.columns()[0], 1);
+        assert_stays_warm(&lp, &hint, &fixing(&[1]));
+    }
+
+    #[test]
+    fn a_reactivated_conservation_row_keeps_its_artificial_at_zero() {
+        // With the relay masked out its conservation row has no free
+        // column, so its artificial stays basic (a redundant row). Un-fixing
+        // the relay makes the row live again, and the first entering column
+        // n_vt is negative in it: an unguarded pivot would let the
+        // artificial absorb the flow out of the relay.
+        let lp = relay_lp();
+        let hint = resolve_with_bounds(&lp, &fixing(&[1, 2]), None)
+            .unwrap()
+            .basis;
+        assert_eq!(hint.columns()[0], Basis::REDUNDANT);
+        assert_stays_warm(&lp, &hint, &BoundsOverlay::new());
     }
 
     #[test]

@@ -22,7 +22,8 @@ use std::sync::{Mutex, MutexGuard};
 const TOL: f64 = 1e-6;
 
 /// `set_default_basis` is process-global; tests in this binary run in
-/// parallel, so basis-flipping tests hold this lock.
+/// parallel, so basis-flipping tests hold this lock, and so do tests that
+/// compare solutions bit for bit across runs.
 static BASIS_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -146,6 +147,7 @@ proptest! {
         fault_idx in 0usize..5,
     ) {
         let (lp, _) = random_bounded_lp(num_vars, num_cons, lp_seed);
+        let _guard = lock();
         let cfg = if fault_idx < 4 {
             ChaosConfig::only(FAULTS[fault_idx], chaos_seed)
         } else {
