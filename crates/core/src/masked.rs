@@ -25,9 +25,29 @@
 //! then a pure bound-set change with an unchanged RHS, which the
 //! warm-start repair phase in `pm-lp` settles in a handful of pivots.
 //!
-//! The rebuild path stays available as the differential oracle; the
-//! `masked_vs_rebuilt` integration test checks the two agree on status and
-//! period for all four formulations on random platforms.
+//! A solve without a usable hint does not run the all-artificial phase 1.
+//! Every solve also builds a *crash basis* for its mask
+//! ([`pm_lp::Basis::crash`], offered as [`pm_lp::BoundsOverlay::crash`])
+//! from one cheapest-path tree ([`pm_platform::algo::dijkstra`]) rooted at
+//! the source over the active edges, weighted by edge cost — the secondary
+//! objective's weights. For every active commodity the tree arc into each
+//! reachable node is basic in that node's conservation or demand row, so
+//! one unit flows down the path to the target and the other arcs sit
+//! degenerate at zero. The skip variables are basic in the demand rows of
+//! deactivated commodities, under max accounting `n_e` is basic in the
+//! `x ≤ n` row of the first commodity routed over `e`, and `T*` is basic in
+//! the busiest occupation row; every other row stays on its slack or
+//! artificial. That basis is a feasible vertex, so `pm-lp` starts from it
+//! whenever the solve has no hint or the hint fails to install or repair.
+//! The whole arborescence is basic, not just the paths to the targets: an
+//! off-path row left on its artificial costs phase-2 pivots to price out.
+//! A crash start counts as a cold solve, never as a warm hit.
+//!
+//! The rebuild path stays available as the differential oracle, and it
+//! keeps the all-artificial start; the `masked_vs_rebuilt` integration test
+//! checks the two agree on status and period for all four formulations on
+//! random platforms, and `crash_start` checks that hint-less template
+//! solves skip phase 1 and match it.
 //!
 //! Templates are *owned* values (they clone the instance they are built
 //! from), so a long-lived [`crate::session::Session`] can hold them next to
@@ -42,9 +62,11 @@ use pm_lp::{
     Basis, BoundsOverlay, LpError, LpProblem, Objective, Relation, SolveBudget, SolveStats,
     SparseBuilder, VarId, WarmStatus,
 };
-use pm_platform::graph::{EdgeId, NodeId};
+use pm_platform::algo::{dijkstra, PathTree};
+use pm_platform::graph::{EdgeId, NodeId, Platform};
 use pm_platform::instances::MulticastInstance;
 use pm_platform::mask::NodeMask;
+use std::sync::Arc;
 
 /// Accounting of one masked solve.
 #[derive(Debug, Clone, Copy)]
@@ -111,6 +133,16 @@ pub struct MaskedFlowLp {
     /// i.e. for the multicast templates). Fixed to zero while the commodity
     /// is active; released to absorb the demand when it deactivates.
     commodity_skips: Vec<Option<(VarId, VarId)>>,
+    /// At `i·n + v`: the row of commodity `i`'s flow balance at node `v` —
+    /// the source-outflow row at the source, the demand row at the target,
+    /// the conservation row elsewhere (`u32::MAX` for a node without
+    /// edges, which has none). The crash basis makes tree arcs basic in
+    /// them. The table never changes after the build, so every clone of
+    /// the template (each session clones its own) shares it.
+    flow_rows: Arc<[u32]>,
+    /// First row of the `x ≤ n` block (max accounting only): commodity
+    /// `i`'s row for edge `e` is `xn_first + i·m + e`.
+    xn_first: usize,
     /// Per node: the `(in-port, out-port)` occupation row indices (absent
     /// for nodes without edges on that side) — the rows an edge-cost edit
     /// must rewrite.
@@ -176,10 +208,12 @@ impl MaskedFlowLp {
         let t_star = lp.add_var("T*");
         lp.set_objective_coeff(t_star, 1.0);
 
+        let nn = platform.node_count();
+        let mut flow_rows = vec![u32::MAX; t_count * nn];
         // (1) the whole message leaves the source, per commodity — or its
         // skip variable absorbs the demand when the commodity deactivates.
         for (i, x_row) in x.iter().enumerate() {
-            lp.add_constraint(
+            let row = lp.add_constraint(
                 platform
                     .out_edges(instance.source)
                     .iter()
@@ -188,6 +222,7 @@ impl MaskedFlowLp {
                 Relation::Eq,
                 1.0,
             );
+            flow_rows[i * nn + instance.source.index()] = row_index(row.0);
         }
         // No commodity flows back into the source (see
         // `formulations::solve_single_source` for the rationale).
@@ -201,7 +236,7 @@ impl MaskedFlowLp {
         // unsatisfiable `0 = 1` row: harmless, because the reachability
         // pre-check reports it as unreachable before any solve.
         for (i, &target) in targets.iter().enumerate() {
-            lp.add_constraint(
+            let row = lp.add_constraint(
                 platform
                     .in_edges(target)
                     .iter()
@@ -210,6 +245,7 @@ impl MaskedFlowLp {
                 Relation::Eq,
                 1.0,
             );
+            flow_rows[i * nn + target.index()] = row_index(row.0);
         }
         // (3) conservation at every other node.
         for (i, &target) in targets.iter().enumerate() {
@@ -229,11 +265,13 @@ impl MaskedFlowLp {
                     )
                     .collect();
                 if !terms.is_empty() {
-                    lp.add_constraint(terms, Relation::Eq, 0.0);
+                    let row = lp.add_constraint(terms, Relation::Eq, 0.0);
+                    flow_rows[i * nn + node.index()] = row_index(row.0);
                 }
             }
         }
         // (10') n_e >= x_i_e for the max rule.
+        let xn_first = lp.num_rows();
         if let Some(n) = &n {
             for x_row in &x {
                 for e in 0..m {
@@ -307,6 +345,8 @@ impl MaskedFlowLp {
             t_star,
             commodity_targets: targets,
             commodity_skips,
+            flow_rows: flow_rows.into(),
+            xn_first,
             port_rows,
             edge_rows,
             budget: None,
@@ -385,9 +425,10 @@ impl MaskedFlowLp {
     ///
     /// Errors mirror the rebuild path: an active target that the masked
     /// platform cannot reach reports [`FormulationError::Unreachable`]
-    /// (detected by a BFS pre-check, so no LP is solved), and a mask
-    /// deactivating the source (or, for the multicast templates, a target)
-    /// is an [`FormulationError::InvalidArgument`].
+    /// (detected by a pre-check on the crash basis's shortest-path tree, so
+    /// no LP is solved), and a mask deactivating the source (or, for the
+    /// multicast templates, a target) is an
+    /// [`FormulationError::InvalidArgument`].
     pub fn solve(
         &self,
         mask: &NodeMask,
@@ -409,19 +450,19 @@ impl MaskedFlowLp {
                 }
             }
         }
-        // Reachability pre-check over the masked platform: every active
-        // commodity must be reachable, else the LP would be infeasible.
-        let seen = mask.reachable_from(platform, source);
-        for &t in &self.commodity_targets {
-            if mask.contains(t) && !seen[t.index()] {
-                return Err(FormulationError::Unreachable(t));
-            }
-        }
-
         let edge_active: Vec<bool> = platform
             .edge_ids()
             .map(|e| mask.edge_active(platform, e))
             .collect();
+        // Reachability pre-check over the masked platform, on the crash
+        // basis's tree: every active commodity must be reachable, else the
+        // LP would be infeasible.
+        let tree = crash_tree(platform, source, &edge_active);
+        for &t in &self.commodity_targets {
+            if mask.contains(t) && !tree.reachable(t) {
+                return Err(FormulationError::Unreachable(t));
+            }
+        }
         let mut overlay = BoundsOverlay::new();
         for (i, &target) in self.commodity_targets.iter().enumerate() {
             if !mask.contains(target) {
@@ -447,6 +488,7 @@ impl MaskedFlowLp {
                 }
             }
         }
+        overlay.crash = Some(self.crash(mask, &tree));
 
         let out = self
             .problem
@@ -491,6 +533,55 @@ impl MaskedFlowLp {
                 solve: out.stats,
             },
         })
+    }
+
+    /// The crash basis of a solve under `mask` (see the module docs). Every
+    /// active commodity routes its unit along the cheapest-path tree of the
+    /// active edges: the tree arc into each reachable node is basic in the
+    /// commodity's balance row there, so one unit flows down the path to
+    /// the target and the other arcs sit at zero. A deactivated commodity
+    /// has its skip variables basic in its two demand rows. Under max
+    /// accounting `n_e` is basic in the `x ≤ n` row of the first commodity
+    /// routed over `e`, and `T*` is basic in the busiest occupation row.
+    fn crash(&self, mask: &NodeMask, tree: &PathTree) -> Basis {
+        let platform = &self.instance.platform;
+        let source = self.instance.source;
+        let m = platform.edge_count();
+        let mut basic: Vec<(usize, VarId)> = Vec::new();
+        // Per edge: the message units it carries, in the template's
+        // accounting (max: 0 or 1; scatter: one per commodity).
+        let mut load = vec![0.0; m];
+        let nn = platform.node_count();
+        for (i, &target) in self.commodity_targets.iter().enumerate() {
+            let row = |v: NodeId| {
+                let row = self.flow_rows[i * nn + v.index()];
+                debug_assert_ne!(row, u32::MAX, "a node with an edge has a balance row");
+                row as usize
+            };
+            if !mask.contains(target) {
+                let (u, w) =
+                    self.commodity_skips[i].expect("only broadcast commodities deactivate");
+                basic.extend([(row(source), u), (row(target), w)]);
+                continue;
+            }
+            for v in platform.nodes() {
+                if let Some(e) = tree.parent_edge[v.index()] {
+                    basic.push((row(v), self.x[i][e.index()]));
+                }
+            }
+            for e in tree_path(platform, tree, target) {
+                match &self.n {
+                    Some(n) if load[e] == 0.0 => {
+                        load[e] = 1.0;
+                        basic.push((self.xn_first + i * m + e, n[e]));
+                    }
+                    Some(_) => {}
+                    None => load[e] += 1.0,
+                }
+            }
+        }
+        basic.extend(busiest_port_row(platform, &self.port_rows, &load).map(|r| (r, self.t_star)));
+        Basis::crash(&self.problem, basic)
     }
 }
 
@@ -580,7 +671,7 @@ impl MaskedMultiSourceUb {
         for (di, &d) in dest_nodes.iter().enumerate() {
             // (1) the injections of destination d sum to one message (the
             // skip variable absorbs it while d is not a destination).
-            lp.add_constraint(
+            let row = lp.add_constraint(
                 z[di]
                     .iter()
                     .flatten()
@@ -589,8 +680,9 @@ impl MaskedMultiSourceUb {
                 Relation::Eq,
                 1.0,
             );
+            debug_assert_eq!(row.0, ms_injection_row(nn, di));
             // (2) one full message enters the destination (or its skip).
-            lp.add_constraint(
+            let row = lp.add_constraint(
                 platform
                     .in_edges(d)
                     .iter()
@@ -599,6 +691,7 @@ impl MaskedMultiSourceUb {
                 Relation::Eq,
                 1.0,
             );
+            debug_assert_eq!(row.0, ms_balance_row(nn, di, d, d));
             // (3) conservation with injection at every node v ≠ d:
             // out(v) − in(v) − z[d][v] = 0.
             for v in platform.nodes() {
@@ -620,7 +713,8 @@ impl MaskedMultiSourceUb {
                         -1.0,
                     )))
                     .collect();
-                lp.add_constraint(terms, Relation::Eq, 0.0);
+                let row = lp.add_constraint(terms, Relation::Eq, 0.0);
+                debug_assert_eq!(row.0, ms_balance_row(nn, di, d, v));
             }
         }
         // (10) scatter accounting + port/edge occupations against T*, with
@@ -812,15 +906,18 @@ impl MaskedMultiSourceUb {
             reach_at_rank.push(seen.clone());
         }
         let full_reach = &reach_at_rank[sources.len() - 1];
-        let is_target = |v: NodeId| self.instance.is_target(v);
-        let mut any_active = false;
-        for &d in &self.dest_nodes {
+        // Per destination: whether it receives a message under this
+        // selection (an active secondary source or plain target).
+        let active: Vec<bool> = self
+            .dest_nodes
+            .iter()
+            .map(|&d| {
+                mask.contains(d)
+                    && (source_rank[d.index()] != usize::MAX || self.instance.is_target(d))
+            })
+            .collect();
+        for (&d, _) in self.dest_nodes.iter().zip(&active).filter(|(_, &a)| a) {
             let rank = source_rank[d.index()];
-            let active = mask.contains(d) && (rank != usize::MAX || is_target(d));
-            if !active {
-                continue;
-            }
-            any_active = true;
             let reachable = if rank != usize::MAX {
                 // Secondary source: served by strictly earlier sources.
                 reach_at_rank[rank - 1][d.index()]
@@ -831,7 +928,7 @@ impl MaskedMultiSourceUb {
                 return Err(FormulationError::Unreachable(d));
             }
         }
-        if !any_active {
+        if !active.contains(&true) {
             return Err(FormulationError::InvalidArgument(
                 "no destination left: every target is already a source".to_string(),
             ));
@@ -844,8 +941,7 @@ impl MaskedMultiSourceUb {
         let mut overlay = BoundsOverlay::new();
         for (di, &d) in self.dest_nodes.iter().enumerate() {
             let rank = source_rank[d.index()];
-            let active = mask.contains(d) && (rank != usize::MAX || is_target(d));
-            if !active {
+            if !active[di] {
                 // Not a destination: flow and injections forced to zero,
                 // the skip variables absorb the two demand rows.
                 overlay.fix_zero.extend(self.x[di].iter().copied());
@@ -875,6 +971,7 @@ impl MaskedMultiSourceUb {
                 }
             }
         }
+        overlay.crash = Some(self.crash(&active, &edge_active));
 
         let out = self
             .problem
@@ -893,9 +990,7 @@ impl MaskedMultiSourceUb {
         let mut dest_nodes: Vec<NodeId> = Vec::new();
         let mut dest_flows: Vec<Vec<f64>> = Vec::new();
         for (di, &d) in self.dest_nodes.iter().enumerate() {
-            let rank = source_rank[d.index()];
-            let active = mask.contains(d) && (rank != usize::MAX || is_target(d));
-            if active && want_flows {
+            if active[di] && want_flows {
                 let row: Vec<f64> = (0..m).map(|e| sol.value(self.x[di][e])).collect();
                 for (e, load) in edge_load.iter_mut().enumerate() {
                     *load += row[e];
@@ -940,6 +1035,125 @@ impl MaskedMultiSourceUb {
             },
         })
     }
+
+    /// The crash basis of a solve (see [`MaskedFlowLp`]'s and the module
+    /// docs): every `active` destination takes its unit from the instance's
+    /// source — its injection there basic in the injection row — along the
+    /// cheapest-path tree of the active edges, whose arc into each
+    /// reachable node is basic in the destination's balance row there. An
+    /// inactive destination has its skip variables basic in its two demand
+    /// rows, and `T*` is basic in the busiest occupation row. The source
+    /// reaches every active destination: the reachability pre-check serves
+    /// each from earlier sources, which the source reaches in turn.
+    fn crash(&self, active: &[bool], edge_active: &[bool]) -> Basis {
+        let platform = &self.instance.platform;
+        let source = self.instance.source;
+        let tree = crash_tree(platform, source, edge_active);
+        let mut basic: Vec<(usize, VarId)> = Vec::new();
+        // Per edge: the messages it carries (scatter accounting).
+        let mut load = vec![0.0; platform.edge_count()];
+        let nn = platform.node_count();
+        for (di, &d) in self.dest_nodes.iter().enumerate() {
+            let injection = ms_injection_row(nn, di);
+            if !active[di] {
+                let (u, w) = self.dest_skips[di];
+                basic.extend([(injection, u), (ms_balance_row(nn, di, d, d), w)]);
+                continue;
+            }
+            let z = self.z[di][source.index()].expect("z exists for v != d");
+            basic.push((injection, z));
+            for v in platform.nodes() {
+                if let Some(e) = tree.parent_edge[v.index()] {
+                    basic.push((ms_balance_row(nn, di, d, v), self.x[di][e.index()]));
+                }
+            }
+            for e in tree_path(platform, &tree, d) {
+                load[e] += 1.0;
+            }
+        }
+        basic.extend(busiest_port_row(platform, &self.port_rows, &load).map(|r| (r, self.t_star)));
+        Basis::crash(&self.problem, basic)
+    }
+}
+
+/// A row index in the flow template's `u32` row table.
+fn row_index(row: usize) -> u32 {
+    u32::try_from(row).expect("a template has fewer than 2^32 rows")
+}
+
+/// The multi-source template lays its destination blocks out first: the
+/// `n + 1` rows from `di·(n + 1)` on belong to destination `di` — its
+/// injection-total row, its demand row, then the conservation row of every
+/// other node in id order. This is the first.
+fn ms_injection_row(nn: usize, di: usize) -> usize {
+    di * (nn + 1)
+}
+
+/// The row of destination `di`'s (node `d`) flow balance at node `v` in
+/// the multi-source template (see [`ms_injection_row`]): the demand row at
+/// `d`, the conservation row elsewhere.
+fn ms_balance_row(nn: usize, di: usize, d: NodeId, v: NodeId) -> usize {
+    let block = ms_injection_row(nn, di);
+    if v == d {
+        block + 1
+    } else {
+        block + 2 + v.index() - usize::from(v > d)
+    }
+}
+
+/// The cheapest-path arborescence of the active sub-platform, rooted at the
+/// source and weighted by edge cost (the secondary objective's weights):
+/// the routing of every crash basis. Inactive edges cost `+∞`, so the tree
+/// never uses them.
+fn crash_tree(platform: &Platform, source: NodeId, edge_active: &[bool]) -> PathTree {
+    dijkstra(platform, source, &|e| {
+        if edge_active[e.index()] {
+            platform.cost(e)
+        } else {
+            f64::INFINITY
+        }
+    })
+}
+
+/// The edge indices of the tree path from the root to `v`, last edge first.
+fn tree_path<'a>(
+    platform: &'a Platform,
+    tree: &'a PathTree,
+    v: NodeId,
+) -> impl Iterator<Item = usize> + 'a {
+    std::iter::successors(tree.parent_edge[v.index()], move |&e| {
+        tree.parent_edge[platform.edge(e).src.index()]
+    })
+    .map(EdgeId::index)
+}
+
+/// The occupation row with the largest occupation `Σ cost(e)·load[e]`
+/// (`None` on a platform without edges). With `T*` basic there, every other
+/// occupation row keeps a non-negative slack. A port row's occupation is at
+/// least that of each of its edges' own rows, so the port rows suffice.
+fn busiest_port_row(
+    platform: &Platform,
+    port_rows: &[(Option<usize>, Option<usize>)],
+    load: &[f64],
+) -> Option<usize> {
+    let mut busiest: Option<(f64, usize)> = None;
+    for node in platform.nodes() {
+        let (in_row, out_row) = port_rows[node.index()];
+        for (row, edges) in [
+            (in_row, platform.in_edges(node)),
+            (out_row, platform.out_edges(node)),
+        ] {
+            let Some(row) = row else { continue };
+            let occupation: f64 = edges
+                .iter()
+                .map(|&e| platform.cost(e) * load[e.index()])
+                .sum();
+            if busiest.is_none_or(|(max, _)| occupation > max) {
+                busiest = Some((occupation, row));
+            }
+        }
+    }
+    busiest.map(|(_, row)| row)
 }
 
 #[cfg(test)]

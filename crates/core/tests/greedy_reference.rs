@@ -1,9 +1,11 @@
 //! Reference check of the greedy heuristics of Section 5.2 (Figures 6–8):
 //! textbook loops written on the public masked API, which solve every
-//! candidate cold in score order until the first one that does not degrade
-//! the period, must end on the same node or source set as
+//! candidate without a hint in score order until the first one that does
+//! not degrade the period, must end on the same node or source set as
 //! `ReducedBroadcast`, `AugmentedMulticast` and `AugmentedSources`, at the
-//! same period.
+//! same period. A hint-less solve is cold — the template starts it from its
+//! shortest-path crash basis, never from another candidate's optimum — so
+//! the reference loops share no warm-start history with the heuristics.
 
 use pm_core::formulations::FormulationError;
 use pm_core::heuristics::{
@@ -198,7 +200,7 @@ fn paper_instances_match_the_reference_loops() {
 }
 
 /// Three generated small-class platforms, one target density each: the
-/// cold reference loops make an instance cost about a second and a half
+/// hint-less reference loops make an instance cost a fraction of a second
 /// under the unoptimized test profile.
 #[test]
 fn small_class_instances_match_the_reference_loops() {

@@ -2,11 +2,15 @@
 //! 6–8) stay warm. Walking the candidate rounds of `REDUCED BROADCAST`,
 //! `AUGMENTED MULTICAST` and `AUGMENTED SOURCES` through the public masked
 //! API, every candidate is solved once warm from the round's optimal basis
-//! and once cold: the two periods agree, and the warm solve finishes on its
-//! first attempt, without the cold re-solve the recovery ladder falls back
-//! to when an artificial or fixed-to-zero column leaves level zero.
+//! and once cold, without a hint (the template starts that solve from its
+//! shortest-path crash basis): the two periods agree, and the warm solve
+//! finishes on its first attempt, without the cold re-solve the recovery
+//! ladder falls back to when an artificial or fixed-to-zero column leaves
+//! level zero. Each walk's final selection also matches the rebuild oracle
+//! (`pm_core::formulations` on the restricted instance), which starts from
+//! the all-artificial basis.
 
-use pm_core::formulations::FormulationError;
+use pm_core::formulations::{BroadcastEb, FormulationError, MulticastMultiSourceUb};
 use pm_core::masked::{
     MaskedFlow, MaskedFlowLp, MaskedMultiSource, MaskedMultiSourceUb, MaskedStats,
 };
@@ -22,7 +26,8 @@ use rand::SeedableRng;
 /// plus this slack, the rule the heuristics apply.
 const ACCEPT: f64 = 1e-9;
 
-/// Period agreement between the warm and the cold solve of a candidate.
+/// Period agreement between the warm and the cold solve of a candidate,
+/// and between a walk's final selection and the rebuild oracle.
 const TOL: f64 = 1e-9;
 
 /// The period and solve accounting of a masked solve.
@@ -128,6 +133,7 @@ impl Tally {
             best = best.min(out.flow.period);
             current = out;
         }
+        matches_oracle(label, current.flow.period, broadcast_oracle(inst, &mask));
     }
 
     /// `AUGMENTED MULTICAST`: from the source and the targets, add the node
@@ -182,6 +188,9 @@ impl Tally {
                 current = Some(out);
             }
         }
+        if let Some(out) = current {
+            matches_oracle(label, out.flow.period, broadcast_oracle(inst, &mask));
+        }
     }
 
     /// `AUGMENTED SOURCES`: promote the node with the most incoming traffic
@@ -218,6 +227,11 @@ impl Tally {
             best = best.min(out.solution.period);
             current = out;
         }
+        let oracle = MulticastMultiSourceUb::new(inst, sources)
+            .expect("valid source list")
+            .solve()
+            .expect("the final selection is reachable");
+        matches_oracle(label, current.solution.period, oracle.period);
     }
 
     /// All three walks on one instance.
@@ -226,6 +240,26 @@ impl Tally {
         self.augmented_multicast(label, inst);
         self.augmented_sources(label, inst);
     }
+}
+
+/// `Broadcast-EB` rebuilt on the sub-platform of `mask`, solved from the
+/// all-artificial basis.
+fn broadcast_oracle(inst: &MulticastInstance, mask: &NodeMask) -> f64 {
+    let sub = inst
+        .restrict_to(&mask.to_nodes())
+        .expect("mask keeps the targets");
+    BroadcastEb::new(&sub)
+        .solve()
+        .expect("the final sub-platform is reachable")
+        .period
+}
+
+/// Asserts that a walk's final period matches the rebuild oracle.
+fn matches_oracle(label: &str, period: f64, oracle: f64) {
+    assert!(
+        (period - oracle).abs() <= TOL,
+        "{label}: final period {period} vs oracle {oracle}"
+    );
 }
 
 /// The paper's Figure 5 family and three generated small-class platforms,

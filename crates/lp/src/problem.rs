@@ -625,30 +625,39 @@ impl LpProblem {
     /// Re-solves the problem under a [`crate::revised::BoundsOverlay`] —
     /// additional variables fixed to zero and RHS overrides applied on top
     /// of the stored model without mutating it — warm-starting from `hint`
-    /// when one is given. The overlay makes candidate evaluation shareable:
-    /// one immutable template problem can be re-solved concurrently under
-    /// different overlays. Always runs on the revised engine (the overlay
-    /// *is* its warm-start/bound machinery); see
-    /// [`crate::revised::resolve_with_bounds`].
+    /// when one is given, else from the overlay's crash basis. The overlay
+    /// makes candidate evaluation shareable: one immutable template problem
+    /// can be re-solved concurrently under different overlays.
+    ///
+    /// Runs on the selected engine, like [`LpProblem::solve`]: the revised
+    /// simplex ([`crate::revised::resolve_with_bounds`]) by default, or the
+    /// dense oracle under `PM_LP_SOLVER=dense` /
+    /// [`crate::set_default_solver`], which solves the overlay-materialized
+    /// problem cold (hints, crash bases and budgets do not apply to it).
     pub fn resolve_with_bounds(
         &self,
         overlay: &crate::revised::BoundsOverlay,
         hint: Option<&crate::revised::Basis>,
     ) -> Result<crate::revised::SolveOutcome, LpError> {
-        crate::revised::resolve_with_bounds(self, overlay, hint)
+        self.resolve_with_bounds_budgeted(overlay, hint, None)
     }
 
     /// [`Self::resolve_with_bounds`] under explicit deterministic work caps:
     /// see [`crate::SolveBudget`] and
     /// [`crate::revised::resolve_with_bounds_budgeted`] for the anytime
-    /// degradation semantics.
+    /// degradation semantics (revised engine only).
     pub fn resolve_with_bounds_budgeted(
         &self,
         overlay: &crate::revised::BoundsOverlay,
         hint: Option<&crate::revised::Basis>,
         budget: Option<crate::solver::SolveBudget>,
     ) -> Result<crate::revised::SolveOutcome, LpError> {
-        crate::revised::resolve_with_bounds_budgeted(self, overlay, hint, budget)
+        match crate::solver::default_solver() {
+            crate::solver::SolverKind::Dense => crate::revised::resolve_dense(self, overlay, hint),
+            crate::solver::SolverKind::Revised => {
+                crate::revised::resolve_with_bounds_budgeted(self, overlay, hint, budget)
+            }
+        }
     }
 
     /// Evaluates the objective function at the given point.

@@ -32,6 +32,12 @@
 //! [`WarmStartCache::scope`], every [`crate::LpProblem::solve`] call looks
 //! up the basis of the last solve with the same constraint pattern.
 //!
+//! **Crash starts**: a [`BoundsOverlay::crash`] basis (built with
+//! [`Basis::crash`]) stands in for a missing hint, or for one the install or
+//! the bound repair cannot use. When it installs the solve skips the
+//! all-artificial phase 1 exactly as a warm start does, but it counts as a
+//! cold solve: its [`WarmStatus`] is never [`WarmStatus::Hit`].
+//!
 //! A hinted basis may hold artificial and fixed-to-zero columns at level
 //! zero: the artificial of a row that was redundant under the hint's
 //! overlay, or a column basic at zero that the new overlay fixes. From
@@ -95,17 +101,72 @@ impl Basis {
     pub fn columns(&self) -> &[usize] {
         &self.cols
     }
+
+    /// A crash basis of `problem`: variable `var` basic in row `row` for
+    /// every `(row, var)` pair, and every row no pair names on the column a
+    /// cold solve starts it on — its slack for a `≤` row, its artificial
+    /// ([`Basis::REDUNDANT`]) for an `=` or `≥` row, after the `b ≥ 0`
+    /// normalisation of the problem's stored right-hand sides. A later pair
+    /// for the same row replaces an earlier one.
+    ///
+    /// Offered as [`BoundsOverlay::crash`], it replaces the all-artificial
+    /// phase 1 of a solve whenever it installs nonsingular and primal
+    /// feasible; otherwise the solve runs that phase 1 as before.
+    ///
+    /// ```
+    /// use pm_lp::{Basis, LpProblem, Objective, Relation};
+    ///
+    /// // minimize t  s.t.  x = 1,  x - t <= 0
+    /// let mut lp = LpProblem::new(Objective::Minimize);
+    /// let x = lp.add_var("x");
+    /// let t = lp.add_var("t");
+    /// lp.set_objective_coeff(t, 1.0);
+    /// lp.add_constraint(vec![(x, 1.0)], Relation::Eq, 1.0);
+    /// lp.add_constraint(vec![(x, 1.0), (t, -1.0)], Relation::Le, 0.0);
+    ///
+    /// // Unnamed rows keep their artificial (row 0) or slack (row 1, the
+    /// // first slack column, numbered after the two variables).
+    /// assert_eq!(Basis::crash(&lp, []).columns(), &[Basis::REDUNDANT, 2]);
+    /// assert_eq!(Basis::crash(&lp, [(0, x), (1, t)]).columns(), &[0, 1]);
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if a row is out of range.
+    pub fn crash(problem: &LpProblem, basic: impl IntoIterator<Item = (usize, VarId)>) -> Basis {
+        let mut slack = problem.num_vars();
+        let mut cols: Vec<usize> = problem
+            .constraints()
+            .iter()
+            .map(|c| match effective_relation(c.relation, c.rhs < 0.0) {
+                Relation::Le => {
+                    slack += 1;
+                    slack - 1
+                }
+                Relation::Ge => {
+                    slack += 1;
+                    Basis::REDUNDANT
+                }
+                Relation::Eq => Basis::REDUNDANT,
+            })
+            .collect();
+        for (row, var) in basic {
+            cols[row] = var.index();
+        }
+        Basis { cols }
+    }
 }
 
 /// How a warm-start hint fared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WarmStatus {
-    /// No hint was offered: a cold solve.
+    /// No hint was offered: a cold solve (from the overlay's crash basis
+    /// when it installs, else from the all-artificial phase 1).
     None,
     /// The hinted basis was primal feasible (possibly after the bound-repair
     /// pivots of [`resolve_with_bounds`]) and phase 1 was skipped.
     Hit,
-    /// A hint was offered but rejected (singular or infeasible): cold solve.
+    /// A hint was offered but rejected (singular or infeasible): a cold
+    /// solve, as for [`WarmStatus::None`].
     Miss,
 }
 
@@ -131,10 +192,14 @@ pub struct BoundsOverlay {
     pub fix_zero: Vec<VarId>,
     /// `(row, rhs)` overrides of constraint right-hand sides.
     pub rhs: Vec<(usize, f64)>,
+    /// A start basis for when the solve has no hint, or its hint fails to
+    /// install or to repair (see [`Basis::crash`]). A crash start counts as
+    /// a cold solve: its [`WarmStatus`] is never [`WarmStatus::Hit`].
+    pub crash: Option<Basis>,
 }
 
 impl BoundsOverlay {
-    /// An empty overlay (no fixes, no RHS overrides).
+    /// An empty overlay (no fixes, no RHS overrides, no crash basis).
     pub fn new() -> Self {
         Self::default()
     }
@@ -172,14 +237,16 @@ pub enum RecoveryTrigger {
 /// ladder-less engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RecoveryRung {
-    /// The ordinary first attempt (warm-started when a hint was given).
+    /// The ordinary first attempt (warm-started when a hint was given,
+    /// crash-started when the overlay carries a crash basis).
     First,
-    /// The warm-start hint was discarded and the solve restarted cold:
-    /// after any error of a warm attempt (a singular basis, a stalled
+    /// The warm-start hint and the crash basis were discarded and the solve
+    /// restarted from the all-artificial phase 1: after any error of an
+    /// attempt that started from either (a singular basis, a stalled
     /// pricing loop, an injected fault), or when an artificial or
-    /// fixed-to-zero column ended the solve off zero. The phase-2/3 ratio
-    /// test holds such columns at zero, so the latter takes numerical
-    /// drift past the check's tolerance.
+    /// fixed-to-zero column ended such a solve off zero. The phase-2/3
+    /// ratio test holds those columns at zero, so the latter takes
+    /// numerical drift past the check's tolerance.
     Cold,
     /// Cold restart under aggressive refactorization (every
     /// [`AGGRESSIVE_REFACTOR_EVERY`] pivots), to shed numerical drift.
@@ -223,7 +290,8 @@ pub struct SolveStats {
     pub n: usize,
     /// Stored nonzeros of the full constraint matrix.
     pub nnz: usize,
-    /// Phase-1 pivots (0 when phase 1 was skipped).
+    /// Phase-1 pivots (0 when phase 1 was skipped), bound-repair pivots
+    /// included.
     pub phase1_pivots: usize,
     /// Phase-2 pivots.
     pub phase2_pivots: usize,
@@ -1116,7 +1184,7 @@ impl Engine {
         Err(self.fail(RecoveryTrigger::IterationLimit))
     }
 
-    /// Installs a warm-start basis hint.
+    /// Installs a start basis: a warm-start hint or a crash basis.
     ///
     /// * [`WarmInstall::Ready`] — nonsingular and primal feasible under the
     ///   current bounds: phase 1 can be skipped outright.
@@ -1713,6 +1781,57 @@ fn dense_fallback(
     Ok((solution, Basis { cols }))
 }
 
+/// The dense-engine path of [`LpProblem::resolve_with_bounds_budgeted`]
+/// (`PM_LP_SOLVER=dense`, [`crate::set_default_solver`]): the dense oracle
+/// solves the overlay-materialized problem, as the ladder's last rung does.
+/// Hints, crash bases and budgets do not apply to it, so every such solve
+/// is cold. Its stats report the [`RecoveryRung::Dense`] rung on one
+/// attempt and no pivot counts (the dense engine prints those under
+/// `PM_LP_STATS=1`).
+pub(crate) fn resolve_dense(
+    problem: &LpProblem,
+    overlay: &BoundsOverlay,
+    hint: Option<&Basis>,
+) -> Result<SolveOutcome, LpError> {
+    let start = std::time::Instant::now();
+    let (solution, basis) = dense_fallback(problem, Some(overlay))?;
+    let n_user = problem.num_vars();
+    let n = n_user
+        + problem
+            .constraints()
+            .iter()
+            .map(|c| match effective_relation(c.relation, c.rhs < 0.0) {
+                Relation::Ge => 2,
+                Relation::Le | Relation::Eq => 1,
+            })
+            .sum::<usize>();
+    let terms: usize = problem.constraints().iter().map(|c| c.terms.len()).sum();
+    let stats = SolveStats {
+        m: problem.num_constraints(),
+        n,
+        nnz: terms + n - n_user,
+        phase1_pivots: 0,
+        phase2_pivots: 0,
+        refactorizations: 0,
+        basis: crate::solver::default_basis(),
+        warm: if hint.is_some() {
+            WarmStatus::Miss
+        } else {
+            WarmStatus::None
+        },
+        wall_s: start.elapsed().as_secs_f64(),
+        attempts: 1,
+        rung: RecoveryRung::Dense,
+        trigger: None,
+        degraded: false,
+    };
+    Ok(SolveOutcome {
+        solution,
+        basis,
+        stats,
+    })
+}
+
 fn solve_with_overlay(
     problem: &LpProblem,
     overlay: Option<&BoundsOverlay>,
@@ -1728,18 +1847,20 @@ fn solve_with_overlay(
     };
 
     // The deterministic recovery ladder. Rung 0 and rung 1 are the ordinary
-    // (possibly warm-started) attempt and the hint-discarding cold fallback.
-    // A hinted basis skipped phase 1, so its result carries an extra proof
-    // obligation — every re-entered artificial and fixed column must have
-    // stayed at level zero through phase 2 — and a violation (or any error:
-    // the hint can steer the iteration budget into a corner the cold path
-    // avoids) discards the hint entirely. The phase-2/3 ratio test holds
-    // those columns at zero, so the obligation fails only on faults; it
-    // stays because it is what makes any hint, however corrupt, safe to
-    // accept. Rungs 2–4 only run on failures the old engine would
-    // have surfaced raw: tighter refactorization against drift, the other
-    // basis backend against factorization bugs, Bland's rule against
-    // cycling. The dense oracle terminates the ladder unconditionally.
+    // attempt (from the hint, else the overlay's crash basis, else the
+    // all-artificial phase 1) and the cold fallback that discards both hint
+    // and crash. A start from an installed basis skipped phase 1, so its
+    // result carries an extra proof obligation — every re-entered
+    // artificial and fixed column must have stayed at level zero through
+    // phase 2 — and a violation (or any error: the start can steer the
+    // iteration budget into a corner the cold path avoids) discards hint
+    // and crash entirely. The phase-2/3 ratio test holds those columns at
+    // zero, so the obligation fails only on faults; it stays because it is
+    // what makes any start basis, however corrupt, safe to accept. Rungs
+    // 2–4 only run on failures the old engine would have surfaced raw:
+    // tighter refactorization against drift, the other basis backend
+    // against factorization bugs, Bland's rule against cycling. The dense
+    // oracle terminates the ladder unconditionally.
     // Structured verdicts (Infeasible/Unbounded/InvalidModel) and exhausted
     // user budgets never escalate.
     const LADDER: [RecoveryRung; 5] = [
@@ -1764,10 +1885,10 @@ fn solve_with_overlay(
             RecoveryRung::Bland => cfg.force_bland = true,
             _ => {}
         }
-        let attempt_hint = if rung == RecoveryRung::First {
-            hint
+        let (attempt_hint, attempt_crash) = if rung == RecoveryRung::First {
+            (hint, overlay.and_then(|o| o.crash.as_ref()))
         } else {
-            None
+            (None, None)
         };
         // Chaos: the plan strikes the first `strikes` ladder attempts, so
         // injected faults are survivable by construction (the dense rung is
@@ -1786,12 +1907,12 @@ fn solve_with_overlay(
                 cfg.chaos = Some(p.fault);
             }
         }
-        let (attempt, warm) = attempt_solve(problem, overlay, attempt_hint, cfg);
+        let (attempt, warm) = attempt_solve(problem, overlay, attempt_hint, attempt_crash, cfg);
         attempts += 1;
         match &attempt.outcome {
             Ok(_) => {
                 if rung == RecoveryRung::First
-                    && warm == WarmStatus::Hit
+                    && attempt.installed
                     && !attempt.engine.bounds_at_zero()
                 {
                     idx = 1;
@@ -1815,10 +1936,10 @@ fn solve_with_overlay(
                         if trigger.is_none() {
                             trigger = Some(t);
                         }
-                        let next = if rung == RecoveryRung::First && warm != WarmStatus::Hit {
-                            // The first attempt already ran cold (no hint,
-                            // or the hint was rejected before phase 1):
-                            // rung 1 would repeat it verbatim.
+                        let next = if rung == RecoveryRung::First && !attempt.installed {
+                            // The first attempt already ran the
+                            // all-artificial phase 1 (no start basis
+                            // installed): rung 1 would repeat it verbatim.
                             2
                         } else {
                             idx + 1
@@ -1828,9 +1949,10 @@ fn solve_with_overlay(
                         continue;
                     }
                     None => {
-                        if rung == RecoveryRung::First && warm == WarmStatus::Hit {
-                            // Legacy fallback: any error on a warm hit
-                            // discards the hint and re-solves cold.
+                        if rung == RecoveryRung::First && attempt.installed {
+                            // Legacy fallback: any error of an attempt from
+                            // a hint or crash basis discards both and
+                            // re-solves cold.
                             failed = Some((attempt, warm, e));
                             idx = 1;
                             continue;
@@ -1950,46 +2072,74 @@ fn solve_with_overlay(
     }
 }
 
-/// One two-phase run, cold or from a hint.
+/// One two-phase run: from a hint, a crash basis or the all-artificial
+/// phase 1.
 struct Attempt {
     engine: Engine,
+    /// Whether the run started from an installed hint or crash basis, so
+    /// phase 1 was skipped.
+    installed: bool,
     phase1_pivots: usize,
     phase2_pivots: usize,
     outcome: Result<(LpSolution, Basis), LpError>,
 }
 
+/// Installs `start` (a hint or a crash basis) into `engine`, running the
+/// bound repair when it needs one. Returns whether phase 1 can be skipped.
+/// A failed repair (positive residual or numerical trouble) rebuilds the
+/// engine, so the next start begins from the canonical unit basis with
+/// truthful pivot counters. An armed chaos fault the repair already
+/// consumed stays consumed (its strike was absorbed by the repair).
+fn install_start(
+    engine: &mut Engine,
+    start: &Basis,
+    problem: &LpProblem,
+    overlay: Option<&BoundsOverlay>,
+    cfg: EngineCfg,
+) -> bool {
+    match engine.try_warm_start(start) {
+        WarmInstall::Ready => true,
+        WarmInstall::NeedsRepair => match engine.repair_bounds() {
+            Ok(true) => true,
+            _ => {
+                let mut fresh = cfg;
+                fresh.chaos = engine.chaos;
+                *engine = Engine::new(problem, overlay, fresh);
+                false
+            }
+        },
+        WarmInstall::Rejected => false,
+    }
+}
+
+/// Runs one attempt: from `hint` when it installs, else from `crash` when
+/// that installs, else from the all-artificial phase 1. Only an installed
+/// hint is a [`WarmStatus::Hit`]; a crash start is as cold as phase 1.
 fn attempt_solve(
     problem: &LpProblem,
     overlay: Option<&BoundsOverlay>,
     hint: Option<&Basis>,
+    crash: Option<&Basis>,
     cfg: EngineCfg,
 ) -> (Attempt, WarmStatus) {
     let mut engine = Engine::new(problem, overlay, cfg);
     let mut warm = WarmStatus::None;
+    let mut installed = false;
     if let Some(hint) = hint {
-        warm = match engine.try_warm_start(hint) {
-            WarmInstall::Ready => WarmStatus::Hit,
-            WarmInstall::NeedsRepair => match engine.repair_bounds() {
-                Ok(true) => WarmStatus::Hit,
-                // Repair failed (positive residual or numerical trouble):
-                // rebuild a fresh engine so the cold path starts from the
-                // canonical unit basis with truthful pivot counters. An
-                // armed chaos fault the repair already consumed stays
-                // consumed (its strike was absorbed by the repair).
-                _ => {
-                    let mut fresh = cfg;
-                    fresh.chaos = engine.chaos;
-                    engine = Engine::new(problem, overlay, fresh);
-                    WarmStatus::Miss
-                }
-            },
-            WarmInstall::Rejected => WarmStatus::Miss,
+        installed = install_start(&mut engine, hint, problem, overlay, cfg);
+        warm = if installed {
+            WarmStatus::Hit
+        } else {
+            WarmStatus::Miss
         };
+    }
+    if let (false, Some(crash)) = (installed, crash) {
+        installed = install_start(&mut engine, crash, problem, overlay, cfg);
     }
     let mut phase1_pivots = 0;
     let mut degraded = false;
     let outcome = (|| {
-        if warm != WarmStatus::Hit {
+        if !installed {
             let phase1 = engine.phase1();
             // Read the pivot counter before propagating a phase-1 error:
             // the split must stay truthful for infeasible/budget-exhausted
@@ -2045,6 +2195,7 @@ fn attempt_solve(
     (
         Attempt {
             engine,
+            installed,
             phase1_pivots,
             phase2_pivots,
             outcome,
@@ -2763,6 +2914,7 @@ mod tests {
         let overlay = BoundsOverlay {
             fix_zero: vec![VarId(1)],
             rhs: vec![],
+            crash: None,
         };
         let out = resolve_with_bounds(&lp, &overlay, None).unwrap();
         approx(out.solution.objective, 12.0);
@@ -2784,6 +2936,7 @@ mod tests {
         let overlay = BoundsOverlay {
             fix_zero: vec![VarId(1)],
             rhs: vec![],
+            crash: None,
         };
         let warm = resolve_with_bounds(&lp, &overlay, Some(&cold.basis)).unwrap();
         approx(warm.solution.objective, 12.0);
@@ -2809,6 +2962,7 @@ mod tests {
             let overlay = BoundsOverlay {
                 fix_zero: vec![],
                 rhs: vec![(demand, d)],
+                crash: None,
             };
             let out = resolve_with_bounds(&lp, &overlay, Some(&first.basis)).unwrap();
             approx(out.solution.objective, d.max(1.0));
@@ -2839,6 +2993,7 @@ mod tests {
         BoundsOverlay {
             fix_zero: vars.iter().map(|&j| VarId(j)).collect(),
             rhs: vec![],
+            crash: None,
         }
     }
 
@@ -2859,7 +3014,7 @@ mod tests {
         for kind in [BasisKind::Lu, BasisKind::Eta] {
             let mut cfg = EngineCfg::new(None);
             cfg.basis = Some(kind);
-            let (attempt, warm) = attempt_solve(lp, Some(overlay), Some(hint), cfg);
+            let (attempt, warm) = attempt_solve(lp, Some(overlay), Some(hint), None, cfg);
             assert_eq!(warm, WarmStatus::Hit, "{kind:?}");
             assert!(attempt.outcome.is_ok(), "{kind:?}");
             assert!(attempt.engine.bounds_at_zero(), "{kind:?}");
@@ -2905,6 +3060,7 @@ mod tests {
         let overlay = BoundsOverlay {
             fix_zero: vec![x],
             rhs: vec![],
+            crash: None,
         };
         assert_eq!(
             resolve_with_bounds(&lp, &overlay, Some(&cold.basis)).unwrap_err(),

@@ -223,6 +223,11 @@ impl SparseBuilder {
         self.names.len()
     }
 
+    /// Number of rows opened so far (the index the next row gets).
+    pub fn num_rows(&self) -> usize {
+        self.rows.len()
+    }
+
     /// Sets the objective coefficient of a variable.
     pub fn set_objective_coeff(&mut self, var: VarId, coeff: f64) {
         self.objective_coeffs[var.index()] = coeff;
