@@ -4,7 +4,7 @@
 //! under `--test` (every body executes once).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pm_lp::{revised, BasisKind, LpProblem, Objective, Relation, SolverKind};
+use pm_lp::{revised, BasisKind, LpProblem, Objective, Relation, SolveContext, SolverKind};
 
 /// A transshipment LP on a `rows × cols` grid: one unit of flow enters at
 /// the top-left corner and must reach the bottom-right corner; arcs go right
@@ -71,11 +71,15 @@ fn bench_engines(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     for (label, rows, cols) in [("8x8", 8usize, 8usize), ("16x16", 16, 16)] {
         let lp = grid_flow_lp(rows, cols);
+        let dense = SolveContext {
+            engine: SolverKind::Dense,
+            ..SolveContext::default()
+        };
         group.bench_with_input(BenchmarkId::new("dense", label), &lp, |b, lp| {
-            b.iter(|| lp.solve_with(SolverKind::Dense).unwrap())
+            b.iter(|| lp.solve_in(&dense).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("revised_cold", label), &lp, |b, lp| {
-            b.iter(|| lp.solve_with(SolverKind::Revised).unwrap())
+            b.iter(|| lp.solve().unwrap())
         });
         // Warm-started: re-solve from the previous optimal basis, as the
         // Figure-11 sweep does across consecutive densities.
@@ -100,14 +104,13 @@ fn bench_bases(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     for (label, rows, cols) in [("16x16", 16usize, 16usize), ("40x40", 40, 40)] {
         let lp = grid_flow_lp(rows, cols);
-        for (name, kind) in [("eta", BasisKind::Eta), ("lu", BasisKind::Lu)] {
+        for (name, basis) in [("eta", BasisKind::Eta), ("lu", BasisKind::Lu)] {
+            let ctx = SolveContext {
+                basis,
+                ..SolveContext::default()
+            };
             group.bench_with_input(BenchmarkId::new(name, label), &lp, |b, lp| {
-                b.iter(|| {
-                    pm_lp::set_default_basis(Some(kind));
-                    let out = lp.solve_with(SolverKind::Revised).unwrap();
-                    pm_lp::set_default_basis(None);
-                    out
-                })
+                b.iter(|| lp.solve_in(&ctx).unwrap())
             });
         }
     }

@@ -66,6 +66,7 @@ use pm_bench::{
     MultiBenchConfig,
 };
 use pm_core::report::HeuristicKind;
+use pm_lp::{BasisKind, SolveContext, SolverKind};
 use pm_platform::topology::PlatformClass;
 
 /// The value following a flag, or a named usage error (instead of an
@@ -77,8 +78,44 @@ fn flag_value<'a>(args: &'a [String], i: usize, flag: &str) -> &'a str {
     })
 }
 
+/// The value of environment variable `name` among `choices`; an unknown
+/// value is reported and ignored.
+fn env_choice<T: Copy>(name: &str, choices: &[(&str, T)]) -> Option<T> {
+    let raw = std::env::var(name).ok()?;
+    let found = choices.iter().find(|(key, _)| *key == raw).map(|&(_, v)| v);
+    if found.is_none() {
+        let keys: Vec<&str> = choices.iter().map(|&(key, _)| key).collect();
+        eprintln!(
+            "fig11: ignoring unknown {name} value {raw:?} ({})",
+            keys.join("|")
+        );
+    }
+    found
+}
+
+/// The context every LP of the run is solved under, read once: `--solver`
+/// wins over `PM_LP_SOLVER=dense|revised`, `PM_LP_BASIS=eta|lu` picks the
+/// revised engine's factorization and `PM_LP_STATS=1` prints one line per
+/// solve. Everything left unset keeps [`SolveContext::default`].
+fn solve_context(solver_flag: Option<SolverKind>) -> SolveContext {
+    let engines = [
+        ("dense", SolverKind::Dense),
+        ("revised", SolverKind::Revised),
+    ];
+    let bases = [("eta", BasisKind::Eta), ("lu", BasisKind::Lu)];
+    SolveContext {
+        engine: solver_flag
+            .or_else(|| env_choice("PM_LP_SOLVER", &engines))
+            .unwrap_or_default(),
+        basis: env_choice("PM_LP_BASIS", &bases).unwrap_or_default(),
+        stats: std::env::var_os("PM_LP_STATS").is_some_and(|v| v == "1"),
+        ..SolveContext::default()
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut solver: Option<SolverKind> = None;
     let mut classes: Option<Vec<PlatformClass>> = None;
     let mut reference = "all".to_string();
     let mut config = BatchConfig::quick();
@@ -128,8 +165,8 @@ fn main() {
             "--solver" => {
                 i += 1;
                 match flag_value(&args, i, "--solver") {
-                    "dense" => pm_lp::set_default_solver(pm_lp::SolverKind::Dense),
-                    "revised" => pm_lp::set_default_solver(pm_lp::SolverKind::Revised),
+                    "dense" => solver = Some(SolverKind::Dense),
+                    "revised" => solver = Some(SolverKind::Revised),
                     other => {
                         eprintln!("--solver takes dense|revised, got {other:?}");
                         std::process::exit(2);
@@ -265,6 +302,7 @@ fn main() {
         eprintln!("--drift, --faults, --chaos and --multi are distinct modes; pick one");
         std::process::exit(2);
     }
+    let ctx = solve_context(solver);
 
     if multi {
         let mut multi_config = if smoke {
@@ -317,7 +355,7 @@ fn main() {
             multi_config.skews,
             rayon::current_num_threads()
         );
-        let result = run_multi(&multi_config);
+        let result = run_multi(&multi_config, &ctx);
         eprintln!(
             "fig11: multi {} cells, {} LP solves ({} warm hits, {:.0}% warm), {} ms total",
             result.meta.cells,
@@ -420,7 +458,7 @@ fn main() {
         chaos_config.progress = true;
         eprintln!(
             "running chaos batch: classes={:?}, seeds={:?}, platforms={}, kinds={:?}, \
-             chaos_seed={} (scenarios sequential, solves on {} worker threads)",
+             chaos_seed={} ({} worker threads)",
             chaos_config.classes,
             chaos_config.seeds,
             chaos_config.platforms,
@@ -428,7 +466,7 @@ fn main() {
             chaos_config.chaos_seed,
             rayon::current_num_threads()
         );
-        let result = run_chaos(&chaos_config);
+        let result = run_chaos(&chaos_config, &ctx);
         let rungs = result.meta.ladder.recovered_by_rung;
         eprintln!(
             "fig11: chaos {} scenarios, {} solves under injection ({} struck, {:.0}%), \
@@ -528,7 +566,7 @@ fn main() {
             pm_bench::emit::kind_key(faults_config.kind),
             rayon::current_num_threads()
         );
-        let result = run_faults(&faults_config);
+        let result = run_faults(&faults_config, &ctx);
         eprintln!(
             "fig11: faults {} scenarios, {} LP solves ({} warm hits, {:.0}% warm), {} ms total",
             result.meta.scenarios,
@@ -634,7 +672,7 @@ fn main() {
             drift_config.kinds,
             rayon::current_num_threads()
         );
-        let result = run_drift(&drift_config);
+        let result = run_drift(&drift_config, &ctx);
         eprintln!(
             "fig11: drift {} scenarios, {} LP solves ({} warm hits, {:.0}% warm), {} ms total",
             result.meta.scenarios,
@@ -698,7 +736,7 @@ fn main() {
     let csv_sink = open_sink(&items_csv_path, ItemRowFormat::Csv);
     let jsonl_sink = open_sink(&items_jsonl_path, ItemRowFormat::Jsonl);
     let sinks: Vec<&ItemSink> = csv_sink.iter().chain(jsonl_sink.iter()).collect();
-    let batch = run_batch_streamed(&config, &sinks);
+    let batch = run_batch_streamed(&config, &sinks, &ctx);
     drop(sinks);
     for (sink, path) in [(csv_sink, &items_csv_path), (jsonl_sink, &items_jsonl_path)] {
         if let (Some(sink), Some(path)) = (sink, path) {

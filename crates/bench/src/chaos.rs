@@ -3,7 +3,8 @@
 //!
 //! Where the `--faults` sweep injects *message loss* into realized
 //! schedules, the chaos sweep injects *solver faults* into the LP engine
-//! itself ([`pm_lp::set_chaos`]): singular factorizations, poisoned
+//! itself (a [`pm_lp::ChaosConfig`] in the session's
+//! [`pm_lp::SolveContext`]): singular factorizations, poisoned
 //! warm-start hints, pricing stalls and NaN writes strike roughly one
 //! solve in three, and every strike must end in a verified optimum — the
 //! artifact records which recovery rung won each solve. Each scenario
@@ -12,12 +13,15 @@
 //! re-solve per heuristic kind, measuring the degraded anytime solution's
 //! gap against the certified optimum.
 //!
+//! Each scenario counts its two phases in tallies of its own: the injection
+//! phase's session solves under a chaos-armed context with a ladder
+//! [`pm_lp::SolveTally`], the budget phase's fresh sessions under a
+//! chaos-free context with a budget tally. Nothing is shared between
+//! scenarios, so they run on the rayon pool like the other sweeps.
+//!
 //! Determinism: whether a solve is struck is a pure function of the chaos
-//! seed and the problem's structural signature, and the global outcome
-//! counters are commutative sums — but this module also phase-separates
-//! those counters (ladder phase vs budget phase) and toggles the
-//! process-wide chaos configuration per phase, so scenarios run
-//! *sequentially*. Two runs at any `RAYON_NUM_THREADS` produce
+//! seed and the problem's structural signature, and the tallies are
+//! commutative sums. Two runs at any `RAYON_NUM_THREADS` produce
 //! byte-identical artifacts except for the `"solve_ms"` wall-time lines,
 //! which CI filters exactly as it does for the other fig11 artifacts.
 
@@ -25,11 +29,13 @@ use crate::drift::pick_disable_candidate;
 use crate::emit::{class_key, json_f64, kind_key};
 use pm_core::report::HeuristicKind;
 use pm_core::session::Session;
-use pm_lp::{chaos_counters, reset_chaos_counters, set_chaos, ChaosConfig, ChaosCounters};
+use pm_lp::{ChaosConfig, ChaosCounters, SolveContext, SolveTally};
 use pm_platform::topology::{PlatformClass, TiersLikeGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Schema tag of the chaos artifact (`fig11 --chaos --json`). v7 continues
@@ -93,22 +99,6 @@ impl ChaosBenchConfig {
             churn_rounds: 1,
             ..ChaosBenchConfig::quick()
         }
-    }
-}
-
-/// Counter delta of one batch phase (field-wise difference of two
-/// [`ChaosCounters`] snapshots).
-fn counters_delta(after: &ChaosCounters, before: &ChaosCounters) -> ChaosCounters {
-    let mut recovered_by_rung = [0u64; 6];
-    for (i, slot) in recovered_by_rung.iter_mut().enumerate() {
-        *slot = after.recovered_by_rung[i] - before.recovered_by_rung[i];
-    }
-    ChaosCounters {
-        solves: after.solves - before.solves,
-        injected: after.injected - before.injected,
-        recovered_by_rung,
-        degraded: after.degraded - before.degraded,
-        unrecovered: after.unrecovered - before.unrecovered,
     }
 }
 
@@ -222,7 +212,7 @@ pub struct ChaosResult {
 
 /// Runs the injection phase of one scenario: solve every kind, churn a
 /// relay node for `churn_rounds` rounds, then inject one session panic and
-/// watch the journal heal it. Chaos must already be armed process-wide.
+/// watch the journal heal it. The session's context arms the chaos.
 fn run_injection_phase(
     session: &mut Session,
     config: &ChaosBenchConfig,
@@ -265,12 +255,12 @@ fn run_injection_phase(
 
 /// Runs the budget phase of one scenario: for every kind, probe the clean
 /// pivot counts on a fresh session, then cap a second fresh session one
-/// pivot short and record the degraded anytime solution's gap. Chaos must
-/// already be disarmed process-wide (capped ladder retries could otherwise
-/// exhaust the budget in phase 1).
-fn run_budget_phase(session: &Session, results: &mut [ChaosKindResult]) {
+/// pivot short and record the degraded anytime solution's gap. Both
+/// sessions solve under `ctx`, which must arm no chaos (capped ladder
+/// retries could otherwise exhaust the budget in phase 1).
+fn run_budget_phase(session: &Session, ctx: &SolveContext, results: &mut [ChaosKindResult]) {
     for result in results.iter_mut() {
-        let mut probe = Session::new(session.instance().clone());
+        let mut probe = Session::new(session.instance().clone()).with_context(ctx.clone());
         let full = probe.solve(result.kind).expect("clean probe solve");
         result.probe_phase1 = full.stats.phase1_pivots;
         result.probe_phase2 = full.stats.phase2_pivots;
@@ -284,7 +274,7 @@ fn run_budget_phase(session: &Session, results: &mut [ChaosKindResult]) {
         }
         let cap = full.stats.phase1_pivots + full.stats.phase2_pivots - 1;
         result.budget_cap = cap;
-        let mut capped = Session::new(session.instance().clone());
+        let mut capped = Session::new(session.instance().clone()).with_context(ctx.clone());
         capped.set_budget(Some(pm_lp::SolveBudget::pivots(cap)));
         // A cold session replays the probe's exact pivot trajectory, so the
         // cap always outlasts phase 1 and the solve degrades gracefully.
@@ -295,11 +285,12 @@ fn run_budget_phase(session: &Session, results: &mut [ChaosKindResult]) {
     }
 }
 
-/// Runs one scenario. The caller owns the process-wide chaos state; this
-/// function arms it for the injection phase and disarms it for the budget
-/// phase, snapshotting the global counters around each.
+/// Runs one scenario: the injection phase under `ctx` with chaos armed,
+/// the budget phase under `ctx` with chaos off, each phase counted in a
+/// tally of its own.
 fn run_scenario(
     config: &ChaosBenchConfig,
+    ctx: &SolveContext,
     class: PlatformClass,
     seed: u64,
     platform_index: usize,
@@ -316,16 +307,22 @@ fn run_scenario(
     let instance = topology.sample_instance(config.density, &mut rng);
     let nodes = instance.platform.node_count();
     let targets = instance.target_count();
-    let mut session = Session::new(instance);
-
-    set_chaos(Some(ChaosConfig::all(config.chaos_seed)));
-    let before_ladder = chaos_counters();
+    let ladder_tally = Arc::new(SolveTally::new());
+    let mut session = Session::new(instance).with_context(SolveContext {
+        chaos: Some(ChaosConfig::all(config.chaos_seed)),
+        tally: Some(Arc::clone(&ladder_tally)),
+        ..ctx.clone()
+    });
     let per_kind = run_injection_phase(&mut session, config, &mut rng);
-    let ladder = counters_delta(&chaos_counters(), &before_ladder);
+    let ladder = ladder_tally.counters();
     let panics_healed = session.stats().panics_healed;
 
-    set_chaos(None);
-    let before_budget = chaos_counters();
+    let budget_tally = Arc::new(SolveTally::new());
+    let budget_ctx = SolveContext {
+        chaos: None,
+        tally: Some(Arc::clone(&budget_tally)),
+        ..ctx.clone()
+    };
     let mut kinds: Vec<ChaosKindResult> = per_kind
         .into_iter()
         .map(
@@ -345,8 +342,8 @@ fn run_scenario(
             },
         )
         .collect();
-    run_budget_phase(&session, &mut kinds);
-    let budget = counters_delta(&chaos_counters(), &before_budget);
+    run_budget_phase(&session, &budget_ctx, &mut kinds);
+    let budget = budget_tally.counters();
 
     ChaosScenario {
         class,
@@ -362,30 +359,32 @@ fn run_scenario(
     }
 }
 
-/// Runs the chaos batch. Scenarios evolve *sequentially* (the chaos
-/// configuration and its counters are process-wide, and each scenario
-/// toggles them per phase); the LP solves inside each scenario still fan
-/// out over the rayon pool, which is safe because injection plans are pure
-/// functions of the seed and counters are commutative sums.
-pub fn run_chaos(config: &ChaosBenchConfig) -> ChaosResult {
-    reset_chaos_counters();
-    let mut scenarios = Vec::new();
+/// Runs the chaos batch: every `(class, seed, platform)` scenario on the
+/// rayon pool, collected in configuration order, each session solving
+/// under `ctx` plus the scenario's own chaos arming and tallies.
+pub fn run_chaos(config: &ChaosBenchConfig, ctx: &SolveContext) -> ChaosResult {
+    let mut cells: Vec<(PlatformClass, u64, usize)> = Vec::new();
     for &class in &config.classes {
         for &seed in &config.seeds {
             for pi in 0..config.platforms {
-                let scenario = run_scenario(config, class, seed, pi);
-                if config.progress {
-                    eprintln!(
-                        "fig11: chaos scenario class={class:?} seed={seed} platform={pi} done \
-                         ({} injected / {} solves, {} degraded)",
-                        scenario.ladder.injected, scenario.ladder.solves, scenario.budget.degraded
-                    );
-                }
-                scenarios.push(scenario);
+                cells.push((class, seed, pi));
             }
         }
     }
-    set_chaos(None);
+    let scenarios: Vec<ChaosScenario> = cells
+        .into_par_iter()
+        .map(|(class, seed, pi)| {
+            let scenario = run_scenario(config, ctx, class, seed, pi);
+            if config.progress {
+                eprintln!(
+                    "fig11: chaos scenario class={class:?} seed={seed} platform={pi} done \
+                     ({} injected / {} solves, {} degraded)",
+                    scenario.ladder.injected, scenario.ladder.solves, scenario.budget.degraded
+                );
+            }
+            scenario
+        })
+        .collect();
 
     let mut meta = ChaosMeta {
         scenarios: scenarios.len() as u64,
@@ -552,8 +551,7 @@ mod tests {
 
     #[test]
     fn chaos_batch_recovers_every_strike_and_heals_the_panic() {
-        let _lock = crate::chaos_lock::chaos();
-        let result = run_chaos(&tiny_config());
+        let result = run_chaos(&tiny_config(), &SolveContext::default());
         assert_eq!(result.scenarios.len(), 1);
         let scenario = &result.scenarios[0];
         // The whole point of the ladder: strikes happen, failures don't.
@@ -588,10 +586,9 @@ mod tests {
 
     #[test]
     fn chaos_json_is_deterministic_modulo_wall_time() {
-        let _lock = crate::chaos_lock::chaos();
         let config = tiny_config();
-        let a = run_chaos(&config);
-        let b = run_chaos(&config);
+        let a = run_chaos(&config, &SolveContext::default());
+        let b = run_chaos(&config, &SolveContext::default());
         let filter = |s: &str| {
             s.lines()
                 .filter(|l| !l.contains("\"solve_ms\""))

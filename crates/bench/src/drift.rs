@@ -20,6 +20,7 @@ use crate::emit::{class_key, json_f64, kind_key};
 use pm_core::report::HeuristicKind;
 use pm_core::session::{Session, SessionError, TransitionCost};
 use pm_core::{FormulationError, RealizeError};
+use pm_lp::SolveContext;
 use pm_platform::graph::{EdgeId, NodeId};
 use pm_platform::topology::{PlatformClass, TiersLikeGenerator};
 use rand::rngs::StdRng;
@@ -255,6 +256,7 @@ pub(crate) fn pick_disable_candidate(session: &Session, rng: &mut StdRng) -> Opt
 /// events each followed by a re-solve + re-realization of every kind.
 fn run_scenario(
     config: &DriftConfig,
+    ctx: &SolveContext,
     class: PlatformClass,
     seed: u64,
     platform_index: usize,
@@ -270,7 +272,7 @@ fn run_scenario(
     let instance = topology.sample_instance(config.density, &mut rng);
     let nodes = instance.platform.node_count();
     let targets = instance.target_count();
-    let mut session = Session::new(instance);
+    let mut session = Session::new(instance).with_context(ctx.clone());
     let mut disabled: Vec<NodeId> = Vec::new();
     let mut previous_throughput: Vec<Option<f64>> = vec![None; config.kinds.len()];
 
@@ -364,8 +366,9 @@ fn drive_kind(
 }
 
 /// Runs the drift batch: every `(class, seed, platform)` scenario on the
-/// rayon pool, collected in configuration order.
-pub fn run_drift(config: &DriftConfig) -> DriftResult {
+/// rayon pool, collected in configuration order, each session solving
+/// under `ctx`.
+pub fn run_drift(config: &DriftConfig, ctx: &SolveContext) -> DriftResult {
     let mut cells: Vec<(PlatformClass, u64, usize)> = Vec::new();
     for &class in &config.classes {
         for &seed in &config.seeds {
@@ -377,7 +380,7 @@ pub fn run_drift(config: &DriftConfig) -> DriftResult {
     let scenarios: Vec<DriftScenario> = cells
         .into_par_iter()
         .map(|(class, seed, pi)| {
-            let scenario = run_scenario(config, class, seed, pi);
+            let scenario = run_scenario(config, ctx, class, seed, pi);
             if config.progress {
                 eprintln!(
                     "fig11: drift scenario class={class:?} seed={seed} platform={pi} done \
@@ -544,8 +547,7 @@ mod tests {
 
     #[test]
     fn drift_scenarios_step_and_stay_valid() {
-        let _lock = crate::chaos_lock::solving();
-        let result = run_drift(&tiny_config());
+        let result = run_drift(&tiny_config(), &SolveContext::default());
         assert_eq!(result.scenarios.len(), 1);
         let scenario = &result.scenarios[0];
         assert_eq!(scenario.steps.len(), 4);
@@ -574,10 +576,9 @@ mod tests {
 
     #[test]
     fn drift_json_is_deterministic_modulo_wall_time() {
-        let _lock = crate::chaos_lock::solving();
         let config = tiny_config();
-        let a = run_drift(&config);
-        let b = run_drift(&config);
+        let a = run_drift(&config, &SolveContext::default());
+        let b = run_drift(&config, &SolveContext::default());
         let filter = |s: &str| {
             s.lines()
                 .filter(|l| !l.contains("\"solve_ms\""))

@@ -24,6 +24,7 @@ use crate::emit::{class_key, json_f64, kind_key};
 use pm_core::report::HeuristicKind;
 use pm_core::session::{Session, TransitionCost};
 use pm_core::{RobustOptions, RobustRealization};
+use pm_lp::SolveContext;
 use pm_platform::graph::{NodeId, PlatformBuilder};
 use pm_platform::instances::MulticastInstance;
 use pm_platform::topology::{PlatformClass, TiersLikeGenerator};
@@ -396,6 +397,7 @@ fn session_capability(session: &Session) -> usize {
 /// largest level.
 fn run_scenario(
     config: &FaultsConfig,
+    ctx: &SolveContext,
     class: PlatformClass,
     seed: u64,
     platform_index: usize,
@@ -411,7 +413,7 @@ fn run_scenario(
     let instance = topology.sample_instance(config.density, &mut rng);
     let nodes = instance.platform.node_count();
     let targets = instance.target_count();
-    let mut session = Session::new(instance);
+    let mut session = Session::new(instance).with_context(ctx.clone());
     let capability = session_capability(&session);
     let (frontier, options) = run_frontier(&mut session, config, seed);
 
@@ -480,11 +482,11 @@ fn worked_example_instance() -> MulticastInstance {
 }
 
 /// Runs the dual-homed worked-example frontier (see [`WorkedExample`]).
-fn run_worked_example(config: &FaultsConfig) -> WorkedExample {
+fn run_worked_example(config: &FaultsConfig, ctx: &SolveContext) -> WorkedExample {
     let instance = worked_example_instance();
     let nodes = instance.platform.node_count();
     let targets = instance.target_count();
-    let mut session = Session::new(instance);
+    let mut session = Session::new(instance).with_context(ctx.clone());
     let capability = session_capability(&session);
     let (frontier, _) = run_frontier(&mut session, config, 0xF1);
     WorkedExample {
@@ -497,8 +499,8 @@ fn run_worked_example(config: &FaultsConfig) -> WorkedExample {
 
 /// Runs the faults batch: the Figure 1 worked example plus every
 /// `(class, seed, platform)` scenario on the rayon pool, collected in
-/// configuration order.
-pub fn run_faults(config: &FaultsConfig) -> FaultsResult {
+/// configuration order, each session solving under `ctx`.
+pub fn run_faults(config: &FaultsConfig, ctx: &SolveContext) -> FaultsResult {
     let mut cells: Vec<(PlatformClass, u64, usize)> = Vec::new();
     for &class in &config.classes {
         for &seed in &config.seeds {
@@ -510,7 +512,7 @@ pub fn run_faults(config: &FaultsConfig) -> FaultsResult {
     let scenarios: Vec<FaultsScenario> = cells
         .into_par_iter()
         .map(|(class, seed, pi)| {
-            let scenario = run_scenario(config, class, seed, pi);
+            let scenario = run_scenario(config, ctx, class, seed, pi);
             if config.progress {
                 eprintln!(
                     "fig11: faults scenario class={class:?} seed={seed} platform={pi} done \
@@ -522,7 +524,7 @@ pub fn run_faults(config: &FaultsConfig) -> FaultsResult {
         })
         .collect();
 
-    let worked_example = run_worked_example(config);
+    let worked_example = run_worked_example(config, ctx);
 
     let mut meta = FaultsMeta {
         scenarios: scenarios.len() as u64,
@@ -763,8 +765,7 @@ mod tests {
 
     #[test]
     fn worked_example_pins_full_redundancy() {
-        let _lock = crate::chaos_lock::solving();
-        let result = run_faults(&tiny_config());
+        let result = run_faults(&tiny_config(), &SolveContext::default());
         let we = &result.worked_example;
         assert_eq!(
             we.capability, 2,
@@ -802,8 +803,7 @@ mod tests {
 
     #[test]
     fn faults_frontier_holds_invariants() {
-        let _lock = crate::chaos_lock::solving();
-        let result = run_faults(&tiny_config());
+        let result = run_faults(&tiny_config(), &SolveContext::default());
         assert_eq!(result.scenarios.len(), 1);
         let scenario = &result.scenarios[0];
         assert_eq!(scenario.frontier.len(), 2);
@@ -852,10 +852,9 @@ mod tests {
 
     #[test]
     fn faults_json_is_deterministic_modulo_wall_time() {
-        let _lock = crate::chaos_lock::solving();
         let config = tiny_config();
-        let a = run_faults(&config);
-        let b = run_faults(&config);
+        let a = run_faults(&config, &SolveContext::default());
+        let b = run_faults(&config, &SolveContext::default());
         let filter = |s: &str| {
             s.lines()
                 .filter(|l| !l.contains("\"solve_ms\""))

@@ -23,6 +23,7 @@ use crate::emit::{class_key, json_f64};
 use pm_core::multi::Commodity;
 use pm_core::report::HeuristicKind;
 use pm_core::session::{Session, TransitionCost};
+use pm_lp::SolveContext;
 use pm_platform::graph::EdgeId;
 use pm_platform::topology::{PlatformClass, TiersLikeGenerator};
 use rand::rngs::StdRng;
@@ -292,11 +293,12 @@ fn sample_commodities(
 /// bit-for-bit against the multi path (both run cold on fresh templates,
 /// so equal optima must be equal bit patterns).
 fn matches_single_pipeline(
+    ctx: &SolveContext,
     instance: pm_platform::instances::MulticastInstance,
     flow: &pm_core::multi::MultiFlow,
     realization: &pm_core::multi::MultiRealization,
 ) -> bool {
-    let mut single = Session::new(instance);
+    let mut single = Session::new(instance).with_context(ctx.clone());
     let solve = single
         .solve(HeuristicKind::LowerBound)
         .expect("lower bound solves on strongly connected platforms");
@@ -314,6 +316,7 @@ fn matches_single_pipeline(
 /// re-realization.
 fn run_cell(
     config: &MultiBenchConfig,
+    ctx: &SolveContext,
     class: PlatformClass,
     seed: u64,
     platform_index: usize,
@@ -333,7 +336,7 @@ fn run_cell(
     let single_instance = (k == 1).then(|| base_instance.clone());
 
     let started = Instant::now();
-    let mut session = Session::new(base_instance);
+    let mut session = Session::new(base_instance).with_context(ctx.clone());
     let solve = session
         .solve_multi(&commodities)
         .unwrap_or_else(|e| panic!("joint solve failed (k={k}, {skew:?}): {e}"));
@@ -361,8 +364,8 @@ fn run_cell(
         })
         .collect();
 
-    let matches_single =
-        single_instance.map(|instance| matches_single_pipeline(instance, &solve.flow, realization));
+    let matches_single = single_instance
+        .map(|instance| matches_single_pipeline(ctx, instance, &solve.flow, realization));
 
     let lp_period = solve.flow.period;
     let super_period = realization.super_period;
@@ -433,8 +436,9 @@ fn run_cell(
 }
 
 /// Runs the multi-commodity batch: every `(class, seed, platform, k, skew)`
-/// cell on the rayon pool, collected in configuration order.
-pub fn run_multi(config: &MultiBenchConfig) -> MultiBenchResult {
+/// cell on the rayon pool, collected in configuration order, each session
+/// solving under `ctx`.
+pub fn run_multi(config: &MultiBenchConfig, ctx: &SolveContext) -> MultiBenchResult {
     let mut cells: Vec<(PlatformClass, u64, usize, usize, RateSkew)> = Vec::new();
     for &class in &config.classes {
         for &seed in &config.seeds {
@@ -450,7 +454,7 @@ pub fn run_multi(config: &MultiBenchConfig) -> MultiBenchResult {
     let cells: Vec<MultiCell> = cells
         .into_par_iter()
         .map(|(class, seed, pi, k, skew)| {
-            let cell = run_cell(config, class, seed, pi, k, skew);
+            let cell = run_cell(config, ctx, class, seed, pi, k, skew);
             if config.progress {
                 eprintln!(
                     "fig11: multi cell class={class:?} seed={seed} platform={pi} k={k} \
@@ -648,8 +652,7 @@ mod tests {
 
     #[test]
     fn multi_cells_meet_every_commodity_rate_with_zero_violations() {
-        let _lock = crate::chaos_lock::solving();
-        let result = run_multi(&tiny_config());
+        let result = run_multi(&tiny_config(), &SolveContext::default());
         assert_eq!(result.cells.len(), 6);
         for cell in &result.cells {
             assert_eq!(cell.one_port_violations, 0, "k={} {:?}", cell.k, cell.skew);
@@ -684,10 +687,9 @@ mod tests {
 
     #[test]
     fn multi_json_is_deterministic_modulo_wall_time() {
-        let _lock = crate::chaos_lock::solving();
         let config = tiny_config();
-        let a = run_multi(&config);
-        let b = run_multi(&config);
+        let a = run_multi(&config, &SolveContext::default());
+        let b = run_multi(&config, &SolveContext::default());
         let filter = |s: &str| {
             s.lines()
                 .filter(|l| !l.contains("\"solve_ms\""))

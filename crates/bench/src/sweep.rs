@@ -25,7 +25,8 @@
 //! identical results (the property the JSON/CSV baselines in CI rely on).
 
 use pm_core::report::{CollectOptions, HeuristicKind, KindLpStats, MulticastReport};
-use pm_lp::WarmStartCache;
+use pm_core::session::Session;
+use pm_lp::{SolveContext, WarmStartCache};
 use pm_platform::topology::{GeneratedTopology, PlatformClass, TiersLikeGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -166,18 +167,21 @@ fn instance_seed(base: u64, di: usize, pi: usize) -> u64 {
     base ^ (di as u64).wrapping_mul(0x9e37_79b9) ^ ((pi as u64) << 32)
 }
 
-/// Runs one work item: sample the instance and collect every heuristic.
+/// Runs one work item: sample the instance and collect every heuristic on
+/// a session solving under `ctx`.
 fn collect_report(
     topology: &GeneratedTopology,
     config: &SweepConfig,
+    ctx: &SolveContext,
     di: usize,
     pi: usize,
 ) -> Option<MulticastReport> {
     let density = config.densities[di];
     let mut rng = StdRng::seed_from_u64(instance_seed(config.seed, di, pi));
     let instance = topology.sample_instance(density, &mut rng);
-    MulticastReport::collect_with(
-        &instance,
+    let mut session = Session::new(instance).with_context(ctx.clone());
+    MulticastReport::collect_from_session(
+        &mut session,
         &config.kinds,
         CollectOptions {
             realize: config.realize,
@@ -354,6 +358,7 @@ impl ItemStats {
 fn collect_platform_reports(
     topology: &GeneratedTopology,
     config: &SweepConfig,
+    ctx: &SolveContext,
     pi: usize,
     progress_label: Option<&str>,
 ) -> (Vec<(usize, Option<MulticastReport>)>, ItemStats) {
@@ -363,7 +368,7 @@ fn collect_platform_reports(
         (0..config.densities.len())
             .map(|di| {
                 let density_start = Instant::now();
-                let report = collect_report(topology, config, di, pi);
+                let report = collect_report(topology, config, ctx, di, pi);
                 if let Some(label) = progress_label {
                     eprintln!(
                         "fig11: {label} density {}/{} ({}) done in {:.1}s",
@@ -411,12 +416,12 @@ fn collect_platform_reports(
 
 /// Runs the sweep, distributing the per-platform density grids over the
 /// rayon pool.
-pub fn run_sweep(config: &SweepConfig) -> SweepResult {
+pub fn run_sweep(config: &SweepConfig, ctx: &SolveContext) -> SweepResult {
     let topologies = generate_topologies(config);
 
     let per_platform: Vec<Vec<(usize, Option<MulticastReport>)>> = (0..topologies.len())
         .into_par_iter()
-        .map(|pi| collect_platform_reports(&topologies[pi], config, pi, None).0)
+        .map(|pi| collect_platform_reports(&topologies[pi], config, ctx, pi, None).0)
         .collect();
     let reports: Vec<(usize, Option<MulticastReport>)> =
         per_platform.into_iter().flatten().collect();
@@ -609,8 +614,8 @@ pub struct BatchResult {
 /// Flattening matters: a nested "parallel over sweeps, serial within" split
 /// would leave cores idle at the tail of each sweep, while the flat pool
 /// keeps the expensive LP-based heuristics busy until the very last item.
-pub fn run_batch(config: &BatchConfig) -> BatchResult {
-    run_batch_streamed(config, &[])
+pub fn run_batch(config: &BatchConfig, ctx: &SolveContext) -> BatchResult {
+    run_batch_streamed(config, &[], ctx)
 }
 
 /// [`run_batch`] with streaming per-item sinks: as each work item finishes,
@@ -619,7 +624,11 @@ pub fn run_batch(config: &BatchConfig) -> BatchResult {
 /// paper-scale `--realize --full` sweeps keep their full per-instance
 /// detail on disk instead of in memory, and the streamed files stay
 /// byte-identical across runs and thread counts.
-pub fn run_batch_streamed(config: &BatchConfig, sinks: &[&crate::emit::ItemSink]) -> BatchResult {
+pub fn run_batch_streamed(
+    config: &BatchConfig,
+    sinks: &[&crate::emit::ItemSink],
+    ctx: &SolveContext,
+) -> BatchResult {
     // One SweepConfig + topology set per (class, seed) cell.
     let cells: Vec<(SweepConfig, Vec<GeneratedTopology>)> = config
         .classes
@@ -654,7 +663,7 @@ pub fn run_batch_streamed(config: &BatchConfig, sinks: &[&crate::emit::ItemSink]
                 )
             });
             let (reports, stats) =
-                collect_platform_reports(&topologies[pi], sweep_config, pi, label.as_deref());
+                collect_platform_reports(&topologies[pi], sweep_config, ctx, pi, label.as_deref());
             for sink in sinks {
                 let mut chunk = String::new();
                 crate::emit::item_rows(sink.format(), sweep_config, pi, &reports, &mut chunk);
@@ -706,7 +715,6 @@ mod tests {
 
     #[test]
     fn tiny_sweep_produces_ordered_curves() {
-        let _lock = crate::chaos_lock::solving();
         let config = SweepConfig {
             class: PlatformClass::Small,
             paper_scale: false,
@@ -720,7 +728,7 @@ mod tests {
             ],
             realize: false,
         };
-        let result = run_sweep(&config);
+        let result = run_sweep(&config, &SolveContext::default());
         assert_eq!(result.points.len(), 1);
         let point = &result.points[0];
         assert_eq!(point.instances, 1);
@@ -746,7 +754,6 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_across_runs() {
-        let _lock = crate::chaos_lock::solving();
         let config = SweepConfig {
             class: PlatformClass::Small,
             paper_scale: false,
@@ -756,8 +763,8 @@ mod tests {
             kinds: vec![HeuristicKind::Scatter, HeuristicKind::Mcph],
             realize: false,
         };
-        let a = run_sweep(&config);
-        let b = run_sweep(&config);
+        let a = run_sweep(&config, &SolveContext::default());
+        let b = run_sweep(&config, &SolveContext::default());
         for (pa, pb) in a.points.iter().zip(&b.points) {
             assert_eq!(pa.instances, pb.instances);
             for ((ka, va), (kb, vb)) in pa.mean_period.iter().zip(&pb.mean_period) {
@@ -770,7 +777,6 @@ mod tests {
 
     #[test]
     fn realized_sweep_aggregates_simulated_throughput() {
-        let _lock = crate::chaos_lock::solving();
         let config = SweepConfig {
             class: PlatformClass::Small,
             paper_scale: false,
@@ -784,7 +790,7 @@ mod tests {
             ],
             realize: true,
         };
-        let result = run_sweep(&config);
+        let result = run_sweep(&config, &SolveContext::default());
         let point = &result.points[0];
         assert_eq!(point.realization.len(), 3);
         for &kind in &config.kinds {
@@ -801,7 +807,7 @@ mod tests {
             assert!(real.max_realization_gap >= -1e-12, "{kind:?}");
         }
         // Determinism, bit for bit.
-        let again = run_sweep(&config);
+        let again = run_sweep(&config, &SolveContext::default());
         for (a, b) in result.points.iter().zip(&again.points) {
             for ((ka, ra), (kb, rb)) in a.realization.iter().zip(&b.realization) {
                 assert_eq!(ka, kb);
@@ -819,7 +825,6 @@ mod tests {
 
     #[test]
     fn batch_covers_every_class_seed_cell() {
-        let _lock = crate::chaos_lock::solving();
         let config = BatchConfig {
             classes: vec![PlatformClass::Small, PlatformClass::Big],
             seeds: vec![3, 5],
@@ -831,7 +836,7 @@ mod tests {
             realize: false,
             progress: false,
         };
-        let result = run_batch(&config);
+        let result = run_batch(&config, &SolveContext::default());
         assert_eq!(result.sweeps.len(), 4);
         assert_eq!(result.sweeps[0].config.class, PlatformClass::Small);
         assert_eq!(result.sweeps[0].config.seed, 3);
@@ -845,7 +850,6 @@ mod tests {
 
     #[test]
     fn batch_cell_matches_standalone_sweep() {
-        let _lock = crate::chaos_lock::solving();
         let batch_config = BatchConfig {
             classes: vec![PlatformClass::Small],
             seeds: vec![9],
@@ -857,8 +861,11 @@ mod tests {
             realize: false,
             progress: false,
         };
-        let batch = run_batch(&batch_config);
-        let standalone = run_sweep(&batch_config.sweep_config(PlatformClass::Small, 9));
+        let batch = run_batch(&batch_config, &SolveContext::default());
+        let standalone = run_sweep(
+            &batch_config.sweep_config(PlatformClass::Small, 9),
+            &SolveContext::default(),
+        );
         assert_eq!(batch.sweeps.len(), 1);
         for (pb, ps) in batch.sweeps[0].points.iter().zip(&standalone.points) {
             assert_eq!(pb.instances, ps.instances);

@@ -13,7 +13,7 @@
 //! between the LP lower bound and the exact optimum.
 
 use crate::formulations::FormulationError;
-use pm_lp::{LpError, LpProblem, Objective, Relation, VarId};
+use pm_lp::{LpError, LpProblem, Objective, Relation, SolveContext, VarId};
 use pm_platform::graph::{EdgeId, NodeId, Platform};
 use pm_platform::instances::MulticastInstance;
 use pm_sched::tree::{MulticastTree, WeightedTreeSet};
@@ -304,8 +304,18 @@ impl ExactTreePacking {
 ///
 /// Shared by the exhaustive exact baseline (which enumerates *all* minimal
 /// trees) and the realization pipeline of [`crate::realize`] (which packs
-/// only the trees peeled from an LP flow).
+/// only the trees peeled from an LP flow). Solves under the default
+/// [`SolveContext`]; a session's realizations pack under its own.
 pub fn pack_trees(
+    platform: &Platform,
+    trees: &[MulticastTree],
+) -> Result<(Vec<f64>, f64), LpError> {
+    pack_trees_in(&SolveContext::default(), platform, trees)
+}
+
+/// [`pack_trees`] with the packing LP solved under `ctx`.
+pub(crate) fn pack_trees_in(
+    ctx: &SolveContext,
     platform: &Platform,
     trees: &[MulticastTree],
 ) -> Result<(Vec<f64>, f64), LpError> {
@@ -346,7 +356,7 @@ pub fn pack_trees(
             lp.add_constraint(recv_terms, Relation::Le, 1.0);
         }
     }
-    let sol = lp.solve()?;
+    let sol = lp.solve_in(ctx)?;
     let weights: Vec<f64> = y.iter().map(|&v| sol.value(v).max(0.0)).collect();
     Ok((weights, sol.objective))
 }

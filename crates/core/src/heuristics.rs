@@ -183,7 +183,7 @@ pub struct RunOptions {
     /// sweep) turn it off; [`ThroughputHeuristic::run`] keeps it on.
     pub capture_steady_state: bool,
     /// Deterministic per-solve work caps applied to the masked templates a
-    /// run builds (`None` defers to the `PM_LP_BUDGET` default). Under an
+    /// run builds (`None` is unlimited). Under an
     /// exhausted budget a greedy run keeps going on degraded anytime
     /// solutions — reported in [`HeuristicResult::degraded_solves`] —
     /// instead of failing.

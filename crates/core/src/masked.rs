@@ -59,8 +59,8 @@
 
 use crate::formulations::{FlowSolution, FormulationError, MultiSourceSolution};
 use pm_lp::{
-    Basis, BoundsOverlay, LpError, LpProblem, Objective, Relation, SolveBudget, SolveStats,
-    SparseBuilder, VarId, WarmStatus,
+    Basis, BoundsOverlay, LpError, LpProblem, Objective, Relation, SolveBudget, SolveContext,
+    SolveStats, SparseBuilder, VarId, WarmStatus,
 };
 use pm_platform::algo::{dijkstra, PathTree};
 use pm_platform::graph::{EdgeId, NodeId, Platform};
@@ -149,8 +149,10 @@ pub struct MaskedFlowLp {
     port_rows: Vec<(Option<usize>, Option<usize>)>,
     /// Per edge: its own occupation row index.
     edge_rows: Vec<usize>,
-    /// Deterministic per-solve work caps; `None` defers to `PM_LP_BUDGET`.
+    /// Deterministic per-solve work caps; `None` is unlimited.
     budget: Option<SolveBudget>,
+    /// The context every solve of the template runs under.
+    ctx: SolveContext,
 }
 
 impl MaskedFlowLp {
@@ -350,19 +352,25 @@ impl MaskedFlowLp {
             port_rows,
             edge_rows,
             budget: None,
+            ctx: SolveContext::default(),
         }
     }
 
     /// Sets the deterministic per-solve work caps for every subsequent
-    /// [`MaskedFlowLp::solve`] of this template (`None` defers to the
-    /// `PM_LP_BUDGET` default). Under an exhausted budget a solve returns a
-    /// primal-feasible anytime solution whose stats flag
-    /// [`pm_lp::SolveStats::degraded`] instead of erroring — a session
-    /// under pressure serves a certified-suboptimal schedule rather than
-    /// failing. Set it before sharing the template across threads: solves
-    /// take `&self`.
+    /// [`MaskedFlowLp::solve`] of this template (`None` is unlimited).
+    /// Under an exhausted budget a solve returns a primal-feasible anytime
+    /// solution whose stats flag [`pm_lp::SolveStats::degraded`] instead of
+    /// erroring — a session under pressure serves a certified-suboptimal
+    /// schedule rather than failing. Set it before sharing the template
+    /// across threads: solves take `&self`.
     pub fn set_budget(&mut self, budget: Option<SolveBudget>) {
         self.budget = budget;
+    }
+
+    /// Sets the [`SolveContext`] every subsequent [`MaskedFlowLp::solve`]
+    /// of this template runs under (the default context until set).
+    pub fn set_context(&mut self, ctx: SolveContext) {
+        self.ctx = ctx;
     }
 
     /// The instance the template was built from (its platform carries the
@@ -492,7 +500,7 @@ impl MaskedFlowLp {
 
         let out = self
             .problem
-            .resolve_with_bounds_budgeted(&overlay, hint, self.budget)
+            .resolve_in(&self.ctx, &overlay, hint, self.budget)
             .map_err(|e| match e {
                 // The reachability pre-check passed, so a reported
                 // Infeasible is numerical (the flow LP of a reachable
@@ -632,8 +640,10 @@ pub struct MaskedMultiSourceUb {
     port_rows: Vec<(Option<usize>, Option<usize>)>,
     /// Per edge: its own occupation row index.
     edge_rows: Vec<usize>,
-    /// Deterministic per-solve work caps; `None` defers to `PM_LP_BUDGET`.
+    /// Deterministic per-solve work caps; `None` is unlimited.
     budget: Option<SolveBudget>,
+    /// The context every solve of the template runs under.
+    ctx: SolveContext,
 }
 
 impl MaskedMultiSourceUb {
@@ -774,6 +784,7 @@ impl MaskedMultiSourceUb {
             port_rows,
             edge_rows,
             budget: None,
+            ctx: SolveContext::default(),
         }
     }
 
@@ -781,6 +792,11 @@ impl MaskedMultiSourceUb {
     /// [`MaskedFlowLp::set_budget`].
     pub fn set_budget(&mut self, budget: Option<SolveBudget>) {
         self.budget = budget;
+    }
+
+    /// Sets the solve context; see [`MaskedFlowLp::set_context`].
+    pub fn set_context(&mut self, ctx: SolveContext) {
+        self.ctx = ctx;
     }
 
     /// The instance the template was built from (kept cost-synchronised by
@@ -975,7 +991,7 @@ impl MaskedMultiSourceUb {
 
         let out = self
             .problem
-            .resolve_with_bounds_budgeted(&overlay, hint, self.budget)
+            .resolve_in(&self.ctx, &overlay, hint, self.budget)
             .map_err(|e| match e {
                 // Post-pre-check Infeasible is numerical; mapped to
                 // Unreachable for status parity with the rebuild oracle

@@ -43,8 +43,8 @@ use crate::masked::{MaskedFlowLp, MaskedStats};
 use crate::realize::SteadyStateSolution;
 use crate::realize::{candidate_pool, realize_with_pool, tree_edge_key, RealizeError};
 use pm_lp::{
-    Basis, BoundsOverlay, LpError, LpProblem, Objective, Relation, SolveBudget, SparseBuilder,
-    VarId,
+    Basis, BoundsOverlay, LpError, LpProblem, Objective, Relation, SolveBudget, SolveContext,
+    SparseBuilder, VarId,
 };
 use pm_platform::graph::{EdgeId, NodeId, Platform};
 use pm_platform::instances::MulticastInstance;
@@ -210,8 +210,10 @@ pub struct MultiFlowLp {
     port_rows: Vec<(Option<usize>, Option<usize>)>,
     /// Per edge: its own shared occupation row index.
     edge_rows: Vec<usize>,
-    /// Deterministic per-solve work caps; `None` defers to `PM_LP_BUDGET`.
+    /// Deterministic per-solve work caps; `None` is unlimited.
     budget: Option<SolveBudget>,
+    /// The context every solve of the template runs under.
+    ctx: SolveContext,
 }
 
 impl MultiFlowLp {
@@ -367,6 +369,7 @@ impl MultiFlowLp {
             port_rows,
             edge_rows,
             budget: None,
+            ctx: SolveContext::default(),
         }
     }
 
@@ -376,10 +379,15 @@ impl MultiFlowLp {
         &self.set
     }
 
-    /// Sets the deterministic per-solve work caps (`None` defers to
-    /// `PM_LP_BUDGET`); see [`MaskedFlowLp::set_budget`].
+    /// Sets the deterministic per-solve work caps (`None` is unlimited);
+    /// see [`MaskedFlowLp::set_budget`].
     pub fn set_budget(&mut self, budget: Option<SolveBudget>) {
         self.budget = budget;
+    }
+
+    /// Sets the solve context; see [`MaskedFlowLp::set_context`].
+    pub fn set_context(&mut self, ctx: SolveContext) {
+        self.ctx = ctx;
     }
 
     /// Updates the cost of edge `e` in place, rewriting every shared
@@ -467,7 +475,7 @@ impl MultiFlowLp {
 
         let out = self
             .problem
-            .resolve_with_bounds_budgeted(&overlay, hint, self.budget)
+            .resolve_in(&self.ctx, &overlay, hint, self.budget)
             .map_err(|e| match e {
                 // The reachability pre-check passed, so a reported
                 // Infeasible is numerical; mirror the single-template
@@ -558,6 +566,14 @@ impl MultiTemplate {
         }
     }
 
+    /// Sets the solve context of every solve.
+    pub fn set_context(&mut self, ctx: SolveContext) {
+        match self {
+            MultiTemplate::Single { template, .. } => template.set_context(ctx),
+            MultiTemplate::Joint(lp) => lp.set_context(ctx),
+        }
+    }
+
     /// Applies edge-cost drift in place (see [`MultiFlowLp::set_edge_cost`]).
     pub fn set_edge_cost(&mut self, e: EdgeId, cost: f64) {
         match self {
@@ -625,12 +641,19 @@ pub struct MultiRealization {
     pub realization_gap: f64,
 }
 
-/// Realizes a multi-commodity solve with default simulation settings.
+/// Realizes a multi-commodity solve with default simulation settings, its
+/// packing LPs under the default [`SolveContext`].
 pub fn realize_multi(
     set: &CommoditySet,
     flow: &MultiFlow,
 ) -> Result<MultiRealization, RealizeError> {
-    realize_multi_with_pool(set, flow, &[], SimulationConfig::default())
+    realize_multi_with_pool(
+        &SolveContext::default(),
+        set,
+        flow,
+        &[],
+        SimulationConfig::default(),
+    )
 }
 
 /// Realizes a multi-commodity solve as a simulator-verified super-period
@@ -639,7 +662,9 @@ pub fn realize_multi(
 ///
 /// `k = 1` delegates to [`crate::realize::realize_with_pool`] — the
 /// resulting schedule is bit-identical to the single-commodity pipeline's.
+/// Every packing LP runs under `ctx`.
 pub fn realize_multi_with_pool(
+    ctx: &SolveContext,
     set: &CommoditySet,
     flow: &MultiFlow,
     seeds: &[Vec<MulticastTree>],
@@ -682,7 +707,7 @@ pub fn realize_multi_with_pool(
             period: flow.flows[0].period,
             target_flows: flow.flows[0].target_flows.clone(),
         };
-        let single = realize_with_pool(&instance, &solution, seeds_for(0), config)?;
+        let single = realize_with_pool(ctx, &instance, &solution, seeds_for(0), config)?;
         let certified = 1.0 / single.achieved_period;
         let gap = {
             let sim = single.simulated.throughput;
@@ -731,7 +756,7 @@ pub fn realize_multi_with_pool(
     // with congestion shared across commodities).
     let s_target = 1.0 / t_star;
     let (mut weights, mut s_packed) =
-        pack_tree_groups(platform, &demands, &pools).map_err(RealizeError::Packing)?;
+        pack_tree_groups(ctx, platform, &demands, &pools).map_err(RealizeError::Packing)?;
     let supports: Vec<Option<Vec<bool>>> = flow_rows
         .iter()
         .map(|rows| {
@@ -787,7 +812,8 @@ pub fn realize_multi_with_pool(
         if !added {
             break;
         }
-        let packed = pack_tree_groups(platform, &demands, &pools).map_err(RealizeError::Packing)?;
+        let packed =
+            pack_tree_groups(ctx, platform, &demands, &pools).map_err(RealizeError::Packing)?;
         weights = packed.0;
         s_packed = packed.1;
     }
@@ -865,8 +891,9 @@ pub fn realize_multi_with_pool(
 /// scale `s` subject to per-commodity mix rows `Σ_k y_{c,k} = d_c · s` and
 /// the per-node one-port rows `Σ_{c,k} y_{c,k} · load ≤ 1` shared across
 /// all commodities. Returns the per-commodity tree rates (aligned with
-/// `pools`) and the optimal scale.
+/// `pools`) and the optimal scale. The LP is solved under `ctx`.
 pub fn pack_tree_groups(
+    ctx: &SolveContext,
     platform: &Platform,
     demands: &[f64],
     pools: &[Vec<MulticastTree>],
@@ -919,7 +946,7 @@ pub fn pack_tree_groups(
             lp.add_constraint(recv_terms, Relation::Le, 1.0);
         }
     }
-    let sol = lp.solve()?;
+    let sol = lp.solve_in(ctx)?;
     let weights: Vec<Vec<f64>> = y
         .iter()
         .map(|vars| vars.iter().map(|&v| sol.value(v).max(0.0)).collect())
@@ -984,6 +1011,7 @@ mod tests {
             target_flows: single.flow.target_flows.clone(),
         };
         let direct = realize_with_pool(
+            &SolveContext::default(),
             &set.instance(0),
             &solution,
             &[],

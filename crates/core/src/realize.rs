@@ -28,9 +28,9 @@
 //! gap ≈ 0: for the scatter-accounted ones this is guaranteed — a tree never
 //! occupies an edge more than the per-target copies the LP already paid for.
 
-use crate::exact::pack_trees;
+use crate::exact::pack_trees_in;
 use crate::formulations::FlowSolution;
-use pm_lp::LpError;
+use pm_lp::{LpError, SolveContext};
 use pm_platform::graph::NodeId;
 use pm_platform::instances::MulticastInstance;
 use pm_sched::schedule::{PeriodicSchedule, ScheduleError};
@@ -204,13 +204,14 @@ pub fn realize(
     realize_with(instance, solution, SimulationConfig::default())
 }
 
-/// [`realize`] with an explicit simulation configuration.
+/// [`realize`] with an explicit simulation configuration. The packing LPs
+/// run under the default [`SolveContext`].
 pub fn realize_with(
     instance: &MulticastInstance,
     solution: &SteadyStateSolution,
     config: SimulationConfig,
 ) -> Result<Realization, RealizeError> {
-    realize_with_pool(instance, solution, &[], config)
+    realize_with_pool(&SolveContext::default(), instance, solution, &[], config)
 }
 
 /// [`realize_with`] with a *seed tree pool*: trees realized earlier (e.g.
@@ -222,8 +223,9 @@ pub fn realize_with(
 /// packing LP chooses from, so the certified period is never worse than the
 /// unseeded one. Seeds must span the instance's targets (they are
 /// [`MulticastTree`]s of this instance); the caller filters out trees that
-/// use currently disabled nodes.
+/// use currently disabled nodes. Every packing LP runs under `ctx`.
 pub fn realize_with_pool(
+    ctx: &SolveContext,
     instance: &MulticastInstance,
     solution: &SteadyStateSolution,
     seed_trees: &[MulticastTree],
@@ -247,7 +249,7 @@ pub fn realize_with_pool(
     // whose pricing is heuristic — and re-pack. Bounded and deterministic.
     let lp_throughput = 1.0 / lp_period;
     let (mut weights, mut packed_throughput) =
-        pack_trees(platform, &pool).map_err(RealizeError::Packing)?;
+        pack_trees_in(ctx, platform, &pool).map_err(RealizeError::Packing)?;
     if let Some(rows) = &flow_rows {
         let support: Vec<bool> = (0..platform.edge_count())
             .map(|e| rows.iter().any(|row| row[e] > FLOW_EPS))
@@ -285,7 +287,7 @@ pub fn realize_with_pool(
                 break;
             }
             pool.push(tree);
-            let packed = pack_trees(platform, &pool).map_err(RealizeError::Packing)?;
+            let packed = pack_trees_in(ctx, platform, &pool).map_err(RealizeError::Packing)?;
             weights = packed.0;
             packed_throughput = packed.1;
         }

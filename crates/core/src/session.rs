@@ -46,6 +46,12 @@
 //! solves degrade to anytime solutions (counted in
 //! [`SessionStats::degraded_solves`]) instead of erroring.
 //!
+//! Every LP the session solves — template solves and the realization
+//! packing LPs alike — runs under the session's [`SolveContext`] (engine,
+//! basis, chaos injection, diagnostics, tally): the default one, or the
+//! one given to [`Session::set_context`]. The context is configuration,
+//! not state: it is not journaled, and healing keeps it.
+//!
 //! ```
 //! use pm_core::report::HeuristicKind;
 //! use pm_core::session::Session;
@@ -76,7 +82,7 @@ use crate::multi::{
 use crate::realize::{realize_with_pool, Realization, RealizeError, SteadyStateSolution};
 use crate::report::HeuristicKind;
 use crate::robust::{realize_robust_masked, RobustOptions, RobustRealization};
-use pm_lp::{Basis, SolveBudget, WarmStartCache, WarmStatus};
+use pm_lp::{Basis, SolveBudget, SolveContext, WarmStartCache, WarmStatus};
 use pm_platform::graph::{EdgeId, NodeId};
 use pm_platform::instances::MulticastInstance;
 use pm_platform::mask::NodeMask;
@@ -199,7 +205,7 @@ pub enum SessionEvent {
     },
     /// A [`Session::set_budget`].
     SetBudget {
-        /// The new per-solve work caps (`None` defers to `PM_LP_BUDGET`).
+        /// The new per-solve work caps (`None` is unlimited).
         budget: Option<SolveBudget>,
     },
     /// A [`Session::set_sim_config`].
@@ -604,8 +610,10 @@ pub struct Session {
     pristine: MulticastInstance,
     /// Write-ahead journal of completed state-changing operations.
     journal: Vec<SessionEvent>,
-    /// Per-solve work caps applied to every template (None = `PM_LP_BUDGET`).
+    /// Per-solve work caps applied to every template (`None` = unlimited).
     budget: Option<SolveBudget>,
+    /// The context every LP of the session is solved under.
+    ctx: SolveContext,
     /// Chaos hook: number of upcoming solve dispatches that panic.
     panic_armed: u8,
 }
@@ -635,6 +643,7 @@ impl Session {
             pristine,
             journal: Vec::new(),
             budget: None,
+            ctx: SolveContext::default(),
             panic_armed: 0,
         }
     }
@@ -694,9 +703,9 @@ impl Session {
     }
 
     /// Sets the deterministic per-solve work caps ([`SolveBudget`]) applied
-    /// to every template solve of this session (`None` defers to the
-    /// `PM_LP_BUDGET` default). Under an exhausted budget a phase-2 solve
-    /// returns its best primal-feasible *anytime* point flagged degraded —
+    /// to every template solve of this session (`None` is unlimited, the
+    /// default). Under an exhausted budget a phase-2 solve returns its best
+    /// primal-feasible *anytime* point flagged degraded —
     /// counted in [`SessionStats::degraded_solves`] — instead of erroring,
     /// so a drifting platform keeps getting schedules even when solve work
     /// is capped.
@@ -718,6 +727,31 @@ impl Session {
     /// [`Session::set_budget`]).
     pub fn budget(&self) -> Option<SolveBudget> {
         self.budget
+    }
+
+    /// Sets the [`SolveContext`] of every subsequent LP solve of this
+    /// session: the built templates take it now, templates built or healed
+    /// later take it when they are built, and the realization packing LPs
+    /// read it per operation. Not journaled: the context changes how a
+    /// solve is run and observed, never the session's state, so a
+    /// [`Session::restore`] starts from the default context.
+    pub fn set_context(&mut self, ctx: SolveContext) {
+        for template in self.flow_templates.iter_mut().flatten() {
+            template.set_context(ctx.clone());
+        }
+        if let Some(template) = self.ms_template.as_mut() {
+            template.set_context(ctx.clone());
+        }
+        if let Some((_, template)) = self.multi_template.as_mut() {
+            template.set_context(ctx.clone());
+        }
+        self.ctx = ctx;
+    }
+
+    /// [`Session::set_context`] in builder form.
+    pub fn with_context(mut self, ctx: SolveContext) -> Self {
+        self.set_context(ctx);
+        self
     }
 
     /// Bounds (or unbounds) the session's ambient [`WarmStartCache`] — the
@@ -921,7 +955,7 @@ impl Session {
         self.stats.solves += 1;
         self.stats.absorb(&op);
         self.remember_solution(kind, result.clone());
-        if pm_lp::stats_enabled() {
+        if self.ctx.stats {
             eprintln!(
                 "pm-core: session solve kind={} period={} lp_solves={} warm={}h/{}m \
                  pivots={}+{} refactorizations={} elapsed={:.3}s",
@@ -1037,12 +1071,13 @@ impl Session {
             .unwrap_or_default();
         let (hits0, misses0) = (self.cache.hits, self.cache.misses);
         let mut cache = std::mem::take(&mut self.cache);
-        let instance = &self.instance;
+        let (ctx, instance) = (&self.ctx, &self.instance);
         let sim_config = self.sim_config.clone();
         // The packing LPs of the pipeline run under the session's ambient
         // warm-start cache: consecutive re-realizations of similar pools
         // re-use their bases.
-        let outcome = cache.scope(|| realize_with_pool(instance, &solution, &seeds, sim_config));
+        let outcome =
+            cache.scope(|| realize_with_pool(ctx, instance, &solution, &seeds, sim_config));
         self.cache = cache;
         let realization = outcome?;
         let mut op = SessionOpStats {
@@ -1063,7 +1098,7 @@ impl Session {
         self.remember_realization(kind, realization.clone());
         self.stats.realizations += 1;
         self.stats.absorb(&op);
-        if pm_lp::stats_enabled() {
+        if self.ctx.stats {
             eprintln!(
                 "pm-core: session realize kind={} gap={:.3e} trees={} packing_lps={} \
                  elapsed={:.3}s",
@@ -1141,10 +1176,9 @@ impl Session {
             .unwrap_or_default();
         let (hits0, misses0) = (self.cache.hits, self.cache.misses);
         let mut cache = std::mem::take(&mut self.cache);
-        let instance = &self.instance;
-        let mask = &self.mask;
+        let (ctx, instance, mask) = (&self.ctx, &self.instance, &self.mask);
         let outcome =
-            cache.scope(|| realize_robust_masked(instance, mask, &solution, &seeds, options));
+            cache.scope(|| realize_robust_masked(ctx, instance, mask, &solution, &seeds, options));
         self.cache = cache;
         let realization = outcome?;
         let mut op = SessionOpStats {
@@ -1172,7 +1206,7 @@ impl Session {
         }
         self.stats.realizations += 1;
         self.stats.absorb(&op);
-        if pm_lp::stats_enabled() {
+        if self.ctx.stats {
             eprintln!(
                 "pm-core: session robust realize kind={} f={} achieved={} trees={} \
                  packing_lps={} elapsed={:.3}s",
@@ -1253,7 +1287,7 @@ impl Session {
         self.multi_solution = Some((stored, out.clone()));
         self.stats.solves += 1;
         self.stats.absorb(&op);
-        if pm_lp::stats_enabled() {
+        if self.ctx.stats {
             eprintln!(
                 "pm-core: session solve_multi k={} period={} lp_solves={} warm={}h/{}m \
                  elapsed={:.3}s",
@@ -1320,7 +1354,8 @@ impl Session {
         let (hits0, misses0) = (self.cache.hits, self.cache.misses);
         let mut cache = std::mem::take(&mut self.cache);
         let sim_config = self.sim_config.clone();
-        let outcome = cache.scope(|| realize_multi_with_pool(&set, &flow, &seeds, sim_config));
+        let ctx = &self.ctx;
+        let outcome = cache.scope(|| realize_multi_with_pool(ctx, &set, &flow, &seeds, sim_config));
         self.cache = cache;
         let realization = outcome?;
         let mut op = SessionOpStats {
@@ -1338,7 +1373,7 @@ impl Session {
         self.multi_realization = Some(realization.clone());
         self.stats.realizations += 1;
         self.stats.absorb(&op);
-        if pm_lp::stats_enabled() {
+        if self.ctx.stats {
             eprintln!(
                 "pm-core: session realize_multi k={} super_period={} gap={:.3e} \
                  packing_lps={} elapsed={:.3}s",
@@ -1438,6 +1473,7 @@ impl Session {
             .map_err(SessionError::from)?;
         let mut template = MultiTemplate::new(&set);
         template.set_budget(self.budget);
+        template.set_context(self.ctx.clone());
         let normalized = set.commodities().to_vec();
         self.multi_template = Some((normalized, template));
         self.dirty[SLOT_MULTI].clear();
@@ -1847,6 +1883,7 @@ impl Session {
                 _ => unreachable!("flow slots are 0..3"),
             };
             template.set_budget(self.budget);
+            template.set_context(self.ctx.clone());
             self.flow_templates[slot] = Some(template);
             self.dirty[slot].clear();
             return;
@@ -1865,6 +1902,7 @@ impl Session {
         if self.ms_template.is_none() {
             let mut template = MaskedMultiSourceUb::new(&self.instance);
             template.set_budget(self.budget);
+            template.set_context(self.ctx.clone());
             self.ms_template = Some(template);
             self.dirty[SLOT_MS].clear();
             return;
@@ -2297,6 +2335,40 @@ mod tests {
         assert!(session.journal().is_empty());
         session.solve(HeuristicKind::Broadcast).unwrap();
         assert_eq!(session.journal().len(), 1);
+    }
+
+    #[test]
+    fn a_set_context_reaches_built_templates_and_packing_lps() {
+        use pm_lp::SolveTally;
+        use std::sync::Arc;
+        let mut session = Session::new(figure1_instance());
+        // Build the lower-bound template under the default context first.
+        let before = session.solve(HeuristicKind::LowerBound).unwrap();
+        let tally = Arc::new(SolveTally::new());
+        session.set_context(SolveContext {
+            tally: Some(Arc::clone(&tally)),
+            ..SolveContext::default()
+        });
+        let solve = session.solve(HeuristicKind::LowerBound).unwrap();
+        let realize = session.re_realize(HeuristicKind::LowerBound).unwrap();
+        // The already-built template's solve and every packing LP count.
+        assert!(solve.stats.lp_solves > 0 && realize.stats.lp_solves > 0);
+        assert_eq!(
+            tally.counters().solves,
+            solve.stats.lp_solves + realize.stats.lp_solves
+        );
+        assert_eq!(
+            solve.result.period.to_bits(),
+            before.result.period.to_bits()
+        );
+        // The context is not journaled: a replay solves under the default
+        // context, so nothing it solves reaches the tally.
+        let replayed = Session::restore(&session.snapshot()).unwrap();
+        assert!(replayed.ctx.tally.is_none());
+        assert_eq!(
+            tally.counters().solves,
+            solve.stats.lp_solves + realize.stats.lp_solves
+        );
     }
 
     #[test]

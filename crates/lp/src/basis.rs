@@ -10,7 +10,7 @@
 //!   Gauss–Jordan *eta* transforms rebuilt by triangularization-ordered
 //!   elimination, with one eta appended per pivot. Simple and robust, but
 //!   per-pivot FTRAN/BTRAN cost grows with the eta-file length between
-//!   refactorizations. Selectable with `PM_LP_BASIS=eta`; kept as the
+//!   refactorizations. Selectable through `SolveContext::basis`; kept as the
 //!   differential oracle for the LU engine.
 //! * [`LuBasis`] — the default: a proper sparse LU factorization
 //!   (Markowitz-ordered right-looking elimination with threshold partial
@@ -1002,7 +1002,7 @@ impl BasisFactorization for LuBasis {
 /// dispatch on the per-iteration hot path.
 #[derive(Debug)]
 pub(crate) enum BasisRepr {
-    /// Product-form eta file (`PM_LP_BASIS=eta`).
+    /// Product-form eta file ([`crate::BasisKind::Eta`]).
     Eta(EtaBasis),
     /// Sparse LU with Forrest–Tomlin updates (the default). Boxed, so a
     /// spare factorization moves in and out of [`SPARE_LU`] by pointer.

@@ -7,25 +7,15 @@
 //! optimum, a [`crate::LpSolution::degraded`] anytime solution, or a
 //! structured [`crate::LpError`] — never a panic.
 //!
-//! Configuration sources, in precedence order:
-//!
-//! 1. a thread-local scope ([`with_chaos`]) — used by tests so parallel
-//!    test threads cannot interfere,
-//! 2. the process-wide programmatic config ([`set_chaos`]) — used by
-//!    `fig11 --chaos`, whose solves run on real worker threads,
-//! 3. the `PM_LP_CHAOS` environment variable, parsed once. Format:
-//!    `FAULT:SEED` with `FAULT` ∈ `singular | hint | stall | nan | all`
-//!    (plain `SEED` means `all`).
-//!
-//! Whether a given solve is struck, which fault fires, and for how many
-//! ladder attempts is a pure function of the seed and the problem's
-//! structural signature, so chaos runs are byte-deterministic across runs
-//! and thread counts. Global outcome counters are commutative sums and can
-//! be read with [`counters`].
+//! A solve is struck only when its [`crate::SolveContext`] carries a
+//! [`ChaosConfig`] (`fig11 --chaos` arms one per scenario session). Whether
+//! a given solve is struck, which fault fires, and for how many ladder
+//! attempts is a pure function of the seed and the problem's structural
+//! signature, so chaos runs are byte-deterministic across runs and thread
+//! counts. Outcomes are counted in the context's [`SolveTally`], whose
+//! counters are commutative sums.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One injectable solver fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,93 +90,6 @@ impl ChaosConfig {
     }
 }
 
-thread_local! {
-    /// Thread-local override: `None` = no override, `Some(None)` = chaos
-    /// explicitly off for this scope, `Some(Some(cfg))` = on.
-    static SCOPED: Cell<Option<Option<ChaosConfig>>> = const { Cell::new(None) };
-}
-
-/// Process-wide programmatic config (0 = unset, 1 = off, 2 = on).
-static GLOBAL_STATE: AtomicU8 = AtomicU8::new(0);
-static GLOBAL_SEED: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_FAULTS: AtomicU8 = AtomicU8::new(0);
-
-/// Sets (or clears, with `None`) the process-wide chaos configuration.
-/// Takes precedence over `PM_LP_CHAOS`; a [`with_chaos`] scope on the
-/// current thread still wins. Used by drivers whose solves fan out over
-/// worker threads (thread-locals would not reach them).
-pub fn set_chaos(config: Option<ChaosConfig>) {
-    match config {
-        Some(cfg) => {
-            GLOBAL_SEED.store(cfg.seed, Ordering::Relaxed);
-            GLOBAL_FAULTS.store(cfg.faults, Ordering::Relaxed);
-            GLOBAL_STATE.store(2, Ordering::Relaxed);
-        }
-        None => GLOBAL_STATE.store(1, Ordering::Relaxed),
-    }
-}
-
-/// Runs `f` with `config` as the chaos configuration on the current thread
-/// (`None` forces chaos off). Restores the previous override on exit, so
-/// scopes nest. Solves dispatched to other threads inside `f` do not see
-/// the override — tests that need that use [`set_chaos`] instead.
-pub fn with_chaos<R>(config: Option<ChaosConfig>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Option<ChaosConfig>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SCOPED.with(|s| s.set(self.0));
-        }
-    }
-    let _restore = Restore(SCOPED.with(|s| s.replace(Some(config))));
-    f()
-}
-
-/// `PM_LP_CHAOS`, parsed once.
-fn env_chaos() -> Option<ChaosConfig> {
-    static ENV: OnceLock<Option<ChaosConfig>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let raw = std::env::var("PM_LP_CHAOS").ok()?;
-        let (fault, seed) = match raw.split_once(':') {
-            Some((f, s)) => (f.trim(), s.trim()),
-            None => ("all", raw.trim()),
-        };
-        let faults = match fault {
-            "singular" => F_SINGULAR,
-            "hint" => F_HINT,
-            "stall" => F_STALL,
-            "nan" => F_NAN,
-            "all" => F_ALL,
-            other => {
-                eprintln!(
-                    "pm-lp: ignoring unknown PM_LP_CHAOS fault {other:?} \
-                     (singular|hint|stall|nan|all)"
-                );
-                return None;
-            }
-        };
-        let Ok(seed) = seed.parse::<u64>() else {
-            eprintln!("pm-lp: ignoring unparsable PM_LP_CHAOS seed {seed:?}");
-            return None;
-        };
-        Some(ChaosConfig { seed, faults })
-    })
-}
-
-/// The chaos configuration in effect on the current thread, if any.
-pub fn current() -> Option<ChaosConfig> {
-    if let Some(scoped) = SCOPED.with(|s| s.get()) {
-        return scoped;
-    }
-    match GLOBAL_STATE.load(Ordering::Relaxed) {
-        2 => Some(ChaosConfig {
-            seed: GLOBAL_SEED.load(Ordering::Relaxed),
-            faults: GLOBAL_FAULTS.load(Ordering::Relaxed),
-        }),
-        1 => None,
-        _ => env_chaos(),
-    }
-}
-
 /// The injection plan for one solve: which fault fires, on how many leading
 /// ladder attempts, and the hash driving any further deterministic choices
 /// (e.g. which hint rows to poison).
@@ -198,10 +101,14 @@ pub(crate) struct ChaosPlan {
     pub(crate) hash: u64,
 }
 
-/// Computes the injection plan for a solve, given its structural signature
-/// (computed lazily: signatures cost a hash pass and chaos is usually off).
-pub(crate) fn plan(signature: impl FnOnce() -> u64) -> Option<ChaosPlan> {
-    let cfg = current()?;
+/// Computes the injection plan for a solve under `cfg`, given its
+/// structural signature (computed lazily: signatures cost a hash pass and
+/// chaos is usually off).
+pub(crate) fn plan(
+    cfg: Option<&ChaosConfig>,
+    signature: impl FnOnce() -> u64,
+) -> Option<ChaosPlan> {
+    let cfg = cfg?;
     let enabled = cfg.enabled_faults();
     if enabled.is_empty() {
         return None;
@@ -222,25 +129,10 @@ pub(crate) fn plan(signature: impl FnOnce() -> u64) -> Option<ChaosPlan> {
     })
 }
 
-/// Outcome counters of chaos-era solves (commutative atomic sums, so they
-/// are deterministic regardless of thread interleaving).
-static C_SOLVES: AtomicU64 = AtomicU64::new(0);
-static C_INJECTED: AtomicU64 = AtomicU64::new(0);
-static C_BY_RUNG: [AtomicU64; 6] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-static C_DEGRADED: AtomicU64 = AtomicU64::new(0);
-static C_UNRECOVERED: AtomicU64 = AtomicU64::new(0);
-
-/// A snapshot of the global chaos/recovery counters (see [`counters`]).
+/// A snapshot of a [`SolveTally`] (see [`SolveTally::counters`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChaosCounters {
-    /// Total revised-engine solves since the last [`reset_counters`].
+    /// Total revised-engine solves recorded.
     pub solves: u64,
     /// Solves that had at least one fault injected.
     pub injected: u64,
@@ -254,54 +146,56 @@ pub struct ChaosCounters {
     pub unrecovered: u64,
 }
 
-/// Reads the global chaos/recovery counters.
-pub fn counters() -> ChaosCounters {
-    ChaosCounters {
-        solves: C_SOLVES.load(Ordering::Relaxed),
-        injected: C_INJECTED.load(Ordering::Relaxed),
-        recovered_by_rung: [
-            C_BY_RUNG[0].load(Ordering::Relaxed),
-            C_BY_RUNG[1].load(Ordering::Relaxed),
-            C_BY_RUNG[2].load(Ordering::Relaxed),
-            C_BY_RUNG[3].load(Ordering::Relaxed),
-            C_BY_RUNG[4].load(Ordering::Relaxed),
-            C_BY_RUNG[5].load(Ordering::Relaxed),
-        ],
-        degraded: C_DEGRADED.load(Ordering::Relaxed),
-        unrecovered: C_UNRECOVERED.load(Ordering::Relaxed),
-    }
+/// The outcome counters of the revised-engine solves run under one
+/// [`crate::SolveContext`] (its `tally` field). Atomic commutative sums,
+/// so the totals do not depend on which threads solved in which order.
+#[derive(Debug, Default)]
+pub struct SolveTally {
+    solves: AtomicU64,
+    injected: AtomicU64,
+    by_rung: [AtomicU64; 6],
+    degraded: AtomicU64,
+    unrecovered: AtomicU64,
 }
 
-/// Resets the global chaos/recovery counters to zero.
-pub fn reset_counters() {
-    C_SOLVES.store(0, Ordering::Relaxed);
-    C_INJECTED.store(0, Ordering::Relaxed);
-    for c in &C_BY_RUNG {
-        c.store(0, Ordering::Relaxed);
+impl SolveTally {
+    /// An empty tally.
+    pub fn new() -> Self {
+        Self::default()
     }
-    C_DEGRADED.store(0, Ordering::Relaxed);
-    C_UNRECOVERED.store(0, Ordering::Relaxed);
-}
 
-/// Records one finished solve in the global counters.
-pub(crate) fn record_outcome(
-    injected: bool,
-    rung: Option<usize>,
-    degraded: bool,
-    unrecovered: bool,
-) {
-    C_SOLVES.fetch_add(1, Ordering::Relaxed);
-    if injected {
-        C_INJECTED.fetch_add(1, Ordering::Relaxed);
+    /// Reads the counters.
+    pub fn counters(&self) -> ChaosCounters {
+        ChaosCounters {
+            solves: self.solves.load(Ordering::Relaxed),
+            injected: self.injected.load(Ordering::Relaxed),
+            recovered_by_rung: std::array::from_fn(|r| self.by_rung[r].load(Ordering::Relaxed)),
+            degraded: self.degraded.load(Ordering::Relaxed),
+            unrecovered: self.unrecovered.load(Ordering::Relaxed),
+        }
     }
-    if let Some(r) = rung {
-        C_BY_RUNG[r.min(5)].fetch_add(1, Ordering::Relaxed);
-    }
-    if degraded {
-        C_DEGRADED.fetch_add(1, Ordering::Relaxed);
-    }
-    if unrecovered {
-        C_UNRECOVERED.fetch_add(1, Ordering::Relaxed);
+
+    /// Records one finished solve.
+    pub(crate) fn record(
+        &self,
+        injected: bool,
+        rung: Option<usize>,
+        degraded: bool,
+        unrecovered: bool,
+    ) {
+        self.solves.fetch_add(1, Ordering::Relaxed);
+        if injected {
+            self.injected.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(r) = rung {
+            self.by_rung[r.min(5)].fetch_add(1, Ordering::Relaxed);
+        }
+        if degraded {
+            self.degraded.fetch_add(1, Ordering::Relaxed);
+        }
+        if unrecovered {
+            self.unrecovered.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -312,32 +206,20 @@ mod tests {
     #[test]
     fn plans_are_deterministic_in_seed_and_signature() {
         let cfg = ChaosConfig::all(42);
-        let (a, b) = with_chaos(Some(cfg), || {
-            let a = plan(|| 0xdead_beef).map(|p| (p.fault, p.strikes, p.hash));
-            let b = plan(|| 0xdead_beef).map(|p| (p.fault, p.strikes, p.hash));
-            (a, b)
-        });
+        let a = plan(Some(&cfg), || 0xdead_beef).map(|p| (p.fault, p.strikes, p.hash));
+        let b = plan(Some(&cfg), || 0xdead_beef).map(|p| (p.fault, p.strikes, p.hash));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn scopes_nest_and_restore() {
-        with_chaos(Some(ChaosConfig::all(1)), || {
-            assert_eq!(current().map(|c| c.seed), Some(1));
-            with_chaos(None, || assert_eq!(current(), None));
-            assert_eq!(current().map(|c| c.seed), Some(1));
-        });
+        assert!(plan(None, || 0xdead_beef).is_none());
     }
 
     #[test]
     fn single_fault_configs_only_fire_that_fault() {
-        with_chaos(Some(ChaosConfig::only(ChaosFault::NanInjection, 7)), || {
-            for sig in 0..200u64 {
-                if let Some(p) = plan(|| sig) {
-                    assert_eq!(p.fault, ChaosFault::NanInjection);
-                    assert!((1..=3).contains(&p.strikes));
-                }
+        let cfg = ChaosConfig::only(ChaosFault::NanInjection, 7);
+        for sig in 0..200u64 {
+            if let Some(p) = plan(Some(&cfg), || sig) {
+                assert_eq!(p.fault, ChaosFault::NanInjection);
+                assert!((1..=3).contains(&p.strikes));
             }
-        });
+        }
     }
 }

@@ -15,24 +15,23 @@
 //!   [warm starts](revised::WarmStartCache),
 //! * [`basis`] — the [`BasisFactorization`]
 //!   engines behind the revised simplex: sparse LU with Forrest–Tomlin
-//!   updates (default) and the product-form eta file (`PM_LP_BASIS=eta`),
-//! * [`presolve`] — optional problem reductions (empty/singleton rows,
-//!   fixed and implied-free columns) with full primal/dual postsolve
-//!   recovery (`PM_LP_PRESOLVE=1`),
-//! * [`simplex`] — the dense two-phase tableau simplex, kept as the
-//!   `PM_LP_SOLVER=dense` fallback and as the differential-testing oracle,
-//! * [`solver`] — engine selection (`PM_LP_SOLVER`,
-//!   [`set_default_solver`]; `PM_LP_BASIS`,
-//!   [`set_default_basis`]) and deterministic work caps
-//!   ([`SolveBudget`], `PM_LP_BUDGET`),
-//! * [`chaos`] — seeded fault injection (`PM_LP_CHAOS`) driving the
-//!   recovery ladder (see [`revised::RecoveryRung`]) for self-healing
-//!   tests and the chaos benchmark.
+//!   updates (default) and the product-form eta file,
+//! * [`simplex`] — the dense two-phase tableau simplex, kept as a fallback
+//!   and as the differential-testing oracle,
+//! * [`solver`] — the [`SolveContext`] every solve runs under (engine,
+//!   basis factorization, chaos injection, diagnostics, outcome tally) and
+//!   deterministic work caps ([`SolveBudget`]),
+//! * [`chaos`] — seeded fault injection driving the recovery ladder (see
+//!   [`revised::RecoveryRung`]) for self-healing tests and the chaos
+//!   benchmark, and the [`SolveTally`] of solve outcomes.
 //!
 //! Both engines share the anti-degeneracy toolkit (seeded shadow-RHS
 //! perturbation, Dantzig→Bland stall switching, seeded ratio-test
-//! tie-breaks), so every solve is bit-reproducible. Set `PM_LP_STATS=1` for
-//! per-solve diagnostics on stderr.
+//! tie-breaks), so every solve is bit-reproducible. A solve reads no
+//! process state: [`LpProblem::solve`] runs under
+//! [`SolveContext::default`], and [`LpProblem::solve_in`] /
+//! [`LpProblem::resolve_in`] take the context explicitly — set its
+//! `stats` for per-solve diagnostics on stderr.
 //!
 //! ```
 //! use pm_lp::problem::{LpProblem, Objective, Relation};
@@ -55,7 +54,6 @@
 
 pub mod basis;
 pub mod chaos;
-pub mod presolve;
 pub mod problem;
 pub mod revised;
 pub mod simplex;
@@ -63,19 +61,11 @@ pub mod solver;
 pub mod sparse;
 
 pub use basis::{BasisFactorization, EtaBasis, LuBasis};
-pub use chaos::{
-    counters as chaos_counters, reset_counters as reset_chaos_counters, set_chaos, with_chaos,
-    ChaosConfig, ChaosCounters, ChaosFault,
-};
-pub use presolve::Presolved;
+pub use chaos::{ChaosConfig, ChaosCounters, ChaosFault, SolveTally};
 pub use problem::{LpError, LpProblem, LpSolution, Objective, Relation, VarId};
 pub use revised::{
-    resolve_with_bounds, resolve_with_bounds_budgeted, solve_with_hint_budgeted, Basis,
-    BoundsOverlay, RecoveryRung, RecoveryTrigger, SolveOutcome, SolveStats, WarmStartCache,
-    WarmStatus,
+    resolve_with_bounds, Basis, BoundsOverlay, RecoveryRung, RecoveryTrigger, SolveOutcome,
+    SolveStats, WarmStartCache, WarmStatus,
 };
-pub use solver::{
-    default_basis, default_budget, default_solver, set_default_basis, set_default_solver,
-    stats_enabled, BasisKind, SolveBudget, SolverKind,
-};
+pub use solver::{BasisKind, SolveBudget, SolveContext, SolverKind};
 pub use sparse::{CscMatrix, SparseBuilder};

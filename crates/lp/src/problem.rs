@@ -150,7 +150,7 @@ impl LpSolution {
     /// exact column-generation pricing over the realization tree pool.
     ///
     /// ```
-    /// use pm_lp::{LpProblem, Objective, Relation, SolverKind};
+    /// use pm_lp::{LpProblem, Objective, Relation, SolveContext, SolverKind};
     ///
     /// // maximize 3x + 2y  s.t.  x + y <= 4,  x <= 2
     /// let mut lp = LpProblem::new(Objective::Maximize);
@@ -160,7 +160,11 @@ impl LpSolution {
     /// lp.set_objective_coeff(y, 2.0);
     /// lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 4.0);
     /// lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-    /// let sol = lp.solve_with(SolverKind::Revised).unwrap();
+    /// let revised = SolveContext {
+    ///     engine: SolverKind::Revised,
+    ///     ..SolveContext::default()
+    /// };
+    /// let sol = lp.solve_in(&revised).unwrap();
     ///
     /// // Both rows bind: relaxing row 0 is worth 2 (one more y), relaxing
     /// // row 1 is worth 1 (swap one y for one x).
@@ -574,51 +578,29 @@ impl LpProblem {
         Ok(())
     }
 
-    /// Solves the problem with the default engine (the sparse revised
-    /// simplex unless overridden, see [`crate::solver::SolverKind`]). When a
+    /// Solves the problem under [`crate::SolveContext::default`]: the
+    /// sparse revised simplex on the LU basis. When a
     /// [`crate::revised::WarmStartCache`] scope is active on the current
     /// thread, the revised engine warm-starts from the cached basis of the
     /// last structurally identical solve.
     pub fn solve(&self) -> Result<LpSolution, LpError> {
-        self.solve_with(crate::solver::default_solver())
+        self.solve_in(&crate::SolveContext::default())
     }
 
-    /// Solves the problem with an explicitly chosen engine. With
-    /// `PM_LP_PRESOLVE=1` the problem is first reduced by
-    /// [`crate::presolve::presolve`] (and the reduced solution postsolved
-    /// back), unless a [`crate::revised::WarmStartCache`] scope is active on
-    /// the current thread — presolve changes the constraint pattern and
-    /// would defeat scoped warm-start reuse — or a lexicographic secondary
-    /// objective is set (the reductions do not model it).
-    pub fn solve_with(&self, solver: crate::solver::SolverKind) -> Result<LpSolution, LpError> {
+    /// Solves the problem under an explicit [`crate::SolveContext`]: its
+    /// engine, basis factorization, chaos injection, diagnostics and tally.
+    /// The thread's [`crate::revised::WarmStartCache`] scope applies as in
+    /// [`LpProblem::solve`].
+    pub fn solve_in(&self, ctx: &crate::SolveContext) -> Result<LpSolution, LpError> {
         self.validate()?;
-        if crate::solver::presolve_enabled()
-            && !crate::revised::scope_active()
-            && !self.has_secondary()
-        {
-            // Presolve is an accelerator, never a correctness dependency:
-            // a reduction or postsolve failure (other than a genuine
-            // infeasibility proof, which is a final verdict) falls back to
-            // solving the original, unreduced problem.
-            match crate::presolve::presolve(self) {
-                Ok(presolved) if presolved.is_reduced() => match presolved.solve_with(solver) {
-                    Ok(solution) => return Ok(solution),
-                    Err(LpError::Infeasible) => return Err(LpError::Infeasible),
-                    Err(_) => {}
-                },
-                Ok(_) => {}
-                Err(LpError::Infeasible) => return Err(LpError::Infeasible),
-                Err(_) => {}
-            }
-        }
-        match solver {
+        match ctx.engine {
             crate::solver::SolverKind::Dense => {
                 // Keep the scope's solve accounting truthful when the dense
                 // oracle is selected: every dense solve is a cold solve.
                 crate::revised::note_scoped_cold_solve();
-                crate::simplex::solve(self)
+                crate::simplex::solve(ctx, self)
             }
-            crate::solver::SolverKind::Revised => crate::revised::solve_scoped(self),
+            crate::solver::SolverKind::Revised => crate::revised::solve_scoped(ctx, self),
         }
     }
 
@@ -629,33 +611,35 @@ impl LpProblem {
     /// makes candidate evaluation shareable: one immutable template problem
     /// can be re-solved concurrently under different overlays.
     ///
-    /// Runs on the selected engine, like [`LpProblem::solve`]: the revised
-    /// simplex ([`crate::revised::resolve_with_bounds`]) by default, or the
-    /// dense oracle under `PM_LP_SOLVER=dense` /
-    /// [`crate::set_default_solver`], which solves the overlay-materialized
-    /// problem cold (hints, crash bases and budgets do not apply to it).
+    /// Runs under [`crate::SolveContext::default`]; see
+    /// [`LpProblem::resolve_in`].
     pub fn resolve_with_bounds(
         &self,
         overlay: &crate::revised::BoundsOverlay,
         hint: Option<&crate::revised::Basis>,
     ) -> Result<crate::revised::SolveOutcome, LpError> {
-        self.resolve_with_bounds_budgeted(overlay, hint, None)
+        self.resolve_in(&crate::SolveContext::default(), overlay, hint, None)
     }
 
-    /// [`Self::resolve_with_bounds`] under explicit deterministic work caps:
-    /// see [`crate::SolveBudget`] and
-    /// [`crate::revised::resolve_with_bounds_budgeted`] for the anytime
-    /// degradation semantics (revised engine only).
-    pub fn resolve_with_bounds_budgeted(
+    /// [`Self::resolve_with_bounds`] under an explicit context and
+    /// deterministic work caps. The context's engine decides: the revised
+    /// simplex ([`crate::revised::solve_in`], with the anytime degradation
+    /// semantics of [`crate::SolveBudget`]), or the dense oracle, which
+    /// solves the overlay-materialized problem cold (hints, crash bases and
+    /// budgets do not apply to it).
+    pub fn resolve_in(
         &self,
+        ctx: &crate::SolveContext,
         overlay: &crate::revised::BoundsOverlay,
         hint: Option<&crate::revised::Basis>,
         budget: Option<crate::solver::SolveBudget>,
     ) -> Result<crate::revised::SolveOutcome, LpError> {
-        match crate::solver::default_solver() {
-            crate::solver::SolverKind::Dense => crate::revised::resolve_dense(self, overlay, hint),
+        match ctx.engine {
+            crate::solver::SolverKind::Dense => {
+                crate::revised::resolve_dense(ctx, self, overlay, hint)
+            }
             crate::solver::SolverKind::Revised => {
-                crate::revised::resolve_with_bounds_budgeted(self, overlay, hint, budget)
+                crate::revised::solve_in(ctx, self, Some(overlay), hint, budget)
             }
         }
     }

@@ -5,8 +5,9 @@
 //! [`crate::basis::BasisFactorization`]. The default is a sparse LU
 //! factorization with Forrest–Tomlin pivot updates
 //! ([`crate::basis::LuBasis`]); the historical product-form eta file
-//! ([`crate::basis::EtaBasis`]) stays selectable with `PM_LP_BASIS=eta` as
-//! a differential oracle. See [`crate::solver::BasisKind`].
+//! ([`crate::basis::EtaBasis`]) stays selectable through
+//! [`crate::SolveContext::basis`] as a differential oracle. See
+//! [`crate::solver::BasisKind`].
 //!
 //! Each iteration works on sparse columns only:
 //!
@@ -52,8 +53,8 @@ use crate::basis::{BasisFactorization, BasisRepr, EtaBasis};
 use crate::chaos::{ChaosFault, ChaosPlan};
 use crate::problem::{LpError, LpProblem, LpSolution, Objective, Relation, VarId};
 use crate::solver::{
-    effective_relation, perturb_rhs, phase1_budget, phase2_budget, splitmix64, stats_enabled,
-    BasisKind, SolveBudget,
+    effective_relation, perturb_rhs, phase1_budget, phase2_budget, splitmix64, BasisKind,
+    SolveBudget, SolveContext,
 };
 use crate::sparse::CscMatrix;
 use std::cell::{Cell, OnceCell, RefCell};
@@ -252,7 +253,7 @@ pub enum RecoveryRung {
     /// [`AGGRESSIVE_REFACTOR_EVERY`] pivots), to shed numerical drift.
     AggressiveRefactor,
     /// Cold restart on the *other* basis backend (LU↔eta, relative to the
-    /// session default).
+    /// [`SolveContext`]'s `basis`).
     SwappedBasis,
     /// Cold restart under Bland's rule from the first pivot (slow but
     /// cycling-proof).
@@ -280,8 +281,8 @@ impl RecoveryRung {
 /// rung.
 pub const AGGRESSIVE_REFACTOR_EVERY: usize = 16;
 
-/// Per-solve diagnostics (printed on `PM_LP_STATS=1`, returned by
-/// [`solve_with_hint`]).
+/// Per-solve diagnostics (printed when the [`SolveContext`]'s `stats` is
+/// set, returned by [`solve_in`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SolveStats {
     /// Constraint rows.
@@ -401,9 +402,9 @@ impl DevexPricing {
 /// between rungs. The default is byte-identical to the pre-ladder engine.
 #[derive(Debug, Clone, Copy)]
 struct EngineCfg {
-    /// Basis backend (`None` = the session default, see
-    /// [`crate::solver::default_basis`]).
-    basis: Option<BasisKind>,
+    /// Basis backend (the context's, or the other one on the
+    /// [`RecoveryRung::SwappedBasis`] rung).
+    basis: BasisKind,
     /// Pivots between scheduled refactorizations.
     refactor_every: usize,
     /// Use Bland's rule from the first pivot.
@@ -416,9 +417,9 @@ struct EngineCfg {
 }
 
 impl EngineCfg {
-    fn new(budget: Option<SolveBudget>) -> Self {
+    fn new(basis: BasisKind, budget: Option<SolveBudget>) -> Self {
         EngineCfg {
-            basis: None,
+            basis,
             refactor_every: REFACTOR_EVERY,
             force_bland: false,
             budget,
@@ -454,7 +455,7 @@ struct Engine {
     /// outside it): only columns whose primary reduced cost was zero at the
     /// phase-2 optimum may enter, so pivots move along the optimal face.
     restrict: Vec<bool>,
-    /// The basis factorization (LU by default, eta via `PM_LP_BASIS=eta`).
+    /// The basis factorization (LU by default, eta when the context asks).
     fac: BasisRepr,
     /// Devex pricing state — present exactly on the LU path; `None` keeps
     /// the eta path on the legacy Dantzig partial pricing, byte-for-byte.
@@ -524,7 +525,7 @@ impl Engine {
             }
         }
         let any_fixed = fixed.iter().any(|&f| f);
-        let kind = cfg.basis.unwrap_or_else(crate::solver::default_basis);
+        let kind = cfg.basis;
         let pricing = match kind {
             BasisKind::Lu => Some(DevexPricing::new(m, n_total)),
             BasisKind::Eta => None,
@@ -1662,18 +1663,11 @@ impl Drop for Engine {
 /// the basis of a previous structurally identical solve. The hint is only
 /// ever an accelerator: a rejected hint falls back to a cold two-phase
 /// solve, so correctness never depends on it.
+///
+/// Runs under [`SolveContext::default`]; [`solve_in`] takes an explicit
+/// context, overlay and work caps.
 pub fn solve_with_hint(problem: &LpProblem, hint: Option<&Basis>) -> Result<SolveOutcome, LpError> {
-    solve_with_overlay(problem, None, hint, None)
-}
-
-/// [`solve_with_hint`] under explicit work caps; see
-/// [`resolve_with_bounds_budgeted`] for the degradation semantics.
-pub fn solve_with_hint_budgeted(
-    problem: &LpProblem,
-    hint: Option<&Basis>,
-    budget: Option<SolveBudget>,
-) -> Result<SolveOutcome, LpError> {
-    solve_with_overlay(problem, None, hint, budget)
+    solve_in(&SolveContext::default(), problem, None, hint, None)
 }
 
 /// Re-solves a problem under a [`BoundsOverlay`] (extra variables fixed to
@@ -1717,22 +1711,7 @@ pub fn resolve_with_bounds(
     overlay: &BoundsOverlay,
     hint: Option<&Basis>,
 ) -> Result<SolveOutcome, LpError> {
-    solve_with_overlay(problem, Some(overlay), hint, None)
-}
-
-/// [`resolve_with_bounds`] under explicit work caps (see
-/// [`crate::solver::SolveBudget`]): when phase 2 runs out of budget after
-/// reaching feasibility, the current vertex is returned as an anytime
-/// solution flagged [`LpSolution::degraded`] — its objective is a valid
-/// bound on the optimum (primal feasibility is maintained throughout
-/// phase 2). `budget: None` falls back to the `PM_LP_BUDGET` default.
-pub fn resolve_with_bounds_budgeted(
-    problem: &LpProblem,
-    overlay: &BoundsOverlay,
-    hint: Option<&Basis>,
-    budget: Option<SolveBudget>,
-) -> Result<SolveOutcome, LpError> {
-    solve_with_overlay(problem, Some(overlay), hint, budget)
+    solve_in(&SolveContext::default(), problem, Some(overlay), hint, None)
 }
 
 /// Deterministically corrupts a warm-start hint (the
@@ -1761,6 +1740,7 @@ fn poison_hint(hint: &Basis, hash: u64) -> Basis {
 /// as the unit basis if ever used as a hint, which the repair phase handles
 /// like any other stale hint. The dense oracle reports no duals.
 fn dense_fallback(
+    ctx: &SolveContext,
     problem: &LpProblem,
     overlay: Option<&BoundsOverlay>,
 ) -> Result<(LpSolution, Basis), LpError> {
@@ -1773,28 +1753,29 @@ fn dense_fallback(
             for &(row, rhs) in &overlay.rhs {
                 materialized.set_rhs(row, rhs);
             }
-            crate::simplex::solve(&materialized)?
+            crate::simplex::solve(ctx, &materialized)?
         }
-        _ => crate::simplex::solve(problem)?,
+        _ => crate::simplex::solve(ctx, problem)?,
     };
     let cols = vec![Basis::REDUNDANT; problem.num_constraints()];
     Ok((solution, Basis { cols }))
 }
 
-/// The dense-engine path of [`LpProblem::resolve_with_bounds_budgeted`]
-/// (`PM_LP_SOLVER=dense`, [`crate::set_default_solver`]): the dense oracle
-/// solves the overlay-materialized problem, as the ladder's last rung does.
-/// Hints, crash bases and budgets do not apply to it, so every such solve
-/// is cold. Its stats report the [`RecoveryRung::Dense`] rung on one
-/// attempt and no pivot counts (the dense engine prints those under
-/// `PM_LP_STATS=1`).
+/// The dense-engine path of [`LpProblem::resolve_in`] (a context whose
+/// engine is [`crate::SolverKind::Dense`]): the dense oracle solves the
+/// overlay-materialized problem, as the ladder's last rung does. Hints,
+/// crash bases and budgets do not apply to it, so every such solve is
+/// cold. Its stats report the [`RecoveryRung::Dense`] rung on one attempt
+/// and no pivot counts (the dense engine prints those when the context's
+/// `stats` is set).
 pub(crate) fn resolve_dense(
+    ctx: &SolveContext,
     problem: &LpProblem,
     overlay: &BoundsOverlay,
     hint: Option<&Basis>,
 ) -> Result<SolveOutcome, LpError> {
     let start = std::time::Instant::now();
-    let (solution, basis) = dense_fallback(problem, Some(overlay))?;
+    let (solution, basis) = dense_fallback(ctx, problem, Some(overlay))?;
     let n_user = problem.num_vars();
     let n = n_user
         + problem
@@ -1813,7 +1794,7 @@ pub(crate) fn resolve_dense(
         phase1_pivots: 0,
         phase2_pivots: 0,
         refactorizations: 0,
-        basis: crate::solver::default_basis(),
+        basis: ctx.basis,
         warm: if hint.is_some() {
             WarmStatus::Miss
         } else {
@@ -1832,16 +1813,32 @@ pub(crate) fn resolve_dense(
     })
 }
 
-fn solve_with_overlay(
+/// Solves `problem` with the revised simplex under `ctx`: the overlay's
+/// fixed columns, RHS overrides and crash basis apply when one is given,
+/// and the solve warm-starts from `hint` when it installs (see
+/// [`resolve_with_bounds`]).
+///
+/// `budget` caps the work of each attempt (see [`SolveBudget`]): when
+/// phase 2 runs out of budget after reaching feasibility, the current
+/// vertex is returned as an anytime solution flagged
+/// [`LpSolution::degraded`] — its objective is a valid bound on the
+/// optimum (primal feasibility is maintained throughout phase 2).
+///
+/// Every solve runs the deterministic recovery ladder (see
+/// [`RecoveryRung`]) on the context's basis factorization, strikes the
+/// faults its chaos configuration plans, records its outcome in its tally
+/// and prints one diagnostics line when its `stats` is set. The engine
+/// field is not consulted: this is the revised engine.
+pub fn solve_in(
+    ctx: &SolveContext,
     problem: &LpProblem,
     overlay: Option<&BoundsOverlay>,
     hint: Option<&Basis>,
     budget: Option<SolveBudget>,
 ) -> Result<SolveOutcome, LpError> {
     let start = std::time::Instant::now();
-    let budget = budget.or_else(crate::solver::default_budget);
-    let plan: Option<ChaosPlan> = crate::chaos::plan(|| signature(problem));
-    let swapped = match crate::solver::default_basis() {
+    let plan: Option<ChaosPlan> = crate::chaos::plan(ctx.chaos.as_ref(), || signature(problem));
+    let swapped = match ctx.basis {
         BasisKind::Lu => BasisKind::Eta,
         BasisKind::Eta => BasisKind::Lu,
     };
@@ -1878,10 +1875,10 @@ fn solve_with_overlay(
     let mut idx = 0usize;
     while idx < LADDER.len() {
         let rung = LADDER[idx];
-        let mut cfg = EngineCfg::new(budget);
+        let mut cfg = EngineCfg::new(ctx.basis, budget);
         match rung {
             RecoveryRung::AggressiveRefactor => cfg.refactor_every = AGGRESSIVE_REFACTOR_EVERY,
-            RecoveryRung::SwappedBasis => cfg.basis = Some(swapped),
+            RecoveryRung::SwappedBasis => cfg.basis = swapped,
             RecoveryRung::Bland => cfg.force_bland = true,
             _ => {}
         }
@@ -1973,7 +1970,7 @@ fn solve_with_overlay(
     let mut dense_result: Option<Result<(LpSolution, Basis), LpError>> = None;
     if chosen.is_none() && exhausted_sparse {
         attempts += 1;
-        dense_result = Some(dense_fallback(problem, overlay));
+        dense_result = Some(dense_fallback(ctx, problem, overlay));
     }
 
     // Assemble the stats from the decisive attempt (the winning one, or the
@@ -2051,20 +2048,24 @@ fn solve_with_overlay(
 
     match outcome {
         Ok(out) => {
-            crate::chaos::record_outcome(
-                injected,
-                Some(out.stats.rung.index()),
-                out.stats.degraded,
-                false,
-            );
-            if stats_enabled() {
+            if let Some(tally) = &ctx.tally {
+                tally.record(
+                    injected,
+                    Some(out.stats.rung.index()),
+                    out.stats.degraded,
+                    false,
+                );
+            }
+            if ctx.stats {
                 print_stats(&out.stats, "ok");
             }
             Ok(out)
         }
         Err((stats, e)) => {
-            crate::chaos::record_outcome(injected, None, false, e == LpError::IterationLimit);
-            if stats_enabled() {
+            if let Some(tally) = &ctx.tally {
+                tally.record(injected, None, false, e == LpError::IterationLimit);
+            }
+            if ctx.stats {
                 print_stats(&stats, &format!("{e:?}"));
             }
             Err(e)
@@ -2399,8 +2400,8 @@ impl WarmStartCache {
         self.map.insert(key, CacheEntry { basis, touched });
     }
 
-    /// Runs `f` with this cache active for [`crate::LpProblem::solve`] calls
-    /// on the current thread.
+    /// Runs `f` with this cache active for [`crate::LpProblem::solve`] and
+    /// [`crate::LpProblem::solve_in`] calls on the current thread.
     ///
     /// Scopes nest LIFO: entering a scope while another is active shelves
     /// the outer cache and restores it when the inner scope ends. Besides
@@ -2438,23 +2439,6 @@ impl WarmStartCache {
     }
 }
 
-/// The `(hits, misses)` counters of the thread's active [`WarmStartCache`]
-/// scope, or `None` outside any scope. Callers that need per-phase
-/// attribution of scoped solves (e.g. per-heuristic LP accounting in
-/// `pm-core`) read the counters before and after a phase and keep the
-/// delta.
-pub fn scoped_cache_counts() -> Option<(u64, u64)> {
-    ACTIVE_CACHE.with(|slot| slot.borrow().as_ref().map(|c| (c.hits, c.misses)))
-}
-
-/// Whether a [`WarmStartCache`] scope is active on the current thread.
-/// `PM_LP_PRESOLVE=1` routing checks this: presolve changes the constraint
-/// pattern, so scoped solves skip it to keep their warm-start signatures
-/// stable.
-pub(crate) fn scope_active() -> bool {
-    ACTIVE_CACHE.with(|slot| slot.borrow().is_some())
-}
-
 /// Records a solve that bypassed the warm-start machinery (the dense
 /// engine) in the thread's active cache, so `lp_solves` stays an honest
 /// count of every LP solved inside the scope regardless of engine.
@@ -2466,10 +2450,10 @@ pub(crate) fn note_scoped_cold_solve() {
     });
 }
 
-/// The [`crate::LpProblem::solve`] entry point for the revised engine:
-/// consults the thread's active [`WarmStartCache`] (if any) around
-/// [`solve_with_hint`].
-pub(crate) fn solve_scoped(problem: &LpProblem) -> Result<LpSolution, LpError> {
+/// The [`crate::LpProblem::solve_in`] entry point for the revised engine:
+/// consults the thread's active [`WarmStartCache`] (if any) around a
+/// [`solve_in`] under `ctx`.
+pub(crate) fn solve_scoped(ctx: &SolveContext, problem: &LpProblem) -> Result<LpSolution, LpError> {
     let key_and_hint = ACTIVE_CACHE.with(|slot| {
         slot.borrow_mut().as_mut().map(|cache| {
             let key = signature(problem);
@@ -2478,9 +2462,9 @@ pub(crate) fn solve_scoped(problem: &LpProblem) -> Result<LpSolution, LpError> {
         })
     });
     let Some((key, hint)) = key_and_hint else {
-        return solve_with_hint(problem, None).map(|o| o.solution);
+        return solve_in(ctx, problem, None, None, None).map(|o| o.solution);
     };
-    let outcome = solve_with_hint(problem, hint.as_ref());
+    let outcome = solve_in(ctx, problem, None, hint.as_ref(), None);
     ACTIVE_CACHE.with(|slot| {
         if let Some(cache) = slot.borrow_mut().as_mut() {
             match &outcome {
@@ -2505,6 +2489,14 @@ mod tests {
     use crate::problem::{LpProblem, Objective, Relation};
     use crate::solver::SolverKind;
 
+    /// The default context on `engine`.
+    fn on(engine: SolverKind) -> SolveContext {
+        SolveContext {
+            engine,
+            ..SolveContext::default()
+        }
+    }
+
     fn approx(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
     }
@@ -2525,8 +2517,8 @@ mod tests {
     #[test]
     fn revised_matches_dense_on_the_textbook_lp() {
         let lp = sample_lp();
-        let dense = lp.solve_with(SolverKind::Dense).unwrap();
-        let revised = lp.solve_with(SolverKind::Revised).unwrap();
+        let dense = lp.solve_in(&on(SolverKind::Dense)).unwrap();
+        let revised = lp.solve_in(&on(SolverKind::Revised)).unwrap();
         approx(revised.objective, dense.objective);
     }
 
@@ -2601,7 +2593,7 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Ge, 10.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Ge, 2.0);
         lp.add_constraint(vec![(y, 1.0)], Relation::Ge, 3.0);
-        let s = lp.solve_with(SolverKind::Revised).unwrap();
+        let s = lp.solve_in(&on(SolverKind::Revised)).unwrap();
         approx(s.objective, 23.0);
         approx(s.value(x), 7.0);
         approx(s.value(y), 3.0);
@@ -2614,13 +2606,19 @@ mod tests {
         lp.set_objective_coeff(x, 1.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Le, 1.0);
         lp.add_constraint(vec![(x, 1.0)], Relation::Ge, 2.0);
-        assert_eq!(lp.solve_with(SolverKind::Revised), Err(LpError::Infeasible));
+        assert_eq!(
+            lp.solve_in(&on(SolverKind::Revised)),
+            Err(LpError::Infeasible)
+        );
 
         let mut lp = LpProblem::new(Objective::Maximize);
         let x = lp.add_var("x");
         lp.set_objective_coeff(x, 1.0);
         lp.add_constraint(vec![(x, -1.0)], Relation::Le, 5.0);
-        assert_eq!(lp.solve_with(SolverKind::Revised), Err(LpError::Unbounded));
+        assert_eq!(
+            lp.solve_in(&on(SolverKind::Revised)),
+            Err(LpError::Unbounded)
+        );
     }
 
     #[test]
@@ -2664,7 +2662,7 @@ mod tests {
         flipped.set_objective_coeff(y, 1.0);
         let warm = solve_with_hint(&flipped, Some(&first.basis)).unwrap();
         assert_eq!(warm.stats.warm, WarmStatus::Hit);
-        let dense = flipped.solve_with(SolverKind::Dense).unwrap();
+        let dense = flipped.solve_in(&on(SolverKind::Dense)).unwrap();
         approx(warm.solution.objective, dense.objective);
     }
 
@@ -2674,7 +2672,7 @@ mod tests {
         let mut cache = WarmStartCache::new();
         cache.scope(|| {
             for _ in 0..3 {
-                let s = lp.solve_with(SolverKind::Revised).unwrap();
+                let s = lp.solve_in(&on(SolverKind::Revised)).unwrap();
                 approx(s.objective, 36.0);
             }
         });
@@ -2839,7 +2837,7 @@ mod tests {
             0.0,
         );
         lp.add_constraint(vec![(x3, 1.0)], Relation::Le, 1.0);
-        let sol = lp.solve_with(SolverKind::Revised).unwrap();
+        let sol = lp.solve_in(&on(SolverKind::Revised)).unwrap();
         approx(sol.objective, -0.05);
     }
 
@@ -2868,7 +2866,7 @@ mod tests {
             let terms: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
             lp.add_constraint(terms.clone(), Relation::Eq, 3.0);
             lp.add_constraint(terms, Relation::Eq, 3.0); // redundant duplicate
-            let dense = lp.solve_with(SolverKind::Dense).unwrap();
+            let dense = lp.solve_in(&on(SolverKind::Dense)).unwrap();
             let cold = solve_with_hint(&lp, None).unwrap();
             // Corrupt: mark a pseudo-random subset of rows REDUNDANT.
             let mut cols = cold.basis.columns().to_vec();
@@ -2899,7 +2897,7 @@ mod tests {
         let mut lp = sample_lp();
         lp.fix_var(VarId(1));
         for kind in [SolverKind::Revised, SolverKind::Dense] {
-            let s = lp.solve_with(kind).unwrap();
+            let s = lp.solve_in(&on(kind)).unwrap();
             approx(s.objective, 12.0);
             approx(s.value(VarId(0)), 4.0);
             approx(s.value(VarId(1)), 0.0);
@@ -3012,8 +3010,7 @@ mod tests {
         }
         // The devex (LU) and Dantzig (eta) loops share the ratio test.
         for kind in [BasisKind::Lu, BasisKind::Eta] {
-            let mut cfg = EngineCfg::new(None);
-            cfg.basis = Some(kind);
+            let cfg = EngineCfg::new(kind, None);
             let (attempt, warm) = attempt_solve(lp, Some(overlay), Some(hint), None, cfg);
             assert_eq!(warm, WarmStatus::Hit, "{kind:?}");
             assert!(attempt.outcome.is_ok(), "{kind:?}");
@@ -3113,7 +3110,13 @@ mod tests {
         let total = full.stats.phase1_pivots + full.stats.phase2_pivots;
         let mut seen_degraded = false;
         for b in 0..=total {
-            match solve_with_hint_budgeted(&lp, None, Some(SolveBudget::pivots(b as u64))) {
+            match solve_in(
+                &SolveContext::default(),
+                &lp,
+                None,
+                None,
+                Some(SolveBudget::pivots(b as u64)),
+            ) {
                 Ok(o) => {
                     assert!(lp.is_feasible(o.solution.values(), 1e-6));
                     assert!(o.solution.objective <= full.solution.objective + 1e-6);
@@ -3134,8 +3137,8 @@ mod tests {
             "no intermediate budget exercised the degraded path"
         );
         // The full budget reproduces the unbudgeted solve bit for bit.
-        let exact =
-            solve_with_hint_budgeted(&lp, None, Some(SolveBudget::pivots(total as u64))).unwrap();
+        let budget = SolveBudget::pivots(total as u64);
+        let exact = solve_in(&SolveContext::default(), &lp, None, None, Some(budget)).unwrap();
         assert_eq!(
             exact.solution.objective.to_bits(),
             full.solution.objective.to_bits()
@@ -3153,7 +3156,7 @@ mod tests {
         // Zero refactorizations still allows the initial pivots up to the
         // first forced refactorization; whatever comes back must be a
         // feasible anytime point or a structured error.
-        match solve_with_hint_budgeted(&lp, None, Some(budget)) {
+        match solve_in(&SolveContext::default(), &lp, None, None, Some(budget)) {
             Ok(o) => assert!(lp.is_feasible(o.solution.values(), 1e-6)),
             Err(e) => assert_eq!(e, LpError::IterationLimit),
         }
@@ -3165,8 +3168,14 @@ mod tests {
         let clean = solve_with_hint(&lp, None).unwrap();
         let mut recovered_late = false;
         for seed in 0..200 {
-            let cfg = crate::chaos::ChaosConfig::only(ChaosFault::SingularBasis, seed);
-            let out = crate::chaos::with_chaos(Some(cfg), || solve_with_hint(&lp, None)).unwrap();
+            let ctx = SolveContext {
+                chaos: Some(crate::chaos::ChaosConfig::only(
+                    ChaosFault::SingularBasis,
+                    seed,
+                )),
+                ..SolveContext::default()
+            };
+            let out = solve_in(&ctx, &lp, None, None, None).unwrap();
             assert_eq!(
                 out.solution.objective.to_bits(),
                 clean.solution.objective.to_bits(),

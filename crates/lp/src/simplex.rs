@@ -223,8 +223,9 @@ impl Tableau {
     }
 }
 
-/// Solves an [`LpProblem`] and returns the optimal solution.
-pub fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
+/// Solves an [`LpProblem`] and returns the optimal solution. Of the
+/// context only `stats` applies: one stderr line per solve.
+pub fn solve(ctx: &crate::SolveContext, problem: &LpProblem) -> Result<LpSolution, LpError> {
     let num_user_vars = problem.num_vars();
     let constraints = problem.constraints();
     let m = constraints.len();
@@ -306,7 +307,7 @@ pub fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
         rng: 0x9e37_79b9_7f4a_7c15 ^ ((m as u64) << 32) ^ n as u64,
         iters: 0,
     };
-    let stats = crate::solver::stats_enabled();
+    let stats = ctx.stats;
     let nnz: usize =
         constraints.iter().map(|c| c.terms.len()).sum::<usize>() + num_slack + num_artificial;
     let solve_start = std::time::Instant::now();
@@ -504,7 +505,7 @@ mod tests {
         lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 1.0);
         lp.set_secondary_coeff(x, 2.0);
         lp.set_secondary_coeff(y, 1.0);
-        let s = crate::simplex::solve(&lp).unwrap();
+        let s = crate::simplex::solve(&crate::SolveContext::default(), &lp).unwrap();
         approx(s.objective, 1.0);
         approx(s.value(x), 0.0);
         approx(s.value(y), 1.0);

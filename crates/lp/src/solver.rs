@@ -1,13 +1,13 @@
-//! Engine selection — the sparse revised simplex is the default, the dense
-//! tableau stays available as a fallback and differential-testing oracle —
-//! plus the numerical knobs both engines share. The shared helpers are the
+//! The [`SolveContext`] every solve runs under — engine, basis
+//! factorization, chaos injection, diagnostics and outcome tally — plus
+//! the numerical knobs both engines share. The shared helpers are the
 //! load-bearing part: the engines' bit-reproducibility story assumes
 //! identical RNG streams, pivot budgets and row normalisation, so they live
 //! here once instead of drifting apart as two private copies.
 
+use crate::chaos::{ChaosConfig, SolveTally};
 use crate::problem::Relation;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 /// SplitMix64 step: the deterministic generator behind the anti-degeneracy
 /// perturbation and the ratio-test tie-break of *both* engines (each stream
@@ -89,110 +89,72 @@ pub(crate) fn perturb_rhs(b: &mut [f64], row_relations: &[Relation], n: usize) {
 }
 
 /// The two LP engines of the crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
     /// The dense two-phase tableau simplex ([`crate::simplex`]).
     Dense,
     /// The sparse revised simplex with a product-form basis
     /// ([`crate::revised`]). The default.
+    #[default]
     Revised,
-}
-
-/// Process-wide programmatic override (0 = unset, 1 = dense, 2 = revised).
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// The `PM_LP_SOLVER` environment variable, parsed once.
-fn env_solver() -> Option<SolverKind> {
-    static ENV: OnceLock<Option<SolverKind>> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("PM_LP_SOLVER").ok().as_deref() {
-        Some("dense") => Some(SolverKind::Dense),
-        Some("revised") => Some(SolverKind::Revised),
-        Some(other) => {
-            eprintln!("pm-lp: ignoring unknown PM_LP_SOLVER value {other:?} (dense|revised)");
-            None
-        }
-        None => None,
-    })
-}
-
-/// The engine used by [`crate::LpProblem::solve`]: a programmatic
-/// [`set_default_solver`] override wins, then `PM_LP_SOLVER=dense|revised`,
-/// then the revised simplex.
-pub fn default_solver() -> SolverKind {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => SolverKind::Dense,
-        2 => SolverKind::Revised,
-        _ => env_solver().unwrap_or(SolverKind::Revised),
-    }
-}
-
-/// Overrides the process-wide default engine (e.g. from a `--solver` CLI
-/// flag). Takes precedence over `PM_LP_SOLVER`.
-pub fn set_default_solver(kind: SolverKind) {
-    OVERRIDE.store(
-        match kind {
-            SolverKind::Dense => 1,
-            SolverKind::Revised => 2,
-        },
-        Ordering::Relaxed,
-    );
 }
 
 /// The basis factorizations available to the revised engine (see
 /// [`crate::basis`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BasisKind {
     /// Product-form eta file: one elementary transform appended per pivot.
-    /// Kept as the differential oracle for the LU engine
-    /// (`PM_LP_BASIS=eta`).
+    /// Kept as the differential oracle for the LU engine.
     Eta,
     /// Sparse LU (Markowitz-ordered, threshold partial pivoting) with
     /// Forrest–Tomlin pivot updates. The default: per-pivot FTRAN/BTRAN
     /// cost stays flat as updates accumulate instead of growing with the
     /// eta-file length. Also switches pricing from rotating Dantzig
     /// sections to devex.
+    #[default]
     Lu,
 }
 
-/// Process-wide programmatic basis override (0 = unset, 1 = eta, 2 = LU).
-static BASIS_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// The `PM_LP_BASIS` environment variable, parsed once.
-fn env_basis() -> Option<BasisKind> {
-    static ENV: OnceLock<Option<BasisKind>> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("PM_LP_BASIS").ok().as_deref() {
-        Some("eta") => Some(BasisKind::Eta),
-        Some("lu") => Some(BasisKind::Lu),
-        Some(other) => {
-            eprintln!("pm-lp: ignoring unknown PM_LP_BASIS value {other:?} (eta|lu)");
-            None
-        }
-        None => None,
-    })
-}
-
-/// The basis factorization used by the revised engine: a programmatic
-/// [`set_default_basis`] override wins, then `PM_LP_BASIS=eta|lu`, then LU.
-pub fn default_basis() -> BasisKind {
-    match BASIS_OVERRIDE.load(Ordering::Relaxed) {
-        1 => BasisKind::Eta,
-        2 => BasisKind::Lu,
-        _ => env_basis().unwrap_or(BasisKind::Lu),
-    }
-}
-
-/// Overrides the process-wide default basis factorization (e.g. from a
-/// test or CLI flag). Takes precedence over `PM_LP_BASIS`; `None` clears
-/// the override.
-pub fn set_default_basis(kind: Option<BasisKind>) {
-    BASIS_OVERRIDE.store(
-        match kind {
-            None => 0,
-            Some(BasisKind::Eta) => 1,
-            Some(BasisKind::Lu) => 2,
-        },
-        Ordering::Relaxed,
-    );
+/// The configuration one solve runs under, passed by reference from the
+/// caller down to the engine. Nothing about a solve is read from process
+/// state: two threads solving under different contexts cannot see each
+/// other's settings.
+///
+/// The default is the production configuration: the revised engine on the
+/// LU basis, no fault injection, no stderr diagnostics, no tally. Work caps
+/// are not part of it: a [`SolveBudget`] belongs to the template or call
+/// that sets it, and is passed beside the context.
+///
+/// ```
+/// use pm_lp::{BasisKind, LpProblem, Objective, Relation, SolveContext};
+///
+/// let mut lp = LpProblem::new(Objective::Maximize);
+/// let x = lp.add_var("x");
+/// lp.set_objective_coeff(x, 1.0);
+/// lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+/// let eta = SolveContext {
+///     basis: BasisKind::Eta,
+///     ..SolveContext::default()
+/// };
+/// assert_eq!(lp.solve_in(&eta).unwrap().objective, 2.0);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct SolveContext {
+    /// The engine (`fig11 --solver`, `PM_LP_SOLVER`).
+    pub engine: SolverKind,
+    /// The revised engine's basis factorization (`PM_LP_BASIS`). The
+    /// recovery ladder's [`crate::RecoveryRung::SwappedBasis`] rung swaps
+    /// relative to it.
+    pub basis: BasisKind,
+    /// Seeded fault injection into the revised engine's recovery ladder
+    /// (`fig11 --chaos`); `None` injects nothing.
+    pub chaos: Option<ChaosConfig>,
+    /// One stderr line per solve (`PM_LP_STATS=1`).
+    pub stats: bool,
+    /// Where each revised-engine solve records its outcome (struck or not,
+    /// winning rung, degraded, unrecovered). Shared by every clone of the
+    /// context, so a session's templates all count into one tally.
+    pub tally: Option<Arc<SolveTally>>,
 }
 
 /// Deterministic work caps for one solve attempt (see
@@ -233,56 +195,4 @@ impl SolveBudget {
     pub fn is_limited(&self) -> bool {
         self.max_pivots.is_some() || self.max_refactorizations.is_some()
     }
-}
-
-/// The `PM_LP_BUDGET` environment variable, parsed once. Format:
-/// `PIVOTS` or `PIVOTS:REFACTORIZATIONS`, each a decimal count or `0` /
-/// empty for unlimited. Applies to every solve that is not given an
-/// explicit budget by its caller.
-pub fn default_budget() -> Option<SolveBudget> {
-    static ENV: OnceLock<Option<SolveBudget>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let raw = std::env::var("PM_LP_BUDGET").ok()?;
-        let mut parts = raw.splitn(2, ':');
-        let parse = |s: Option<&str>| -> Option<u64> {
-            let s = s.unwrap_or("").trim();
-            if s.is_empty() {
-                return None;
-            }
-            match s.parse::<u64>() {
-                Ok(0) => None,
-                Ok(v) => Some(v),
-                Err(_) => {
-                    eprintln!("pm-lp: ignoring unparsable PM_LP_BUDGET component {s:?}");
-                    None
-                }
-            }
-        };
-        let budget = SolveBudget {
-            max_pivots: parse(parts.next()),
-            max_refactorizations: parse(parts.next()),
-        };
-        budget.is_limited().then_some(budget)
-    })
-}
-
-/// Whether `PM_LP_PRESOLVE=1` routes [`crate::LpProblem::solve`] /
-/// [`crate::LpProblem::solve_with`] through [`crate::presolve::presolve`]
-/// (parsed once). Off by default, and bypassed while a
-/// [`crate::revised::WarmStartCache`] scope is active on the current thread:
-/// presolve changes the constraint pattern, which would defeat the
-/// structural-signature warm-start reuse those scopes provide.
-pub fn presolve_enabled() -> bool {
-    static PRESOLVE: OnceLock<bool> = OnceLock::new();
-    *PRESOLVE.get_or_init(|| std::env::var_os("PM_LP_PRESOLVE").is_some_and(|v| v == "1"))
-}
-
-/// Whether `PM_LP_STATS=1` diagnostics are enabled (parsed once). Public so
-/// higher layers (e.g. `pm_core::Session`) can honour the same switch when
-/// pretty-printing their structured solve statistics — the env var is a
-/// human-readable shim; programmatic consumers read the structured
-/// accessors instead of scraping stderr.
-pub fn stats_enabled() -> bool {
-    static STATS: OnceLock<bool> = OnceLock::new();
-    *STATS.get_or_init(|| std::env::var_os("PM_LP_STATS").is_some_and(|v| v == "1"))
 }

@@ -8,16 +8,20 @@
 //! the returned solution: a fixed number of allocations, whatever the size
 //! of the LP and however many pivots and refactorizations it takes.
 //!
+//! The re-solve takes its configuration by reference from a
+//! [`SolveContext`] built before the measurement, as a masked template
+//! holds one: the context costs no allocation per solve.
+//!
 //! The binary installs a counting global allocator. Counts are kept per
 //! thread, so the test harness's own threads cannot disturb them.
 
-use pm_lp::revised::{resolve_with_bounds, BoundsOverlay, SolveOutcome};
-use pm_lp::{LpProblem, Objective, Relation, VarId, WarmStatus};
+use pm_lp::revised::{BoundsOverlay, SolveOutcome};
+use pm_lp::{LpProblem, Objective, Relation, SolveContext, VarId, WarmStatus};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Allocations (fresh blocks and reallocations) the measured re-solve may
-/// make, at every problem size. It makes 23: the engine's per-solve vectors,
+/// make, at every problem size. It makes 22: the engine's per-solve vectors,
 /// the warm-start install and the returned solution, duals and basis.
 const BUDGET: usize = 32;
 
@@ -162,12 +166,18 @@ fn grid_broadcast_lp(k: usize) -> (LpProblem, Vec<Vec<VarId>>) {
 /// once measured. Returns the measured allocations and both re-solves.
 fn masked_resolve_allocations(k: usize, node: usize) -> (usize, SolveOutcome, SolveOutcome) {
     let (lp, incident) = grid_broadcast_lp(k);
-    let cold = resolve_with_bounds(&lp, &BoundsOverlay::new(), None).expect("template solves");
+    let ctx = SolveContext::default();
+    let cold = lp
+        .resolve_in(&ctx, &BoundsOverlay::new(), None, None)
+        .expect("template solves");
     let mut overlay = BoundsOverlay::new();
     overlay.fix_zero.extend(incident[node].iter().copied());
-    let warm_up = resolve_with_bounds(&lp, &overlay, Some(&cold.basis)).expect("masked solve");
+    let warm_up = lp
+        .resolve_in(&ctx, &overlay, Some(&cold.basis), None)
+        .expect("masked solve");
     let (allocations, measured) = count_allocations(|| {
-        resolve_with_bounds(&lp, &overlay, Some(&cold.basis)).expect("masked solve")
+        lp.resolve_in(&ctx, &overlay, Some(&cold.basis), None)
+            .expect("masked solve")
     });
     (allocations, warm_up, measured)
 }

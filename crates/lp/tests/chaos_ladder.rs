@@ -6,28 +6,29 @@
 //! — never a panic. And recovery must be byte-deterministic: the same seed
 //! and fault always walk the same rung sequence and return the same
 //! solution, regardless of thread or basis backend.
+//!
+//! Every solve names its configuration in a [`SolveContext`], so the tests
+//! of this binary run in parallel without sharing any solver state.
 
-use pm_lp::revised::{resolve_with_bounds, solve_with_hint, BoundsOverlay, RecoveryRung};
+use pm_lp::revised::{solve_in, solve_with_hint, BoundsOverlay, RecoveryRung};
 use pm_lp::{
-    solve_with_hint_budgeted, with_chaos, BasisKind, ChaosConfig, ChaosFault, LpProblem, Objective,
-    Relation, SolveBudget, SolverKind, VarId,
+    BasisKind, ChaosConfig, ChaosFault, LpProblem, Objective, Relation, SolveBudget, SolveContext,
+    SolverKind, VarId,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard};
 
 const TOL: f64 = 1e-6;
 
-/// `set_default_basis` is process-global; tests in this binary run in
-/// parallel, so basis-flipping tests hold this lock, and so do tests that
-/// compare solutions bit for bit across runs.
-static BASIS_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    BASIS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// The default context with `cfg` armed.
+fn chaos(cfg: ChaosConfig) -> SolveContext {
+    SolveContext {
+        chaos: Some(cfg),
+        ..SolveContext::default()
+    }
 }
 
 const FAULTS: [ChaosFault; 4] = [
@@ -95,7 +96,8 @@ proptest! {
         chaos_seed in 0u64..1_000,
     ) {
         let (lp, _) = random_bounded_lp(num_vars, num_cons, lp_seed);
-        let dense = lp.solve_with(SolverKind::Dense)
+        let dense = lp
+            .solve_in(&SolveContext { engine: SolverKind::Dense, ..SolveContext::default() })
             .expect("bounded LP with feasible origin must solve");
 
         let mut configs: Vec<ChaosConfig> =
@@ -103,14 +105,13 @@ proptest! {
         configs.push(ChaosConfig::all(chaos_seed));
 
         for cfg in configs {
+            let ctx = chaos(cfg);
             let solved = catch_unwind(AssertUnwindSafe(|| {
-                with_chaos(Some(cfg), || {
-                    let cold = solve_with_hint(&lp, None)?;
-                    // Warm chain: re-solve from the cold basis so the
-                    // hint-poisoning fault has a hint to corrupt.
-                    let warm = solve_with_hint(&lp, Some(&cold.basis))?;
-                    Ok::<_, pm_lp::LpError>((cold, warm))
-                })
+                let cold = solve_in(&ctx, &lp, None, None, None)?;
+                // Warm chain: re-solve from the cold basis so the
+                // hint-poisoning fault has a hint to corrupt.
+                let warm = solve_in(&ctx, &lp, None, Some(&cold.basis), None)?;
+                Ok::<_, pm_lp::LpError>((cold, warm))
             }));
             let outcome = match solved {
                 Ok(outcome) => outcome,
@@ -147,7 +148,6 @@ proptest! {
         fault_idx in 0usize..5,
     ) {
         let (lp, _) = random_bounded_lp(num_vars, num_cons, lp_seed);
-        let _guard = lock();
         let cfg = if fault_idx < 4 {
             ChaosConfig::only(FAULTS[fault_idx], chaos_seed)
         } else {
@@ -156,12 +156,11 @@ proptest! {
         let run = {
             let lp = lp.clone();
             move || {
-                with_chaos(Some(cfg), || {
-                    let cold = solve_with_hint(&lp, None);
-                    let hint = cold.as_ref().ok().map(|o| o.basis.clone());
-                    let warm = solve_with_hint(&lp, hint.as_ref());
-                    (fingerprint(&cold), fingerprint(&warm))
-                })
+                let ctx = chaos(cfg);
+                let cold = solve_in(&ctx, &lp, None, None, None);
+                let hint = cold.as_ref().ok().map(|o| o.basis.clone());
+                let warm = solve_in(&ctx, &lp, None, hint.as_ref(), None);
+                (fingerprint(&cold), fingerprint(&warm))
             }
         };
         let first = run();
@@ -184,13 +183,11 @@ proptest! {
     ) {
         let (lp, _) = random_bounded_lp(num_vars, num_cons, lp_seed);
         let cfg = ChaosConfig::all(chaos_seed);
-        let _guard = lock();
         let mut runs = Vec::new();
-        for kind in [BasisKind::Lu, BasisKind::Eta] {
-            pm_lp::set_default_basis(Some(kind));
-            let out = with_chaos(Some(cfg), || solve_with_hint(&lp, None));
-            pm_lp::set_default_basis(None);
-            let out = out.expect("bounded feasible LP must recover");
+        for basis in [BasisKind::Lu, BasisKind::Eta] {
+            let ctx = SolveContext { basis, ..chaos(cfg) };
+            let out = solve_in(&ctx, &lp, None, None, None)
+                .expect("bounded feasible LP must recover");
             runs.push((out.stats.attempts, out.stats.rung, out.solution.objective));
         }
         prop_assert!(runs[0].0 == runs[1].0, "attempt counts diverged across backends");
@@ -213,7 +210,8 @@ proptest! {
         let (lp, _) = random_bounded_lp(num_vars, num_cons, lp_seed);
         let full = solve_with_hint(&lp, None).expect("bounded feasible LP must solve");
 
-        let generous = solve_with_hint_budgeted(&lp, None, Some(SolveBudget::pivots(1_000_000)))
+        let ctx = SolveContext::default();
+        let generous = solve_in(&ctx, &lp, None, None, Some(SolveBudget::pivots(1_000_000)))
             .expect("generous budget must not bite");
         prop_assert!(!generous.solution.degraded());
         prop_assert!(
@@ -225,8 +223,8 @@ proptest! {
         // either a degraded-but-feasible anytime point that the optimum
         // dominates, or a structured budget error from phase 1.
         for max_pivots in 0..full.stats.phase1_pivots + full.stats.phase2_pivots + 1 {
-            let out = solve_with_hint_budgeted(
-                &lp, None, Some(SolveBudget::pivots(max_pivots as u64)));
+            let out = solve_in(
+                &ctx, &lp, None, None, Some(SolveBudget::pivots(max_pivots as u64)));
             match out {
                 Ok(o) => {
                     prop_assert!(lp.is_feasible(o.solution.values(), TOL));
@@ -259,7 +257,7 @@ fn structured_verdicts_survive_chaos() {
     lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 1.0);
     lp.add_constraint(vec![(x, 1.0)], Relation::Ge, 2.0);
     for seed in 0..64 {
-        let out = with_chaos(Some(ChaosConfig::all(seed)), || solve_with_hint(&lp, None));
+        let out = solve_in(&chaos(ChaosConfig::all(seed)), &lp, None, None, None);
         assert_eq!(out.unwrap_err(), pm_lp::LpError::Infeasible);
     }
 }
@@ -269,15 +267,21 @@ fn structured_verdicts_survive_chaos() {
 #[test]
 fn overlay_resolves_recover_under_chaos() {
     let (lp, vars) = random_bounded_lp(5, 4, 77);
-    let cold = resolve_with_bounds(&lp, &BoundsOverlay::default(), None).unwrap();
+    let cold = lp
+        .resolve_with_bounds(&BoundsOverlay::default(), None)
+        .unwrap();
     let mut overlay = BoundsOverlay::default();
     overlay.fix_zero.push(vars[0]);
-    let reference = resolve_with_bounds(&lp, &overlay, None).unwrap();
+    let reference = lp.resolve_with_bounds(&overlay, None).unwrap();
     for seed in 0..64 {
-        let out = with_chaos(Some(ChaosConfig::all(seed)), || {
-            resolve_with_bounds(&lp, &overlay, Some(&cold.basis))
-        });
-        let out = out.expect("overlay solve must recover under chaos");
+        let out = lp
+            .resolve_in(
+                &chaos(ChaosConfig::all(seed)),
+                &overlay,
+                Some(&cold.basis),
+                None,
+            )
+            .expect("overlay solve must recover under chaos");
         assert!(
             (out.solution.objective - reference.solution.objective).abs()
                 <= TOL * (1.0 + reference.solution.objective.abs()),

@@ -6,8 +6,8 @@
 
 use pm_lp::revised::resolve_with_bounds;
 use pm_lp::{
-    with_chaos, Basis, BoundsOverlay, ChaosConfig, ChaosFault, LpProblem, Objective, RecoveryRung,
-    Relation, SolveOutcome, VarId, WarmStatus,
+    Basis, BoundsOverlay, ChaosConfig, ChaosFault, LpProblem, Objective, RecoveryRung, Relation,
+    SolveContext, SolveOutcome, VarId, WarmStatus,
 };
 
 /// maximize x + y  s.t.  x + y ≤ 4,  2x + 2y ≤ 9,  x ≤ 3.
@@ -136,8 +136,11 @@ fn the_cold_rung_runs_without_the_crash() {
     // phase 1 — the same pivots as the solve without a crash.
     let struck = (0..256u64)
         .map(|seed| {
-            let cfg = ChaosConfig::only(ChaosFault::SingularBasis, seed);
-            with_chaos(Some(cfg), || resolve_with_bounds(&lp, &overlay, None)).unwrap()
+            let ctx = SolveContext {
+                chaos: Some(ChaosConfig::only(ChaosFault::SingularBasis, seed)),
+                ..SolveContext::default()
+            };
+            lp.resolve_in(&ctx, &overlay, None, None).unwrap()
         })
         .find(|out| out.stats.rung == RecoveryRung::Cold)
         .expect("some seed strikes only the first attempt");

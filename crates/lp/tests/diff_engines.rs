@@ -4,8 +4,12 @@
 //! PR 1 anti-degeneracy work. The dense engine is the oracle; any
 //! disagreement beyond 1e-6 is an engine bug, not an alternate optimum
 //! (optimal *objectives* are unique even when optimal vertices are not).
+//! Overlay re-solves run on the engine their context selects, too.
 
-use pm_lp::{LpError, LpProblem, Objective, Relation, SolverKind, VarId};
+use pm_lp::{
+    Basis, BoundsOverlay, LpError, LpProblem, Objective, RecoveryRung, Relation, SolveContext,
+    SolverKind, VarId, WarmStatus,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
@@ -13,11 +17,19 @@ use rand::{Rng, SeedableRng};
 
 const TOL: f64 = 1e-6;
 
+/// The default context on `engine`.
+fn on(engine: SolverKind) -> SolveContext {
+    SolveContext {
+        engine,
+        ..SolveContext::default()
+    }
+}
+
 /// Both engines on one problem: statuses must match, objectives must agree
 /// within `TOL`, and each returned point must be feasible for the model.
 fn assert_engines_agree(lp: &LpProblem) -> Result<(), TestCaseError> {
-    let dense = lp.solve_with(SolverKind::Dense);
-    let revised = lp.solve_with(SolverKind::Revised);
+    let dense = lp.solve_in(&on(SolverKind::Dense));
+    let revised = lp.solve_in(&on(SolverKind::Revised));
     match (&dense, &revised) {
         (Ok(d), Ok(r)) => {
             prop_assert!(
@@ -135,7 +147,7 @@ proptest! {
     ) {
         let lp = random_lp(num_vars, num_cons, seed);
         let (Ok(dense), Ok(revised)) =
-            (lp.solve_with(SolverKind::Dense), lp.solve_with(SolverKind::Revised))
+            (lp.solve_in(&on(SolverKind::Dense)), lp.solve_in(&on(SolverKind::Revised)))
         else {
             return Ok(()); // infeasible/unbounded: no duals to check
         };
@@ -192,8 +204,8 @@ proptest! {
         }
         let free = lp.add_var("free");
         lp.set_objective_coeff(free, rng.gen_range(0.5..3.0));
-        prop_assert_eq!(lp.solve_with(SolverKind::Dense), Err(LpError::Unbounded));
-        prop_assert_eq!(lp.solve_with(SolverKind::Revised), Err(LpError::Unbounded));
+        prop_assert_eq!(lp.solve_in(&on(SolverKind::Dense)), Err(LpError::Unbounded));
+        prop_assert_eq!(lp.solve_in(&on(SolverKind::Revised)), Err(LpError::Unbounded));
     }
 }
 
@@ -220,7 +232,11 @@ fn revised_duals_match_the_textbook_values() {
     }
     // The dense oracle reports no duals — the revised engine is the dual
     // source of the workspace.
-    assert!(lp.solve_with(SolverKind::Dense).unwrap().duals().is_empty());
+    assert!(lp
+        .solve_in(&on(SolverKind::Dense))
+        .unwrap()
+        .duals()
+        .is_empty());
 }
 
 /// Beale's classic cycling LP: both engines must terminate at the known
@@ -248,7 +264,9 @@ fn engines_agree_on_beales_example() {
     );
     lp.add_constraint(vec![(x3, 1.0)], Relation::Le, 1.0);
     for solver in [SolverKind::Dense, SolverKind::Revised] {
-        let sol = lp.solve_with(solver).expect("Beale's example must solve");
+        let sol = lp
+            .solve_in(&on(solver))
+            .expect("Beale's example must solve");
         assert!(
             (sol.objective - (-0.05)).abs() < 1e-9,
             "{solver:?}: objective {} != -0.05",
@@ -287,8 +305,47 @@ fn engines_agree_on_a_transportation_lp() {
         let terms = (0..3).map(|i| (vars[i][j], 1.0)).collect();
         lp.add_constraint(terms, Relation::Eq, d);
     }
-    let dense = lp.solve_with(SolverKind::Dense).unwrap();
-    let revised = lp.solve_with(SolverKind::Revised).unwrap();
+    let dense = lp.solve_in(&on(SolverKind::Dense)).unwrap();
+    let revised = lp.solve_in(&on(SolverKind::Revised)).unwrap();
     assert!((dense.objective - 120.0).abs() < 1e-6);
     assert!((revised.objective - 120.0).abs() < 1e-6);
+}
+
+/// `LpProblem::resolve_in` runs on the context's engine, as
+/// `LpProblem::solve_in` does: with the dense oracle selected it solves the
+/// overlay-materialized problem cold.
+#[test]
+fn the_dense_engine_solves_overlay_resolves() {
+    // maximize x + y  s.t.  x + y ≤ 3,  x ≤ 2; the overlay fixes y to zero.
+    let mut lp = LpProblem::new(Objective::Maximize);
+    let x = lp.add_var("x");
+    let y = lp.add_var("y");
+    lp.set_objective_coeff(x, 1.0);
+    lp.set_objective_coeff(y, 1.0);
+    lp.add_constraint(vec![(x, 1.0), (y, 1.0)], Relation::Le, 3.0);
+    lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
+    let overlay = BoundsOverlay {
+        fix_zero: vec![y],
+        crash: Some(Basis::crash(&lp, [(1, x)])),
+        ..BoundsOverlay::new()
+    };
+
+    let revised = lp.resolve_with_bounds(&overlay, None).unwrap();
+    let dense = lp
+        .resolve_in(&on(SolverKind::Dense), &overlay, Some(&revised.basis), None)
+        .unwrap();
+
+    assert_eq!(dense.stats.rung, RecoveryRung::Dense);
+    assert_eq!(dense.stats.attempts, 1);
+    assert_eq!(
+        dense.stats.warm,
+        WarmStatus::Miss,
+        "the dense oracle uses no hint"
+    );
+    // Only the revised engine reports duals.
+    assert!(dense.solution.duals().is_empty());
+    assert!(!revised.solution.duals().is_empty());
+    assert!((dense.solution.objective - 2.0).abs() <= 1e-9);
+    assert!((dense.solution.objective - revised.solution.objective).abs() <= 1e-9);
+    assert_eq!(dense.solution.value(y), 0.0);
 }

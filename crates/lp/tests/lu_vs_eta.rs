@@ -7,38 +7,29 @@
 //! adversarial case — Forrest–Tomlin updates then run on a basis installed
 //! by a warm start rather than built by the factorization's own pivot walk.
 
-use pm_lp::revised::{resolve_with_bounds, Basis, BoundsOverlay};
+use pm_lp::revised::{Basis, BoundsOverlay};
 use pm_lp::{
     BasisFactorization, BasisKind, CscMatrix, LpError, LpProblem, LpSolution, LuBasis, Objective,
-    Relation, VarId,
+    Relation, SolveContext, VarId,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Mutex, MutexGuard};
 
 const TOL: f64 = 1e-6;
 
-/// `set_default_basis` is process-global; the tests in this binary run in
-/// parallel, so every test holds this lock while flipping the default.
-static BASIS_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    BASIS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn with_basis<T>(kind: BasisKind, f: impl FnOnce() -> T) -> T {
-    pm_lp::set_default_basis(Some(kind));
-    let out = f();
-    pm_lp::set_default_basis(None);
-    out
+/// The default context on the `basis` factorization.
+fn on(basis: BasisKind) -> SolveContext {
+    SolveContext {
+        basis,
+        ..SolveContext::default()
+    }
 }
 
 fn assert_bases_agree(lp: &LpProblem) -> Result<(), TestCaseError> {
-    let _guard = lock();
-    let eta = with_basis(BasisKind::Eta, || lp.solve());
-    let lu = with_basis(BasisKind::Lu, || lp.solve());
+    let eta = lp.solve_in(&on(BasisKind::Eta));
+    let lu = lp.solve_in(&on(BasisKind::Lu));
     match (&eta, &lu) {
         (Ok(e), Ok(l)) => {
             prop_assert!(
@@ -148,21 +139,20 @@ fn warm_chain(
     overlays: &[BoundsOverlay],
     kind: BasisKind,
 ) -> Vec<Result<f64, LpError>> {
-    with_basis(kind, || {
-        let mut out = Vec::with_capacity(overlays.len() + 1);
-        let mut hint: Option<Basis> = None;
-        let base = BoundsOverlay::default();
-        for overlay in std::iter::once(&base).chain(overlays) {
-            match resolve_with_bounds(lp, overlay, hint.as_ref()) {
-                Ok(o) => {
-                    out.push(Ok(o.solution.objective));
-                    hint = Some(o.basis);
-                }
-                Err(e) => out.push(Err(e)),
+    let ctx = on(kind);
+    let mut out = Vec::with_capacity(overlays.len() + 1);
+    let mut hint: Option<Basis> = None;
+    let base = BoundsOverlay::default();
+    for overlay in std::iter::once(&base).chain(overlays) {
+        match lp.resolve_in(&ctx, overlay, hint.as_ref(), None) {
+            Ok(o) => {
+                out.push(Ok(o.solution.objective));
+                hint = Some(o.basis);
             }
+            Err(e) => out.push(Err(e)),
         }
-        out
-    })
+    }
+    out
 }
 
 fn random_overlays(lp: &LpProblem, chain: usize, seed: u64) -> Vec<BoundsOverlay> {
@@ -318,9 +308,8 @@ fn secondary_objective_makes_the_vertex_engine_independent() {
     lp.set_secondary_coeff(x, 3.0);
     lp.set_secondary_coeff(y, 2.0);
     lp.set_secondary_coeff(z, 1.0);
-    let _guard = lock();
-    let eta = with_basis(BasisKind::Eta, || lp.solve()).unwrap();
-    let lu = with_basis(BasisKind::Lu, || lp.solve()).unwrap();
+    let eta = lp.solve_in(&on(BasisKind::Eta)).unwrap();
+    let lu = lp.solve_in(&on(BasisKind::Lu)).unwrap();
     assert!((eta.objective - 2.0).abs() < TOL);
     assert!((lu.objective - 2.0).abs() < TOL);
     for (a, b) in eta.values().iter().zip(lu.values()) {
@@ -388,7 +377,6 @@ proptest! {
     ) {
         let lp = random_lp(num_vars, num_cons, seed);
         let overlays = random_overlays(&lp, chain, seed);
-        let _guard = lock();
         let eta = warm_chain(&lp, &overlays, BasisKind::Eta);
         let lu = warm_chain(&lp, &overlays, BasisKind::Lu);
         prop_assert_eq!(eta.len(), lu.len());
