@@ -4,7 +4,7 @@
 //! under `--test` (every body executes once).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pm_lp::{revised, BasisKind, LpProblem, Objective, Relation, SolveContext, SolverKind};
+use pm_lp::{revised, LpProblem, Objective, Relation, SolveContext, SolverKind};
 
 /// A transshipment LP on a `rows × cols` grid: one unit of flow enters at
 /// the top-left corner and must reach the bottom-right corner; arcs go right
@@ -91,31 +91,5 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-/// Basis-factorization head-to-head inside the revised engine: product-form
-/// eta file (+ Dantzig pricing) versus sparse LU with Forrest–Tomlin updates
-/// (+ devex pricing). The eta file's FTRAN/BTRAN cost grows with every pivot
-/// since the last refactorization, so the LU engine pulls ahead as the LPs
-/// grow (crossover around the 32x32 grid on this shape); below that, eta's
-/// simplicity wins. See docs/benchmarks.md for measured numbers.
-fn bench_bases(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lp_basis");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    for (label, rows, cols) in [("16x16", 16usize, 16usize), ("40x40", 40, 40)] {
-        let lp = grid_flow_lp(rows, cols);
-        for (name, basis) in [("eta", BasisKind::Eta), ("lu", BasisKind::Lu)] {
-            let ctx = SolveContext {
-                basis,
-                ..SolveContext::default()
-            };
-            group.bench_with_input(BenchmarkId::new(name, label), &lp, |b, lp| {
-                b.iter(|| lp.solve_in(&ctx).unwrap())
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_engines, bench_bases);
+criterion_group!(benches, bench_engines);
 criterion_main!(benches);

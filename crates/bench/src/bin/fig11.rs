@@ -66,7 +66,7 @@ use pm_bench::{
     MultiBenchConfig,
 };
 use pm_core::report::HeuristicKind;
-use pm_lp::{BasisKind, SolveContext, SolverKind};
+use pm_lp::{SolveContext, SolverKind};
 use pm_platform::topology::PlatformClass;
 
 /// The value following a flag, or a named usage error (instead of an
@@ -94,20 +94,17 @@ fn env_choice<T: Copy>(name: &str, choices: &[(&str, T)]) -> Option<T> {
 }
 
 /// The context every LP of the run is solved under, read once: `--solver`
-/// wins over `PM_LP_SOLVER=dense|revised`, `PM_LP_BASIS=eta|lu` picks the
-/// revised engine's factorization and `PM_LP_STATS=1` prints one line per
-/// solve. Everything left unset keeps [`SolveContext::default`].
+/// wins over `PM_LP_SOLVER=dense|revised`, and `PM_LP_STATS=1` prints one
+/// line per solve. Everything left unset keeps [`SolveContext::default`].
 fn solve_context(solver_flag: Option<SolverKind>) -> SolveContext {
     let engines = [
         ("dense", SolverKind::Dense),
         ("revised", SolverKind::Revised),
     ];
-    let bases = [("eta", BasisKind::Eta), ("lu", BasisKind::Lu)];
     SolveContext {
         engine: solver_flag
             .or_else(|| env_choice("PM_LP_SOLVER", &engines))
             .unwrap_or_default(),
-        basis: env_choice("PM_LP_BASIS", &bases).unwrap_or_default(),
         stats: std::env::var_os("PM_LP_STATS").is_some_and(|v| v == "1"),
         ..SolveContext::default()
     }
@@ -470,8 +467,7 @@ fn main() {
         let rungs = result.meta.ladder.recovered_by_rung;
         eprintln!(
             "fig11: chaos {} scenarios, {} solves under injection ({} struck, {:.0}%), \
-             rungs [first={} cold={} refactor={} swap={} bland={} dense={}], \
-             {} unrecovered, {} panics healed",
+             rungs [first={} cold={} dense={}], {} unrecovered, {} panics healed",
             result.meta.scenarios,
             result.meta.ladder.solves,
             result.meta.ladder.injected,
@@ -479,9 +475,6 @@ fn main() {
             rungs[0],
             rungs[1],
             rungs[2],
-            rungs[3],
-            rungs[4],
-            rungs[5],
             result.meta.ladder.unrecovered,
             result.meta.panics_healed,
         );

@@ -1,30 +1,30 @@
-//! Basis factorizations for the revised simplex.
+//! The basis factorization of the revised simplex.
 //!
 //! The revised engine never forms `B⁻¹` explicitly: every iteration needs
 //! `B⁻¹ x` (FTRAN) and `B⁻ᵀ x` (BTRAN) against the current basis matrix,
-//! plus a cheap *update* when one basis column is exchanged by a pivot. The
-//! [`BasisFactorization`] trait captures exactly that contract, and the
-//! crate ships two implementations:
+//! plus a cheap *update* when one basis column is exchanged by a pivot.
+//! [`LuBasis`] provides exactly that: a sparse LU factorization
+//! (Markowitz-ordered right-looking elimination with threshold partial
+//! pivoting) updated by Forrest–Tomlin pivot updates. A pivot replaces one
+//! column of `U` with the update *spike* and restores triangularity with a
+//! single sparse row transform, so per-pivot FTRAN/BTRAN cost stays
+//! proportional to the (bounded) `L`/`U` fill instead of scaling with the
+//! number of updates performed.
 //!
-//! * [`EtaBasis`] — the historical product-form engine: a file of elementary
-//!   Gauss–Jordan *eta* transforms rebuilt by triangularization-ordered
-//!   elimination, with one eta appended per pivot. Simple and robust, but
-//!   per-pivot FTRAN/BTRAN cost grows with the eta-file length between
-//!   refactorizations. Selectable through `SolveContext::basis`; kept as the
-//!   differential oracle for the LU engine.
-//! * [`LuBasis`] — the default: a proper sparse LU factorization
-//!   (Markowitz-ordered right-looking elimination with threshold partial
-//!   pivoting) updated by Forrest–Tomlin pivot updates. A pivot replaces one
-//!   column of `U` with the update *spike* and restores triangularity with a
-//!   single sparse row transform, so per-pivot FTRAN/BTRAN cost stays
-//!   proportional to the (bounded) `L`/`U` fill instead of scaling with the
-//!   number of updates performed.
+//! The engine relies on one external invariant: after
+//! [`LuBasis::refactorize`], basis slot `r` holds the column whose pivot
+//! landed on row `r`, so the FTRANed representation of a column is indexed
+//! by constraint row exactly like the right-hand side. It also keeps the
+//! call discipline the updates rely on:
 //!
-//! Both implementations maintain the same external invariant the engine
-//! relies on: after [`BasisFactorization::refactorize`], basis slot `r`
-//! holds the column whose pivot landed on row `r`, so the FTRANed
-//! representation of a column is indexed by constraint row exactly like the
-//! right-hand side.
+//! 1. [`refactorize`](LuBasis::refactorize) installs a basis (and may
+//!    permute the slot order of `basis` so slot `r` pivots on row `r`).
+//! 2. [`ftran_sparse`](LuBasis::ftran_sparse) computes `B⁻¹ a_q` for a
+//!    candidate entering column; `touched` lists every index whose value
+//!    may be nonzero (deduplicated through `stamp`/`epoch`).
+//! 3. [`update`](LuBasis::update) is only ever called with the pivot row
+//!    chosen from the **most recent** `ftran_sparse` result: that call
+//!    stashes the partial (pre-`U`) solve as the Forrest–Tomlin spike.
 
 use crate::sparse::CscMatrix;
 use std::cell::Cell;
@@ -40,294 +40,6 @@ const SINGULAR_TOL: f64 = 1e-10;
 /// fraction of the largest magnitude in its column.
 const MARKOWITZ_THRESHOLD: f64 = 0.1;
 
-/// An LP basis factorization: triangular solves against the basis matrix
-/// plus rank-one pivot updates.
-///
-/// The engine guarantees the call discipline the implementations rely on:
-///
-/// 1. [`refactorize`](BasisFactorization::refactorize) installs a basis (and
-///    may permute the slot order of `basis` so slot `r` pivots on row `r`).
-/// 2. [`ftran_sparse`](BasisFactorization::ftran_sparse) computes
-///    `B⁻¹ a_q` for a candidate entering column; `touched` lists every index
-///    whose value may be nonzero (deduplicated through `stamp`/`epoch`).
-/// 3. [`update`](BasisFactorization::update) is only ever called with the
-///    pivot row chosen from the **most recent** `ftran_sparse` result — the
-///    LU implementation stashes the partial (pre-`U`) solve as the
-///    Forrest–Tomlin spike between the two calls.
-pub trait BasisFactorization {
-    /// Rebuilds the factorization from scratch for the given basis columns
-    /// of `a`. May permute `basis` (slot `r` ends up holding the column
-    /// whose pivot row is `r`). Returns `false` when the basis is singular.
-    fn refactorize(&mut self, a: &CscMatrix, basis: &mut [usize]) -> bool;
-
-    /// Dense FTRAN: computes `B⁻¹ x` in place.
-    fn ftran(&self, x: &mut [f64]);
-
-    /// Dense BTRAN: computes `B⁻ᵀ x` in place.
-    fn btran(&self, x: &mut [f64]);
-
-    /// Sparsity-exploiting FTRAN: the caller seeds `x` with the input
-    /// column and `touched` with its nonzero pattern; the implementation
-    /// maintains the invariant that every index whose value may be nonzero
-    /// is listed in `touched` (deduplicated through the `stamp`/`epoch`
-    /// markers).
-    fn ftran_sparse(
-        &mut self,
-        x: &mut [f64],
-        touched: &mut Vec<u32>,
-        stamp: &mut [u32],
-        epoch: u32,
-    );
-
-    /// Applies the basis exchange of a pivot on `row`, with `w` holding the
-    /// most recent [`ftran_sparse`](BasisFactorization::ftran_sparse) result
-    /// (pattern in `touched`). Returns `false` when the update is
-    /// numerically untrustworthy — the caller must refactorize.
-    fn update(&mut self, row: usize, w: &[f64], touched: &[u32]) -> bool;
-
-    /// Pivot updates applied since the last refactorization.
-    fn updates_since_refactor(&self) -> usize;
-
-    /// Whether accumulated fill warrants an early refactorization (the
-    /// engine also refactorizes on a fixed update-count schedule).
-    fn wants_refactor(&self, a: &CscMatrix) -> bool;
-}
-
-// ---------------------------------------------------------------------------
-// Product-form (eta file) basis
-// ---------------------------------------------------------------------------
-
-/// The eta file: elementary Gauss–Jordan transforms stored in flat arrays.
-///
-/// Eta `k` maps `x` to `G_k x` with `(G_k x)_r = x_r / p_k` and
-/// `(G_k x)_i = x_i − w_i · (x_r / p_k)` for the off-pivot entries
-/// `(i, w_i)`; `r` is the pivot row and `p_k` the pivot element.
-#[derive(Debug, Default)]
-struct EtaFile {
-    pivot_row: Vec<u32>,
-    pivot_val: Vec<f64>,
-    starts: Vec<usize>,
-    idx: Vec<u32>,
-    val: Vec<f64>,
-}
-
-impl EtaFile {
-    fn clear(&mut self) {
-        self.pivot_row.clear();
-        self.pivot_val.clear();
-        self.starts.clear();
-        self.starts.push(0);
-        self.idx.clear();
-        self.val.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.pivot_row.len()
-    }
-
-    fn nnz(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// Appends the eta of a pivot on `row`: `w` is the FTRANed column held
-    /// in a dense scratch vector whose (potential) nonzeros are listed in
-    /// `touched`.
-    fn push_sparse(&mut self, row: usize, w: &[f64], touched: &[u32]) {
-        self.pivot_row.push(row as u32);
-        self.pivot_val.push(w[row]);
-        for &i in touched {
-            let v = w[i as usize];
-            if i as usize != row && v.abs() > DROP_TOL {
-                self.idx.push(i);
-                self.val.push(v);
-            }
-        }
-        self.starts.push(self.idx.len());
-    }
-
-    /// FTRAN: applies `G_k ··· G_1` in order, i.e. computes `B⁻¹ x` in
-    /// place.
-    fn ftran(&self, x: &mut [f64]) {
-        for k in 0..self.len() {
-            let r = self.pivot_row[k] as usize;
-            let t = x[r] / self.pivot_val[k];
-            x[r] = t;
-            if t != 0.0 {
-                for e in self.starts[k]..self.starts[k + 1] {
-                    x[self.idx[e] as usize] -= self.val[e] * t;
-                }
-            }
-        }
-    }
-
-    /// Sparsity-exploiting FTRAN: like [`EtaFile::ftran`], but maintains the
-    /// `touched` invariant of [`BasisFactorization::ftran_sparse`]. Etas
-    /// whose pivot row is untouched are skipped entirely, so the cost is
-    /// proportional to the fill actually created rather than to `m` or to
-    /// the eta-file size.
-    fn ftran_sparse(&self, x: &mut [f64], touched: &mut Vec<u32>, stamp: &mut [u32], epoch: u32) {
-        for k in 0..self.len() {
-            let r = self.pivot_row[k] as usize;
-            let xr = x[r];
-            if xr == 0.0 {
-                continue;
-            }
-            let t = xr / self.pivot_val[k];
-            x[r] = t;
-            for e in self.starts[k]..self.starts[k + 1] {
-                let i = self.idx[e];
-                if stamp[i as usize] != epoch {
-                    stamp[i as usize] = epoch;
-                    touched.push(i);
-                }
-                x[i as usize] -= self.val[e] * t;
-            }
-        }
-    }
-
-    /// BTRAN: applies the transposes in reverse order, i.e. computes
-    /// `B⁻ᵀ x` in place. Only the pivot-row component changes per eta.
-    fn btran(&self, x: &mut [f64]) {
-        for k in (0..self.len()).rev() {
-            let r = self.pivot_row[k] as usize;
-            let mut s = x[r];
-            for e in self.starts[k]..self.starts[k + 1] {
-                s -= self.val[e] * x[self.idx[e] as usize];
-            }
-            x[r] = s / self.pivot_val[k];
-        }
-    }
-}
-
-/// The product-form basis: an eta file rebuilt by Gauss–Jordan elimination
-/// over the basic columns, one eta appended per pivot (see the
-/// [module docs](self)).
-#[derive(Debug, Default)]
-pub struct EtaBasis {
-    etas: EtaFile,
-    updates: usize,
-    /// Scratch for refactorization (the engine's scratch is busy with the
-    /// entering column while a refactorization runs inside a pivot loop).
-    work: Vec<f64>,
-    touched: Vec<u32>,
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-impl EtaBasis {
-    /// An empty factorization (callers must `refactorize` before solving).
-    pub fn new() -> Self {
-        let mut basis = EtaBasis::default();
-        basis.etas.clear();
-        basis
-    }
-
-    /// FTRAN of column `j` of `a` into the internal scratch, tracking its
-    /// nonzero pattern.
-    fn ftran_col_scratch(&mut self, a: &CscMatrix, j: usize) {
-        let m = a.rows();
-        if self.work.len() < m {
-            self.work = vec![0.0; m];
-            self.stamp = vec![0; m];
-            self.epoch = 0;
-            self.touched.clear();
-        }
-        for &i in &self.touched {
-            self.work[i as usize] = 0.0;
-        }
-        self.touched.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 1;
-        }
-        let (rows, vals) = a.col(j);
-        for (&r, &v) in rows.iter().zip(vals) {
-            self.stamp[r as usize] = self.epoch;
-            self.touched.push(r);
-            self.work[r as usize] = v;
-        }
-        let (work, touched, stamp) = (&mut self.work, &mut self.touched, &mut self.stamp);
-        self.etas.ftran_sparse(work, touched, stamp, self.epoch);
-    }
-}
-
-impl BasisFactorization for EtaBasis {
-    /// Rebuilds the eta file for the basis by Gauss–Jordan elimination,
-    /// pivoting columns in increasing-nonzero-count order (the
-    /// triangularization heuristic) with partial pivoting over the rows not
-    /// yet eliminated.
-    fn refactorize(&mut self, a: &CscMatrix, basis: &mut [usize]) -> bool {
-        self.etas.clear();
-        self.updates = 0;
-        let m = a.rows();
-        let mut order: Vec<usize> = (0..m).collect();
-        order.sort_by_key(|&r| a.col_nnz(basis[r]));
-        let mut pivoted = vec![false; m];
-        let mut new_basis = vec![usize::MAX; m];
-        for &pos in &order {
-            let j = basis[pos];
-            self.ftran_col_scratch(a, j);
-            // Partial pivoting over the rows not yet assigned; only touched
-            // entries can be nonzero.
-            let mut best_row = usize::MAX;
-            let mut best_abs = 0.0;
-            for &i in &self.touched {
-                let r = i as usize;
-                let w = self.work[r].abs();
-                if !pivoted[r] && w > best_abs {
-                    best_abs = w;
-                    best_row = r;
-                }
-            }
-            if best_abs <= SINGULAR_TOL {
-                return false;
-            }
-            self.etas.push_sparse(best_row, &self.work, &self.touched);
-            pivoted[best_row] = true;
-            new_basis[best_row] = j;
-        }
-        basis.copy_from_slice(&new_basis);
-        true
-    }
-
-    fn ftran(&self, x: &mut [f64]) {
-        self.etas.ftran(x);
-    }
-
-    fn btran(&self, x: &mut [f64]) {
-        self.etas.btran(x);
-    }
-
-    fn ftran_sparse(
-        &mut self,
-        x: &mut [f64],
-        touched: &mut Vec<u32>,
-        stamp: &mut [u32],
-        epoch: u32,
-    ) {
-        self.etas.ftran_sparse(x, touched, stamp, epoch);
-    }
-
-    fn update(&mut self, row: usize, w: &[f64], touched: &[u32]) -> bool {
-        self.etas.push_sparse(row, w, touched);
-        self.updates += 1;
-        true
-    }
-
-    fn updates_since_refactor(&self) -> usize {
-        self.updates
-    }
-
-    fn wants_refactor(&self, a: &CscMatrix) -> bool {
-        self.etas.nnz() > 4 * a.nnz() + 16 * a.rows()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sparse LU with Forrest–Tomlin updates
-// ---------------------------------------------------------------------------
-
 /// One elementary transform on the `L` side of the factorization.
 ///
 /// * `Col` ops come from the Gaussian elimination of the factorization:
@@ -340,10 +52,10 @@ enum LOpKind {
     Row,
 }
 
-/// The default basis engine: sparse LU (`B = L·U` under row/column
-/// permutations) built by Markowitz-ordered right-looking elimination with
-/// threshold partial pivoting, updated in place by Forrest–Tomlin pivot
-/// updates (see the [module docs](self)).
+/// The revised engine's basis factorization: sparse LU (`B = L·U` under
+/// row/column permutations) built by Markowitz-ordered right-looking
+/// elimination with threshold partial pivoting, updated in place by
+/// Forrest–Tomlin pivot updates (see the [module docs](self)).
 #[derive(Debug, Default)]
 pub struct LuBasis {
     m: usize,
@@ -755,8 +467,8 @@ impl LuBasis {
         true
     }
 
-    /// The Forrest–Tomlin update of [`BasisFactorization::update`] (see
-    /// there), with its buffers in `ws`.
+    /// The Forrest–Tomlin update of [`LuBasis::update`] (see there), with
+    /// its buffers in `ws`.
     fn forrest_tomlin(&mut self, rt: usize, ws: &mut LuWorkspace) -> bool {
         let t = self.pos_of_row[rt] as usize;
         let m = self.m;
@@ -885,26 +597,37 @@ impl LuBasis {
     }
 }
 
-impl BasisFactorization for LuBasis {
-    /// Sparse LU by right-looking elimination (see `LuBasis::eliminate`),
-    /// run in the factorization's own workspace.
-    fn refactorize(&mut self, a: &CscMatrix, basis: &mut [usize]) -> bool {
+impl LuBasis {
+    /// Rebuilds the factorization from scratch for the given basis columns
+    /// of `a`, by sparse right-looking elimination (see
+    /// `LuBasis::eliminate`) in the factorization's own workspace. Permutes
+    /// `basis` so slot `r` holds the column whose pivot row is `r`. Returns
+    /// `false` when the basis is singular.
+    pub fn refactorize(&mut self, a: &CscMatrix, basis: &mut [usize]) -> bool {
         let mut ws = std::mem::take(&mut self.ws);
         let ok = self.eliminate(a, basis, &mut ws);
         self.ws = ws;
         ok
     }
-    fn ftran(&self, x: &mut [f64]) {
+
+    /// Dense FTRAN: computes `B⁻¹ x` in place.
+    pub fn ftran(&self, x: &mut [f64]) {
         self.apply_l(x);
         self.u_solve(x);
     }
 
-    fn btran(&self, x: &mut [f64]) {
+    /// Dense BTRAN: computes `B⁻ᵀ x` in place.
+    pub fn btran(&self, x: &mut [f64]) {
         self.ut_solve(x);
         self.apply_l_transpose(x);
     }
 
-    fn ftran_sparse(
+    /// Sparsity-exploiting FTRAN: the caller seeds `x` with the input
+    /// column and `touched` with its nonzero pattern; every index whose
+    /// value may become nonzero is added to `touched` (deduplicated through
+    /// the `stamp`/`epoch` markers). Stashes the Forrest–Tomlin spike for a
+    /// following [`LuBasis::update`].
+    pub fn ftran_sparse(
         &mut self,
         x: &mut [f64],
         touched: &mut Vec<u32>,
@@ -973,140 +696,62 @@ impl BasisFactorization for LuBasis {
         }
     }
 
-    /// The Forrest–Tomlin update. The spike `s = L⁻¹ a_q` stashed by the
-    /// preceding `ftran_sparse` replaces the `U` column of the leaving
-    /// variable (pivot row `rt`); the pivot position cycles to the end of
-    /// the pivot order, and the no-longer-triangular remnants of row `rt`
+    /// Applies the basis exchange of a pivot on `row` by a Forrest–Tomlin
+    /// update. The spike `s = L⁻¹ a_q` stashed by the preceding
+    /// [`LuBasis::ftran_sparse`] replaces the `U` column of the leaving
+    /// variable (pivot row `row`); the pivot position cycles to the end of
+    /// the pivot order, and the no-longer-triangular remnants of that row
     /// are eliminated by one sparse row transform appended to the `L` ops
-    /// (`f` solves `fᵀ·U_JJ = (row rt of U)ᵀ` over the trailing positions).
+    /// (`f` solves `fᵀ·U_JJ = (row of U)ᵀ` over the trailing positions).
     /// Per-update cost is therefore proportional to `U` fill, not to the
-    /// number of updates performed since the last refactorization.
-    fn update(&mut self, row: usize, _w: &[f64], _touched: &[u32]) -> bool {
+    /// number of updates performed since the last refactorization. Returns
+    /// `false` when the update is numerically untrustworthy (a vanishing
+    /// transformed diagonal): the caller must refactorize.
+    pub fn update(&mut self, row: usize) -> bool {
         let mut ws = std::mem::take(&mut self.ws);
         let ok = self.forrest_tomlin(row, &mut ws);
         self.ws = ws;
         ok
     }
 
-    fn updates_since_refactor(&self) -> usize {
+    /// Pivot updates applied since the last refactorization.
+    pub fn updates_since_refactor(&self) -> usize {
         self.updates
     }
 
-    fn wants_refactor(&self, a: &CscMatrix) -> bool {
+    /// Whether accumulated fill warrants an early refactorization (the
+    /// engine also refactorizes on a fixed update-count schedule).
+    pub fn wants_refactor(&self, a: &CscMatrix) -> bool {
         let budget = 4 * a.nnz() + 16 * a.rows();
         self.unnz + self.op_idx.len() > budget
     }
-}
 
-/// Either basis factorization behind one enum, so the engine avoids dynamic
-/// dispatch on the per-iteration hot path.
-#[derive(Debug)]
-pub(crate) enum BasisRepr {
-    /// Product-form eta file ([`crate::BasisKind::Eta`]).
-    Eta(EtaBasis),
-    /// Sparse LU with Forrest–Tomlin updates (the default). Boxed, so a
-    /// spare factorization moves in and out of [`SPARE_LU`] by pointer.
-    Lu(Box<LuBasis>),
+    /// A factorization of the `m × m` identity — the engine's all-slack
+    /// start basis — ready for pivot updates without a prior refactorize.
+    /// Reuses the thread's spare factorization when there is one: it is
+    /// reset first, and its stale scratch stamps are all older than any
+    /// epoch it hands out next, so no state carries over.
+    pub(crate) fn spare_identity(m: usize) -> LuBasis {
+        let mut lu = SPARE_LU.with(Cell::take).unwrap_or_default();
+        lu.reset_identity(m);
+        lu
+    }
+
+    /// Gives the factorization to the thread's spare slot, replacing any
+    /// spare already there, for the next [`LuBasis::spare_identity`].
+    pub(crate) fn recycle(self) {
+        // Fails only while the thread is shutting down; the factorization
+        // is then simply freed.
+        let _ = SPARE_LU.try_with(|slot| slot.set(Some(self)));
+    }
 }
 
 thread_local! {
-    /// The LU factorization of the last engine dropped on this thread (see
-    /// [`BasisRepr::recycle`]). The next engine takes it over, so solve
-    /// after solve reuses one set of factor and workspace buffers instead
-    /// of allocating them afresh.
-    static SPARE_LU: Cell<Option<Box<LuBasis>>> = const { Cell::new(None) };
-}
-
-impl BasisRepr {
-    /// A factorization of the `m × m` identity — the engines' all-slack
-    /// start basis — ready for pivot updates without a prior refactorize.
-    /// The LU variant reuses the thread's spare factorization when there is
-    /// one: it is reset first, and its stale scratch stamps are all older
-    /// than any epoch it hands out next, so no state carries over.
-    pub(crate) fn new(kind: crate::solver::BasisKind, m: usize) -> Self {
-        match kind {
-            crate::solver::BasisKind::Eta => BasisRepr::Eta(EtaBasis::new()),
-            crate::solver::BasisKind::Lu => {
-                let mut lu = SPARE_LU.with(Cell::take).unwrap_or_default();
-                lu.reset_identity(m);
-                BasisRepr::Lu(lu)
-            }
-        }
-    }
-
-    /// Gives an LU factorization to the thread's spare slot, replacing any
-    /// spare already there, for the next [`BasisRepr::new`] to reuse.
-    pub(crate) fn recycle(self) {
-        if let BasisRepr::Lu(lu) = self {
-            // Fails only while the thread is shutting down; the factorization
-            // is then simply freed.
-            let _ = SPARE_LU.try_with(|slot| slot.set(Some(lu)));
-        }
-    }
-
-    pub(crate) fn kind(&self) -> crate::solver::BasisKind {
-        match self {
-            BasisRepr::Eta(_) => crate::solver::BasisKind::Eta,
-            BasisRepr::Lu(_) => crate::solver::BasisKind::Lu,
-        }
-    }
-}
-
-impl BasisFactorization for BasisRepr {
-    fn refactorize(&mut self, a: &CscMatrix, basis: &mut [usize]) -> bool {
-        match self {
-            BasisRepr::Eta(b) => b.refactorize(a, basis),
-            BasisRepr::Lu(b) => b.refactorize(a, basis),
-        }
-    }
-
-    fn ftran(&self, x: &mut [f64]) {
-        match self {
-            BasisRepr::Eta(b) => b.ftran(x),
-            BasisRepr::Lu(b) => b.ftran(x),
-        }
-    }
-
-    fn btran(&self, x: &mut [f64]) {
-        match self {
-            BasisRepr::Eta(b) => b.btran(x),
-            BasisRepr::Lu(b) => b.btran(x),
-        }
-    }
-
-    fn ftran_sparse(
-        &mut self,
-        x: &mut [f64],
-        touched: &mut Vec<u32>,
-        stamp: &mut [u32],
-        epoch: u32,
-    ) {
-        match self {
-            BasisRepr::Eta(b) => b.ftran_sparse(x, touched, stamp, epoch),
-            BasisRepr::Lu(b) => b.ftran_sparse(x, touched, stamp, epoch),
-        }
-    }
-
-    fn update(&mut self, row: usize, w: &[f64], touched: &[u32]) -> bool {
-        match self {
-            BasisRepr::Eta(b) => b.update(row, w, touched),
-            BasisRepr::Lu(b) => b.update(row, w, touched),
-        }
-    }
-
-    fn updates_since_refactor(&self) -> usize {
-        match self {
-            BasisRepr::Eta(b) => b.updates_since_refactor(),
-            BasisRepr::Lu(b) => b.updates_since_refactor(),
-        }
-    }
-
-    fn wants_refactor(&self, a: &CscMatrix) -> bool {
-        match self {
-            BasisRepr::Eta(b) => b.wants_refactor(a),
-            BasisRepr::Lu(b) => b.wants_refactor(a),
-        }
-    }
+    /// The factorization of the last engine dropped on this thread (see
+    /// [`LuBasis::recycle`]). The next engine takes it over, so solve after
+    /// solve reuses one set of factor and workspace buffers instead of
+    /// allocating them afresh.
+    static SPARE_LU: Cell<Option<LuBasis>> = const { Cell::new(None) };
 }
 
 #[cfg(test)]
@@ -1165,95 +810,85 @@ mod tests {
         }
     }
 
-    fn factor_kinds() -> Vec<BasisRepr> {
-        vec![
-            BasisRepr::Eta(EtaBasis::new()),
-            BasisRepr::Lu(Box::default()),
-        ]
-    }
-
     #[test]
     fn refactorize_then_ftran_solves_the_basis_system() {
         let (a, basis0) = sample();
-        for mut fac in factor_kinds() {
-            let mut basis = basis0.clone();
-            assert!(fac.refactorize(&a, &mut basis));
-            // Both impls permute so slot r pivots on row r: solving against
-            // the permuted basis must reproduce the RHS.
-            let rhs = [1.0, 2.0, -1.0, 0.5];
-            let mut x = rhs.to_vec();
-            fac.ftran(&mut x);
-            check_ftran(&a, &basis, &x, &rhs);
-        }
+        let mut fac = LuBasis::new();
+        let mut basis = basis0.clone();
+        assert!(fac.refactorize(&a, &mut basis));
+        // The factorization permutes so slot r pivots on row r: solving
+        // against the permuted basis must reproduce the RHS.
+        let rhs = [1.0, 2.0, -1.0, 0.5];
+        let mut x = rhs.to_vec();
+        fac.ftran(&mut x);
+        check_ftran(&a, &basis, &x, &rhs);
     }
 
     #[test]
     fn btran_matches_transpose_solve() {
         let (a, basis0) = sample();
-        for mut fac in factor_kinds() {
-            let mut basis = basis0.clone();
-            assert!(fac.refactorize(&a, &mut basis));
-            let c = [1.0, -2.0, 0.0, 3.0];
-            let mut y = c.to_vec();
-            fac.btran(&mut y);
-            // Check Bᵀ y = c, i.e. for every slot: column_slot · y = c_slot.
-            let b = dense_of_basis(&a, &basis);
-            for slot in 0..basis.len() {
-                let mut acc = 0.0;
-                for (r, row) in b.iter().enumerate() {
-                    acc += row[slot] * y[r];
-                }
-                assert!((acc - c[slot]).abs() < 1e-8, "Bᵀ y != c at slot {slot}");
+        let mut fac = LuBasis::new();
+        let mut basis = basis0.clone();
+        assert!(fac.refactorize(&a, &mut basis));
+        let c = [1.0, -2.0, 0.0, 3.0];
+        let mut y = c.to_vec();
+        fac.btran(&mut y);
+        // Check Bᵀ y = c, i.e. for every slot: column_slot · y = c_slot.
+        let b = dense_of_basis(&a, &basis);
+        for slot in 0..basis.len() {
+            let mut acc = 0.0;
+            for (r, row) in b.iter().enumerate() {
+                acc += row[slot] * y[r];
             }
+            assert!((acc - c[slot]).abs() < 1e-8, "Bᵀ y != c at slot {slot}");
         }
     }
 
     #[test]
     fn updates_track_the_exchanged_column() {
         let (a, basis0) = sample();
-        for mut fac in factor_kinds() {
-            let mut basis = basis0.clone();
-            assert!(fac.refactorize(&a, &mut basis));
-            // Bring column 2 (a slack) into whichever slot its FTRAN pivots
-            // best on; emulate the engine's pivot loop.
-            let m = a.rows();
-            let mut work = vec![0.0; m];
-            let mut touched: Vec<u32> = Vec::new();
-            let mut stamp = vec![0u32; m];
-            let entering = 2usize;
-            let (rows, vals) = a.col(entering);
-            for (&r, &v) in rows.iter().zip(vals) {
-                stamp[r as usize] = 1;
-                touched.push(r);
-                work[r as usize] = v;
+        let mut fac = LuBasis::new();
+        let mut basis = basis0.clone();
+        assert!(fac.refactorize(&a, &mut basis));
+        // Bring column 2 (a slack) into whichever slot its FTRAN pivots
+        // best on; emulate the engine's pivot loop.
+        let m = a.rows();
+        let mut work = vec![0.0; m];
+        let mut touched: Vec<u32> = Vec::new();
+        let mut stamp = vec![0u32; m];
+        let entering = 2usize;
+        let (rows, vals) = a.col(entering);
+        for (&r, &v) in rows.iter().zip(vals) {
+            stamp[r as usize] = 1;
+            touched.push(r);
+            work[r as usize] = v;
+        }
+        fac.ftran_sparse(&mut work, &mut touched, &mut stamp, 1);
+        // Pick any row with a sizable pivot that holds a structural
+        // column we can evict.
+        let row = (0..m)
+            .filter(|&r| work[r].abs() > 1e-9)
+            .max_by(|&x, &y| work[x].abs().partial_cmp(&work[y].abs()).unwrap())
+            .unwrap();
+        assert!(fac.update(row));
+        basis[row] = entering;
+        assert_eq!(fac.updates_since_refactor(), 1);
+        // The updated factorization must solve against the new basis.
+        let rhs = [0.5, 1.5, -2.0, 1.0];
+        let mut x = rhs.to_vec();
+        fac.ftran(&mut x);
+        check_ftran(&a, &basis, &x, &rhs);
+        // And BTRAN stays consistent too.
+        let c = [2.0, 0.0, 1.0, -1.0];
+        let mut y = c.to_vec();
+        fac.btran(&mut y);
+        let b = dense_of_basis(&a, &basis);
+        for slot in 0..basis.len() {
+            let mut acc = 0.0;
+            for (r, rowv) in b.iter().enumerate() {
+                acc += rowv[slot] * y[r];
             }
-            fac.ftran_sparse(&mut work, &mut touched, &mut stamp, 1);
-            // Pick any row with a sizable pivot that holds a structural
-            // column we can evict.
-            let row = (0..m)
-                .filter(|&r| work[r].abs() > 1e-9)
-                .max_by(|&x, &y| work[x].abs().partial_cmp(&work[y].abs()).unwrap())
-                .unwrap();
-            assert!(fac.update(row, &work, &touched));
-            basis[row] = entering;
-            assert_eq!(fac.updates_since_refactor(), 1);
-            // The updated factorization must solve against the new basis.
-            let rhs = [0.5, 1.5, -2.0, 1.0];
-            let mut x = rhs.to_vec();
-            fac.ftran(&mut x);
-            check_ftran(&a, &basis, &x, &rhs);
-            // And BTRAN stays consistent too.
-            let c = [2.0, 0.0, 1.0, -1.0];
-            let mut y = c.to_vec();
-            fac.btran(&mut y);
-            let b = dense_of_basis(&a, &basis);
-            for slot in 0..basis.len() {
-                let mut acc = 0.0;
-                for (r, rowv) in b.iter().enumerate() {
-                    acc += rowv[slot] * y[r];
-                }
-                assert!((acc - c[slot]).abs() < 1e-8);
-            }
+            assert!((acc - c[slot]).abs() < 1e-8);
         }
     }
 
@@ -1289,47 +924,46 @@ mod tests {
 
     #[test]
     fn chained_updates_stay_accurate() {
-        // Random-ish chain of column exchanges on a larger matrix: both
-        // factorizations must keep solving exactly, with the LU update cost
+        // Random-ish chain of column exchanges on a larger matrix: the
+        // factorization must keep solving exactly, with the update cost
         // staying bounded (covered implicitly by the unnz tracking).
         let (a, n_struct) = chain_matrix(3);
         let m = a.rows();
-        for mut fac in factor_kinds() {
-            let mut basis: Vec<usize> = (0..m).map(|r| n_struct + r).collect();
-            assert!(fac.refactorize(&a, &mut basis));
-            let mut stamp = vec![0u32; m];
-            let mut epoch = 0u32;
-            for entering in 0..n_struct {
-                if basis.contains(&entering) {
-                    continue;
-                }
-                let mut work = vec![0.0; m];
-                let mut touched: Vec<u32> = Vec::new();
-                epoch += 1;
-                let (rows, vals) = a.col(entering);
-                for (&r, &v) in rows.iter().zip(vals) {
-                    stamp[r as usize] = epoch;
-                    touched.push(r);
-                    work[r as usize] = v;
-                }
-                fac.ftran_sparse(&mut work, &mut touched, &mut stamp, epoch);
-                let Some(row) = (0..m)
-                    .filter(|&r| work[r].abs() > 1e-6 && basis[r] >= n_struct)
-                    .max_by(|&x, &y| work[x].abs().partial_cmp(&work[y].abs()).unwrap())
-                else {
-                    continue;
-                };
-                if !fac.update(row, &work, &touched) {
-                    assert!(fac.refactorize(&a, &mut basis));
-                    continue;
-                }
-                basis[row] = entering;
-                // Verify the solve after every exchange.
-                let rhs: Vec<f64> = (0..m).map(|r| (r as f64) - 3.0).collect();
-                let mut x = rhs.clone();
-                fac.ftran(&mut x);
-                check_ftran(&a, &basis, &x, &rhs);
+        let mut fac = LuBasis::new();
+        let mut basis: Vec<usize> = (0..m).map(|r| n_struct + r).collect();
+        assert!(fac.refactorize(&a, &mut basis));
+        let mut stamp = vec![0u32; m];
+        let mut epoch = 0u32;
+        for entering in 0..n_struct {
+            if basis.contains(&entering) {
+                continue;
             }
+            let mut work = vec![0.0; m];
+            let mut touched: Vec<u32> = Vec::new();
+            epoch += 1;
+            let (rows, vals) = a.col(entering);
+            for (&r, &v) in rows.iter().zip(vals) {
+                stamp[r as usize] = epoch;
+                touched.push(r);
+                work[r as usize] = v;
+            }
+            fac.ftran_sparse(&mut work, &mut touched, &mut stamp, epoch);
+            let Some(row) = (0..m)
+                .filter(|&r| work[r].abs() > 1e-6 && basis[r] >= n_struct)
+                .max_by(|&x, &y| work[x].abs().partial_cmp(&work[y].abs()).unwrap())
+            else {
+                continue;
+            };
+            if !fac.update(row) {
+                assert!(fac.refactorize(&a, &mut basis));
+                continue;
+            }
+            basis[row] = entering;
+            // Verify the solve after every exchange.
+            let rhs: Vec<f64> = (0..m).map(|r| (r as f64) - 3.0).collect();
+            let mut x = rhs.clone();
+            fac.ftran(&mut x);
+            check_ftran(&a, &basis, &x, &rhs);
         }
     }
 
@@ -1382,7 +1016,7 @@ mod tests {
                 else {
                     continue;
                 };
-                let ok = lu.update(row, &work, &touched);
+                let ok = lu.update(row);
                 trace.push(ok as u64);
                 if ok {
                     basis[row] = q;
@@ -1424,9 +1058,8 @@ mod tests {
     #[test]
     fn singular_basis_is_rejected() {
         let a = CscMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (0, 1, 2.0), (0, 2, 1.0)]);
-        for mut fac in factor_kinds() {
-            let mut basis = vec![0, 1];
-            assert!(!fac.refactorize(&a, &mut basis));
-        }
+        let mut fac = LuBasis::new();
+        let mut basis = vec![0, 1];
+        assert!(!fac.refactorize(&a, &mut basis));
     }
 }

@@ -96,7 +96,9 @@ impl ChaosConfig {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChaosPlan {
     pub(crate) fault: ChaosFault,
-    /// The fault strikes ladder attempts `0..strikes`.
+    /// The fault strikes ladder attempts `0..strikes`. At most two sparse
+    /// attempts run, so a strike count past them ends the solve on the
+    /// dense rung, which is never struck.
     pub(crate) strikes: usize,
     pub(crate) hash: u64,
 }
@@ -136,9 +138,10 @@ pub struct ChaosCounters {
     pub solves: u64,
     /// Solves that had at least one fault injected.
     pub injected: u64,
-    /// Successful solves by winning recovery rung (0 = first attempt, 5 =
-    /// the dense-tableau oracle).
-    pub recovered_by_rung: [u64; 6],
+    /// Successful solves by winning recovery rung (see
+    /// [`crate::RecoveryRung::index`]: 0 = first attempt, 1 = cold restart,
+    /// 2 = the dense-tableau oracle).
+    pub recovered_by_rung: [u64; 3],
     /// Solves that returned a budget-degraded anytime solution.
     pub degraded: u64,
     /// Solves that exhausted the whole ladder and still reported
@@ -153,7 +156,7 @@ pub struct ChaosCounters {
 pub struct SolveTally {
     solves: AtomicU64,
     injected: AtomicU64,
-    by_rung: [AtomicU64; 6],
+    by_rung: [AtomicU64; 3],
     degraded: AtomicU64,
     unrecovered: AtomicU64,
 }
@@ -188,7 +191,7 @@ impl SolveTally {
             self.injected.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(r) = rung {
-            self.by_rung[r.min(5)].fetch_add(1, Ordering::Relaxed);
+            self.by_rung[r.min(2)].fetch_add(1, Ordering::Relaxed);
         }
         if degraded {
             self.degraded.fetch_add(1, Ordering::Relaxed);

@@ -10,23 +10,22 @@
 //!   (non-negative variables, `≤ / ≥ / =` constraints, maximize or minimize),
 //! * [`sparse`] — CSC matrices and the triplet-based
 //!   [`SparseBuilder`] used by the formulations,
-//! * [`revised`] — the default engine: a sparse revised simplex with
-//!   pluggable basis factorizations, periodic refactorization and
+//! * [`revised`] — the default engine: a sparse revised simplex with devex
+//!   pricing, periodic refactorization and
 //!   [warm starts](revised::WarmStartCache),
-//! * [`basis`] — the [`BasisFactorization`]
-//!   engines behind the revised simplex: sparse LU with Forrest–Tomlin
-//!   updates (default) and the product-form eta file,
-//! * [`simplex`] — the dense two-phase tableau simplex, kept as a fallback
-//!   and as the differential-testing oracle,
+//! * [`basis`] — the [`LuBasis`] behind the revised simplex: sparse LU
+//!   with Forrest–Tomlin updates,
+//! * [`simplex`] — the dense two-phase tableau simplex, kept as the
+//!   recovery ladder's last rung and as the differential-testing oracle,
 //! * [`solver`] — the [`SolveContext`] every solve runs under (engine,
-//!   basis factorization, chaos injection, diagnostics, outcome tally) and
-//!   deterministic work caps ([`SolveBudget`]),
+//!   chaos injection, diagnostics, outcome tally) and deterministic work
+//!   caps ([`SolveBudget`]),
 //! * [`chaos`] — seeded fault injection driving the recovery ladder (see
 //!   [`revised::RecoveryRung`]) for self-healing tests and the chaos
 //!   benchmark, and the [`SolveTally`] of solve outcomes.
 //!
 //! Both engines share the anti-degeneracy toolkit (seeded shadow-RHS
-//! perturbation, Dantzig→Bland stall switching, seeded ratio-test
+//! perturbation, a switch to Bland's rule after a stall, seeded ratio-test
 //! tie-breaks), so every solve is bit-reproducible. A solve reads no
 //! process state: [`LpProblem::solve`] runs under
 //! [`SolveContext::default`], and [`LpProblem::solve_in`] /
@@ -60,12 +59,12 @@ pub mod simplex;
 pub mod solver;
 pub mod sparse;
 
-pub use basis::{BasisFactorization, EtaBasis, LuBasis};
+pub use basis::LuBasis;
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosFault, SolveTally};
 pub use problem::{LpError, LpProblem, LpSolution, Objective, Relation, VarId};
 pub use revised::{
     resolve_with_bounds, Basis, BoundsOverlay, RecoveryRung, RecoveryTrigger, SolveOutcome,
     SolveStats, WarmStartCache, WarmStatus,
 };
-pub use solver::{BasisKind, SolveBudget, SolveContext, SolverKind};
+pub use solver::{SolveBudget, SolveContext, SolverKind};
 pub use sparse::{CscMatrix, SparseBuilder};

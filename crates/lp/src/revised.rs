@@ -1,30 +1,22 @@
-//! Sparse revised simplex with pluggable basis factorizations and warm
+//! Sparse revised simplex with a sparse LU basis, devex pricing and warm
 //! starts.
 //!
-//! The engine never forms `B⁻¹` explicitly: all products go through a
-//! [`crate::basis::BasisFactorization`]. The default is a sparse LU
-//! factorization with Forrest–Tomlin pivot updates
-//! ([`crate::basis::LuBasis`]); the historical product-form eta file
-//! ([`crate::basis::EtaBasis`]) stays selectable through
-//! [`crate::SolveContext::basis`] as a differential oracle. See
-//! [`crate::solver::BasisKind`].
+//! The engine never forms `B⁻¹` explicitly: all products go through the
+//! sparse LU factorization with Forrest–Tomlin pivot updates of
+//! [`crate::basis::LuBasis`]. Each iteration works on sparse columns only:
 //!
-//! Each iteration works on sparse columns only:
-//!
-//! * BTRAN of the basic costs gives the pricing vector `y`,
-//! * entering-column selection depends on the basis engine: the LU path
-//!   prices with devex reference-framework weights over incrementally
-//!   maintained reduced costs (recomputed from scratch whenever the
-//!   factorization changes, and re-verified before declaring optimality);
-//!   the eta path keeps the legacy Dantzig rule over rotating
-//!   partial-pricing sections. Both switch to Bland's rule after a stall,
+//! * entering-column selection prices with devex reference-framework
+//!   weights over incrementally maintained reduced costs (recomputed from
+//!   scratch — a BTRAN of the basic costs plus one pass over the matrix —
+//!   whenever the factorization changes, and re-verified before declaring
+//!   optimality), switching to Bland's rule after a stall,
 //! * FTRAN of the entering column feeds the ratio test.
 //!
 //! The anti-degeneracy toolkit of the dense engine is ported verbatim: the
 //! shadow-RHS perturbation (inequality rows relaxed by a tiny seeded amount,
 //! solution values read from an unperturbed shadow carried through the same
-//! pivots), the Dantzig→Bland stall switch, and the seeded reservoir
-//! tie-break in the ratio test — so solves stay bit-reproducible.
+//! pivots), the switch to Bland's rule after a stall, and the seeded
+//! reservoir tie-break in the ratio test — so solves stay bit-reproducible.
 //!
 //! **Warm starts**: [`solve_with_hint`] accepts the [`Basis`] returned by a
 //! previous solve of a structurally identical problem and, when that basis
@@ -49,12 +41,12 @@
 //! after the solve that they sit at zero stays as a safety net (see
 //! [`RecoveryRung::Cold`]).
 
-use crate::basis::{BasisFactorization, BasisRepr, EtaBasis};
+use crate::basis::LuBasis;
 use crate::chaos::{ChaosFault, ChaosPlan};
 use crate::problem::{LpError, LpProblem, LpSolution, Objective, Relation, VarId};
 use crate::solver::{
-    effective_relation, perturb_rhs, phase1_budget, phase2_budget, splitmix64, BasisKind,
-    SolveBudget, SolveContext,
+    effective_relation, perturb_rhs, phase1_budget, phase2_budget, splitmix64, SolveBudget,
+    SolveContext,
 };
 use crate::sparse::CscMatrix;
 use std::cell::{Cell, OnceCell, RefCell};
@@ -71,17 +63,17 @@ const EPS: f64 = 1e-9;
 /// fresh factorization agrees.
 const PIVOT_TOL: f64 = 1e-7;
 
-/// Consecutive non-improving pivots before switching Dantzig → Bland
-/// (mirrors the dense engine).
+/// Consecutive non-improving pivots before switching from devex to Bland's
+/// rule (mirrors the dense engine's Dantzig → Bland switch).
 const STALL_SWITCH: usize = 64;
 
 /// Pivots between scheduled refactorizations.
 const REFACTOR_EVERY: usize = 128;
 
 /// Solution-vector increments smaller than this are skipped in pivot
-/// updates (same drop tolerance the basis factorizations use for their
-/// stored vectors).
-const ETA_DROP: f64 = 1e-12;
+/// updates (same drop tolerance the LU factorization uses for its stored
+/// vectors).
+const DROP_TOL: f64 = 1e-12;
 
 /// An optimal basis, reusable as a warm-start hint for a structurally
 /// identical problem.
@@ -247,39 +239,26 @@ pub enum RecoveryRung {
     /// pricing loop, an injected fault), or when an artificial or
     /// fixed-to-zero column ended such a solve off zero. The phase-2/3
     /// ratio test holds those columns at zero, so the latter takes
-    /// numerical drift past the check's tolerance.
+    /// numerical drift past the check's tolerance. Skipped when the first
+    /// attempt already ran that phase 1.
     Cold,
-    /// Cold restart under aggressive refactorization (every
-    /// [`AGGRESSIVE_REFACTOR_EVERY`] pivots), to shed numerical drift.
-    AggressiveRefactor,
-    /// Cold restart on the *other* basis backend (LU↔eta, relative to the
-    /// [`SolveContext`]'s `basis`).
-    SwappedBasis,
-    /// Cold restart under Bland's rule from the first pivot (slow but
-    /// cycling-proof).
-    Bland,
     /// The dense-tableau oracle — the last resort, immune to every sparse
-    /// failure mode.
+    /// failure mode. It runs when the sparse attempts end on a numerical
+    /// failure (a singular basis, a non-finite value, a stalled pricing
+    /// loop).
     Dense,
 }
 
 impl RecoveryRung {
-    /// The rung's position on the ladder (0 = first attempt, 5 = dense).
+    /// The rung's position on the ladder (0 = first attempt, 2 = dense).
     pub fn index(self) -> usize {
         match self {
             RecoveryRung::First => 0,
             RecoveryRung::Cold => 1,
-            RecoveryRung::AggressiveRefactor => 2,
-            RecoveryRung::SwappedBasis => 3,
-            RecoveryRung::Bland => 4,
-            RecoveryRung::Dense => 5,
+            RecoveryRung::Dense => 2,
         }
     }
 }
-
-/// Refactorization cadence of the [`RecoveryRung::AggressiveRefactor`]
-/// rung.
-pub const AGGRESSIVE_REFACTOR_EVERY: usize = 16;
 
 /// Per-solve diagnostics (printed when the [`SolveContext`]'s `stats` is
 /// set, returned by [`solve_in`]).
@@ -298,9 +277,6 @@ pub struct SolveStats {
     pub phase2_pivots: usize,
     /// Basis refactorizations performed.
     pub refactorizations: usize,
-    /// Which basis factorization ran the solve (see
-    /// [`crate::solver::BasisKind`]).
-    pub basis: BasisKind,
     /// Warm-start outcome.
     pub warm: WarmStatus,
     /// Wall-clock seconds spent in the solve.
@@ -329,7 +305,7 @@ pub struct SolveOutcome {
     pub stats: SolveStats,
 }
 
-/// Devex reference-framework pricing state (the LU path's entering rule).
+/// Devex reference-framework pricing state (the engine's entering rule).
 ///
 /// Reduced costs are maintained incrementally across pivots — the exact
 /// algebraic update `rc_j −= α_rj · rc_q / α_rq` over the pivot row `α` —
@@ -398,34 +374,14 @@ impl DevexPricing {
     }
 }
 
-/// Per-attempt engine configuration — the knobs the recovery ladder turns
-/// between rungs. The default is byte-identical to the pre-ladder engine.
+/// Per-attempt engine configuration.
 #[derive(Debug, Clone, Copy)]
 struct EngineCfg {
-    /// Basis backend (the context's, or the other one on the
-    /// [`RecoveryRung::SwappedBasis`] rung).
-    basis: BasisKind,
-    /// Pivots between scheduled refactorizations.
-    refactor_every: usize,
-    /// Use Bland's rule from the first pivot.
-    force_bland: bool,
     /// User-facing work caps (internal phase budgets always apply).
     budget: Option<SolveBudget>,
     /// A chaos fault armed for this attempt (consumed at the first
     /// optimization entry).
     chaos: Option<ChaosFault>,
-}
-
-impl EngineCfg {
-    fn new(basis: BasisKind, budget: Option<SolveBudget>) -> Self {
-        EngineCfg {
-            basis,
-            refactor_every: REFACTOR_EVERY,
-            force_bland: false,
-            budget,
-            chaos: None,
-        }
-    }
 }
 
 /// The revised-simplex working state.
@@ -455,19 +411,16 @@ struct Engine {
     /// outside it): only columns whose primary reduced cost was zero at the
     /// phase-2 optimum may enter, so pivots move along the optimal face.
     restrict: Vec<bool>,
-    /// The basis factorization (LU by default, eta when the context asks).
-    fac: BasisRepr,
-    /// Devex pricing state — present exactly on the LU path; `None` keeps
-    /// the eta path on the legacy Dantzig partial pricing, byte-for-byte.
-    pricing: Option<DevexPricing>,
+    /// The basis factorization.
+    fac: LuBasis,
+    /// Devex pricing state.
+    pricing: DevexPricing,
     /// `B⁻¹ b` (perturbed), indexed by row.
     x_b: Vec<f64>,
     /// `B⁻¹ b_shadow` (exact), same pivots.
     x_shadow: Vec<f64>,
     /// Cost of the phase being optimized, per column.
     cost: Vec<f64>,
-    /// Rotating partial-pricing cursor.
-    price_ptr: usize,
     /// Ratio-test tie-break stream.
     rng: u64,
     refactorizations: usize,
@@ -482,11 +435,6 @@ struct Engine {
     epoch: u32,
     /// Scratch dense vector for the BTRANed pricing vector.
     price: Vec<f64>,
-    /// Pivots between scheduled refactorizations (the aggressive rung
-    /// tightens this).
-    refactor_every: usize,
-    /// Bland's rule from the first pivot (the anti-cycling rung).
-    force_bland: bool,
     /// User-facing work caps for this attempt (`None` = unlimited).
     budget: Option<SolveBudget>,
     /// Set when a user cap (not an internal phase budget) stopped the
@@ -525,16 +473,11 @@ impl Engine {
             }
         }
         let any_fixed = fixed.iter().any(|&f| f);
-        let kind = cfg.basis;
-        let pricing = match kind {
-            BasisKind::Lu => Some(DevexPricing::new(m, n_total)),
-            BasisKind::Eta => None,
-        };
         Engine {
             x_b: form.b.clone(),
             x_shadow: form.b_shadow.clone(),
-            fac: BasisRepr::new(kind, m),
-            pricing,
+            fac: LuBasis::spare_identity(m),
+            pricing: DevexPricing::new(m, n_total),
             m,
             n_user,
             artificial_start: form.artificial_start,
@@ -547,7 +490,6 @@ impl Engine {
             hold_pinned: false,
             restrict: Vec::new(),
             cost: vec![0.0; n_total],
-            price_ptr: 0,
             rng: 0x9e37_79b9_7f4a_7c15 ^ ((m as u64) << 32) ^ n_total as u64,
             refactorizations: 0,
             pivots: 0,
@@ -556,8 +498,6 @@ impl Engine {
             stamp: vec![0; m],
             epoch: 0,
             price: vec![0.0; m],
-            refactor_every: cfg.refactor_every,
-            force_bland: cfg.force_bland,
             budget: cfg.budget,
             budget_exhausted: false,
             trigger: None,
@@ -586,7 +526,7 @@ impl Engine {
                 .is_some_and(|cap| self.refactorizations as u64 >= cap)
     }
 
-    /// Entry guard of both pricing loops (once per [`Engine::optimize`]
+    /// Entry guard of the pricing loop (once per [`Engine::optimize`]
     /// call, off the per-pivot hot path): consumes an armed chaos fault and
     /// verifies the solution vector is finite. In-loop NaN creation is
     /// caught by the O(1) pivot-ratio check in [`Engine::apply_pivot`] —
@@ -638,9 +578,7 @@ impl Engine {
             return false;
         }
         self.recompute_solution_vectors();
-        if let Some(p) = &mut self.pricing {
-            p.valid = false;
-        }
+        self.pricing.valid = false;
         true
     }
 
@@ -766,7 +704,7 @@ impl Engine {
         for &iu in &self.touched {
             let i = iu as usize;
             let w = self.work[i];
-            if i == row || w.abs() <= ETA_DROP {
+            if i == row || w.abs() <= DROP_TOL {
                 continue;
             }
             self.x_b[i] -= theta * w;
@@ -777,7 +715,7 @@ impl Engine {
         }
         self.x_b[row] = theta;
         self.x_shadow[row] = theta_shadow;
-        let clean = self.fac.update(row, &self.work, &self.touched);
+        let clean = self.fac.update(row);
         self.in_basis[self.basis[row]] = false;
         self.in_basis[entering] = true;
         self.basis[row] = entering;
@@ -788,68 +726,16 @@ impl Engine {
         Ok(())
     }
 
-    /// Scheduled refactorization: every [`REFACTOR_EVERY`] pivots (fewer on
-    /// the aggressive recovery rung), or when the factorization's stored
-    /// fill outgrows a small multiple of the matrix.
+    /// Scheduled refactorization: every [`REFACTOR_EVERY`] pivots, or when
+    /// the factorization's stored fill outgrows a small multiple of the
+    /// matrix.
     fn maybe_refactorize(&mut self) -> Result<(), LpError> {
-        let due = self.fac.updates_since_refactor() >= self.refactor_every
+        let due = self.fac.updates_since_refactor() >= REFACTOR_EVERY
             || self.fac.wants_refactor(&self.form.a);
         if due && !self.refactorize() {
             return Err(self.fail(RecoveryTrigger::SingularBasis));
         }
         Ok(())
-    }
-
-    /// Chooses the entering column: Bland's rule (first negative reduced
-    /// cost by index) when `use_bland`, otherwise Dantzig's rule over
-    /// rotating partial-pricing sections. `banned` holds columns excluded
-    /// for numerical reasons until the next successful pivot.
-    fn choose_entering(
-        &mut self,
-        allowed_hi: usize,
-        use_bland: bool,
-        banned: &[usize],
-    ) -> Option<usize> {
-        if allowed_hi == 0 {
-            return None;
-        }
-        if use_bland {
-            for j in 0..allowed_hi {
-                if self.col_blocked(j) || banned.contains(&j) {
-                    continue;
-                }
-                if self.reduced_cost(j) < -EPS {
-                    return Some(j);
-                }
-            }
-            return None;
-        }
-        let section = (allowed_hi / 8).max(256).min(allowed_hi);
-        let mut scanned = 0usize;
-        let mut start = self.price_ptr % allowed_hi;
-        while scanned < allowed_hi {
-            let len = section.min(allowed_hi - scanned);
-            let mut best: Option<usize> = None;
-            let mut best_rc = -EPS;
-            for offset in 0..len {
-                let j = (start + offset) % allowed_hi;
-                if self.col_blocked(j) || banned.contains(&j) {
-                    continue;
-                }
-                let rc = self.reduced_cost(j);
-                if rc < best_rc {
-                    best_rc = rc;
-                    best = Some(j);
-                }
-            }
-            if let Some(j) = best {
-                self.price_ptr = (j + 1) % allowed_hi;
-                return Some(j);
-            }
-            scanned += len;
-            start = (start + len) % allowed_hi;
-        }
-        None
     }
 
     /// The ratio test over `self.work` (the FTRANed entering column):
@@ -905,93 +791,11 @@ impl Engine {
         leaving
     }
 
-    /// Runs simplex iterations on the current cost vector until optimal
-    /// (all reduced costs ≥ −EPS over `0..allowed_hi`), unbounded, or out
-    /// of budget. Returns the pivots performed. Dispatches on the pricing
-    /// engine: devex with maintained reduced costs on the LU path, the
-    /// legacy rotating Dantzig sections on the eta path.
-    fn optimize(&mut self, allowed_hi: usize, budget: usize) -> Result<usize, LpError> {
-        self.entry_guard()?;
-        if self.pricing.is_some() {
-            self.optimize_devex(allowed_hi, budget)
-        } else {
-            self.optimize_dantzig(allowed_hi, budget)
-        }
-    }
-
-    /// The legacy pricing loop: BTRAN + Dantzig scan over rotating partial
-    /// pricing sections every iteration (Bland's rule after a stall).
-    fn optimize_dantzig(&mut self, allowed_hi: usize, budget: usize) -> Result<usize, LpError> {
-        let mut stalled = 0usize;
-        let mut last_obj = self.phase_objective();
-        let mut performed = 0usize;
-        // Columns skipped since the last successful pivot because their
-        // FTRANed pivot element stayed tiny after a fresh factorization.
-        let mut banned: Vec<usize> = Vec::new();
-        while performed < budget {
-            let use_bland = self.force_bland || stalled >= STALL_SWITCH;
-            self.compute_pricing_vector();
-            let Some(entering) = self.choose_entering(allowed_hi, use_bland, &banned) else {
-                if banned.is_empty() {
-                    return Ok(performed);
-                }
-                // Every remaining improving column is banned: this vertex
-                // cannot be certified optimal (a banned column may still
-                // price negative). Declaring optimality here would silently
-                // return a suboptimal objective — or a spurious Infeasible
-                // from phase 1 — so report numerical trouble instead.
-                return Err(self.fail(RecoveryTrigger::IterationLimit));
-            };
-            // The user budget is checked only once an improving column
-            // exists: certifying optimality is free, so a budget equal to
-            // the exact pivot count still returns a certified optimum.
-            self.budget_guard()?;
-            self.ftran_col(entering);
-            let Some(row) = self.choose_leaving(use_bland) else {
-                return Err(LpError::Unbounded);
-            };
-            if self.work[row].abs() < PIVOT_TOL {
-                // Numerically fragile pivot: refresh the factorization and
-                // retry; if a fresh factorization still produces a tiny
-                // pivot, exclude the column until the basis next changes.
-                if self.fac.updates_since_refactor() > 0 {
-                    if !self.refactorize() {
-                        return Err(self.fail(RecoveryTrigger::SingularBasis));
-                    }
-                } else {
-                    banned.push(entering);
-                }
-                continue;
-            }
-            self.apply_pivot(row, entering)?;
-            performed += 1;
-            banned.clear();
-            self.maybe_refactorize()?;
-            // Anti-stalling bookkeeping: both phases minimize, so a
-            // productive pivot strictly decreases the phase objective.
-            let obj = self.phase_objective();
-            if obj < last_obj - EPS * (1.0 + last_obj.abs()) {
-                stalled = 0;
-                last_obj = obj;
-            } else {
-                stalled += 1;
-                if stalled == STALL_SWITCH && self.fac.updates_since_refactor() > 0 {
-                    // Entering Bland mode: shed drift first so its reduced
-                    // costs are trustworthy.
-                    if !self.refactorize() {
-                        return Err(self.fail(RecoveryTrigger::SingularBasis));
-                    }
-                }
-            }
-        }
-        Err(self.fail(RecoveryTrigger::IterationLimit))
-    }
-
     /// Recomputes the maintained reduced costs from scratch: one BTRAN of
     /// the basic costs plus one pass over the matrix (`rc_j = c_j − yᵀa_j`).
     fn recompute_reduced_costs(&mut self) {
         self.compute_pricing_vector();
-        let p = self.pricing.as_mut().expect("devex path");
+        let p = &mut self.pricing;
         for j in 0..self.n_total {
             p.rc[j] = self.cost[j] - self.form.a.col_dot(j, &self.price);
         }
@@ -1005,7 +809,7 @@ impl Engine {
     /// the pre-pivot basis.
     fn compute_pivot_row(&mut self, row: usize) {
         let (row_ptr, col_idx, vals) = self.form.csr();
-        let p = self.pricing.as_mut().expect("devex path");
+        let p = &mut self.pricing;
         p.rho.iter_mut().for_each(|v| *v = 0.0);
         p.rho[row] = 1.0;
         self.fac.btran(&mut p.rho);
@@ -1031,24 +835,32 @@ impl Engine {
         }
     }
 
-    /// The devex pricing loop (LU path). Reduced costs are maintained
-    /// incrementally and re-verified by a full recompute before any
-    /// optimality or unboundedness conclusion, so the incremental updates
-    /// are a pure accelerator, never a correctness dependency.
-    fn optimize_devex(&mut self, allowed_hi: usize, budget: usize) -> Result<usize, LpError> {
+    /// Runs simplex iterations on the current cost vector until optimal
+    /// (all reduced costs ≥ −EPS over `0..allowed_hi`), unbounded, or out
+    /// of budget. Returns the pivots performed.
+    ///
+    /// Prices with devex: reduced costs are maintained incrementally and
+    /// re-verified by a full recompute before any optimality or
+    /// unboundedness conclusion, so the incremental updates are a pure
+    /// accelerator, never a correctness dependency. After [`STALL_SWITCH`]
+    /// non-improving pivots the entering rule switches to Bland's.
+    fn optimize(&mut self, allowed_hi: usize, budget: usize) -> Result<usize, LpError> {
+        self.entry_guard()?;
         let mut stalled = 0usize;
         let mut last_obj = self.phase_objective();
         let mut performed = 0usize;
+        // Columns skipped since the last successful pivot because their
+        // FTRANed pivot element stayed tiny after a fresh factorization.
         let mut banned: Vec<usize> = Vec::new();
         while performed < budget {
-            let use_bland = self.force_bland || stalled >= STALL_SWITCH;
-            if !self.pricing.as_ref().expect("devex path").valid {
+            let use_bland = stalled >= STALL_SWITCH;
+            if !self.pricing.valid {
                 self.recompute_reduced_costs();
             }
             // Entering: max rc²/weight (Bland: first improving index), ties
             // to the smallest index for determinism.
             let entering = {
-                let p = self.pricing.as_ref().expect("devex path");
+                let p = &self.pricing;
                 let mut best: Option<usize> = None;
                 let mut best_score = 0.0;
                 for j in 0..allowed_hi {
@@ -1074,27 +886,32 @@ impl Engine {
                 // No improving column in the maintained rc. If pivots were
                 // applied since the last full recompute the rc may have
                 // drifted: re-verify before certifying this vertex.
-                if self.pricing.as_ref().expect("devex path").dirty {
+                if self.pricing.dirty {
                     self.recompute_reduced_costs();
                     continue;
                 }
                 if banned.is_empty() {
                     return Ok(performed);
                 }
-                // Same reasoning as the Dantzig loop: banned columns may
-                // still price negative, so this vertex cannot be certified.
+                // Every remaining improving column is banned: this vertex
+                // cannot be certified optimal (a banned column may still
+                // price negative). Declaring optimality here would silently
+                // return a suboptimal objective — or a spurious Infeasible
+                // from phase 1 — so report numerical trouble instead.
                 return Err(self.fail(RecoveryTrigger::IterationLimit));
             };
-            // As in the Dantzig loop: only an actual pivot costs budget.
+            // The user budget is checked only once an improving column
+            // exists: certifying optimality is free, so a budget equal to
+            // the exact pivot count still returns a certified optimum.
             self.budget_guard()?;
             self.ftran_col(entering);
             let Some(row) = self.choose_leaving(use_bland) else {
                 // Unboundedness is only trustworthy under fresh reduced
                 // costs (the FTRANed column is factual, the sign of its
                 // reduced cost may have drifted).
-                if self.pricing.as_ref().expect("devex path").dirty {
+                if self.pricing.dirty {
                     self.recompute_reduced_costs();
-                    if self.pricing.as_ref().expect("devex path").rc[entering] < -EPS {
+                    if self.pricing.rc[entering] < -EPS {
                         return Err(LpError::Unbounded);
                     }
                     continue;
@@ -1102,6 +919,9 @@ impl Engine {
                 return Err(LpError::Unbounded);
             };
             if self.work[row].abs() < PIVOT_TOL {
+                // Numerically fragile pivot: refresh the factorization and
+                // retry; if a fresh factorization still produces a tiny
+                // pivot, exclude the column until the basis next changes.
                 if self.fac.updates_since_refactor() > 0 {
                     if !self.refactorize() {
                         return Err(self.fail(RecoveryTrigger::SingularBasis));
@@ -1117,11 +937,7 @@ impl Engine {
             // factorization has drifted, so refresh and retry instead of
             // pivoting on inconsistent data.
             self.compute_pivot_row(row);
-            let alpha_rq = self
-                .pricing
-                .as_ref()
-                .expect("devex path")
-                .alpha_at(entering);
+            let alpha_rq = self.pricing.alpha_at(entering);
             let w_r = self.work[row];
             if (alpha_rq - w_r).abs() > 1e-6 * w_r.abs().max(1.0) {
                 if !self.refactorize() {
@@ -1129,7 +945,7 @@ impl Engine {
                 }
                 continue;
             }
-            let rc_q = self.pricing.as_ref().expect("devex path").rc[entering];
+            let rc_q = self.pricing.rc[entering];
             let leaving_col = self.basis[row];
             self.apply_pivot(row, entering)?;
             performed += 1;
@@ -1138,7 +954,7 @@ impl Engine {
             // on the pre-pivot quantities; columns with α_rj = 0 keep their
             // reduced cost unchanged).
             {
-                let p = self.pricing.as_mut().expect("devex path");
+                let p = &mut self.pricing;
                 let ratio = rc_q / alpha_rq;
                 let wq = p.weights[entering].max(1.0);
                 for idx in 0..p.acols.len() {
@@ -1167,13 +983,16 @@ impl Engine {
                 p.dirty = true;
             }
             self.maybe_refactorize()?;
-            // Anti-stalling bookkeeping, same as the Dantzig loop.
+            // Anti-stalling bookkeeping: both phases minimize, so a
+            // productive pivot strictly decreases the phase objective.
             let obj = self.phase_objective();
             if obj < last_obj - EPS * (1.0 + last_obj.abs()) {
                 stalled = 0;
                 last_obj = obj;
             } else {
                 stalled += 1;
+                // Entering Bland mode: shed drift first so its reduced
+                // costs are trustworthy.
                 if stalled == STALL_SWITCH
                     && self.fac.updates_since_refactor() > 0
                     && !self.refactorize()
@@ -1264,10 +1083,7 @@ impl Engine {
                 }
             }
         }
-        self.price_ptr = 0;
-        if let Some(p) = &mut self.pricing {
-            p.reset_phase();
-        }
+        self.pricing.reset_phase();
         let budget = phase1_budget(self.m, self.n_total);
         self.optimize(self.artificial_start, budget)?;
         Ok(self.phase_objective() <= 1e-6)
@@ -1283,9 +1099,7 @@ impl Engine {
         for j in self.artificial_start..self.n_total {
             self.cost[j] = 1.0;
         }
-        if let Some(p) = &mut self.pricing {
-            p.reset_phase();
-        }
+        self.pricing.reset_phase();
         let budget = phase1_budget(self.m, self.n_total);
         self.optimize(self.n_total, budget)?;
         if self.phase_objective() > 1e-6 {
@@ -1297,7 +1111,7 @@ impl Engine {
         // inside this scan: `refactorize` re-derives the row ↔ basic-column
         // assignment by partial pivoting, which could move a still-basic
         // artificial to an already-visited row index and let it escape the
-        // drive-out. The at most `m` extra etas are well within one
+        // drive-out. The at most `m` extra updates are well within one
         // refactorization cycle, and phase 2 refactorizes on schedule.
         for r in 0..self.m {
             if self.basis[r] < self.artificial_start {
@@ -1352,10 +1166,7 @@ impl Engine {
         for j in 0..self.n_user {
             self.cost[j] = sense * problem.objective_coeff(VarId(j));
         }
-        self.price_ptr = 0;
-        if let Some(p) = &mut self.pricing {
-            p.reset_phase();
-        }
+        self.pricing.reset_phase();
         let budget = phase2_budget(self.m, self.n_total);
         self.optimize(self.artificial_start, budget)
     }
@@ -1368,7 +1179,7 @@ impl Engine {
     /// under such pivots (`rc'ⱼ = rcⱼ − rc_q·αⱼ/α_q` with `rc_q = 0`), which
     /// also means the eligible set is fixed once at entry (a leaving basic
     /// column re-joins it with reduced cost zero). Whenever the secondary
-    /// optimum is unique, every pivot path — cold, warm-started, eta or LU —
+    /// optimum is unique, every pivot path — cold, warm- or crash-started —
     /// lands on the same vertex, which is the whole point: downstream
     /// consumers that read the *values* (greedy node scores, tree
     /// decompositions) become independent of the solve history.
@@ -1397,10 +1208,7 @@ impl Engine {
             self.cost[j] = problem.secondary_coeff(VarId(j));
         }
         self.restrict = restrict;
-        self.price_ptr = 0;
-        if let Some(p) = &mut self.pricing {
-            p.reset_phase();
-        }
+        self.pricing.reset_phase();
         let budget = phase2_budget(self.m, self.n_total);
         let out = match self.optimize(self.artificial_start, budget) {
             // A descent ray of the *secondary* does not make the problem
@@ -1427,7 +1235,7 @@ impl Engine {
 
     /// Extracts the solution values from the exact shadow RHS after a final
     /// refactorization (so the reported point solves `B x_B = b` to
-    /// factorization accuracy, not eta-accumulation accuracy).
+    /// factorization accuracy, not update-accumulation accuracy).
     fn extract(&mut self, problem: &LpProblem) -> (LpSolution, Basis) {
         if self.fac.updates_since_refactor() > 0 {
             let ok = self.refactorize();
@@ -1654,8 +1462,8 @@ fn standard_form(problem: &LpProblem, overlay: Option<&BoundsOverlay>) -> Rc<Sta
 /// Returns the engine's LU factorization to the thread for the next engine.
 impl Drop for Engine {
     fn drop(&mut self) {
-        // An empty eta file allocates nothing.
-        std::mem::replace(&mut self.fac, BasisRepr::Eta(EtaBasis::default())).recycle();
+        // An empty factorization allocates nothing.
+        std::mem::take(&mut self.fac).recycle();
     }
 }
 
@@ -1794,7 +1602,6 @@ pub(crate) fn resolve_dense(
         phase1_pivots: 0,
         phase2_pivots: 0,
         refactorizations: 0,
-        basis: ctx.basis,
         warm: if hint.is_some() {
             WarmStatus::Miss
         } else {
@@ -1825,10 +1632,10 @@ pub(crate) fn resolve_dense(
 /// optimum (primal feasibility is maintained throughout phase 2).
 ///
 /// Every solve runs the deterministic recovery ladder (see
-/// [`RecoveryRung`]) on the context's basis factorization, strikes the
-/// faults its chaos configuration plans, records its outcome in its tally
-/// and prints one diagnostics line when its `stats` is set. The engine
-/// field is not consulted: this is the revised engine.
+/// [`RecoveryRung`]), strikes the faults its context's chaos configuration
+/// plans, records its outcome in the context's tally and prints one
+/// diagnostics line when the context's `stats` is set. The engine field is
+/// not consulted: this is the revised engine.
 pub fn solve_in(
     ctx: &SolveContext,
     problem: &LpProblem,
@@ -1838,51 +1645,35 @@ pub fn solve_in(
 ) -> Result<SolveOutcome, LpError> {
     let start = std::time::Instant::now();
     let plan: Option<ChaosPlan> = crate::chaos::plan(ctx.chaos.as_ref(), || signature(problem));
-    let swapped = match ctx.basis {
-        BasisKind::Lu => BasisKind::Eta,
-        BasisKind::Eta => BasisKind::Lu,
-    };
 
-    // The deterministic recovery ladder. Rung 0 and rung 1 are the ordinary
-    // attempt (from the hint, else the overlay's crash basis, else the
-    // all-artificial phase 1) and the cold fallback that discards both hint
-    // and crash. A start from an installed basis skipped phase 1, so its
+    // The deterministic recovery ladder: the ordinary attempt (from the
+    // hint, else the overlay's crash basis, else the all-artificial phase
+    // 1), the cold fallback that discards both hint and crash, and the
+    // dense oracle. A start from an installed basis skipped phase 1, so its
     // result carries an extra proof obligation — every re-entered
     // artificial and fixed column must have stayed at level zero through
     // phase 2 — and a violation (or any error: the start can steer the
     // iteration budget into a corner the cold path avoids) discards hint
     // and crash entirely. The phase-2/3 ratio test holds those columns at
     // zero, so the obligation fails only on faults; it stays because it is
-    // what makes any start basis, however corrupt, safe to accept. Rungs
-    // 2–4 only run on failures the old engine would have surfaced raw:
-    // tighter refactorization against drift, the other basis backend
-    // against factorization bugs, Bland's rule against cycling. The dense
-    // oracle terminates the ladder unconditionally.
-    // Structured verdicts (Infeasible/Unbounded/InvalidModel) and exhausted
-    // user budgets never escalate.
-    const LADDER: [RecoveryRung; 5] = [
-        RecoveryRung::First,
-        RecoveryRung::Cold,
-        RecoveryRung::AggressiveRefactor,
-        RecoveryRung::SwappedBasis,
-        RecoveryRung::Bland,
-    ];
+    // what makes any start basis, however corrupt, safe to accept. A
+    // numerical failure (a recorded trigger) of a cold sparse attempt goes
+    // to the dense oracle, which terminates the ladder unconditionally.
+    // Structured verdicts (Infeasible/Unbounded/InvalidModel) of a cold
+    // attempt and exhausted user budgets never escalate.
+    const LADDER: [RecoveryRung; 2] = [RecoveryRung::First, RecoveryRung::Cold];
     let mut attempts = 0usize;
     let mut trigger: Option<RecoveryTrigger> = None;
     let mut chosen: Option<(Attempt, WarmStatus, RecoveryRung)> = None;
-    let mut failed: Option<(Attempt, WarmStatus, LpError)> = None;
-    let mut exhausted_sparse = true;
-    let mut idx = 0usize;
-    while idx < LADDER.len() {
-        let rung = LADDER[idx];
-        let mut cfg = EngineCfg::new(ctx.basis, budget);
-        match rung {
-            RecoveryRung::AggressiveRefactor => cfg.refactor_every = AGGRESSIVE_REFACTOR_EVERY,
-            RecoveryRung::SwappedBasis => cfg.basis = swapped,
-            RecoveryRung::Bland => cfg.force_bland = true,
-            _ => {}
-        }
-        let (attempt_hint, attempt_crash) = if rung == RecoveryRung::First {
+    let mut failed: Option<(Attempt, WarmStatus, RecoveryRung, LpError)> = None;
+    let mut escalate = false;
+    for rung in LADDER {
+        let first = rung == RecoveryRung::First;
+        let mut cfg = EngineCfg {
+            budget,
+            chaos: None,
+        };
+        let (attempt_hint, attempt_crash) = if first {
             (hint, overlay.and_then(|o| o.crash.as_ref()))
         } else {
             (None, None)
@@ -1906,69 +1697,40 @@ pub fn solve_in(
         }
         let (attempt, warm) = attempt_solve(problem, overlay, attempt_hint, attempt_crash, cfg);
         attempts += 1;
-        match &attempt.outcome {
+        let e = match &attempt.outcome {
+            Ok(_) if first && attempt.installed && !attempt.engine.bounds_at_zero() => continue,
             Ok(_) => {
-                if rung == RecoveryRung::First
-                    && attempt.installed
-                    && !attempt.engine.bounds_at_zero()
-                {
-                    idx = 1;
-                    continue;
-                }
                 chosen = Some((attempt, warm, rung));
-                exhausted_sparse = false;
                 break;
             }
-            Err(e) => {
-                let e = e.clone();
-                if attempt.engine.budget_exhausted {
-                    // Out of user budget before feasibility: retrying under
-                    // the same caps cannot help.
-                    failed = Some((attempt, warm, e));
-                    exhausted_sparse = false;
-                    break;
-                }
-                match attempt.engine.trigger {
-                    Some(t) => {
-                        if trigger.is_none() {
-                            trigger = Some(t);
-                        }
-                        let next = if rung == RecoveryRung::First && !attempt.installed {
-                            // The first attempt already ran the
-                            // all-artificial phase 1 (no start basis
-                            // installed): rung 1 would repeat it verbatim.
-                            2
-                        } else {
-                            idx + 1
-                        };
-                        failed = Some((attempt, warm, e));
-                        idx = next;
-                        continue;
-                    }
-                    None => {
-                        if rung == RecoveryRung::First && attempt.installed {
-                            // Legacy fallback: any error of an attempt from
-                            // a hint or crash basis discards both and
-                            // re-solves cold.
-                            failed = Some((attempt, warm, e));
-                            idx = 1;
-                            continue;
-                        }
-                        // A structured verdict from an (effectively) cold
-                        // solve is final.
-                        failed = Some((attempt, warm, e));
-                        exhausted_sparse = false;
-                        break;
-                    }
-                }
-            }
+            Err(e) => e.clone(),
+        };
+        // Out of user budget: retrying under the same caps cannot help.
+        let exhausted = attempt.engine.budget_exhausted;
+        let numerical = attempt.engine.trigger;
+        let retry_cold = first && attempt.installed;
+        failed = Some((attempt, warm, rung, e));
+        if exhausted {
+            break;
+        }
+        if trigger.is_none() {
+            trigger = numerical;
+        }
+        // Any error of an attempt from a hint or crash basis discards both
+        // and re-solves cold. Otherwise the attempt already ran the
+        // all-artificial phase 1, so `Cold` would repeat it verbatim: a
+        // numerical failure goes to the dense oracle, and a structured
+        // verdict is final.
+        if !retry_cold {
+            escalate = numerical.is_some();
+            break;
         }
     }
 
-    // Every sparse rung failed with a recoverable trigger: the dense
+    // A cold sparse attempt failed with a recoverable trigger: the dense
     // tableau oracle is the last resort.
     let mut dense_result: Option<Result<(LpSolution, Basis), LpError>> = None;
-    if chosen.is_none() && exhausted_sparse {
+    if chosen.is_none() && escalate {
         attempts += 1;
         dense_result = Some(dense_fallback(ctx, problem, overlay));
     }
@@ -1985,7 +1747,6 @@ pub fn solve_in(
             phase1_pivots: attempt.phase1_pivots,
             phase2_pivots: attempt.phase2_pivots,
             refactorizations: attempt.engine.refactorizations,
-            basis: attempt.engine.fac.kind(),
             warm: if rung == RecoveryRung::First {
                 warm
             } else if hint_offered {
@@ -2015,7 +1776,7 @@ pub fn solve_in(
             })
         }
         (None, Some(Ok((solution, basis)))) => {
-            let (last, warm, _) = failed
+            let (last, warm, _, _) = failed
                 .take()
                 .expect("the dense rung only runs after a failure");
             let mut stats = build_stats(&last, warm, RecoveryRung::Dense, false);
@@ -2028,19 +1789,14 @@ pub fn solve_in(
             })
         }
         (None, Some(Err(e))) => {
-            let (last, warm, _) = failed
+            let (last, warm, _, _) = failed
                 .take()
                 .expect("the dense rung only runs after a failure");
             let stats = build_stats(&last, warm, RecoveryRung::Dense, false);
             Err((stats, e))
         }
         (None, None) => {
-            let (last, warm, e) = failed.expect("a failed ladder recorded its last attempt");
-            let rung = if attempts > 1 {
-                LADDER[(attempts - 1).min(LADDER.len() - 1)]
-            } else {
-                RecoveryRung::First
-            };
+            let (last, warm, rung, e) = failed.expect("a failed ladder recorded its last attempt");
             let stats = build_stats(&last, warm, rung, false);
             Err((stats, e))
         }
@@ -2207,12 +1963,8 @@ fn attempt_solve(
 
 fn print_stats(stats: &SolveStats, status: &str) {
     eprintln!(
-        "pm-lp: engine=revised basis={} m={} n={} nnz={} phase1_pivots={} phase2_pivots={} \
+        "pm-lp: engine=revised m={} n={} nnz={} phase1_pivots={} phase2_pivots={} \
          refactorizations={} warm={} elapsed={:.3}s status={status}",
-        match stats.basis {
-            BasisKind::Eta => "eta",
-            BasisKind::Lu => "lu",
-        },
         stats.m,
         stats.n,
         stats.nnz,
@@ -2539,9 +2291,8 @@ mod tests {
 
     #[test]
     fn secondary_objective_canonicalizes_the_optimal_vertex() {
-        // (Engine-pair agreement on the canonical vertex is covered by the
-        // serialized `lu_vs_eta` differential binary; flipping the global
-        // default basis here would race the parallel lib tests.)
+        // (Agreement with the dense oracle on the canonical vertex is
+        // covered by `tests/diff_engines.rs`.)
         let lp = tied_face_lp();
         let s = solve_with_hint(&lp, None).unwrap().solution;
         approx(s.objective, 1.0);
@@ -2996,8 +2747,7 @@ mod tests {
     }
 
     /// Re-solves `lp` under `overlay` from `hint` and checks that the hint
-    /// survives phase 2 in one attempt, on both basis engines, and lands
-    /// where a cold solve does.
+    /// survives phase 2 in one attempt and lands where a cold solve does.
     fn assert_stays_warm(lp: &LpProblem, hint: &Basis, overlay: &BoundsOverlay) {
         let warm = resolve_with_bounds(lp, overlay, Some(hint)).unwrap();
         assert_eq!(warm.stats.warm, WarmStatus::Hit);
@@ -3008,14 +2758,16 @@ mod tests {
         for (w, c) in warm.solution.values().iter().zip(cold.solution.values()) {
             assert!((w - c).abs() <= 1e-9, "warm {w} vs cold {c}");
         }
-        // The devex (LU) and Dantzig (eta) loops share the ratio test.
-        for kind in [BasisKind::Lu, BasisKind::Eta] {
-            let cfg = EngineCfg::new(kind, None);
-            let (attempt, warm) = attempt_solve(lp, Some(overlay), Some(hint), None, cfg);
-            assert_eq!(warm, WarmStatus::Hit, "{kind:?}");
-            assert!(attempt.outcome.is_ok(), "{kind:?}");
-            assert!(attempt.engine.bounds_at_zero(), "{kind:?}");
-        }
+        // The single attempt itself keeps the held columns at zero; the
+        // ladder's check after the solve is not what rescued it.
+        let cfg = EngineCfg {
+            budget: None,
+            chaos: None,
+        };
+        let (attempt, warm) = attempt_solve(lp, Some(overlay), Some(hint), None, cfg);
+        assert_eq!(warm, WarmStatus::Hit);
+        assert!(attempt.outcome.is_ok());
+        assert!(attempt.engine.bounds_at_zero());
     }
 
     #[test]

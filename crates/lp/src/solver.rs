@@ -1,9 +1,9 @@
-//! The [`SolveContext`] every solve runs under — engine, basis
-//! factorization, chaos injection, diagnostics and outcome tally — plus
-//! the numerical knobs both engines share. The shared helpers are the
-//! load-bearing part: the engines' bit-reproducibility story assumes
-//! identical RNG streams, pivot budgets and row normalisation, so they live
-//! here once instead of drifting apart as two private copies.
+//! The [`SolveContext`] every solve runs under — engine, chaos injection,
+//! diagnostics and outcome tally — plus the numerical knobs both engines
+//! share. The shared helpers are the load-bearing part: the engines'
+//! bit-reproducibility story assumes identical RNG streams, pivot budgets
+//! and row normalisation, so they live here once instead of drifting apart
+//! as two private copies.
 
 use crate::chaos::{ChaosConfig, SolveTally};
 use crate::problem::Relation;
@@ -93,26 +93,10 @@ pub(crate) fn perturb_rhs(b: &mut [f64], row_relations: &[Relation], n: usize) {
 pub enum SolverKind {
     /// The dense two-phase tableau simplex ([`crate::simplex`]).
     Dense,
-    /// The sparse revised simplex with a product-form basis
+    /// The sparse revised simplex on a sparse LU basis
     /// ([`crate::revised`]). The default.
     #[default]
     Revised,
-}
-
-/// The basis factorizations available to the revised engine (see
-/// [`crate::basis`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BasisKind {
-    /// Product-form eta file: one elementary transform appended per pivot.
-    /// Kept as the differential oracle for the LU engine.
-    Eta,
-    /// Sparse LU (Markowitz-ordered, threshold partial pivoting) with
-    /// Forrest–Tomlin pivot updates. The default: per-pivot FTRAN/BTRAN
-    /// cost stays flat as updates accumulate instead of growing with the
-    /// eta-file length. Also switches pricing from rotating Dantzig
-    /// sections to devex.
-    #[default]
-    Lu,
 }
 
 /// The configuration one solve runs under, passed by reference from the
@@ -120,32 +104,28 @@ pub enum BasisKind {
 /// state: two threads solving under different contexts cannot see each
 /// other's settings.
 ///
-/// The default is the production configuration: the revised engine on the
-/// LU basis, no fault injection, no stderr diagnostics, no tally. Work caps
-/// are not part of it: a [`SolveBudget`] belongs to the template or call
-/// that sets it, and is passed beside the context.
+/// The default is the production configuration: the revised engine, no
+/// fault injection, no stderr diagnostics, no tally. Work caps are not part
+/// of it: a [`SolveBudget`] belongs to the template or call that sets it,
+/// and is passed beside the context.
 ///
 /// ```
-/// use pm_lp::{BasisKind, LpProblem, Objective, Relation, SolveContext};
+/// use pm_lp::{LpProblem, Objective, Relation, SolveContext, SolverKind};
 ///
 /// let mut lp = LpProblem::new(Objective::Maximize);
 /// let x = lp.add_var("x");
 /// lp.set_objective_coeff(x, 1.0);
 /// lp.add_constraint(vec![(x, 1.0)], Relation::Le, 2.0);
-/// let eta = SolveContext {
-///     basis: BasisKind::Eta,
+/// let dense = SolveContext {
+///     engine: SolverKind::Dense,
 ///     ..SolveContext::default()
 /// };
-/// assert_eq!(lp.solve_in(&eta).unwrap().objective, 2.0);
+/// assert_eq!(lp.solve_in(&dense).unwrap().objective, 2.0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SolveContext {
     /// The engine (`fig11 --solver`, `PM_LP_SOLVER`).
     pub engine: SolverKind,
-    /// The revised engine's basis factorization (`PM_LP_BASIS`). The
-    /// recovery ladder's [`crate::RecoveryRung::SwappedBasis`] rung swaps
-    /// relative to it.
-    pub basis: BasisKind,
     /// Seeded fault injection into the revised engine's recovery ladder
     /// (`fig11 --chaos`); `None` injects nothing.
     pub chaos: Option<ChaosConfig>,

@@ -5,21 +5,23 @@
 //! optimum, a budget-degraded anytime solution, or a structured [`LpError`]
 //! — never a panic. And recovery must be byte-deterministic: the same seed
 //! and fault always walk the same rung sequence and return the same
-//! solution, regardless of thread or basis backend.
+//! solution, regardless of thread. The ladder is `First` → `Cold` →
+//! `Dense`: strikes past the sparse attempts end on the dense oracle.
 //!
 //! Every solve names its configuration in a [`SolveContext`], so the tests
 //! of this binary run in parallel without sharing any solver state.
 
 use pm_lp::revised::{solve_in, solve_with_hint, BoundsOverlay, RecoveryRung};
 use pm_lp::{
-    BasisKind, ChaosConfig, ChaosFault, LpProblem, Objective, Relation, SolveBudget, SolveContext,
-    SolverKind, VarId,
+    ChaosConfig, ChaosFault, LpProblem, Objective, RecoveryTrigger, Relation, SolveBudget,
+    SolveContext, SolveTally, SolverKind, VarId,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 const TOL: f64 = 1e-6;
 
@@ -170,34 +172,6 @@ proptest! {
         prop_assert!(first == threaded, "spawned thread diverged under {:?}", cfg);
     }
 
-    /// The rung walk does not depend on the basis backend: both defaults
-    /// take the same number of attempts to the same rung and agree on the
-    /// optimum (bit-identical values are *not* required across backends —
-    /// they walk different pivot paths).
-    #[test]
-    fn ladder_walk_is_basis_independent(
-        num_vars in 1usize..5,
-        num_cons in 0usize..5,
-        lp_seed in 0u64..100_000,
-        chaos_seed in 0u64..500,
-    ) {
-        let (lp, _) = random_bounded_lp(num_vars, num_cons, lp_seed);
-        let cfg = ChaosConfig::all(chaos_seed);
-        let mut runs = Vec::new();
-        for basis in [BasisKind::Lu, BasisKind::Eta] {
-            let ctx = SolveContext { basis, ..chaos(cfg) };
-            let out = solve_in(&ctx, &lp, None, None, None)
-                .expect("bounded feasible LP must recover");
-            runs.push((out.stats.attempts, out.stats.rung, out.solution.objective));
-        }
-        prop_assert!(runs[0].0 == runs[1].0, "attempt counts diverged across backends");
-        prop_assert!(runs[0].1 == runs[1].1, "winning rung diverged across backends");
-        prop_assert!(
-            (runs[0].2 - runs[1].2).abs() <= TOL * (1.0 + runs[0].2.abs()),
-            "objectives diverged across backends: {} vs {}", runs[0].2, runs[1].2
-        );
-    }
-
     /// Degradable budgets: an exhausted phase 2 yields a primal-feasible
     /// anytime point flagged `degraded` whose objective never beats the
     /// optimum; a generous budget reproduces the unbudgeted solve exactly.
@@ -301,4 +275,60 @@ fn healthy_solves_report_first_rung() {
     assert_eq!(out.stats.rung, RecoveryRung::First);
     assert_eq!(out.stats.trigger, None);
     assert!(!out.stats.degraded);
+}
+
+/// The ladder's shape. A chaos plan is a pure function of the seed and the
+/// problem's structure, so a hinted and an unhinted solve of one LP under
+/// one seed are struck on the same number of leading attempts. A hinted
+/// solve struck once is rescued by `Cold` (two attempts); one struck twice
+/// or more fails on `First` and `Cold` and ends on `Dense` (three). An
+/// unhinted solve already ran the all-artificial phase 1 on its first
+/// attempt, so it skips `Cold`: struck once, it goes straight to `Dense` on
+/// its second attempt.
+#[test]
+fn struck_sparse_rungs_end_on_the_dense_rung() {
+    let (lp, _) = random_bounded_lp(5, 4, 11);
+    let dense = lp
+        .solve_in(&SolveContext {
+            engine: SolverKind::Dense,
+            ..SolveContext::default()
+        })
+        .unwrap();
+    let close = |objective: f64| (objective - dense.objective).abs() <= TOL;
+    let hint = solve_with_hint(&lp, None).unwrap().basis;
+    let tally = Arc::new(SolveTally::new());
+    let (mut struck_once, mut struck_twice) = (0u64, 0u64);
+    for seed in 0..64 {
+        let ctx = SolveContext {
+            chaos: Some(ChaosConfig::only(ChaosFault::SingularBasis, seed)),
+            tally: Some(Arc::clone(&tally)),
+            ..SolveContext::default()
+        };
+        let hinted = solve_in(&ctx, &lp, None, Some(&hint), None).unwrap();
+        match hinted.stats.attempts {
+            1 => assert_eq!(hinted.stats.rung, RecoveryRung::First, "seed {seed}"),
+            2 => {
+                assert_eq!(hinted.stats.rung, RecoveryRung::Cold, "seed {seed}");
+                let unhinted = solve_in(&ctx, &lp, None, None, None).unwrap();
+                assert_eq!(unhinted.stats.rung, RecoveryRung::Dense, "seed {seed}");
+                assert_eq!(unhinted.stats.attempts, 2, "seed {seed}");
+                assert_eq!(unhinted.stats.trigger, Some(RecoveryTrigger::SingularBasis));
+                assert!(close(unhinted.solution.objective), "seed {seed}");
+                struck_once += 1;
+            }
+            _ => {
+                assert_eq!(hinted.stats.rung, RecoveryRung::Dense, "seed {seed}");
+                assert_eq!(hinted.stats.attempts, 3, "seed {seed}");
+                assert_eq!(hinted.stats.trigger, Some(RecoveryTrigger::SingularBasis));
+                assert!(close(hinted.solution.objective), "seed {seed}");
+                struck_twice += 1;
+            }
+        }
+    }
+    assert!(struck_once > 0, "no seed in 0..64 strikes exactly once");
+    assert!(struck_twice > 0, "no seed in 0..64 strikes twice or more");
+    let counted = tally.counters();
+    assert_eq!(counted.recovered_by_rung[1], struck_once);
+    assert_eq!(counted.recovered_by_rung[2], struck_once + struck_twice);
+    assert_eq!(counted.unrecovered, 0);
 }

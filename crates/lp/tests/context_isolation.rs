@@ -1,13 +1,12 @@
 //! Solve contexts are per solve, not per process: two threads solving the
-//! same LP at the same time, one under a chaos-armed eta-basis context with
-//! a tally and one under the default context, cannot see each other's
+//! same LP at the same time, one under a chaos-armed context with a tally
+//! and one under the default context, cannot see each other's
 //! configuration. The default side must look exactly like a solve that ran
 //! alone, and the chaos side's tally must count exactly its own solves.
 
 use pm_lp::revised::{solve_in, RecoveryRung};
 use pm_lp::{
-    BasisKind, ChaosConfig, LpProblem, Objective, Relation, SolveContext, SolveOutcome, SolveTally,
-    VarId,
+    ChaosConfig, LpProblem, Objective, Relation, SolveContext, SolveOutcome, SolveTally, VarId,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,7 +45,6 @@ fn concurrent_solves_under_different_contexts_do_not_interfere() {
     // A seed whose plan strikes this LP: the solve climbs past the first
     // attempt.
     let chaos_ctx = |seed: u64, tally: Option<Arc<SolveTally>>| SolveContext {
-        basis: BasisKind::Eta,
         chaos: Some(ChaosConfig::all(seed)),
         tally,
         ..SolveContext::default()
@@ -81,7 +79,6 @@ fn concurrent_solves_under_different_contexts_do_not_interfere() {
     for out in &default_side {
         assert_eq!(out.stats.attempts, 1);
         assert_eq!(out.stats.rung, RecoveryRung::First);
-        assert_eq!(out.stats.basis, BasisKind::Lu);
         assert_eq!(value_bits(out), value_bits(&solo));
         assert_eq!(
             out.solution.objective.to_bits(),
@@ -89,7 +86,7 @@ fn concurrent_solves_under_different_contexts_do_not_interfere() {
         );
     }
 
-    let mut by_rung = [0u64; 6];
+    let mut by_rung = [0u64; 3];
     for out in &chaos_side {
         assert!(
             out.stats.attempts > 1,

@@ -1,10 +1,13 @@
 //! Differential tests: the sparse revised simplex and the dense tableau
 //! simplex must agree on status and objective for every random LP, including
 //! the degenerate generators and Beale's cycling example that exercised the
-//! PR 1 anti-degeneracy work. The dense engine is the oracle; any
+//! early anti-degeneracy work. The dense engine is the oracle; any
 //! disagreement beyond 1e-6 is an engine bug, not an alternate optimum
 //! (optimal *objectives* are unique even when optimal vertices are not).
-//! Overlay re-solves run on the engine their context selects, too.
+//! Overlay re-solves run on the engine their context selects, too, and a
+//! warm-chained revised re-solve — its LU updates running on a basis
+//! installed by a warm start rather than built by its own pivot walk —
+//! must agree with a fresh dense solve at every step.
 
 use pm_lp::{
     Basis, BoundsOverlay, LpError, LpProblem, Objective, RecoveryRung, Relation, SolveContext,
@@ -94,6 +97,124 @@ fn random_lp(num_vars: usize, num_cons: usize, seed: u64) -> LpProblem {
     lp
 }
 
+/// The degenerate generator: every row of `base` followed by `copies`
+/// positively scaled duplicates (scale 1, 2, …), which makes the optimal
+/// vertex over-determined — exactly where pivot paths diverge most between
+/// engines, while the optimum must not move.
+fn duplicated_lp(base: &LpProblem, copies: usize) -> LpProblem {
+    let mut degen = base.clone();
+    for constraint in base.constraints().to_vec() {
+        for copy in 0..copies {
+            let scale = 1.0 + copy as f64;
+            let terms: Vec<(VarId, f64)> = constraint
+                .terms
+                .iter()
+                .map(|&(v, c)| (v, c * scale))
+                .collect();
+            degen.add_constraint(terms, constraint.relation, constraint.rhs * scale);
+        }
+    }
+    degen
+}
+
+/// The revised engine's duals must certify the dense oracle's primal
+/// objective (strong duality against the *exact* right-hand sides — the
+/// shadow-RHS perturbation must never leak into the prices) and must be
+/// dual feasible (no structural column prices as improving). Duals are not
+/// unique on degenerate problems, so this checks the certificate, not the
+/// values.
+fn assert_duals_certify(lp: &LpProblem) -> Result<(), TestCaseError> {
+    let (Ok(dense), Ok(revised)) = (
+        lp.solve_in(&on(SolverKind::Dense)),
+        lp.solve_in(&on(SolverKind::Revised)),
+    ) else {
+        return Ok(()); // infeasible/unbounded: no duals to check
+    };
+    let duals = revised.duals();
+    prop_assert_eq!(duals.len(), lp.num_constraints());
+    // Strong duality: Σ y_i b_i = optimal objective.
+    let dual_obj: f64 = duals
+        .iter()
+        .zip(lp.constraints())
+        .map(|(y, c)| y * c.rhs)
+        .sum();
+    prop_assert!(
+        (dual_obj - dense.objective).abs() <= TOL * (1.0 + dense.objective.abs()),
+        "strong duality violated: dual objective {} vs dense primal {}",
+        dual_obj,
+        dense.objective
+    );
+    // Dual feasibility: reduced costs have the optimal sign in the
+    // problem's own sense.
+    let maximize = matches!(lp.objective(), Objective::Maximize);
+    for j in 0..lp.num_vars() {
+        let var = VarId(j);
+        let mut rc = lp.objective_coeff(var);
+        for (y, c) in duals.iter().zip(lp.constraints()) {
+            for &(v, a) in &c.terms {
+                if v == var {
+                    rc -= y * a;
+                }
+            }
+        }
+        if maximize {
+            prop_assert!(rc <= TOL, "column {} prices as improving: rc {}", j, rc);
+        } else {
+            prop_assert!(rc >= -TOL, "column {} prices as improving: rc {}", j, rc);
+        }
+    }
+    Ok(())
+}
+
+/// Each step's status or objective along a warm chain: a cold solve, then
+/// one re-solve per overlay. On the revised engine each accepted basis is
+/// fed forward as the next step's hint; the dense oracle solves every
+/// step afresh.
+fn warm_chain(
+    lp: &LpProblem,
+    overlays: &[BoundsOverlay],
+    engine: SolverKind,
+) -> Vec<Result<f64, LpError>> {
+    let ctx = on(engine);
+    let mut out = Vec::with_capacity(overlays.len() + 1);
+    let mut hint: Option<Basis> = None;
+    let base = BoundsOverlay::default();
+    for overlay in std::iter::once(&base).chain(overlays) {
+        match lp.resolve_in(&ctx, overlay, hint.as_ref(), None) {
+            Ok(o) => {
+                out.push(Ok(o.solution.objective));
+                if engine == SolverKind::Revised {
+                    hint = Some(o.basis);
+                }
+            }
+            Err(e) => out.push(Err(e)),
+        }
+    }
+    out
+}
+
+fn random_overlays(lp: &LpProblem, chain: usize, seed: u64) -> Vec<BoundsOverlay> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x00ff_1ce0_f00d);
+    let n = lp.num_vars();
+    let m = lp.num_constraints();
+    (0..chain)
+        .map(|_| {
+            let mut overlay = BoundsOverlay::default();
+            for j in 0..n {
+                if rng.gen_bool(0.2) {
+                    overlay.fix_zero.push(VarId(j));
+                }
+            }
+            for r in 0..m {
+                if rng.gen_bool(0.25) {
+                    overlay.rhs.push((r, rng.gen_range(-1.0..4.0)));
+                }
+            }
+            overlay
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -107,10 +228,7 @@ proptest! {
         assert_engines_agree(&lp)?;
     }
 
-    // The PR 1 degenerate generator: duplicated (verbatim and positively
-    // scaled) constraints make the optimal vertex over-determined — exactly
-    // where pivot paths diverge most between engines, while the optimum
-    // must not move.
+    // The degenerate generator (see `duplicated_lp`).
     #[test]
     fn engines_agree_on_degenerate_duplicated_lps(
         num_vars in 1usize..5,
@@ -119,69 +237,54 @@ proptest! {
         copies in 1usize..4,
     ) {
         let base = random_lp(num_vars, num_cons, seed);
-        let mut degen = base.clone();
-        for constraint in base.constraints().to_vec() {
-            for copy in 0..copies {
-                let scale = 1.0 + copy as f64;
-                let terms: Vec<(VarId, f64)> = constraint
-                    .terms
-                    .iter()
-                    .map(|&(v, c)| (v, c * scale))
-                    .collect();
-                degen.add_constraint(terms, constraint.relation, constraint.rhs * scale);
-            }
-        }
-        assert_engines_agree(&degen)?;
+        assert_engines_agree(&duplicated_lp(&base, copies))?;
     }
 
-    // Dual differential test: the revised engine's duals must certify the
-    // dense oracle's primal objective (strong duality against the *exact*
-    // right-hand sides — the shadow-RHS perturbation must never leak into
-    // the prices) and must be dual feasible (no structural column prices as
-    // improving).
+    // Dual differential test (see `assert_duals_certify`), on the plain
+    // generator and on its degenerate duplicate.
     #[test]
     fn revised_duals_certify_the_dense_objective(
         num_vars in 1usize..7,
         num_cons in 0usize..8,
         seed in 0u64..1_000_000,
+        copies in 1usize..4,
     ) {
         let lp = random_lp(num_vars, num_cons, seed);
-        let (Ok(dense), Ok(revised)) =
-            (lp.solve_in(&on(SolverKind::Dense)), lp.solve_in(&on(SolverKind::Revised)))
-        else {
-            return Ok(()); // infeasible/unbounded: no duals to check
-        };
-        let duals = revised.duals();
-        prop_assert_eq!(duals.len(), lp.num_constraints());
-        // Strong duality: Σ y_i b_i = optimal objective.
-        let dual_obj: f64 = duals
-            .iter()
-            .zip(lp.constraints())
-            .map(|(y, c)| y * c.rhs)
-            .sum();
-        prop_assert!(
-            (dual_obj - dense.objective).abs() <= TOL * (1.0 + dense.objective.abs()),
-            "strong duality violated: dual objective {} vs dense primal {}",
-            dual_obj,
-            dense.objective
-        );
-        // Dual feasibility: reduced costs have the optimal sign in the
-        // problem's own sense.
-        let maximize = matches!(lp.objective(), Objective::Maximize);
-        for j in 0..lp.num_vars() {
-            let var = VarId(j);
-            let mut rc = lp.objective_coeff(var);
-            for (y, c) in duals.iter().zip(lp.constraints()) {
-                for &(v, a) in &c.terms {
-                    if v == var {
-                        rc -= y * a;
-                    }
+        assert_duals_certify(&lp)?;
+        assert_duals_certify(&duplicated_lp(&lp, copies))?;
+    }
+
+    // Warm-chained overlay re-solves: each revised step warm-starts from
+    // the previous basis, so the LU engine's Forrest–Tomlin updates run on
+    // installed (not self-built) bases. Statuses and objectives must agree
+    // with a fresh dense solve of every step.
+    #[test]
+    fn warm_chains_agree_with_the_dense_oracle(
+        num_vars in 2usize..7,
+        num_cons in 1usize..8,
+        chain in 1usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let lp = random_lp(num_vars, num_cons, seed);
+        let overlays = random_overlays(&lp, chain, seed);
+        let dense = warm_chain(&lp, &overlays, SolverKind::Dense);
+        let revised = warm_chain(&lp, &overlays, SolverKind::Revised);
+        prop_assert_eq!(dense.len(), revised.len());
+        for (step, (d, r)) in dense.iter().zip(&revised).enumerate() {
+            match (d, r) {
+                (Ok(dobj), Ok(robj)) => prop_assert!(
+                    (dobj - robj).abs() <= TOL * (1.0 + dobj.abs()),
+                    "step {}: objectives disagree: dense {} vs revised {}",
+                    step, dobj, robj
+                ),
+                (Err(de), Err(re)) => {
+                    prop_assert!(de == re, "step {}: dense {:?} vs revised {:?}", step, de, re)
                 }
-            }
-            if maximize {
-                prop_assert!(rc <= TOL, "column {} prices as improving: rc {}", j, rc);
-            } else {
-                prop_assert!(rc >= -TOL, "column {} prices as improving: rc {}", j, rc);
+                _ => prop_assert!(
+                    false,
+                    "step {}: status mismatch: dense {:?} vs revised {:?}",
+                    step, d, r
+                ),
             }
         }
     }
@@ -309,6 +412,46 @@ fn engines_agree_on_a_transportation_lp() {
     let revised = lp.solve_in(&on(SolverKind::Revised)).unwrap();
     assert!((dense.objective - 120.0).abs() < 1e-6);
     assert!((revised.objective - 120.0).abs() < 1e-6);
+}
+
+/// With a lexicographic secondary objective the engines must agree not just
+/// on the objective but on the *point*: the secondary makes the optimal
+/// vertex unique, so the revised engine and the dense tableau land on the
+/// same values no matter how differently they walk there.
+#[test]
+fn secondary_objective_makes_the_vertex_engine_independent() {
+    // max x + y + z over x + y + z <= 2, x <= 1, z <= 1: the whole simplex
+    // face x + y + z = 2 is optimal. On it the secondary 3x + 2y + z equals
+    // 4 + x − z, minimized at x = 0, z = 1 → the unique canonical vertex
+    // (0, 1, 1).
+    let mut lp = LpProblem::new(Objective::Maximize);
+    let x = lp.add_var("x");
+    let y = lp.add_var("y");
+    let z = lp.add_var("z");
+    for v in [x, y, z] {
+        lp.set_objective_coeff(v, 1.0);
+    }
+    lp.add_constraint(vec![(x, 1.0), (y, 1.0), (z, 1.0)], Relation::Le, 2.0);
+    lp.add_constraint(vec![(x, 1.0)], Relation::Le, 1.0);
+    lp.add_constraint(vec![(z, 1.0)], Relation::Le, 1.0);
+    lp.set_secondary_coeff(x, 3.0);
+    lp.set_secondary_coeff(y, 2.0);
+    lp.set_secondary_coeff(z, 1.0);
+    let dense = lp.solve_in(&on(SolverKind::Dense)).unwrap();
+    let revised = lp.solve_in(&on(SolverKind::Revised)).unwrap();
+    assert!((dense.objective - 2.0).abs() < TOL);
+    assert!((revised.objective - 2.0).abs() < TOL);
+    for (a, b) in dense.values().iter().zip(revised.values()) {
+        assert!(
+            (a - b).abs() < TOL,
+            "vertices differ: {:?} vs {:?}",
+            dense.values(),
+            revised.values()
+        );
+    }
+    assert!((dense.value(x)).abs() < TOL);
+    assert!((dense.value(y) - 1.0).abs() < TOL);
+    assert!((dense.value(z) - 1.0).abs() < TOL);
 }
 
 /// `LpProblem::resolve_in` runs on the context's engine, as
