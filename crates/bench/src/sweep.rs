@@ -11,22 +11,21 @@
 //!   saturate every core regardless of how the grid is shaped.
 //!
 //! **Warm starts**: within one `(class, seed, platform)` work item the
-//! density grid is swept *sequentially* under a [`pm_lp::WarmStartCache`]
-//! scope — consecutive densities re-solve structurally identical LPs (the
-//! broadcast curve, the greedy heuristics' iterated broadcast LPs, …), so
-//! most solves skip phase 1 by starting from the previous optimal basis.
-//! The cache is per work item, so parallel scheduling cannot leak state
-//! between items.
+//! density grid is swept *sequentially*, and every LP runs through a
+//! [`Session`]: its masked templates warm-start each re-solve from the
+//! previous optimal basis, and its realizations pack through the session's
+//! own warm-start cache. Nothing is shared between items, so parallel
+//! scheduling cannot leak state between them.
 //!
 //! Determinism: instance seeds are derived from the configuration only,
-//! warm-start caches evolve deterministically inside their work item, and
+//! warm starts evolve deterministically inside their session, and
 //! rayon's ordered collect keeps aggregation order independent of thread
 //! scheduling, so two runs of the same configuration produce bitwise
 //! identical results (the property the JSON/CSV baselines in CI rely on).
 
 use pm_core::report::{CollectOptions, HeuristicKind, KindLpStats, MulticastReport};
 use pm_core::session::Session;
-use pm_lp::{SolveContext, WarmStartCache};
+use pm_lp::SolveContext;
 use pm_platform::topology::{GeneratedTopology, PlatformClass, TiersLikeGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -346,15 +345,13 @@ impl ItemStats {
     }
 }
 
-/// Runs the density grid of one platform sequentially under a shared
-/// warm-start cache (see the module docs) and returns the per-density
-/// reports plus the item's LP statistics.
+/// Runs the density grid of one platform sequentially (see the module
+/// docs) and returns the per-density reports plus the item's LP
+/// statistics.
 ///
 /// The totals are the per-heuristic sums reported by the collected
-/// [`MulticastReport`]s: the masked greedy heuristics account their
-/// template solves themselves, and the baseline curves' plain
-/// `LpProblem::solve` calls are attributed from the cache scope's deltas —
-/// every counter is deterministic for a given configuration.
+/// [`MulticastReport`]s, which take them from each session operation's
+/// accounting — every counter is deterministic for a given configuration.
 fn collect_platform_reports(
     topology: &GeneratedTopology,
     config: &SweepConfig,
@@ -362,26 +359,23 @@ fn collect_platform_reports(
     pi: usize,
     progress_label: Option<&str>,
 ) -> (Vec<(usize, Option<MulticastReport>)>, ItemStats) {
-    let mut cache = WarmStartCache::new();
     let start = Instant::now();
-    let reports: Vec<(usize, Option<MulticastReport>)> = cache.scope(|| {
-        (0..config.densities.len())
-            .map(|di| {
-                let density_start = Instant::now();
-                let report = collect_report(topology, config, ctx, di, pi);
-                if let Some(label) = progress_label {
-                    eprintln!(
-                        "fig11: {label} density {}/{} ({}) done in {:.1}s",
-                        di + 1,
-                        config.densities.len(),
-                        config.densities[di],
-                        density_start.elapsed().as_secs_f64(),
-                    );
-                }
-                (di, report)
-            })
-            .collect()
-    });
+    let reports: Vec<(usize, Option<MulticastReport>)> = (0..config.densities.len())
+        .map(|di| {
+            let density_start = Instant::now();
+            let report = collect_report(topology, config, ctx, di, pi);
+            if let Some(label) = progress_label {
+                eprintln!(
+                    "fig11: {label} density {}/{} ({}) done in {:.1}s",
+                    di + 1,
+                    config.densities.len(),
+                    config.densities[di],
+                    density_start.elapsed().as_secs_f64(),
+                );
+            }
+            (di, report)
+        })
+        .collect();
     let mut stats = ItemStats {
         solve_us: start.elapsed().as_micros(),
         ..ItemStats::default()
@@ -550,10 +544,10 @@ pub struct BatchMeta {
     /// runs.
     pub solve_ms: u64,
     /// Linear programs solved across the batch (any engine: dense solves
-    /// under the scope count as cold).
+    /// count as cold).
     pub lp_solves: u64,
     /// Solves warm-started from a previous basis (masked-template hints
-    /// and ambient cache hits alike; phase 1 skipped or repaired in a few
+    /// and session-cache hits alike; phase 1 skipped or repaired in a few
     /// pivots).
     pub warm_hits: u64,
     /// Solves that started cold.

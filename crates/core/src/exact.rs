@@ -13,7 +13,7 @@
 //! between the LP lower bound and the exact optimum.
 
 use crate::formulations::FormulationError;
-use pm_lp::{LpError, LpProblem, Objective, Relation, SolveContext, VarId};
+use pm_lp::{LpError, LpProblem, Objective, Relation, SolveContext, VarId, WarmStartCache};
 use pm_platform::graph::{EdgeId, NodeId, Platform};
 use pm_platform::instances::MulticastInstance;
 use pm_sched::tree::{MulticastTree, WeightedTreeSet};
@@ -304,18 +304,25 @@ impl ExactTreePacking {
 ///
 /// Shared by the exhaustive exact baseline (which enumerates *all* minimal
 /// trees) and the realization pipeline of [`crate::realize`] (which packs
-/// only the trees peeled from an LP flow). Solves under the default
-/// [`SolveContext`]; a session's realizations pack under its own.
+/// only the trees peeled from an LP flow). Solves cold under the default
+/// [`SolveContext`]; a session's realizations pack under its own context
+/// and warm-start cache.
 pub fn pack_trees(
     platform: &Platform,
     trees: &[MulticastTree],
 ) -> Result<(Vec<f64>, f64), LpError> {
-    pack_trees_in(&SolveContext::default(), platform, trees)
+    pack_trees_in(
+        &SolveContext::default(),
+        &mut WarmStartCache::with_capacity(0),
+        platform,
+        trees,
+    )
 }
 
-/// [`pack_trees`] with the packing LP solved under `ctx`.
+/// [`pack_trees`] with the packing LP solved under `ctx` through `cache`.
 pub(crate) fn pack_trees_in(
     ctx: &SolveContext,
+    cache: &mut WarmStartCache,
     platform: &Platform,
     trees: &[MulticastTree],
 ) -> Result<(Vec<f64>, f64), LpError> {
@@ -356,7 +363,7 @@ pub(crate) fn pack_trees_in(
             lp.add_constraint(recv_terms, Relation::Le, 1.0);
         }
     }
-    let sol = lp.solve_in(ctx)?;
+    let sol = cache.solve(ctx, &lp)?;
     let weights: Vec<f64> = y.iter().map(|&v| sol.value(v).max(0.0)).collect();
     Ok((weights, sol.objective))
 }

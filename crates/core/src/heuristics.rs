@@ -33,7 +33,7 @@
 use crate::formulations::{BroadcastEb, FormulationError, MulticastLb, MulticastUb};
 use crate::masked::{MaskedFlow, MaskedFlowLp, MaskedMultiSource, MaskedMultiSourceUb};
 use crate::realize::SteadyStateSolution;
-use pm_lp::WarmStatus;
+use crate::session::SessionOpStats;
 use pm_platform::algo::multi_source_bottleneck;
 use pm_platform::graph::{EdgeId, NodeId};
 use pm_platform::instances::MulticastInstance;
@@ -57,14 +57,12 @@ pub struct HeuristicResult {
     pub selected_nodes: Vec<NodeId>,
     /// Number of linear programs solved along the way.
     ///
-    /// For the masked greedy heuristics this equals
+    /// For the masked templates — the greedy heuristics, and the baseline
+    /// curves a [`crate::session::Session`] solves — this equals
     /// `warm_hits + warm_misses` (candidates rejected by the reachability
-    /// pre-check never reach the LP and are not counted). The baseline
-    /// curves solve through [`pm_lp::LpProblem::solve`] instead — their
-    /// warm-start outcome lives in the ambient
-    /// [`pm_lp::WarmStartCache`] scope (if any), so they report zero warm
-    /// counters here; `crate::report::MulticastReport::collect` attributes
-    /// those solves per kind from the scope's counter deltas.
+    /// pre-check never reach the LP and are not counted). The one-shot
+    /// baseline curves of [`ThroughputHeuristic::run_with`] solve one cold
+    /// [`pm_lp::LpProblem::solve`] and report zero warm counters.
     pub lp_solves: usize,
     /// Masked-template solves that warm-started from a previous basis.
     pub warm_hits: usize,
@@ -113,51 +111,6 @@ pub(crate) fn broadcast_commodities(instance: &MulticastInstance) -> Vec<NodeId>
         .collect()
 }
 
-/// LP accounting of one masked-heuristic run. The pivot/refactorization
-/// sums mirror the per-solve [`pm_lp::SolveStats`] so a long-lived
-/// [`crate::session::Session`] can aggregate structured solver statistics
-/// without scraping the `PM_LP_STATS=1` stderr lines.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LpCounters {
-    pub(crate) solves: usize,
-    pub(crate) hits: usize,
-    pub(crate) misses: usize,
-    pub(crate) degraded: usize,
-    pub(crate) phase1_pivots: u64,
-    pub(crate) phase2_pivots: u64,
-    pub(crate) refactorizations: u64,
-}
-
-impl LpCounters {
-    fn note(&mut self, stats: &crate::masked::MaskedStats) {
-        self.solves += 1;
-        if stats.warm == WarmStatus::Hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        if stats.solve.degraded {
-            self.degraded += 1;
-        }
-        self.phase1_pivots += stats.solve.phase1_pivots as u64;
-        self.phase2_pivots += stats.solve.phase2_pivots as u64;
-        self.refactorizations += stats.solve.refactorizations as u64;
-    }
-
-    /// An LP solve that ended in a solver error (counted as a cold solve).
-    fn note_failed(&mut self) {
-        self.solves += 1;
-        self.misses += 1;
-    }
-
-    fn write_to(&self, result: &mut HeuristicResult) {
-        result.lp_solves = self.solves;
-        result.warm_hits = self.hits;
-        result.warm_misses = self.misses;
-        result.degraded_solves = self.degraded;
-    }
-}
-
 /// The outcome of a greedy run driven on caller-owned masked templates (the
 /// [`crate::session::Session`] fast path): the plain [`HeuristicResult`]
 /// plus the warm-start seeds and counters the session carries across
@@ -171,7 +124,7 @@ pub(crate) struct GreedyRun {
     /// `AUGMENTED MULTICAST` only: the basis of the `Multicast-LB` scoring
     /// solve on the secondary template.
     pub(crate) aux_basis: Option<pm_lp::Basis>,
-    pub(crate) counters: LpCounters,
+    pub(crate) counters: SessionOpStats,
 }
 
 /// Options of [`ThroughputHeuristic::run_with`].
@@ -263,7 +216,7 @@ fn first_improving<P: CandidateOutcome>(
     candidates: &[(f64, NodeId)],
     solve: impl Fn(NodeId) -> Result<P, FormulationError>,
     best: f64,
-    counters: &mut LpCounters,
+    counters: &mut SessionOpStats,
 ) -> Option<(NodeId, Option<P>)> {
     for &(_, v) in candidates {
         match solve(v) {
@@ -307,7 +260,7 @@ impl ReducedBroadcast {
     ) -> Result<GreedyRun, FormulationError> {
         let instance = template.instance();
         let platform = &instance.platform;
-        let mut counters = LpCounters::default();
+        let mut counters = SessionOpStats::default();
         let mut mask = base_mask.clone();
 
         let initial = match template.solve(&mask, hint) {
@@ -318,12 +271,7 @@ impl ReducedBroadcast {
             // Some node is unreachable even on the base platform: the
             // broadcast value is +∞ and no removal can fix it.
             Err(FormulationError::Unreachable(_)) => None,
-            Err(e) => {
-                if matches!(e, FormulationError::Lp(_)) {
-                    counters.note_failed();
-                }
-                return Err(e);
-            }
+            Err(e) => return Err(e),
         };
         let Some(mut current) = initial else {
             let mut result = HeuristicResult::new(self.name(), f64::INFINITY);
@@ -425,7 +373,7 @@ impl AugmentedMulticast {
     ) -> Result<GreedyRun, FormulationError> {
         let instance = eb_template.instance();
         let platform = &instance.platform;
-        let mut counters = LpCounters::default();
+        let mut counters = SessionOpStats::default();
         let mut mask = NodeMask::from_nodes(
             platform.node_count(),
             std::iter::once(instance.source).chain(instance.targets.iter().copied()),
@@ -438,20 +386,15 @@ impl AugmentedMulticast {
                 Some(out)
             }
             Err(FormulationError::Unreachable(_)) => None,
-            Err(e) => {
-                if matches!(e, FormulationError::Lp(_)) {
-                    counters.note_failed();
-                }
-                return Err(e);
-            }
+            Err(e) => return Err(e),
         };
         let mut best = current
             .as_ref()
             .map_or(f64::INFINITY, |out| out.flow.period);
 
         // Candidate scores come from the Multicast-LB solution on the whole
-        // active platform and are computed once (through the masked template
-        // so the solve is accounted here, not in the ambient cache scope).
+        // active platform and are computed once, through the masked
+        // template.
         let lb = lb_template.solve(base_mask, lb_hint)?;
         counters.note(&lb.stats);
         let mut candidates: Vec<(f64, NodeId)> = base_mask
@@ -548,7 +491,7 @@ impl AugmentedSources {
     ) -> Result<GreedyRun, FormulationError> {
         let instance = template.instance();
         let n = instance.platform.node_count();
-        let mut counters = LpCounters::default();
+        let mut counters = SessionOpStats::default();
         let mut sources = vec![instance.source];
         let mut is_source = vec![false; n];
         is_source[instance.source.index()] = true;

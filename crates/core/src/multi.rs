@@ -44,7 +44,7 @@ use crate::realize::SteadyStateSolution;
 use crate::realize::{candidate_pool, realize_with_pool, tree_edge_key, RealizeError};
 use pm_lp::{
     Basis, BoundsOverlay, LpError, LpProblem, Objective, Relation, SolveBudget, SolveContext,
-    SparseBuilder, VarId,
+    SparseBuilder, VarId, WarmStartCache,
 };
 use pm_platform::graph::{EdgeId, NodeId, Platform};
 use pm_platform::instances::MulticastInstance;
@@ -642,13 +642,14 @@ pub struct MultiRealization {
 }
 
 /// Realizes a multi-commodity solve with default simulation settings, its
-/// packing LPs under the default [`SolveContext`].
+/// packing LPs solved cold under the default [`SolveContext`].
 pub fn realize_multi(
     set: &CommoditySet,
     flow: &MultiFlow,
 ) -> Result<MultiRealization, RealizeError> {
     realize_multi_with_pool(
         &SolveContext::default(),
+        &mut WarmStartCache::with_capacity(0),
         set,
         flow,
         &[],
@@ -662,9 +663,10 @@ pub fn realize_multi(
 ///
 /// `k = 1` delegates to [`crate::realize::realize_with_pool`] — the
 /// resulting schedule is bit-identical to the single-commodity pipeline's.
-/// Every packing LP runs under `ctx`.
+/// Every packing LP runs under `ctx`, through `cache`.
 pub fn realize_multi_with_pool(
     ctx: &SolveContext,
+    cache: &mut WarmStartCache,
     set: &CommoditySet,
     flow: &MultiFlow,
     seeds: &[Vec<MulticastTree>],
@@ -707,7 +709,7 @@ pub fn realize_multi_with_pool(
             period: flow.flows[0].period,
             target_flows: flow.flows[0].target_flows.clone(),
         };
-        let single = realize_with_pool(ctx, &instance, &solution, seeds_for(0), config)?;
+        let single = realize_with_pool(ctx, cache, &instance, &solution, seeds_for(0), config)?;
         let certified = 1.0 / single.achieved_period;
         let gap = {
             let sim = single.simulated.throughput;
@@ -756,7 +758,7 @@ pub fn realize_multi_with_pool(
     // with congestion shared across commodities).
     let s_target = 1.0 / t_star;
     let (mut weights, mut s_packed) =
-        pack_tree_groups(ctx, platform, &demands, &pools).map_err(RealizeError::Packing)?;
+        pack_tree_groups(ctx, cache, platform, &demands, &pools).map_err(RealizeError::Packing)?;
     let supports: Vec<Option<Vec<bool>>> = flow_rows
         .iter()
         .map(|rows| {
@@ -812,8 +814,8 @@ pub fn realize_multi_with_pool(
         if !added {
             break;
         }
-        let packed =
-            pack_tree_groups(ctx, platform, &demands, &pools).map_err(RealizeError::Packing)?;
+        let packed = pack_tree_groups(ctx, cache, platform, &demands, &pools)
+            .map_err(RealizeError::Packing)?;
         weights = packed.0;
         s_packed = packed.1;
     }
@@ -891,9 +893,11 @@ pub fn realize_multi_with_pool(
 /// scale `s` subject to per-commodity mix rows `Σ_k y_{c,k} = d_c · s` and
 /// the per-node one-port rows `Σ_{c,k} y_{c,k} · load ≤ 1` shared across
 /// all commodities. Returns the per-commodity tree rates (aligned with
-/// `pools`) and the optimal scale. The LP is solved under `ctx`.
+/// `pools`) and the optimal scale. The LP is solved under `ctx`, through
+/// `cache`.
 pub fn pack_tree_groups(
     ctx: &SolveContext,
+    cache: &mut WarmStartCache,
     platform: &Platform,
     demands: &[f64],
     pools: &[Vec<MulticastTree>],
@@ -946,7 +950,7 @@ pub fn pack_tree_groups(
             lp.add_constraint(recv_terms, Relation::Le, 1.0);
         }
     }
-    let sol = lp.solve_in(ctx)?;
+    let sol = cache.solve(ctx, &lp)?;
     let weights: Vec<Vec<f64>> = y
         .iter()
         .map(|vars| vars.iter().map(|&v| sol.value(v).max(0.0)).collect())
@@ -1012,6 +1016,7 @@ mod tests {
         };
         let direct = realize_with_pool(
             &SolveContext::default(),
+            &mut WarmStartCache::with_capacity(0),
             &set.instance(0),
             &solution,
             &[],

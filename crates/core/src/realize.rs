@@ -30,7 +30,7 @@
 
 use crate::exact::pack_trees_in;
 use crate::formulations::FlowSolution;
-use pm_lp::{LpError, SolveContext};
+use pm_lp::{LpError, SolveContext, WarmStartCache};
 use pm_platform::graph::NodeId;
 use pm_platform::instances::MulticastInstance;
 use pm_sched::schedule::{PeriodicSchedule, ScheduleError};
@@ -205,13 +205,20 @@ pub fn realize(
 }
 
 /// [`realize`] with an explicit simulation configuration. The packing LPs
-/// run under the default [`SolveContext`].
+/// run cold under the default [`SolveContext`].
 pub fn realize_with(
     instance: &MulticastInstance,
     solution: &SteadyStateSolution,
     config: SimulationConfig,
 ) -> Result<Realization, RealizeError> {
-    realize_with_pool(&SolveContext::default(), instance, solution, &[], config)
+    realize_with_pool(
+        &SolveContext::default(),
+        &mut WarmStartCache::with_capacity(0),
+        instance,
+        solution,
+        &[],
+        config,
+    )
 }
 
 /// [`realize_with`] with a *seed tree pool*: trees realized earlier (e.g.
@@ -223,9 +230,11 @@ pub fn realize_with(
 /// packing LP chooses from, so the certified period is never worse than the
 /// unseeded one. Seeds must span the instance's targets (they are
 /// [`MulticastTree`]s of this instance); the caller filters out trees that
-/// use currently disabled nodes. Every packing LP runs under `ctx`.
+/// use currently disabled nodes. Every packing LP runs under `ctx`, through
+/// `cache`.
 pub fn realize_with_pool(
     ctx: &SolveContext,
+    cache: &mut WarmStartCache,
     instance: &MulticastInstance,
     solution: &SteadyStateSolution,
     seed_trees: &[MulticastTree],
@@ -249,7 +258,7 @@ pub fn realize_with_pool(
     // whose pricing is heuristic — and re-pack. Bounded and deterministic.
     let lp_throughput = 1.0 / lp_period;
     let (mut weights, mut packed_throughput) =
-        pack_trees_in(ctx, platform, &pool).map_err(RealizeError::Packing)?;
+        pack_trees_in(ctx, cache, platform, &pool).map_err(RealizeError::Packing)?;
     if let Some(rows) = &flow_rows {
         let support: Vec<bool> = (0..platform.edge_count())
             .map(|e| rows.iter().any(|row| row[e] > FLOW_EPS))
@@ -287,7 +296,8 @@ pub fn realize_with_pool(
                 break;
             }
             pool.push(tree);
-            let packed = pack_trees_in(ctx, platform, &pool).map_err(RealizeError::Packing)?;
+            let packed =
+                pack_trees_in(ctx, cache, platform, &pool).map_err(RealizeError::Packing)?;
             weights = packed.0;
             packed_throughput = packed.1;
         }

@@ -60,7 +60,7 @@ pub struct KindLpStats {
     /// Linear programs solved.
     pub lp_solves: u64,
     /// Solves that warm-started from a previous basis (masked-template
-    /// hints and ambient [`pm_lp::WarmStartCache`] hits alike).
+    /// hints and session [`pm_lp::WarmStartCache`] hits alike).
     pub warm_hits: u64,
     /// Solves that ran cold.
     pub warm_misses: u64,
@@ -107,13 +107,10 @@ pub struct MulticastReport {
     /// `(kind, period)` pairs, in [`HeuristicKind::ALL`] order. A period of
     /// `f64::INFINITY` means the heuristic could not serve the targets.
     pub periods: Vec<(HeuristicKind, f64)>,
-    /// `(kind, stats)` LP accounting, same order as `periods`. Combines the
-    /// masked-template solves the heuristic performed itself with the
-    /// solves it routed through the thread's ambient
-    /// [`pm_lp::WarmStartCache`] scope (attributed per kind from the
-    /// scope's counter deltas). When realization is enabled, the packing
-    /// LPs of the realization pipeline are included in their kind's
-    /// accounting.
+    /// `(kind, stats)` LP accounting, same order as `periods`: the
+    /// [`crate::session::SessionOpStats`] of the kind's session solve. When
+    /// realization is enabled, the packing LPs of the kind's
+    /// re-realization are included in its accounting.
     pub lp_stats: Vec<(HeuristicKind, KindLpStats)>,
     /// `(kind, realization)` outcomes, same order as `periods`; empty when
     /// the report was collected without [`CollectOptions::realize`]. `None`
@@ -292,8 +289,7 @@ mod tests {
         assert_eq!(report.periods.len(), 7);
         assert_eq!(report.lp_stats.len(), 7);
         assert_eq!(report.targets, 3);
-        // The masked greedy heuristics account their LP solves themselves,
-        // scope or no scope.
+        // The masked greedy heuristics account their LP solves themselves.
         let greedy = report
             .lp_stats_for(HeuristicKind::ReducedBroadcast)
             .unwrap();

@@ -34,7 +34,7 @@
 use crate::exact::pack_trees_in;
 use crate::heuristics::Mcph;
 use crate::realize::{candidate_pool, tree_edge_key, RealizeError, SteadyStateSolution};
-use pm_lp::SolveContext;
+use pm_lp::{SolveContext, WarmStartCache};
 use pm_platform::algo::edge_disjoint_paths_where;
 use pm_platform::graph::{EdgeId, NodeId, Platform};
 use pm_platform::instances::MulticastInstance;
@@ -168,16 +168,23 @@ impl RobustRealization {
 }
 
 /// Realizes a steady-state solution as a redundant, simulator-verified
-/// schedule on the fully enabled platform, its packing LP under the default
-/// [`SolveContext`]. See the [module docs](self).
+/// schedule on the fully enabled platform, its packing LP solved cold under
+/// the default [`SolveContext`]. See the [module docs](self).
 pub fn realize_robust(
     instance: &MulticastInstance,
     solution: &SteadyStateSolution,
     options: &RobustOptions,
 ) -> Result<RobustRealization, RealizeError> {
     let mask = NodeMask::full(instance.platform.node_count());
-    let ctx = SolveContext::default();
-    realize_robust_masked(&ctx, instance, &mask, solution, &[], options)
+    realize_robust_masked(
+        &SolveContext::default(),
+        &mut WarmStartCache::with_capacity(0),
+        instance,
+        &mask,
+        solution,
+        &[],
+        options,
+    )
 }
 
 /// [`realize_robust`] under a node mask and with a seed tree pool (the
@@ -185,9 +192,10 @@ pub fn realize_robust(
 /// [`crate::session::Session::re_realize_robust`]): seed trees and pool
 /// candidates through disabled nodes are filtered out, and all max-flow
 /// verification runs on the masked platform. The packing LP runs under
-/// `ctx`.
+/// `ctx`, through `cache`.
 pub fn realize_robust_masked(
     ctx: &SolveContext,
+    cache: &mut WarmStartCache,
     instance: &MulticastInstance,
     mask: &NodeMask,
     solution: &SteadyStateSolution,
@@ -379,7 +387,7 @@ pub fn realize_robust_masked(
     let robust_throughput = 1.0 / period;
 
     // Non-redundant baseline over the same pool, clamped like `realize`.
-    let (_, packed) = pack_trees_in(ctx, platform, &pool).map_err(RealizeError::Packing)?;
+    let (_, packed) = pack_trees_in(ctx, cache, platform, &pool).map_err(RealizeError::Packing)?;
     let baseline_throughput = packed.min(1.0 / lp_period);
 
     let mut tree_set = WeightedTreeSet::new();

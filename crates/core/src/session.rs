@@ -10,7 +10,7 @@
 //!   scatter), built lazily on first use,
 //! * the per-template best [`Basis`] — every re-solve warm-starts from the
 //!   previous optimum of the same template,
-//! * the ambient [`WarmStartCache`] the realization packing LPs run under,
+//! * the [`WarmStartCache`] the realization packing LPs solve through,
 //! * the last [`Realization`] per heuristic kind — its weighted trees seed
 //!   the next realization's candidate pool.
 //!
@@ -71,7 +71,7 @@
 
 use crate::formulations::{FormulationError, MultiSourceSolution};
 use crate::heuristics::{
-    broadcast_commodities, AugmentedMulticast, AugmentedSources, HeuristicResult, LpCounters, Mcph,
+    broadcast_commodities, AugmentedMulticast, AugmentedSources, HeuristicResult, Mcph,
     ReducedBroadcast, RunOptions, ThroughputHeuristic,
 };
 use crate::masked::{MaskedFlowLp, MaskedMultiSourceUb, MaskedStats};
@@ -215,7 +215,7 @@ pub enum SessionEvent {
     },
     /// A [`Session::set_cache_capacity`].
     SetCacheCapacity {
-        /// The new ambient-cache capacity bound (`None` = unbounded).
+        /// The new warm-start cache capacity bound (`None` = unbounded).
         capacity: Option<usize>,
     },
     /// A completed [`Session::solve_with`] (or [`Session::solve`]).
@@ -273,6 +273,75 @@ impl SessionSnapshot {
     }
 }
 
+/// The authoritative settings a journal leaves on its base instance: the
+/// fold of its setting events ([`Settings::fold`]). Self-healing rebuilds
+/// the session from the fold of the whole journal, compaction replaces a
+/// dropped prefix by the fold of that prefix.
+struct Settings {
+    instance: MulticastInstance,
+    mask: NodeMask,
+    budget: Option<SolveBudget>,
+    sim_config: SimulationConfig,
+    cache_capacity: Option<usize>,
+}
+
+impl Settings {
+    /// Applies the setting events of `journal` — edge costs, node mask,
+    /// budget, simulation config and cache capacity — in order to `base`.
+    /// Solve-class events only touch derived state and are skipped. Fails
+    /// with [`SessionError::Replay`] on an edge edit that does not apply to
+    /// `base`.
+    fn fold(base: &MulticastInstance, journal: &[SessionEvent]) -> Result<Self, SessionError> {
+        let mut settings = Settings {
+            instance: base.clone(),
+            mask: NodeMask::full(base.platform.node_count()),
+            budget: None,
+            sim_config: SimulationConfig::default(),
+            cache_capacity: None,
+        };
+        for (index, event) in journal.iter().enumerate() {
+            match event {
+                SessionEvent::SetEdgeCost { edge, cost } => settings
+                    .instance
+                    .platform
+                    .set_cost(*edge, *cost)
+                    .map_err(|e| SessionError::Replay {
+                        index,
+                        source: Box::new(SessionError::from(FormulationError::InvalidArgument(
+                            e.to_string(),
+                        ))),
+                    })?,
+                SessionEvent::DisableNode { node } => {
+                    settings.mask.remove(*node);
+                }
+                SessionEvent::EnableNode { node } => {
+                    settings.mask.insert(*node);
+                }
+                SessionEvent::SetBudget { budget } => settings.budget = *budget,
+                SessionEvent::SetSimConfig { config } => settings.sim_config = config.clone(),
+                SessionEvent::SetCacheCapacity { capacity } => settings.cache_capacity = *capacity,
+                SessionEvent::Solve { .. }
+                | SessionEvent::SolveMultisource { .. }
+                | SessionEvent::ReRealize { .. }
+                | SessionEvent::ReRealizeRobust { .. }
+                | SessionEvent::SolveMulti { .. }
+                | SessionEvent::ReRealizeMulti => {}
+            }
+        }
+        Ok(settings)
+    }
+}
+
+/// How [`Session::operation`] books an operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OpClass {
+    /// A template solve: consumes an armed chaos panic and counts in
+    /// [`SessionStats::solves`].
+    Solve,
+    /// A realization: counts in [`SessionStats::realizations`].
+    Realize,
+}
+
 /// The template slots a [`Session::solve`] of `kind` builds.
 fn kind_slots(kind: HeuristicKind) -> &'static [usize] {
     match kind {
@@ -298,10 +367,20 @@ fn same_instance(a: &MulticastInstance, b: &MulticastInstance) -> bool {
         })
 }
 
-/// Eagerly built masked formulation templates, shared across every
-/// [`Session`] of the *same* instance (same graph, same cost bits, same
-/// source/targets). Formulating a template walks the whole platform through
-/// a [`pm_lp::SparseBuilder`]; cloning a built one is a flat copy of its
+/// The masked flow template of a flow slot, formulated on `instance`.
+fn flow_template(slot: usize, instance: &MulticastInstance) -> MaskedFlowLp {
+    match slot {
+        SLOT_EB => MaskedFlowLp::broadcast_eb(instance),
+        SLOT_LB => MaskedFlowLp::multicast_lb(instance),
+        _ => MaskedFlowLp::multicast_ub(instance),
+    }
+}
+
+/// The masked formulation templates of one instance: a [`Session`]'s own,
+/// built lazily, or an eager build shared across every session of the
+/// *same* instance (same graph, same cost bits, same source/targets).
+/// Formulating a template walks the whole platform through a
+/// [`pm_lp::SparseBuilder`]; cloning a built one is a flat copy of its
 /// arrays. A server hosting thousands of sessions of one platform shape
 /// builds each template once here and stamps out clones via
 /// [`Session::with_templates`].
@@ -327,11 +406,7 @@ impl SessionTemplates {
                     self.ms = Some(MaskedMultiSourceUb::new(instance));
                 }
             } else if self.flow[slot].is_none() {
-                self.flow[slot] = Some(match slot {
-                    SLOT_EB => MaskedFlowLp::broadcast_eb(instance),
-                    SLOT_LB => MaskedFlowLp::multicast_lb(instance),
-                    _ => MaskedFlowLp::multicast_ub(instance),
-                });
+                self.flow[slot] = Some(flow_template(slot, instance));
             }
         }
     }
@@ -377,7 +452,8 @@ pub struct SessionOpStats {
 }
 
 impl SessionOpStats {
-    fn note(&mut self, stats: &MaskedStats) {
+    /// Counts one masked-template solve.
+    pub(crate) fn note(&mut self, stats: &MaskedStats) {
         self.lp_solves += 1;
         if stats.warm == WarmStatus::Hit {
             self.warm_hits += 1;
@@ -390,17 +466,18 @@ impl SessionOpStats {
         self.degraded_solves += stats.solve.degraded as u64;
     }
 
-    fn from_counters(counters: &LpCounters) -> Self {
-        SessionOpStats {
-            lp_solves: counters.solves as u64,
-            warm_hits: counters.hits as u64,
-            warm_misses: counters.misses as u64,
-            phase1_pivots: counters.phase1_pivots,
-            phase2_pivots: counters.phase2_pivots,
-            refactorizations: counters.refactorizations,
-            degraded_solves: counters.degraded as u64,
-            wall_s: 0.0,
-        }
+    /// Counts an LP solve that ended in a solver error (a cold solve).
+    pub(crate) fn note_failed(&mut self) {
+        self.lp_solves += 1;
+        self.warm_misses += 1;
+    }
+
+    /// Writes the solve counters into `result`'s LP accounting.
+    pub(crate) fn write_to(&self, result: &mut HeuristicResult) {
+        result.lp_solves = self.lp_solves as usize;
+        result.warm_hits = self.warm_hits as usize;
+        result.warm_misses = self.warm_misses as usize;
+        result.degraded_solves = self.degraded_solves as usize;
     }
 
     /// Fraction of the operation's LP solves that warm-started (0 when the
@@ -523,6 +600,17 @@ pub struct TransitionCost {
     pub trees_dropped: usize,
 }
 
+impl TransitionCost {
+    /// Completes a [`Session::tree_swap`] with the two schedules' rates:
+    /// the switchover window and what it forfeits.
+    fn at_rates(mut self, old_rate: f64, new_rate: f64) -> Self {
+        self.switch_time = self.drain_time + self.first_delivery_latency;
+        self.multicasts_lost = self.switch_time * new_rate;
+        self.throughput_delta = new_rate - old_rate;
+        self
+    }
+}
+
 /// One completed [`Session::re_realize`]: the fresh realization plus the
 /// switchover cost against the previous one (absent on the first
 /// realization of a kind).
@@ -587,8 +675,8 @@ pub struct Session {
     instance: MulticastInstance,
     mask: NodeMask,
     cache: WarmStartCache,
-    flow_templates: [Option<MaskedFlowLp>; 3],
-    ms_template: Option<MaskedMultiSourceUb>,
+    /// The four single-commodity masked templates, built lazily.
+    templates: SessionTemplates,
     /// Per slot: edges whose cost changed since the template last solved.
     dirty: [BTreeSet<u32>; SLOTS],
     /// Per slot: the basis of the template's last optimal solve.
@@ -628,8 +716,7 @@ impl Session {
             instance,
             mask: NodeMask::full(capacity),
             cache: WarmStartCache::new(),
-            flow_templates: [None, None, None],
-            ms_template: None,
+            templates: SessionTemplates::new(),
             dirty: std::array::from_fn(|_| BTreeSet::new()),
             bases: std::array::from_fn(|_| None),
             solutions: Vec::new(),
@@ -660,13 +747,13 @@ impl Session {
         for slot in 0..3 {
             if let Some(t) = &templates.flow[slot] {
                 if same_instance(t.instance(), &session.instance) {
-                    session.flow_templates[slot] = Some(t.clone());
+                    session.templates.flow[slot] = Some(t.clone());
                 }
             }
         }
         if let Some(t) = &templates.ms {
             if same_instance(t.instance(), &session.instance) {
-                session.ms_template = Some(t.clone());
+                session.templates.ms = Some(t.clone());
             }
         }
         session
@@ -675,8 +762,7 @@ impl Session {
     /// Number of template slots currently built in this session (`0..=4`)
     /// — template-sharing accounting for [`Session::with_templates`].
     pub fn templates_built(&self) -> usize {
-        self.flow_templates.iter().filter(|t| t.is_some()).count()
-            + self.ms_template.is_some() as usize
+        self.templates.built()
     }
 
     /// The authoritative instance: its platform carries the current
@@ -711,10 +797,10 @@ impl Session {
     /// is capped.
     pub fn set_budget(&mut self, budget: Option<SolveBudget>) {
         self.budget = budget;
-        for template in self.flow_templates.iter_mut().flatten() {
+        for template in self.templates.flow.iter_mut().flatten() {
             template.set_budget(budget);
         }
-        if let Some(template) = self.ms_template.as_mut() {
+        if let Some(template) = self.templates.ms.as_mut() {
             template.set_budget(budget);
         }
         if let Some((_, template)) = self.multi_template.as_mut() {
@@ -736,10 +822,10 @@ impl Session {
     /// solve is run and observed, never the session's state, so a
     /// [`Session::restore`] starts from the default context.
     pub fn set_context(&mut self, ctx: SolveContext) {
-        for template in self.flow_templates.iter_mut().flatten() {
+        for template in self.templates.flow.iter_mut().flatten() {
             template.set_context(ctx.clone());
         }
-        if let Some(template) = self.ms_template.as_mut() {
+        if let Some(template) = self.templates.ms.as_mut() {
             template.set_context(ctx.clone());
         }
         if let Some((_, template)) = self.multi_template.as_mut() {
@@ -754,8 +840,8 @@ impl Session {
         self
     }
 
-    /// Bounds (or unbounds) the session's ambient [`WarmStartCache`] — the
-    /// per-signature basis store the realization packing LPs run under.
+    /// Bounds (or unbounds) the session's [`WarmStartCache`] — the
+    /// per-signature basis store the realization packing LPs solve through.
     /// The bound is journaled, so a restore reproduces the same eviction
     /// sequence and warm-start accounting. Results never depend on it: an
     /// evicted basis only costs cold pivots on its next use.
@@ -765,17 +851,17 @@ impl Session {
             .push(SessionEvent::SetCacheCapacity { capacity });
     }
 
-    /// The session's ambient warm-start cache: hit/miss/eviction counters,
+    /// The session's warm-start cache: hit/miss/eviction counters,
     /// current size and capacity bound.
     pub fn cache(&self) -> &WarmStartCache {
         &self.cache
     }
 
-    /// Swaps the session's ambient warm-start cache with `cache`. A server
+    /// Swaps the session's warm-start cache with `cache`. A server
     /// sharding many sessions of similar shape over one worker swaps a
     /// *shard-level* cache in around each realization, so sessions share
     /// packing-LP bases instead of each growing a cold private cache. Not
-    /// journaled: the ambient cache only influences warm-start accounting,
+    /// journaled: the cache only influences warm-start accounting,
     /// never results, so replay determinism is unaffected.
     pub fn swap_cache(&mut self, cache: &mut WarmStartCache) {
         std::mem::swap(&mut self.cache, cache);
@@ -783,18 +869,12 @@ impl Session {
 
     /// The last solve result of a kind, if any.
     pub fn solution_for(&self, kind: HeuristicKind) -> Option<&HeuristicResult> {
-        self.solutions
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, r)| r)
+        latest(&self.solutions, kind)
     }
 
     /// The last realization of a kind, if any.
     pub fn realization_for(&self, kind: HeuristicKind) -> Option<&Realization> {
-        self.realizations
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, r)| r)
+        latest(&self.realizations, kind)
     }
 
     /// Updates an edge cost in place. The authoritative platform changes
@@ -885,19 +965,32 @@ impl Session {
         kind: HeuristicKind,
         options: RunOptions,
     ) -> Result<SessionSolve, SessionError> {
-        self.with_healing(&format!("solve({})", kind.label()), move |session| {
-            session.solve_with_inner(kind, options)
+        let event = SessionEvent::Solve {
+            kind,
+            capture_steady_state: options.capture_steady_state,
+        };
+        let (result, stats) = self.operation(
+            &format!("solve({})", kind.label()),
+            OpClass::Solve,
+            |session| session.solve_kind(kind, options),
+            |_| event,
+            |result| format!("period={}", result.period),
+        )?;
+        Ok(SessionSolve {
+            kind,
+            result,
+            stats,
         })
     }
 
-    fn solve_with_inner(
+    /// The body of [`Session::solve_with`]: dispatches `kind` to its
+    /// template(s) and keeps the winning bases and the result.
+    fn solve_kind(
         &mut self,
         kind: HeuristicKind,
         options: RunOptions,
-    ) -> Result<SessionSolve, SessionError> {
-        self.maybe_injected_panic();
-        let start = Instant::now();
-        let (result, mut op) = match kind {
+    ) -> Result<(HeuristicResult, SessionOpStats), SessionError> {
+        let (result, op) = match kind {
             HeuristicKind::Scatter => self.solve_flow(SLOT_UB, kind, options)?,
             HeuristicKind::LowerBound => self.solve_flow(SLOT_LB, kind, options)?,
             HeuristicKind::Broadcast => self.solve_flow(SLOT_EB, kind, options)?,
@@ -905,20 +998,18 @@ impl Session {
             HeuristicKind::ReducedBroadcast => {
                 self.ensure_flow(SLOT_EB);
                 let hint = self.bases[SLOT_EB].clone();
-                let template = self.flow_templates[SLOT_EB].as_ref().expect("just built");
+                let template = self.templates.flow[SLOT_EB].as_ref().expect("just built");
                 let run = ReducedBroadcast.run_on(template, &self.mask, hint.as_ref(), options)?;
-                if run.final_basis.is_some() {
-                    self.bases[SLOT_EB] = run.final_basis;
-                }
-                (run.result, SessionOpStats::from_counters(&run.counters))
+                self.bases[SLOT_EB] = run.final_basis.or(self.bases[SLOT_EB].take());
+                (run.result, run.counters)
             }
             HeuristicKind::AugmentedMulticast => {
                 self.ensure_flow(SLOT_EB);
                 self.ensure_flow(SLOT_LB);
                 let eb_hint = self.bases[SLOT_EB].clone();
                 let lb_hint = self.bases[SLOT_LB].clone();
-                let eb = self.flow_templates[SLOT_EB].as_ref().expect("just built");
-                let lb = self.flow_templates[SLOT_LB].as_ref().expect("just built");
+                let eb = self.templates.flow[SLOT_EB].as_ref().expect("just built");
+                let lb = self.templates.flow[SLOT_LB].as_ref().expect("just built");
                 let run = AugmentedMulticast.run_on(
                     eb,
                     lb,
@@ -927,58 +1018,26 @@ impl Session {
                     lb_hint.as_ref(),
                     options,
                 )?;
-                if run.final_basis.is_some() {
-                    self.bases[SLOT_EB] = run.final_basis;
-                }
-                if run.aux_basis.is_some() {
-                    self.bases[SLOT_LB] = run.aux_basis;
-                }
-                (run.result, SessionOpStats::from_counters(&run.counters))
+                self.bases[SLOT_EB] = run.final_basis.or(self.bases[SLOT_EB].take());
+                self.bases[SLOT_LB] = run.aux_basis.or(self.bases[SLOT_LB].take());
+                (run.result, run.counters)
             }
             HeuristicKind::MultisourceMulticast => {
                 self.ensure_ms();
                 let hint = self.bases[SLOT_MS].clone();
-                let template = self.ms_template.as_ref().expect("just built");
+                let template = self.templates.ms.as_ref().expect("just built");
                 let run = AugmentedSources::default().run_on(
                     template,
                     &self.mask,
                     hint.as_ref(),
                     options,
                 )?;
-                if run.final_basis.is_some() {
-                    self.bases[SLOT_MS] = run.final_basis;
-                }
-                (run.result, SessionOpStats::from_counters(&run.counters))
+                self.bases[SLOT_MS] = run.final_basis.or(self.bases[SLOT_MS].take());
+                (run.result, run.counters)
             }
         };
-        op.wall_s = start.elapsed().as_secs_f64();
-        self.stats.solves += 1;
-        self.stats.absorb(&op);
-        self.remember_solution(kind, result.clone());
-        if self.ctx.stats {
-            eprintln!(
-                "pm-core: session solve kind={} period={} lp_solves={} warm={}h/{}m \
-                 pivots={}+{} refactorizations={} elapsed={:.3}s",
-                kind.label(),
-                result.period,
-                op.lp_solves,
-                op.warm_hits,
-                op.warm_misses,
-                op.phase1_pivots,
-                op.phase2_pivots,
-                op.refactorizations,
-                op.wall_s,
-            );
-        }
-        self.journal.push(SessionEvent::Solve {
-            kind,
-            capture_steady_state: options.capture_steady_state,
-        });
-        Ok(SessionSolve {
-            kind,
-            result,
-            stats: op,
-        })
+        remember(&mut self.solutions, kind, result.clone());
+        Ok((result, op))
     }
 
     /// Solves the raw `MulticastMultiSource-UB` formulation for an explicit
@@ -990,32 +1049,26 @@ impl Session {
         &mut self,
         sources: &[NodeId],
     ) -> Result<MultiSourceSolution, SessionError> {
-        let sources = sources.to_vec();
-        self.with_healing("solve_multisource", move |session| {
-            session.solve_multisource_inner(&sources)
-        })
-    }
-
-    fn solve_multisource_inner(
-        &mut self,
-        sources: &[NodeId],
-    ) -> Result<MultiSourceSolution, SessionError> {
-        self.maybe_injected_panic();
-        let start = Instant::now();
-        self.ensure_ms();
-        let hint = self.bases[SLOT_MS].clone();
-        let template = self.ms_template.as_ref().expect("just built");
-        let out = template.solve(&self.mask, sources, hint.as_ref())?;
-        let mut op = SessionOpStats::default();
-        op.note(&out.stats);
-        op.wall_s = start.elapsed().as_secs_f64();
-        self.bases[SLOT_MS] = Some(out.basis);
-        self.stats.solves += 1;
-        self.stats.absorb(&op);
-        self.journal.push(SessionEvent::SolveMultisource {
+        let event = SessionEvent::SolveMultisource {
             sources: sources.to_vec(),
-        });
-        Ok(out.solution)
+        };
+        let (solution, _) = self.operation(
+            "solve_multisource",
+            OpClass::Solve,
+            |session| {
+                session.ensure_ms();
+                let hint = session.bases[SLOT_MS].clone();
+                let template = session.templates.ms.as_ref().expect("just built");
+                let out = template.solve(&session.mask, sources, hint.as_ref())?;
+                let mut op = SessionOpStats::default();
+                op.note(&out.stats);
+                session.bases[SLOT_MS] = Some(out.basis);
+                Ok((out.solution, op))
+            },
+            |_| event,
+            |solution| format!("sources={} period={}", sources.len(), solution.period),
+        )?;
+        Ok(solution)
     }
 
     /// Realizes the latest solution of `kind` as a simulator-verified
@@ -1035,94 +1088,57 @@ impl Session {
     /// pool is seeded with the still-valid previous trees, the two
     /// [`pm_sched::tree::WeightedTreeSet`]s are diffed, and the drain /
     /// fill latencies of the swap are replayed in the one-port simulator
-    /// (see [`TransitionCost`]).
+    /// (see [`TransitionCost`]). The packing LPs run through the session's
+    /// warm-start cache, so consecutive re-realizations of similar pools
+    /// re-use their bases.
     ///
     /// Fails with [`RealizeError::NotRealizable`] when `kind` has not been
     /// solved in this session (or its last solve carried no steady state).
     pub fn re_realize(&mut self, kind: HeuristicKind) -> Result<ReRealization, SessionError> {
-        self.with_healing(&format!("re_realize({})", kind.label()), move |session| {
-            session.re_realize_inner(kind)
-        })
-    }
-
-    fn re_realize_inner(&mut self, kind: HeuristicKind) -> Result<ReRealization, SessionError> {
-        let start = Instant::now();
-        let solution: SteadyStateSolution = self
-            .solution_for(kind)
-            .and_then(|r| r.steady_state.clone())
-            .ok_or_else(|| {
-                RealizeError::NotRealizable(format!(
-                    "{} has no captured steady-state solution in this session",
-                    kind.label()
-                ))
-            })?;
-        // Seed the pool with the previous combination's trees that are
-        // still executable (no disabled node).
-        let seeds: Vec<MulticastTree> = self
-            .realization_for(kind)
-            .map(|old| {
-                old.tree_set
-                    .trees()
-                    .iter()
-                    .filter(|t| self.tree_active(t))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default();
-        let (hits0, misses0) = (self.cache.hits, self.cache.misses);
-        let mut cache = std::mem::take(&mut self.cache);
-        let (ctx, instance) = (&self.ctx, &self.instance);
-        let sim_config = self.sim_config.clone();
-        // The packing LPs of the pipeline run under the session's ambient
-        // warm-start cache: consecutive re-realizations of similar pools
-        // re-use their bases.
-        let outcome =
-            cache.scope(|| realize_with_pool(ctx, instance, &solution, &seeds, sim_config));
-        self.cache = cache;
-        let realization = outcome?;
-        let mut op = SessionOpStats {
-            warm_hits: self.cache.hits - hits0,
-            warm_misses: self.cache.misses - misses0,
-            ..SessionOpStats::default()
-        };
-        op.lp_solves = op.warm_hits + op.warm_misses;
-        op.wall_s = start.elapsed().as_secs_f64();
-        let transition = self.realization_for(kind).map(|old| {
-            self.transition_cost(
-                &old.tree_set,
-                old.simulated.throughput,
-                &realization.tree_set,
-                realization.simulated.throughput,
-            )
-        });
-        self.remember_realization(kind, realization.clone());
-        self.stats.realizations += 1;
-        self.stats.absorb(&op);
-        if self.ctx.stats {
-            eprintln!(
-                "pm-core: session realize kind={} gap={:.3e} trees={} packing_lps={} \
-                 elapsed={:.3}s",
-                kind.label(),
-                realization.realization_gap,
-                realization.tree_set.len(),
-                op.lp_solves,
-                op.wall_s,
-            );
-        }
-        self.journal.push(SessionEvent::ReRealize { kind });
+        let ((realization, transition), stats) = self.operation(
+            &format!("re_realize({})", kind.label()),
+            OpClass::Realize,
+            |session| {
+                let solution = session.steady_state(kind)?;
+                // Seed the pool with the previous combination's trees that
+                // are still executable (no disabled node).
+                let seeds = session
+                    .realization_for(kind)
+                    .map(|old| session.active_trees(&old.tree_set))
+                    .unwrap_or_default();
+                let realization = realize_with_pool(
+                    &session.ctx,
+                    &mut session.cache,
+                    &session.instance,
+                    &solution,
+                    &seeds,
+                    session.sim_config.clone(),
+                )?;
+                let transition = session.realization_for(kind).map(|old| {
+                    session
+                        .tree_swap(
+                            &old.tree_set,
+                            &realization.tree_set,
+                            &session.instance.targets,
+                        )
+                        .at_rates(old.simulated.throughput, realization.simulated.throughput)
+                });
+                remember(&mut session.realizations, kind, realization.clone());
+                Ok(((realization, transition), SessionOpStats::default()))
+            },
+            |_| SessionEvent::ReRealize { kind },
+            |(r, _)| format!("gap={:.3e} trees={}", r.realization_gap, r.tree_set.len()),
+        )?;
         Ok(ReRealization {
             realization,
             transition,
-            stats: op,
+            stats,
         })
     }
 
     /// The last robust realization of a kind, if any.
     pub fn robust_realization_for(&self, kind: HeuristicKind) -> Option<&RobustRealization> {
-        self.robust_realizations
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, r)| r)
+        latest(&self.robust_realizations, kind)
     }
 
     /// Re-realizes the latest solution of `kind` as a *redundant* schedule
@@ -1141,91 +1157,53 @@ impl Session {
         kind: HeuristicKind,
         options: &RobustOptions,
     ) -> Result<RobustReRealization, SessionError> {
-        let options = options.clone();
-        self.with_healing(
+        let ((realization, transition), stats) = self.operation(
             &format!("re_realize_robust({})", kind.label()),
-            move |session| session.re_realize_robust_inner(kind, &options),
-        )
-    }
-
-    fn re_realize_robust_inner(
-        &mut self,
-        kind: HeuristicKind,
-        options: &RobustOptions,
-    ) -> Result<RobustReRealization, SessionError> {
-        let start = Instant::now();
-        let solution: SteadyStateSolution = self
-            .solution_for(kind)
-            .and_then(|r| r.steady_state.clone())
-            .ok_or_else(|| {
-                RealizeError::NotRealizable(format!(
-                    "{} has no captured steady-state solution in this session",
-                    kind.label()
-                ))
-            })?;
-        let seeds: Vec<MulticastTree> = self
-            .robust_realization_for(kind)
-            .map(|old| {
-                old.tree_set
-                    .trees()
-                    .iter()
-                    .filter(|t| self.tree_active(t))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default();
-        let (hits0, misses0) = (self.cache.hits, self.cache.misses);
-        let mut cache = std::mem::take(&mut self.cache);
-        let (ctx, instance, mask) = (&self.ctx, &self.instance, &self.mask);
-        let outcome =
-            cache.scope(|| realize_robust_masked(ctx, instance, mask, &solution, &seeds, options));
-        self.cache = cache;
-        let realization = outcome?;
-        let mut op = SessionOpStats {
-            warm_hits: self.cache.hits - hits0,
-            warm_misses: self.cache.misses - misses0,
-            ..SessionOpStats::default()
-        };
-        op.lp_solves = op.warm_hits + op.warm_misses;
-        op.wall_s = start.elapsed().as_secs_f64();
-        let transition = self.robust_realization_for(kind).map(|old| {
-            self.transition_cost(
-                &old.tree_set,
-                old.robust_throughput,
-                &realization.tree_set,
-                realization.robust_throughput,
-            )
-        });
-        match self
-            .robust_realizations
-            .iter_mut()
-            .find(|(k, _)| *k == kind)
-        {
-            Some((_, slot)) => *slot = realization.clone(),
-            None => self.robust_realizations.push((kind, realization.clone())),
-        }
-        self.stats.realizations += 1;
-        self.stats.absorb(&op);
-        if self.ctx.stats {
-            eprintln!(
-                "pm-core: session robust realize kind={} f={} achieved={} trees={} \
-                 packing_lps={} elapsed={:.3}s",
-                kind.label(),
-                options.disjointness,
-                realization.achieved_disjointness,
-                realization.tree_set.len(),
-                op.lp_solves,
-                op.wall_s,
-            );
-        }
-        self.journal.push(SessionEvent::ReRealizeRobust {
-            kind,
-            options: options.clone(),
-        });
+            OpClass::Realize,
+            |session| {
+                let solution = session.steady_state(kind)?;
+                let seeds = session
+                    .robust_realization_for(kind)
+                    .map(|old| session.active_trees(&old.tree_set))
+                    .unwrap_or_default();
+                let realization = realize_robust_masked(
+                    &session.ctx,
+                    &mut session.cache,
+                    &session.instance,
+                    &session.mask,
+                    &solution,
+                    &seeds,
+                    options,
+                )?;
+                let transition = session.robust_realization_for(kind).map(|old| {
+                    session
+                        .tree_swap(
+                            &old.tree_set,
+                            &realization.tree_set,
+                            &session.instance.targets,
+                        )
+                        .at_rates(old.robust_throughput, realization.robust_throughput)
+                });
+                remember(&mut session.robust_realizations, kind, realization.clone());
+                Ok(((realization, transition), SessionOpStats::default()))
+            },
+            |_| SessionEvent::ReRealizeRobust {
+                kind,
+                options: options.clone(),
+            },
+            |(r, _)| {
+                format!(
+                    "f={} achieved={} trees={}",
+                    options.disjointness,
+                    r.achieved_disjointness,
+                    r.tree_set.len()
+                )
+            },
+        )?;
         Ok(RobustReRealization {
             realization,
             transition,
-            stats: op,
+            stats,
         })
     }
 
@@ -1254,58 +1232,35 @@ impl Session {
         &mut self,
         commodities: &[Commodity],
     ) -> Result<SessionMultiSolve, SessionError> {
-        let commodities = commodities.to_vec();
-        self.with_healing("solve_multi", move |session| {
-            session.solve_multi_inner(&commodities)
-        })
-    }
-
-    fn solve_multi_inner(
-        &mut self,
-        commodities: &[Commodity],
-    ) -> Result<SessionMultiSolve, SessionError> {
-        self.maybe_injected_panic();
-        let start = Instant::now();
-        // Normalize the workload up front: the template key, the journal
-        // entry and the stored solution all use the normalized form, so a
-        // re-solve with an equivalent workload (unsorted targets) reuses
-        // the template and its warm basis instead of rebuilding.
-        let commodities = CommoditySet::new(self.instance.platform.clone(), commodities.to_vec())
-            .map_err(SessionError::from)?
-            .commodities()
-            .to_vec();
-        let commodities = commodities.as_slice();
-        self.ensure_multi(commodities)?;
-        let hint = self.bases[SLOT_MULTI].clone();
-        let (stored, template) = self.multi_template.as_ref().expect("just built");
-        let out = template.solve(&self.mask, hint.as_ref())?;
-        let mut op = SessionOpStats::default();
-        op.note(&out.stats);
-        op.wall_s = start.elapsed().as_secs_f64();
-        self.bases[SLOT_MULTI] = Some(out.basis.clone());
-        let stored = stored.clone();
-        self.multi_solution = Some((stored, out.clone()));
-        self.stats.solves += 1;
-        self.stats.absorb(&op);
-        if self.ctx.stats {
-            eprintln!(
-                "pm-core: session solve_multi k={} period={} lp_solves={} warm={}h/{}m \
-                 elapsed={:.3}s",
-                commodities.len(),
-                out.period,
-                op.lp_solves,
-                op.warm_hits,
-                op.warm_misses,
-                op.wall_s,
-            );
-        }
-        self.journal.push(SessionEvent::SolveMulti {
-            commodities: commodities.to_vec(),
-        });
-        Ok(SessionMultiSolve {
-            flow: out,
-            stats: op,
-        })
+        let ((_, flow), stats) = self.operation(
+            "solve_multi",
+            OpClass::Solve,
+            |session| {
+                // Normalize the workload up front: the template key, the
+                // journal entry and the stored solution all use the
+                // normalized form, so a re-solve with an equivalent workload
+                // (unsorted targets) reuses the template and its warm basis
+                // instead of rebuilding.
+                let commodities =
+                    CommoditySet::new(session.instance.platform.clone(), commodities.to_vec())?
+                        .commodities()
+                        .to_vec();
+                session.ensure_multi(&commodities)?;
+                let hint = session.bases[SLOT_MULTI].clone();
+                let (_, template) = session.multi_template.as_ref().expect("just built");
+                let out = template.solve(&session.mask, hint.as_ref())?;
+                let mut op = SessionOpStats::default();
+                op.note(&out.stats);
+                session.bases[SLOT_MULTI] = Some(out.basis.clone());
+                session.multi_solution = Some((commodities.clone(), out.clone()));
+                Ok(((commodities, out), op))
+            },
+            |(commodities, _)| SessionEvent::SolveMulti {
+                commodities: commodities.clone(),
+            },
+            |(commodities, flow)| format!("k={} period={}", commodities.len(), flow.period),
+        )?;
+        Ok(SessionMultiSolve { flow, stats })
     }
 
     /// Re-realizes the last multi-commodity solve as a simulator-verified
@@ -1317,78 +1272,58 @@ impl Session {
     /// Fails with [`RealizeError::NotRealizable`] when no
     /// [`Session::solve_multi`] has completed in this session.
     pub fn re_realize_multi(&mut self) -> Result<MultiReRealization, SessionError> {
-        self.with_healing("re_realize_multi", move |session| {
-            session.re_realize_multi_inner()
-        })
-    }
-
-    fn re_realize_multi_inner(&mut self) -> Result<MultiReRealization, SessionError> {
-        let start = Instant::now();
-        let (commodities, flow) = self.multi_solution.clone().ok_or_else(|| {
-            RealizeError::NotRealizable(
-                "no multi-commodity solve has completed in this session".to_string(),
-            )
-        })?;
-        // Re-validate the workload against the current platform costs (the
-        // realization replays trees on the drifted platform).
-        let set = CommoditySet::new(self.instance.platform.clone(), commodities)
-            .map_err(SessionError::from)?;
-        let seeds: Vec<Vec<MulticastTree>> = self
-            .multi_realization
-            .as_ref()
-            .filter(|old| old.tree_sets.len() == set.len())
-            .map(|old| {
-                old.tree_sets
-                    .iter()
-                    .map(|trees| {
-                        trees
-                            .trees()
+        let ((realization, transition), stats) = self.operation(
+            "re_realize_multi",
+            OpClass::Realize,
+            |session| {
+                let (commodities, flow) = session.multi_solution.clone().ok_or_else(|| {
+                    RealizeError::NotRealizable(
+                        "no multi-commodity solve has completed in this session".to_string(),
+                    )
+                })?;
+                // Re-validate the workload against the current platform
+                // costs (the realization replays trees on the drifted
+                // platform).
+                let set = CommoditySet::new(session.instance.platform.clone(), commodities)?;
+                let previous = session
+                    .multi_realization
+                    .as_ref()
+                    .filter(|old| old.tree_sets.len() == set.len());
+                let seeds: Vec<Vec<MulticastTree>> = previous
+                    .map(|old| {
+                        old.tree_sets
                             .iter()
-                            .filter(|t| self.tree_active(t))
-                            .cloned()
+                            .map(|trees| session.active_trees(trees))
                             .collect()
                     })
-                    .collect()
-            })
-            .unwrap_or_default();
-        let (hits0, misses0) = (self.cache.hits, self.cache.misses);
-        let mut cache = std::mem::take(&mut self.cache);
-        let sim_config = self.sim_config.clone();
-        let ctx = &self.ctx;
-        let outcome = cache.scope(|| realize_multi_with_pool(ctx, &set, &flow, &seeds, sim_config));
-        self.cache = cache;
-        let realization = outcome?;
-        let mut op = SessionOpStats {
-            warm_hits: self.cache.hits - hits0,
-            warm_misses: self.cache.misses - misses0,
-            ..SessionOpStats::default()
-        };
-        op.lp_solves = op.warm_hits + op.warm_misses;
-        op.wall_s = start.elapsed().as_secs_f64();
-        let transition = self
-            .multi_realization
-            .as_ref()
-            .filter(|old| old.tree_sets.len() == set.len())
-            .map(|old| self.multi_transition_cost(&set, old, &realization));
-        self.multi_realization = Some(realization.clone());
-        self.stats.realizations += 1;
-        self.stats.absorb(&op);
-        if self.ctx.stats {
-            eprintln!(
-                "pm-core: session realize_multi k={} super_period={} gap={:.3e} \
-                 packing_lps={} elapsed={:.3}s",
-                set.len(),
-                realization.super_period,
-                realization.realization_gap,
-                op.lp_solves,
-                op.wall_s,
-            );
-        }
-        self.journal.push(SessionEvent::ReRealizeMulti);
+                    .unwrap_or_default();
+                let realization = realize_multi_with_pool(
+                    &session.ctx,
+                    &mut session.cache,
+                    &set,
+                    &flow,
+                    &seeds,
+                    session.sim_config.clone(),
+                )?;
+                let transition =
+                    previous.map(|old| session.multi_transition_cost(&set, old, &realization));
+                session.multi_realization = Some(realization.clone());
+                Ok(((realization, transition), SessionOpStats::default()))
+            },
+            |_| SessionEvent::ReRealizeMulti,
+            |(r, _)| {
+                format!(
+                    "k={} super_period={} gap={:.3e}",
+                    r.tree_sets.len(),
+                    r.super_period,
+                    r.realization_gap
+                )
+            },
+        )?;
         Ok(MultiReRealization {
             realization,
             transition,
-            stats: op,
+            stats,
         })
     }
 
@@ -1402,55 +1337,27 @@ impl Session {
         old: &MultiRealization,
         new: &MultiRealization,
     ) -> TransitionCost {
-        let platform = &self.instance.platform;
-        let mut drain_time: f64 = 0.0;
-        let mut first_delivery_latency: f64 = 0.0;
-        let mut trees_kept = 0;
-        let mut old_total = 0;
-        let mut new_total = 0;
-        for c in 0..set.len() {
-            let targets = &set.commodities()[c].targets;
-            let drain_c = old.tree_sets[c]
-                .trees()
-                .iter()
-                .filter(|t| self.tree_active(t))
-                .map(|t| Simulator::tree_fill_makespan(platform, t, targets))
-                .fold(0.0, f64::max);
-            let fill_c = new.tree_sets[c]
-                .trees()
-                .iter()
-                .map(|t| Simulator::tree_fill_makespan(platform, t, targets))
-                .fold(f64::INFINITY, f64::min);
-            drain_time = drain_time.max(drain_c);
-            if fill_c.is_finite() {
-                first_delivery_latency = first_delivery_latency.max(fill_c);
-            }
-            let edge_key = |t: &MulticastTree| {
-                let mut edges: Vec<u32> = t.edges().iter().map(|e| e.0).collect();
-                edges.sort_unstable();
-                edges
-            };
-            let old_keys: BTreeSet<Vec<u32>> =
-                old.tree_sets[c].trees().iter().map(edge_key).collect();
-            let new_keys: BTreeSet<Vec<u32>> =
-                new.tree_sets[c].trees().iter().map(edge_key).collect();
-            trees_kept += new_keys.intersection(&old_keys).count();
-            old_total += old_keys.len();
-            new_total += new_keys.len();
+        let swap = |c: usize| {
+            self.tree_swap(
+                &old.tree_sets[c],
+                &new.tree_sets[c],
+                &set.commodities()[c].targets,
+            )
+        };
+        // A commodity set is never empty.
+        let mut cost = swap(0);
+        for part in (1..set.len()).map(swap) {
+            cost.drain_time = cost.drain_time.max(part.drain_time);
+            cost.first_delivery_latency =
+                cost.first_delivery_latency.max(part.first_delivery_latency);
+            cost.trees_kept += part.trees_kept;
+            cost.trees_added += part.trees_added;
+            cost.trees_dropped += part.trees_dropped;
         }
-        let switch_time = drain_time + first_delivery_latency;
-        let new_rate: f64 = new.simulated_rates.iter().sum();
-        let old_rate: f64 = old.simulated_rates.iter().sum();
-        TransitionCost {
-            drain_time,
-            first_delivery_latency,
-            switch_time,
-            multicasts_lost: switch_time * new_rate,
-            throughput_delta: new_rate - old_rate,
-            trees_kept,
-            trees_added: new_total - trees_kept,
-            trees_dropped: old_total - trees_kept,
-        }
+        cost.at_rates(
+            old.simulated_rates.iter().sum(),
+            new.simulated_rates.iter().sum(),
+        )
     }
 
     /// Builds (or re-syncs) the joint multi-commodity template for
@@ -1558,57 +1465,32 @@ impl Session {
             return 0;
         }
         // Fold the dropped prefix into the authoritative state at the cut.
-        let mut base = self.pristine.clone();
-        let mut mask = NodeMask::full(base.platform.node_count());
-        let mut budget = None;
-        let mut sim_config = SimulationConfig::default();
-        let mut cache_capacity = None;
-        for event in &self.journal[..cut] {
-            match event {
-                SessionEvent::SetEdgeCost { edge, cost } => {
-                    base.platform
-                        .set_cost(*edge, *cost)
-                        .expect("a journaled edit re-applies to its own base");
-                }
-                SessionEvent::DisableNode { node } => {
-                    mask.remove(*node);
-                }
-                SessionEvent::EnableNode { node } => {
-                    mask.insert(*node);
-                }
-                SessionEvent::SetBudget { budget: caps } => budget = *caps,
-                SessionEvent::SetSimConfig { config } => sim_config = config.clone(),
-                SessionEvent::SetCacheCapacity { capacity } => cache_capacity = *capacity,
-                // Solve-class prefix events are exactly what compaction
-                // drops: their results are superseded or unreferenced.
-                SessionEvent::Solve { .. }
-                | SessionEvent::SolveMultisource { .. }
-                | SessionEvent::ReRealize { .. }
-                | SessionEvent::ReRealizeRobust { .. }
-                | SessionEvent::SolveMulti { .. }
-                | SessionEvent::ReRealizeMulti => {}
-            }
-        }
+        let settings = Settings::fold(&self.pristine, &self.journal[..cut])
+            .expect("a journaled edit re-applies to its own base");
         let mut compacted = Vec::with_capacity(old_len - cut + 4);
-        for v in 0..base.platform.node_count() as u32 {
-            if !mask.contains(NodeId(v)) {
+        for v in 0..settings.instance.platform.node_count() as u32 {
+            if !settings.mask.contains(NodeId(v)) {
                 compacted.push(SessionEvent::DisableNode { node: NodeId(v) });
             }
         }
-        if budget.is_some() {
-            compacted.push(SessionEvent::SetBudget { budget });
+        if settings.budget.is_some() {
+            compacted.push(SessionEvent::SetBudget {
+                budget: settings.budget,
+            });
         }
-        if sim_config != SimulationConfig::default() {
-            compacted.push(SessionEvent::SetSimConfig { config: sim_config });
+        if settings.sim_config != SimulationConfig::default() {
+            compacted.push(SessionEvent::SetSimConfig {
+                config: settings.sim_config,
+            });
         }
-        if cache_capacity.is_some() {
+        if settings.cache_capacity.is_some() {
             compacted.push(SessionEvent::SetCacheCapacity {
-                capacity: cache_capacity,
+                capacity: settings.cache_capacity,
             });
         }
         compacted.extend_from_slice(&self.journal[cut..]);
         let dropped = old_len.saturating_sub(compacted.len());
-        self.pristine = base;
+        self.pristine = settings.instance;
         self.journal = compacted;
         dropped
     }
@@ -1684,6 +1566,60 @@ impl Session {
         }
     }
 
+    /// Runs one session operation and books it. `body` runs under panic
+    /// isolation ([`Session::with_healing`]), after the chaos hook for a
+    /// [`OpClass::Solve`], and timed. Every LP it solves through the session
+    /// cache (the realization packing LPs) counts in its accounting from the
+    /// cache's hit/miss deltas, beside the template solves `body` reports.
+    /// A completed operation then counts in [`SessionStats`], prints one
+    /// stats line when the context asks for it (`detail` gives its
+    /// operation-specific values) and appends `event`'s entry to the
+    /// journal. A failed operation records nothing.
+    fn operation<T>(
+        &mut self,
+        label: &str,
+        class: OpClass,
+        body: impl Fn(&mut Session) -> Result<(T, SessionOpStats), SessionError>,
+        event: impl FnOnce(&T) -> SessionEvent,
+        detail: impl FnOnce(&T) -> String,
+    ) -> Result<(T, SessionOpStats), SessionError> {
+        let (value, op) = self.with_healing(label, |session| {
+            if class == OpClass::Solve {
+                session.maybe_injected_panic();
+            }
+            let start = Instant::now();
+            let (hits, misses) = (session.cache.hits, session.cache.misses);
+            let (value, mut op) = body(session)?;
+            let (hits, misses) = (session.cache.hits - hits, session.cache.misses - misses);
+            op.lp_solves += hits + misses;
+            op.warm_hits += hits;
+            op.warm_misses += misses;
+            op.wall_s = start.elapsed().as_secs_f64();
+            Ok((value, op))
+        })?;
+        match class {
+            OpClass::Solve => self.stats.solves += 1,
+            OpClass::Realize => self.stats.realizations += 1,
+        }
+        self.stats.absorb(&op);
+        if self.ctx.stats {
+            eprintln!(
+                "pm-core: session {label} {} lp_solves={} warm={}h/{}m pivots={}+{} \
+                 refactorizations={} elapsed={:.3}s",
+                detail(&value),
+                op.lp_solves,
+                op.warm_hits,
+                op.warm_misses,
+                op.phase1_pivots,
+                op.phase2_pivots,
+                op.refactorizations,
+                op.wall_s,
+            );
+        }
+        self.journal.push(event(&value));
+        Ok((value, op))
+    }
+
     /// Runs `f` under panic isolation. A panicking operation quarantines
     /// the session's derived state, heals the authoritative state from the
     /// write-ahead journal and retries once; a second panic is reported as
@@ -1713,68 +1649,23 @@ impl Session {
 
     /// Quarantines every piece of derived state a panic may have poisoned —
     /// the formulation templates, their warm bases, the pending-edit sets
-    /// and the ambient warm-start cache — and rebuilds the authoritative
-    /// platform state (edge costs, node mask, budget, simulation config)
-    /// from the write-ahead journal on the pristine base instance.
-    /// Completed solutions, realizations and statistics are plain values
-    /// recorded only after their operation succeeded, so they survive
-    /// as-is; the quarantined templates are rebuilt lazily (cold) on the
-    /// next solve.
+    /// and the warm-start cache — and rebuilds the authoritative settings
+    /// (edge costs, node mask, budget, simulation config, cache capacity)
+    /// from the write-ahead journal on the pristine base instance
+    /// ([`Settings::fold`]). Completed solutions, realizations and
+    /// statistics are plain values recorded only after their operation
+    /// succeeded, so they survive as-is; the quarantined templates are
+    /// rebuilt lazily (cold) on the next solve.
     fn heal(&mut self) -> Result<(), SessionError> {
-        let mut instance = self.pristine.clone();
-        let mut mask = NodeMask::full(instance.platform.node_count());
-        let mut budget = None;
-        let mut sim_config = SimulationConfig::default();
-        let mut cache_capacity = None;
-        for (index, event) in self.journal.iter().enumerate() {
-            let outcome = match event {
-                SessionEvent::SetEdgeCost { edge, cost } => instance
-                    .platform
-                    .set_cost(*edge, *cost)
-                    .map_err(|e| FormulationError::InvalidArgument(e.to_string())),
-                SessionEvent::DisableNode { node } => {
-                    mask.remove(*node);
-                    Ok(())
-                }
-                SessionEvent::EnableNode { node } => {
-                    mask.insert(*node);
-                    Ok(())
-                }
-                SessionEvent::SetBudget { budget: caps } => {
-                    budget = *caps;
-                    Ok(())
-                }
-                SessionEvent::SetSimConfig { config } => {
-                    sim_config = config.clone();
-                    Ok(())
-                }
-                SessionEvent::SetCacheCapacity { capacity } => {
-                    cache_capacity = *capacity;
-                    Ok(())
-                }
-                // Solve-class events only touch derived state, which is
-                // being quarantined wholesale.
-                SessionEvent::Solve { .. }
-                | SessionEvent::SolveMultisource { .. }
-                | SessionEvent::ReRealize { .. }
-                | SessionEvent::ReRealizeRobust { .. }
-                | SessionEvent::SolveMulti { .. }
-                | SessionEvent::ReRealizeMulti => Ok(()),
-            };
-            outcome.map_err(|e| SessionError::Replay {
-                index,
-                source: Box::new(SessionError::from(e)),
-            })?;
-        }
-        self.instance = instance;
-        self.mask = mask;
-        self.budget = budget;
-        self.sim_config = sim_config;
+        let settings = Settings::fold(&self.pristine, &self.journal)?;
+        self.instance = settings.instance;
+        self.mask = settings.mask;
+        self.budget = settings.budget;
+        self.sim_config = settings.sim_config;
         let mut cache = WarmStartCache::new();
-        cache.set_capacity(cache_capacity);
+        cache.set_capacity(settings.cache_capacity);
         self.cache = cache;
-        self.flow_templates = [None, None, None];
-        self.ms_template = None;
+        self.templates = SessionTemplates::new();
         self.multi_template = None;
         self.dirty = std::array::from_fn(|_| BTreeSet::new());
         self.bases = std::array::from_fn(|_| None);
@@ -1798,7 +1689,7 @@ impl Session {
             // Poison the derived state the way a mid-sweep panic would
             // leave it: a dangling edge id in every pending-edit set (any
             // template re-sync would index out of bounds on it) and a
-            // dropped ambient cache. Healing must clear all of it.
+            // dropped warm-start cache. Healing must clear all of it.
             for slot in 0..SLOTS {
                 self.dirty[slot].insert(u32::MAX);
             }
@@ -1810,6 +1701,30 @@ impl Session {
         }
     }
 
+    /// The captured steady state of `kind`'s last solve, the input of its
+    /// realizations.
+    fn steady_state(&self, kind: HeuristicKind) -> Result<SteadyStateSolution, RealizeError> {
+        self.solution_for(kind)
+            .and_then(|r| r.steady_state.clone())
+            .ok_or_else(|| {
+                RealizeError::NotRealizable(format!(
+                    "{} has no captured steady-state solution in this session",
+                    kind.label()
+                ))
+            })
+    }
+
+    /// The trees of `trees` that are still executable under the current
+    /// mask: the seed pool of a re-realization.
+    fn active_trees(&self, trees: &WeightedTreeSet) -> Vec<MulticastTree> {
+        trees
+            .trees()
+            .iter()
+            .filter(|t| self.tree_active(t))
+            .cloned()
+            .collect()
+    }
+
     /// Whether every edge of the tree is active under the current mask.
     fn tree_active(&self, tree: &MulticastTree) -> bool {
         tree.edges()
@@ -1817,50 +1732,50 @@ impl Session {
             .all(|&e| self.mask.edge_active(&self.instance.platform, e))
     }
 
-    fn transition_cost(
+    /// The swap of `old` for `new` on one target set: the drain of the old
+    /// trees, the first delivery of the new ones and their diff by edge set
+    /// (see [`TransitionCost`]). The switchover and rate fields are left at
+    /// zero for [`TransitionCost::at_rates`].
+    fn tree_swap(
         &self,
-        old_trees: &WeightedTreeSet,
-        old_throughput: f64,
-        new_trees: &WeightedTreeSet,
-        new_throughput: f64,
+        old: &WeightedTreeSet,
+        new: &WeightedTreeSet,
+        targets: &[NodeId],
     ) -> TransitionCost {
         let platform = &self.instance.platform;
-        let targets = &self.instance.targets;
         // Old trees through a node the drift disabled cannot drain any
-        // in-flight traffic (consistent with the seed-pool filter in
-        // `re_realize`): only the still-executable ones bound the drain.
-        let drain_time = old_trees
+        // in-flight traffic (consistent with the seed-pool filter of the
+        // re-realizations): only the still-executable ones bound the drain.
+        let drain_time = old
             .trees()
             .iter()
             .filter(|t| self.tree_active(t))
             .map(|t| Simulator::tree_fill_makespan(platform, t, targets))
             .fold(0.0, f64::max);
-        let first_delivery_latency = new_trees
+        let first_delivery_latency = new
             .trees()
             .iter()
             .map(|t| Simulator::tree_fill_makespan(platform, t, targets))
             .fold(f64::INFINITY, f64::min);
-        let first_delivery_latency = if first_delivery_latency.is_finite() {
-            first_delivery_latency
-        } else {
-            0.0
-        };
         // Diff by edge set (sorted: peel order may list edges differently).
         let edge_key = |t: &MulticastTree| {
             let mut edges: Vec<u32> = t.edges().iter().map(|e| e.0).collect();
             edges.sort_unstable();
             edges
         };
-        let old_keys: BTreeSet<Vec<u32>> = old_trees.trees().iter().map(edge_key).collect();
-        let new_keys: BTreeSet<Vec<u32>> = new_trees.trees().iter().map(edge_key).collect();
+        let old_keys: BTreeSet<Vec<u32>> = old.trees().iter().map(edge_key).collect();
+        let new_keys: BTreeSet<Vec<u32>> = new.trees().iter().map(edge_key).collect();
         let trees_kept = new_keys.intersection(&old_keys).count();
-        let switch_time = drain_time + first_delivery_latency;
         TransitionCost {
             drain_time,
-            first_delivery_latency,
-            switch_time,
-            multicasts_lost: switch_time * new_throughput,
-            throughput_delta: new_throughput - old_throughput,
+            first_delivery_latency: if first_delivery_latency.is_finite() {
+                first_delivery_latency
+            } else {
+                0.0
+            },
+            switch_time: 0.0,
+            multicasts_lost: 0.0,
+            throughput_delta: 0.0,
             trees_kept,
             trees_added: new_keys.len() - trees_kept,
             trees_dropped: old_keys.len() - trees_kept,
@@ -1869,30 +1784,25 @@ impl Session {
 
     fn slot_built(&self, slot: usize) -> bool {
         match slot {
-            SLOT_MS => self.ms_template.is_some(),
+            SLOT_MS => self.templates.ms.is_some(),
             SLOT_MULTI => self.multi_template.is_some(),
-            _ => self.flow_templates[slot].is_some(),
+            _ => self.templates.flow[slot].is_some(),
         }
     }
 
     /// Builds the flow template of `slot` if missing, else replays the
     /// pending edge-cost edits into it.
     fn ensure_flow(&mut self, slot: usize) {
-        if self.flow_templates[slot].is_none() {
-            let mut template = match slot {
-                SLOT_EB => MaskedFlowLp::broadcast_eb(&self.instance),
-                SLOT_LB => MaskedFlowLp::multicast_lb(&self.instance),
-                SLOT_UB => MaskedFlowLp::multicast_ub(&self.instance),
-                _ => unreachable!("flow slots are 0..3"),
-            };
+        if self.templates.flow[slot].is_none() {
+            let mut template = flow_template(slot, &self.instance);
             template.set_budget(self.budget);
             template.set_context(self.ctx.clone());
-            self.flow_templates[slot] = Some(template);
+            self.templates.flow[slot] = Some(template);
             self.dirty[slot].clear();
             return;
         }
         let dirty = std::mem::take(&mut self.dirty[slot]);
-        let template = self.flow_templates[slot].as_mut().expect("checked above");
+        let template = self.templates.flow[slot].as_mut().expect("checked above");
         for e in dirty {
             let edge = EdgeId(e);
             template.set_edge_cost(edge, self.instance.platform.cost(edge));
@@ -1902,16 +1812,16 @@ impl Session {
     /// Builds the multi-source template if missing, else replays the
     /// pending edge-cost edits into it.
     fn ensure_ms(&mut self) {
-        if self.ms_template.is_none() {
+        if self.templates.ms.is_none() {
             let mut template = MaskedMultiSourceUb::new(&self.instance);
             template.set_budget(self.budget);
             template.set_context(self.ctx.clone());
-            self.ms_template = Some(template);
+            self.templates.ms = Some(template);
             self.dirty[SLOT_MS].clear();
             return;
         }
         let dirty = std::mem::take(&mut self.dirty[SLOT_MS]);
-        let template = self.ms_template.as_mut().expect("checked above");
+        let template = self.templates.ms.as_mut().expect("checked above");
         for e in dirty {
             let edge = EdgeId(e);
             template.set_edge_cost(edge, self.instance.platform.cost(edge));
@@ -1926,15 +1836,13 @@ impl Session {
     ) -> Result<(HeuristicResult, SessionOpStats), FormulationError> {
         self.ensure_flow(slot);
         let hint = self.bases[slot].clone();
-        let template = self.flow_templates[slot].as_ref().expect("just built");
+        let template = self.templates.flow[slot].as_ref().expect("just built");
         let out = template.solve(&self.mask, hint.as_ref())?;
         let mut op = SessionOpStats::default();
         op.note(&out.stats);
         self.bases[slot] = Some(out.basis);
         let mut result = HeuristicResult::new(kind.label(), out.flow.period);
-        result.lp_solves = 1;
-        result.warm_hits = op.warm_hits as usize;
-        result.warm_misses = op.warm_misses as usize;
+        op.write_to(&mut result);
         if options.capture_steady_state {
             let commodities = if slot == SLOT_EB {
                 broadcast_commodities(&self.instance)
@@ -1980,19 +1888,18 @@ impl Session {
         result.tree = Some(tree);
         Ok((result, SessionOpStats::default()))
     }
+}
 
-    fn remember_solution(&mut self, kind: HeuristicKind, result: HeuristicResult) {
-        match self.solutions.iter_mut().find(|(k, _)| *k == kind) {
-            Some((_, slot)) => *slot = result,
-            None => self.solutions.push((kind, result)),
-        }
-    }
+/// The entry of `kind` in a per-kind store, if any.
+fn latest<T>(store: &[(HeuristicKind, T)], kind: HeuristicKind) -> Option<&T> {
+    store.iter().find(|(k, _)| *k == kind).map(|(_, v)| v)
+}
 
-    fn remember_realization(&mut self, kind: HeuristicKind, realization: Realization) {
-        match self.realizations.iter_mut().find(|(k, _)| *k == kind) {
-            Some((_, slot)) => *slot = realization,
-            None => self.realizations.push((kind, realization)),
-        }
+/// Replaces (or adds) the entry of `kind` in a per-kind store.
+fn remember<T>(store: &mut Vec<(HeuristicKind, T)>, kind: HeuristicKind, value: T) {
+    match store.iter_mut().find(|(k, _)| *k == kind) {
+        Some((_, slot)) => *slot = value,
+        None => store.push((kind, value)),
     }
 }
 
@@ -2194,10 +2101,18 @@ mod tests {
     #[test]
     fn realize_without_a_solve_is_not_realizable() {
         let mut session = Session::new(figure5_instance(2));
+        session.arm_panic(1);
         assert!(matches!(
             session.re_realize(HeuristicKind::Scatter),
             Err(SessionError::Realize(RealizeError::NotRealizable(_)))
         ));
+        // A failed operation records nothing, and only solves consume an
+        // armed panic: the next solve fires it and heals.
+        assert!(session.journal().is_empty());
+        assert_eq!(session.stats(), SessionStats::default());
+        session.solve(HeuristicKind::Scatter).unwrap();
+        assert_eq!(session.stats().panics_healed, 1);
+        assert_eq!(session.stats().solves, 1);
     }
 
     #[test]
@@ -2400,6 +2315,7 @@ mod tests {
         session.set_budget(Some(SolveBudget::pivots(p1 + p2 - 1)));
         let capped = session.solve(kind).unwrap();
         assert_eq!(capped.stats.degraded_solves, 1);
+        assert_eq!(capped.result.degraded_solves, 1);
         assert!(session.stats().degraded_solves >= 1);
         // The anytime point is primal feasible, so its period can only be
         // worse than (or equal to) the certified optimum.

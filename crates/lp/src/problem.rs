@@ -579,28 +579,22 @@ impl LpProblem {
     }
 
     /// Solves the problem under [`crate::SolveContext::default`]: the
-    /// sparse revised simplex on the LU basis. When a
-    /// [`crate::revised::WarmStartCache`] scope is active on the current
-    /// thread, the revised engine warm-starts from the cached basis of the
-    /// last structurally identical solve.
+    /// sparse revised simplex on the LU basis, cold. A caller that re-solves
+    /// structurally identical problems warm-starts them through a
+    /// [`crate::revised::WarmStartCache`] instead.
     pub fn solve(&self) -> Result<LpSolution, LpError> {
         self.solve_in(&crate::SolveContext::default())
     }
 
-    /// Solves the problem under an explicit [`crate::SolveContext`]: its
-    /// engine, basis factorization, chaos injection, diagnostics and tally.
-    /// The thread's [`crate::revised::WarmStartCache`] scope applies as in
-    /// [`LpProblem::solve`].
+    /// Solves the problem cold under an explicit [`crate::SolveContext`]:
+    /// its engine, chaos injection, diagnostics and tally.
     pub fn solve_in(&self, ctx: &crate::SolveContext) -> Result<LpSolution, LpError> {
         self.validate()?;
         match ctx.engine {
-            crate::solver::SolverKind::Dense => {
-                // Keep the scope's solve accounting truthful when the dense
-                // oracle is selected: every dense solve is a cold solve.
-                crate::revised::note_scoped_cold_solve();
-                crate::simplex::solve(ctx, self)
+            crate::solver::SolverKind::Dense => crate::simplex::solve(ctx, self),
+            crate::solver::SolverKind::Revised => {
+                crate::revised::solve_in(ctx, self, None, None, None).map(|o| o.solution)
             }
-            crate::solver::SolverKind::Revised => crate::revised::solve_scoped(ctx, self),
         }
     }
 

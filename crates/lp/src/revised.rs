@@ -21,9 +21,9 @@
 //! **Warm starts**: [`solve_with_hint`] accepts the [`Basis`] returned by a
 //! previous solve of a structurally identical problem and, when that basis
 //! is still primal feasible, skips phase 1 entirely. [`WarmStartCache`]
-//! automates this for solver-agnostic callers: inside a
-//! [`WarmStartCache::scope`], every [`crate::LpProblem::solve`] call looks
-//! up the basis of the last solve with the same constraint pattern.
+//! automates this for callers that build a fresh problem per solve:
+//! [`WarmStartCache::solve`] looks up the basis of the last solve with the
+//! same constraint pattern and stores the new one.
 //!
 //! **Crash starts**: a [`BoundsOverlay::crash`] basis (built with
 //! [`Basis::crash`]) stands in for a missing hint, or for one the install or
@@ -49,7 +49,7 @@ use crate::solver::{
     SolveContext,
 };
 use crate::sparse::CscMatrix;
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, OnceCell};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -299,7 +299,12 @@ pub struct SolveStats {
 pub struct SolveOutcome {
     /// The optimal solution.
     pub solution: LpSolution,
-    /// The optimal basis.
+    /// The optimal basis. A solve the dense oracle answered (the
+    /// [`RecoveryRung::Dense`] rung, or a dense-engine
+    /// [`crate::LpProblem::resolve_in`]) returns an empty basis: handed to
+    /// a later solve as its hint, it fails the install's length check, so
+    /// that solve reads [`WarmStatus::Miss`] and starts from its crash
+    /// basis or phase 1 as if it had no hint.
     pub basis: Basis,
     /// Solve diagnostics.
     pub stats: SolveStats,
@@ -1544,9 +1549,9 @@ fn poison_hint(hint: &Basis, hash: u64) -> Basis {
 /// cloned problem and solves it with the dense tableau simplex, which
 /// shares none of the sparse engine's failure modes (no factorization, no
 /// incremental pricing) and ignores user budgets — the ladder's guaranteed
-/// termination. The returned basis marks every row redundant: it installs
-/// as the unit basis if ever used as a hint, which the repair phase handles
-/// like any other stale hint. The dense oracle reports no duals.
+/// termination. The dense tableau keeps no basis the sparse engine could
+/// install, so the returned basis is empty (see [`SolveOutcome::basis`]).
+/// The dense oracle reports no duals.
 fn dense_fallback(
     ctx: &SolveContext,
     problem: &LpProblem,
@@ -1565,8 +1570,7 @@ fn dense_fallback(
         }
         _ => crate::simplex::solve(ctx, problem)?,
     };
-    let cols = vec![Basis::REDUNDANT; problem.num_constraints()];
-    Ok((solution, Basis { cols }))
+    Ok((solution, Basis { cols: Vec::new() }))
 }
 
 /// The dense-engine path of [`LpProblem::resolve_in`] (a context whose
@@ -2016,10 +2020,6 @@ fn signature(problem: &LpProblem) -> u64 {
     h.finish()
 }
 
-thread_local! {
-    static ACTIVE_CACHE: RefCell<Option<WarmStartCache>> = const { RefCell::new(None) };
-}
-
 /// One cached basis plus its last-touched stamp (for LRU eviction under a
 /// capacity bound).
 #[derive(Debug)]
@@ -2028,15 +2028,16 @@ struct CacheEntry {
     touched: u64,
 }
 
-/// A per-thread cache of optimal bases keyed by problem structure.
+/// A cache of optimal bases keyed by problem structure.
 ///
-/// Inside a [`WarmStartCache::scope`], every [`crate::LpProblem::solve`]
-/// call routed to the revised engine looks up the basis of the last solve
-/// with the same constraint pattern and warm-starts from it; the cache is
-/// updated with the new optimal basis afterwards. Sequences of structurally
-/// identical solves (e.g. consecutive densities of a Figure-11 sweep, or the
-/// iterated broadcast LPs inside the greedy heuristics) then skip most of
-/// phase 1.
+/// Every [`WarmStartCache::solve`] routed to the revised engine looks up the
+/// basis of the last solve with the same constraint pattern and
+/// warm-starts from it; the cache is updated with the new optimal basis
+/// afterwards. Sequences of structurally identical solves (e.g. the packing
+/// LPs of a long-lived session's consecutive re-realizations) then skip
+/// most of phase 1. The cache is mutable state with one owner, so each
+/// solve borrows it explicitly; the [`SolveContext`], which is cloned and
+/// shared across threads, does not carry it.
 ///
 /// By default the cache is *unbounded* — every distinct constraint pattern
 /// keeps its basis forever, which is right for one sweep but a slow leak
@@ -2079,7 +2080,7 @@ impl WarmStartCache {
         }
     }
 
-    /// Total revised solves performed inside this cache's scopes.
+    /// Total solves performed through [`WarmStartCache::solve`].
     pub fn solves(&self) -> u64 {
         self.hits + self.misses
     }
@@ -2152,87 +2153,43 @@ impl WarmStartCache {
         self.map.insert(key, CacheEntry { basis, touched });
     }
 
-    /// Runs `f` with this cache active for [`crate::LpProblem::solve`] and
-    /// [`crate::LpProblem::solve_in`] calls on the current thread.
+    /// Solves `problem` under `ctx`, warm-starting from the cached basis of
+    /// the last solve with the same constraint pattern (same rows,
+    /// relations and sparsity) and storing the new optimal basis. Counts a
+    /// hit when the cached basis installed, else a miss (a solver error is
+    /// a miss too).
     ///
-    /// Scopes nest LIFO: entering a scope while another is active shelves
-    /// the outer cache and restores it when the inner scope ends. Besides
-    /// deliberate nesting, this keeps a work-stealing scheduler safe — a
-    /// thread whose scope blocks in a parallel section may start an
-    /// unrelated task that opens its own scope on the same thread, and the
-    /// stolen task completes before the blocked section resumes, exactly
-    /// the LIFO discipline.
-    pub fn scope<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        struct Restore<'a> {
-            cache: &'a mut WarmStartCache,
-            outer: Option<WarmStartCache>,
+    /// A context whose engine is [`crate::SolverKind::Dense`] takes no
+    /// hint: its solve counts one miss and stores nothing, so
+    /// [`WarmStartCache::solves`] stays an honest count of every LP solved
+    /// through the cache regardless of engine. A model that fails
+    /// [`LpProblem::validate`] is rejected before any counting.
+    pub fn solve(
+        &mut self,
+        ctx: &SolveContext,
+        problem: &LpProblem,
+    ) -> Result<LpSolution, LpError> {
+        problem.validate()?;
+        if ctx.engine == crate::SolverKind::Dense {
+            self.misses += 1;
+            return crate::simplex::solve(ctx, problem);
         }
-        impl Drop for Restore<'_> {
-            fn drop(&mut self) {
-                ACTIVE_CACHE.with(|slot| {
-                    let mut slot = slot.borrow_mut();
-                    if let Some(cache) = slot.take() {
-                        *self.cache = cache;
-                    }
-                    *slot = self.outer.take();
-                });
-            }
-        }
-        let outer = ACTIVE_CACHE.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            let outer = slot.take();
-            *slot = Some(std::mem::take(self));
-            outer
-        });
-        let restore = Restore { cache: self, outer };
-        let result = f();
-        drop(restore);
-        result
-    }
-}
-
-/// Records a solve that bypassed the warm-start machinery (the dense
-/// engine) in the thread's active cache, so `lp_solves` stays an honest
-/// count of every LP solved inside the scope regardless of engine.
-pub(crate) fn note_scoped_cold_solve() {
-    ACTIVE_CACHE.with(|slot| {
-        if let Some(cache) = slot.borrow_mut().as_mut() {
-            cache.misses += 1;
-        }
-    });
-}
-
-/// The [`crate::LpProblem::solve_in`] entry point for the revised engine:
-/// consults the thread's active [`WarmStartCache`] (if any) around a
-/// [`solve_in`] under `ctx`.
-pub(crate) fn solve_scoped(ctx: &SolveContext, problem: &LpProblem) -> Result<LpSolution, LpError> {
-    let key_and_hint = ACTIVE_CACHE.with(|slot| {
-        slot.borrow_mut().as_mut().map(|cache| {
-            let key = signature(problem);
-            let hint = cache.lookup(key);
-            (key, hint)
-        })
-    });
-    let Some((key, hint)) = key_and_hint else {
-        return solve_in(ctx, problem, None, None, None).map(|o| o.solution);
-    };
-    let outcome = solve_in(ctx, problem, None, hint.as_ref(), None);
-    ACTIVE_CACHE.with(|slot| {
-        if let Some(cache) = slot.borrow_mut().as_mut() {
-            match &outcome {
-                Ok(o) => {
-                    if o.stats.warm == WarmStatus::Hit {
-                        cache.hits += 1;
-                    } else {
-                        cache.misses += 1;
-                    }
-                    cache.store(key, o.basis.clone());
+        let key = signature(problem);
+        let hint = self.lookup(key);
+        let outcome = solve_in(ctx, problem, None, hint.as_ref(), None);
+        match &outcome {
+            Ok(o) => {
+                if o.stats.warm == WarmStatus::Hit {
+                    self.hits += 1;
+                } else {
+                    self.misses += 1;
                 }
-                Err(_) => cache.misses += 1,
+                self.store(key, o.basis.clone());
             }
+            Err(_) => self.misses += 1,
         }
-    });
-    outcome.map(|o| o.solution)
+        outcome.map(|o| o.solution)
+    }
 }
 
 #[cfg(test)]
@@ -2418,47 +2375,23 @@ mod tests {
     }
 
     #[test]
-    fn cache_scope_hits_on_repeated_patterns() {
+    fn cache_hits_on_repeated_patterns() {
         let lp = sample_lp();
+        let revised = on(SolverKind::Revised);
         let mut cache = WarmStartCache::new();
-        cache.scope(|| {
-            for _ in 0..3 {
-                let s = lp.solve_in(&on(SolverKind::Revised)).unwrap();
-                approx(s.objective, 36.0);
-            }
-        });
+        for _ in 0..3 {
+            let s = cache.solve(&revised, &lp).unwrap();
+            approx(s.objective, 36.0);
+        }
         assert_eq!(cache.misses, 1);
         assert_eq!(cache.hits, 2);
         assert_eq!(cache.solves(), 3);
-    }
-
-    #[test]
-    fn cache_scope_restores_on_exit() {
-        let mut cache = WarmStartCache::new();
-        cache.scope(|| {
-            sample_lp().solve().unwrap();
-        });
-        // Outside the scope solves do not touch the cache.
-        sample_lp().solve().unwrap();
-        assert_eq!(cache.solves(), 1);
-    }
-
-    #[test]
-    fn cache_scopes_nest_lifo() {
-        let mut outer = WarmStartCache::new();
-        let mut inner = WarmStartCache::new();
-        outer.scope(|| {
-            sample_lp().solve().unwrap();
-            inner.scope(|| {
-                sample_lp().solve().unwrap();
-                sample_lp().solve().unwrap();
-            });
-            // The outer cache is active again (and its map still warm).
-            sample_lp().solve().unwrap();
-        });
-        assert_eq!(inner.solves(), 2);
-        assert_eq!(outer.solves(), 2);
-        assert_eq!(outer.hits, 1);
+        // The dense oracle takes no hint: one miss, nothing stored.
+        let mut dense = WarmStartCache::new();
+        let s = dense.solve(&on(SolverKind::Dense), &lp).unwrap();
+        approx(s.objective, 36.0);
+        assert_eq!((dense.hits, dense.misses), (0, 1));
+        assert!(dense.is_empty());
     }
 
     /// A family of structurally distinct LPs: `max x  s.t.  x <= 1` padded
@@ -2478,59 +2411,51 @@ mod tests {
 
     #[test]
     fn bounded_cache_evicts_least_recently_used_patterns() {
+        let ctx = SolveContext::default();
         let mut cache = WarmStartCache::with_capacity(2);
         assert_eq!(cache.capacity(), Some(2));
-        cache.scope(|| {
-            // Three distinct patterns through a 2-slot cache: storing the
-            // third evicts the first (least recently touched).
-            patterned_lp(0).solve().unwrap();
-            patterned_lp(1).solve().unwrap();
-            patterned_lp(2).solve().unwrap();
-        });
+        // Three distinct patterns through a 2-slot cache: storing the third
+        // evicts the first (least recently touched).
+        for k in [0, 1, 2] {
+            cache.solve(&ctx, &patterned_lp(k)).unwrap();
+        }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions, 1);
         assert_eq!(cache.misses, 3);
-        cache.scope(|| {
-            // Patterns 1 and 2 survived; 0 was evicted and runs cold again.
-            patterned_lp(1).solve().unwrap();
-            patterned_lp(2).solve().unwrap();
-            patterned_lp(0).solve().unwrap();
-        });
+        // Patterns 1 and 2 survived; 0 was evicted and runs cold again.
+        for k in [1, 2, 0] {
+            cache.solve(&ctx, &patterned_lp(k)).unwrap();
+        }
         assert_eq!(cache.hits, 2);
         assert_eq!(cache.misses, 4);
         // Re-inserting pattern 0 evicted pattern 1 (LRU after the touches).
         assert_eq!(cache.evictions, 2);
-        cache.scope(|| {
-            patterned_lp(2).solve().unwrap();
-            patterned_lp(0).solve().unwrap();
-        });
+        for k in [2, 0] {
+            cache.solve(&ctx, &patterned_lp(k)).unwrap();
+        }
         assert_eq!(cache.hits, 4);
     }
 
     #[test]
     fn lookups_refresh_the_lru_order() {
+        let ctx = SolveContext::default();
         let mut cache = WarmStartCache::with_capacity(2);
-        cache.scope(|| {
-            patterned_lp(0).solve().unwrap();
-            patterned_lp(1).solve().unwrap();
-            // Touch 0 so 1 becomes the LRU victim of the next store.
-            patterned_lp(0).solve().unwrap();
-            patterned_lp(2).solve().unwrap();
-            // 0 stayed cached, 1 was evicted.
-            patterned_lp(0).solve().unwrap();
-        });
+        // Touch 0 after storing 1 so 1 becomes the LRU victim of the store
+        // of 2; the last solve finds 0 still cached.
+        for k in [0, 1, 0, 2, 0] {
+            cache.solve(&ctx, &patterned_lp(k)).unwrap();
+        }
         assert_eq!(cache.hits, 2);
         assert_eq!(cache.evictions, 1);
     }
 
     #[test]
     fn shrinking_capacity_evicts_immediately_and_zero_caches_nothing() {
+        let ctx = SolveContext::default();
         let mut cache = WarmStartCache::new();
-        cache.scope(|| {
-            for k in 0..4 {
-                patterned_lp(k).solve().unwrap();
-            }
-        });
+        for k in 0..4 {
+            cache.solve(&ctx, &patterned_lp(k)).unwrap();
+        }
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.evictions, 0);
         cache.set_capacity(Some(1));
@@ -2540,10 +2465,8 @@ mod tests {
         assert_eq!(cache.capacity(), None);
 
         let mut none = WarmStartCache::with_capacity(0);
-        none.scope(|| {
-            patterned_lp(0).solve().unwrap();
-            patterned_lp(0).solve().unwrap();
-        });
+        none.solve(&ctx, &patterned_lp(0)).unwrap();
+        none.solve(&ctx, &patterned_lp(0)).unwrap();
         assert!(none.is_empty());
         assert_eq!(none.misses, 2);
         assert_eq!(none.hits, 0);

@@ -107,7 +107,9 @@ pub enum SolverKind {
 /// The default is the production configuration: the revised engine, no
 /// fault injection, no stderr diagnostics, no tally. Work caps are not part
 /// of it: a [`SolveBudget`] belongs to the template or call that sets it,
-/// and is passed beside the context.
+/// and is passed beside the context. Neither is a warm-start cache: a
+/// [`crate::WarmStartCache`] is mutable state with one owner, which lends
+/// it to each solve by `&mut` ([`crate::WarmStartCache::solve`]).
 ///
 /// ```
 /// use pm_lp::{LpProblem, Objective, Relation, SolveContext, SolverKind};

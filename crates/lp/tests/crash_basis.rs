@@ -7,7 +7,7 @@
 use pm_lp::revised::resolve_with_bounds;
 use pm_lp::{
     Basis, BoundsOverlay, ChaosConfig, ChaosFault, LpProblem, Objective, RecoveryRung, Relation,
-    SolveContext, SolveOutcome, VarId, WarmStatus,
+    SolveContext, SolveOutcome, SolverKind, VarId, WarmStatus,
 };
 
 /// maximize x + y  s.t.  x + y ≤ 4,  2x + 2y ≤ 9,  x ≤ 3.
@@ -113,12 +113,31 @@ fn crash_starts_never_report_a_warm_hit() {
     assert!((crashed.solution.objective - cold.solution.objective).abs() <= 1e-9);
 
     // A hint of another shape is rejected; the crash still starts the solve.
+    // So is the basis of a solve the dense oracle answered: the dense
+    // engine's, and the last rung's of a chaos plan that strikes both
+    // sparse rungs.
     let (other, _, _) = packing_lp();
-    let wrong = Basis::crash(&other, []);
-    let missed = resolve_with_bounds(&lp, &overlay, Some(&wrong)).unwrap();
-    assert_eq!(missed.stats.phase1_pivots, 0);
-    assert_eq!(missed.stats.warm, WarmStatus::Miss);
-    assert_eq!(bits(&missed), bits(&crashed));
+    let dense_engine = SolveContext {
+        engine: SolverKind::Dense,
+        ..SolveContext::default()
+    };
+    let dense = lp.resolve_in(&dense_engine, &overlay, None, None).unwrap();
+    let rescued = (0..256u64)
+        .map(|seed| {
+            let ctx = SolveContext {
+                chaos: Some(ChaosConfig::only(ChaosFault::SingularBasis, seed)),
+                ..SolveContext::default()
+            };
+            lp.resolve_in(&ctx, &overlay, None, None).unwrap()
+        })
+        .find(|out| out.stats.rung == RecoveryRung::Dense)
+        .expect("some seed strikes both sparse rungs");
+    for wrong in [Basis::crash(&other, []), dense.basis, rescued.basis] {
+        let missed = resolve_with_bounds(&lp, &overlay, Some(&wrong)).unwrap();
+        assert_eq!(missed.stats.phase1_pivots, 0);
+        assert_eq!(missed.stats.warm, WarmStatus::Miss);
+        assert_eq!(bits(&missed), bits(&crashed));
+    }
 
     // A hint that installs wins over the crash, and only it is a hit.
     let hit = resolve_with_bounds(&lp, &overlay, Some(&cold.basis)).unwrap();
