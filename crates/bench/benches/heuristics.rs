@@ -4,10 +4,10 @@
 //! * the paper's remark (Section 7) that MCPH is much cheaper to run than
 //!   the LP-based heuristics while achieving a comparable period, and
 //! * this repository's masked-formulation design: candidate sub-platform
-//!   solves warm-started from a neighbouring mask's basis cost a few repair
-//!   pivots, while the same solves run cold pay a full phase 1 + 2 — the
-//!   difference that makes the big-class and paper-scale greedy loops
-//!   affordable at all.
+//!   solves warm-started from a neighbouring mask's basis cost a few
+//!   dual-pass pivots, while the same solves run cold pay a full phase
+//!   1 + 2 — the difference that makes the big-class and paper-scale greedy
+//!   loops affordable at all.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pm_core::heuristics::{

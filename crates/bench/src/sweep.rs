@@ -547,8 +547,8 @@ pub struct BatchMeta {
     /// count as cold).
     pub lp_solves: u64,
     /// Solves warm-started from a previous basis (masked-template hints
-    /// and session-cache hits alike; phase 1 skipped or repaired in a few
-    /// pivots).
+    /// and session-cache hits alike; phase 1 skipped, or replaced by a few
+    /// dual-pass pivots).
     pub warm_hits: u64,
     /// Solves that started cold.
     pub warm_misses: u64,

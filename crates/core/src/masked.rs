@@ -10,7 +10,7 @@
 //! flow variables of every edge incident to a deactivated node are fixed to
 //! zero. The constraint pattern — and with it the warm-start signature —
 //! is identical across *all* candidates of a greedy run, so each candidate
-//! solve starts from the previous optimal basis and costs a few repair
+//! solve starts from the previous optimal basis and costs a few dual-pass
 //! pivots instead of a cold phase 1 + 2.
 //!
 //! Deactivating a node must also deactivate its *commodity* in the
@@ -23,7 +23,7 @@
 //! to zero and the row is the paper's constraint; when the commodity
 //! deactivates, `w_i` is released and absorbs the demand. Node removal is
 //! then a pure bound-set change with an unchanged RHS, which the
-//! warm-start repair phase in `pm-lp` settles in a handful of pivots.
+//! lexicographic dual pass in `pm-lp` settles in a handful of pivots.
 //!
 //! A solve without a usable hint does not run the all-artificial phase 1.
 //! Every solve also builds a *crash basis* for its mask
@@ -38,7 +38,8 @@
 //! `x ≤ n` row of the first commodity routed over `e`, and `T*` is basic in
 //! the busiest occupation row; every other row stays on its slack or
 //! artificial. That basis is a feasible vertex, so `pm-lp` starts from it
-//! whenever the solve has no hint or the hint fails to install or repair.
+//! whenever the solve has no hint, or the hint fails to install or its dual
+//! pass gives up.
 //! The whole arborescence is basic, not just the paths to the targets: an
 //! off-path row left on its artificial costs phase-2 pivots to price out.
 //! A crash start counts as a cold solve, never as a warm hit.
@@ -384,8 +385,8 @@ impl MaskedFlowLp {
     /// and every occupation-row coefficient that carries the cost are
     /// rewritten through [`LpProblem::set_coeff`]. The constraint pattern —
     /// and with it the warm-start signature and every previously returned
-    /// [`Basis`] — is unchanged, so the next [`MaskedFlowLp::solve`] repairs
-    /// the old basis in a few pivots instead of paying a rebuild + cold
+    /// [`Basis`] — is unchanged, so the next [`MaskedFlowLp::solve`] restarts
+    /// from the old basis in a few pivots instead of paying a rebuild + cold
     /// solve.
     ///
     /// # Panics

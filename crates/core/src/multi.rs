@@ -88,6 +88,37 @@ pub fn same_commodities(a: &[Commodity], b: &[Commodity]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.bits_eq(y))
 }
 
+/// Validates and normalizes `commodities` against a borrowed `platform`
+/// (the checks of [`CommoditySet::new`]), returning them in input order.
+pub(crate) fn normalize_workload(
+    platform: &Platform,
+    commodities: Vec<Commodity>,
+) -> Result<Vec<Commodity>, FormulationError> {
+    if commodities.is_empty() {
+        return Err(FormulationError::InvalidArgument(
+            "a commodity set needs at least one commodity".to_string(),
+        ));
+    }
+    let mut normalized = Vec::with_capacity(commodities.len());
+    for (c, commodity) in commodities.into_iter().enumerate() {
+        if !(commodity.demand.is_finite() && commodity.demand > 0.0) {
+            return Err(FormulationError::InvalidArgument(format!(
+                "commodity {c} demand {} is not finite and positive",
+                commodity.demand
+            )));
+        }
+        let targets =
+            MulticastInstance::validated_targets(platform, commodity.source, commodity.targets)
+                .map_err(|e| FormulationError::InvalidArgument(format!("commodity {c}: {e}")))?;
+        normalized.push(Commodity {
+            source: commodity.source,
+            targets,
+            demand: commodity.demand,
+        });
+    }
+    Ok(normalized)
+}
+
 /// A validated multi-commodity workload on a shared platform.
 #[derive(Debug, Clone)]
 pub struct CommoditySet {
@@ -97,38 +128,25 @@ pub struct CommoditySet {
 
 impl CommoditySet {
     /// Validates and normalizes the workload: at least one commodity, every
-    /// source and target a platform node, targets sorted and deduplicated
-    /// without their source, demands finite and strictly positive.
+    /// source and target a platform node and every target reachable from
+    /// its source, targets sorted and deduplicated without their source,
+    /// demands finite and strictly positive.
     pub fn new(platform: Platform, commodities: Vec<Commodity>) -> Result<Self, FormulationError> {
-        if commodities.is_empty() {
-            return Err(FormulationError::InvalidArgument(
-                "a commodity set needs at least one commodity".to_string(),
-            ));
-        }
-        let mut normalized = Vec::with_capacity(commodities.len());
-        for (c, commodity) in commodities.into_iter().enumerate() {
-            if !(commodity.demand.is_finite() && commodity.demand > 0.0) {
-                return Err(FormulationError::InvalidArgument(format!(
-                    "commodity {c} demand {} is not finite and positive",
-                    commodity.demand
-                )));
-            }
-            let instance = MulticastInstance::new(
-                platform.clone(),
-                commodity.source,
-                commodity.targets.clone(),
-            )
-            .map_err(|e| FormulationError::InvalidArgument(format!("commodity {c}: {e}")))?;
-            normalized.push(Commodity {
-                source: commodity.source,
-                targets: instance.targets,
-                demand: commodity.demand,
-            });
-        }
+        let commodities = normalize_workload(&platform, commodities)?;
         Ok(CommoditySet {
             platform,
-            commodities: normalized,
+            commodities,
         })
+    }
+
+    /// A set of a workload that [`CommoditySet::new`]'s checks already
+    /// normalized on a platform of the same topology (its costs may have
+    /// drifted since), so nothing is checked again.
+    pub(crate) fn normalized(platform: Platform, commodities: Vec<Commodity>) -> Self {
+        CommoditySet {
+            platform,
+            commodities,
+        }
     }
 
     /// The shared platform (carrying the set's *current* edge costs).

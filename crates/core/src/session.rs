@@ -76,8 +76,8 @@ use crate::heuristics::{
 };
 use crate::masked::{MaskedFlowLp, MaskedMultiSourceUb, MaskedStats};
 use crate::multi::{
-    realize_multi_with_pool, same_commodities, Commodity, CommoditySet, MultiFlow,
-    MultiRealization, MultiTemplate,
+    normalize_workload, realize_multi_with_pool, same_commodities, Commodity, CommoditySet,
+    MultiFlow, MultiRealization, MultiTemplate,
 };
 use crate::realize::{realize_with_pool, Realization, RealizeError, SteadyStateSolution};
 use crate::report::HeuristicKind;
@@ -436,10 +436,17 @@ pub struct SessionOpStats {
     pub warm_hits: u64,
     /// Solves that ran cold.
     pub warm_misses: u64,
-    /// Phase-1 (and bound-repair) pivots across the operation's solves.
+    /// Pivots before phase 2 (phase 1, or the dual pass of a hint that
+    /// violated a bound) across the operation's solves.
     pub phase1_pivots: u64,
-    /// Phase-2 pivots across the operation's solves.
+    /// Dual-pass pivots across the operation's solves (counted in
+    /// `phase1_pivots`).
+    pub dual_pivots: u64,
+    /// Phase-2 pivots across the operation's solves, phase 3 included.
     pub phase2_pivots: u64,
+    /// Phase-3 pivots across the operation's solves (counted in
+    /// `phase2_pivots`).
+    pub phase3_pivots: u64,
     /// Basis refactorizations across the operation's solves.
     pub refactorizations: u64,
     /// Solves that exhausted their [`SolveBudget`] and returned a degraded
@@ -461,9 +468,40 @@ impl SessionOpStats {
             self.warm_misses += 1;
         }
         self.phase1_pivots += stats.solve.phase1_pivots as u64;
+        self.dual_pivots += stats.solve.dual_pivots as u64;
         self.phase2_pivots += stats.solve.phase2_pivots as u64;
+        self.phase3_pivots += stats.solve.phase3_pivots as u64;
         self.refactorizations += stats.solve.refactorizations as u64;
         self.degraded_solves += stats.solve.degraded as u64;
+    }
+
+    /// The running totals of the LPs solved through `cache`. The
+    /// difference of two readings is what an operation solved through it.
+    fn of_cache(cache: &WarmStartCache) -> Self {
+        SessionOpStats {
+            lp_solves: cache.solves(),
+            warm_hits: cache.hits,
+            warm_misses: cache.misses,
+            phase1_pivots: cache.phase1_pivots,
+            dual_pivots: cache.dual_pivots,
+            phase2_pivots: cache.phase2_pivots,
+            phase3_pivots: cache.phase3_pivots,
+            refactorizations: cache.refactorizations,
+            ..SessionOpStats::default()
+        }
+    }
+
+    /// Adds the LP counters of `after` minus those of `before` (two
+    /// [`SessionOpStats::of_cache`] readings).
+    fn add_since(&mut self, after: &SessionOpStats, before: &SessionOpStats) {
+        self.lp_solves += after.lp_solves - before.lp_solves;
+        self.warm_hits += after.warm_hits - before.warm_hits;
+        self.warm_misses += after.warm_misses - before.warm_misses;
+        self.phase1_pivots += after.phase1_pivots - before.phase1_pivots;
+        self.dual_pivots += after.dual_pivots - before.dual_pivots;
+        self.phase2_pivots += after.phase2_pivots - before.phase2_pivots;
+        self.phase3_pivots += after.phase3_pivots - before.phase3_pivots;
+        self.refactorizations += after.refactorizations - before.refactorizations;
     }
 
     /// Counts an LP solve that ended in a solver error (a cold solve).
@@ -511,10 +549,14 @@ pub struct SessionStats {
     pub warm_hits: u64,
     /// Solves that ran cold.
     pub warm_misses: u64,
-    /// Phase-1 (and bound-repair) pivots.
+    /// Pivots before phase 2 (phase 1, or the dual pass).
     pub phase1_pivots: u64,
-    /// Phase-2 pivots.
+    /// Dual-pass pivots (counted in `phase1_pivots`).
+    pub dual_pivots: u64,
+    /// Phase-2 pivots, phase 3 included.
     pub phase2_pivots: u64,
+    /// Phase-3 pivots (counted in `phase2_pivots`).
+    pub phase3_pivots: u64,
     /// Basis refactorizations.
     pub refactorizations: u64,
     /// Solves that exhausted their [`SolveBudget`] and returned a degraded
@@ -533,7 +575,9 @@ impl SessionStats {
         self.warm_hits += op.warm_hits;
         self.warm_misses += op.warm_misses;
         self.phase1_pivots += op.phase1_pivots;
+        self.dual_pivots += op.dual_pivots;
         self.phase2_pivots += op.phase2_pivots;
+        self.phase3_pivots += op.phase3_pivots;
         self.refactorizations += op.refactorizations;
         self.degraded_solves += op.degraded_solves;
         self.wall_s += op.wall_s;
@@ -1242,10 +1286,8 @@ impl Session {
                 // (unsorted targets) reuses the template and its warm basis
                 // instead of rebuilding.
                 let commodities =
-                    CommoditySet::new(session.instance.platform.clone(), commodities.to_vec())?
-                        .commodities()
-                        .to_vec();
-                session.ensure_multi(&commodities)?;
+                    normalize_workload(&session.instance.platform, commodities.to_vec())?;
+                session.ensure_multi(&commodities);
                 let hint = session.bases[SLOT_MULTI].clone();
                 let (_, template) = session.multi_template.as_ref().expect("just built");
                 let out = template.solve(&session.mask, hint.as_ref())?;
@@ -1281,10 +1323,11 @@ impl Session {
                         "no multi-commodity solve has completed in this session".to_string(),
                     )
                 })?;
-                // Re-validate the workload against the current platform
-                // costs (the realization replays trees on the drifted
+                // The workload was validated when it was solved, and a
+                // session's topology never changes: only the costs are
+                // current (the realization replays trees on the drifted
                 // platform).
-                let set = CommoditySet::new(session.instance.platform.clone(), commodities)?;
+                let set = CommoditySet::normalized(session.instance.platform.clone(), commodities);
                 let previous = session
                     .multi_realization
                     .as_ref()
@@ -1360,11 +1403,12 @@ impl Session {
         )
     }
 
-    /// Builds (or re-syncs) the joint multi-commodity template for
-    /// `commodities`: an existing template built for a bit-identical
-    /// workload only drains its pending edge-cost edits; anything else is a
-    /// rebuild on the current platform (dropping the stale basis).
-    fn ensure_multi(&mut self, commodities: &[Commodity]) -> Result<(), SessionError> {
+    /// Builds (or re-syncs) the joint multi-commodity template for the
+    /// normalized workload `commodities`: an existing template built for a
+    /// bit-identical workload only drains its pending edge-cost edits;
+    /// anything else is a rebuild on the current platform (dropping the
+    /// stale basis).
+    fn ensure_multi(&mut self, commodities: &[Commodity]) {
         if let Some((stored, _)) = &self.multi_template {
             if same_commodities(stored, commodities) {
                 let dirty = std::mem::take(&mut self.dirty[SLOT_MULTI]);
@@ -1373,19 +1417,16 @@ impl Session {
                     let edge = EdgeId(e);
                     template.set_edge_cost(edge, self.instance.platform.cost(edge));
                 }
-                return Ok(());
+                return;
             }
         }
-        let set = CommoditySet::new(self.instance.platform.clone(), commodities.to_vec())
-            .map_err(SessionError::from)?;
+        let set = CommoditySet::normalized(self.instance.platform.clone(), commodities.to_vec());
         let mut template = MultiTemplate::new(&set);
         template.set_budget(self.budget);
         template.set_context(self.ctx.clone());
-        let normalized = set.commodities().to_vec();
-        self.multi_template = Some((normalized, template));
+        self.multi_template = Some((commodities.to_vec(), template));
         self.dirty[SLOT_MULTI].clear();
         self.bases[SLOT_MULTI] = None;
-        Ok(())
     }
 
     /// The write-ahead journal: every completed state-changing operation of
@@ -1570,7 +1611,8 @@ impl Session {
     /// isolation ([`Session::with_healing`]), after the chaos hook for a
     /// [`OpClass::Solve`], and timed. Every LP it solves through the session
     /// cache (the realization packing LPs) counts in its accounting from the
-    /// cache's hit/miss deltas, beside the template solves `body` reports.
+    /// cache's running totals (warm outcomes, pivots, refactorizations),
+    /// beside the template solves `body` reports.
     /// A completed operation then counts in [`SessionStats`], prints one
     /// stats line when the context asks for it (`detail` gives its
     /// operation-specific values) and appends `event`'s entry to the
@@ -1588,12 +1630,9 @@ impl Session {
                 session.maybe_injected_panic();
             }
             let start = Instant::now();
-            let (hits, misses) = (session.cache.hits, session.cache.misses);
+            let before = SessionOpStats::of_cache(&session.cache);
             let (value, mut op) = body(session)?;
-            let (hits, misses) = (session.cache.hits - hits, session.cache.misses - misses);
-            op.lp_solves += hits + misses;
-            op.warm_hits += hits;
-            op.warm_misses += misses;
+            op.add_since(&SessionOpStats::of_cache(&session.cache), &before);
             op.wall_s = start.elapsed().as_secs_f64();
             Ok((value, op))
         })?;
@@ -1605,13 +1644,15 @@ impl Session {
         if self.ctx.stats {
             eprintln!(
                 "pm-core: session {label} {} lp_solves={} warm={}h/{}m pivots={}+{} \
-                 refactorizations={} elapsed={:.3}s",
+                 dual_pivots={} phase3_pivots={} refactorizations={} elapsed={:.3}s",
                 detail(&value),
                 op.lp_solves,
                 op.warm_hits,
                 op.warm_misses,
                 op.phase1_pivots,
                 op.phase2_pivots,
+                op.dual_pivots,
+                op.phase3_pivots,
                 op.refactorizations,
                 op.wall_s,
             );
@@ -2050,6 +2091,26 @@ mod tests {
         );
         assert_eq!(second.realization.simulated.one_port_violations, 0);
         assert_eq!(session.stats().realizations, 2);
+    }
+
+    #[test]
+    fn re_realize_counts_the_work_of_its_packing_lps() {
+        let mut session = Session::new(figure1_instance());
+        let solved = session.solve(HeuristicKind::Broadcast).unwrap();
+        let realized = session.re_realize(HeuristicKind::Broadcast).unwrap();
+        let op = realized.stats;
+        assert!(op.lp_solves > 0);
+        assert!(op.phase2_pivots > 0, "the packing LP pivots: {op:?}");
+        assert!(op.refactorizations > 0);
+        let total = session.stats();
+        assert_eq!(
+            total.phase2_pivots,
+            solved.stats.phase2_pivots + op.phase2_pivots
+        );
+        assert_eq!(
+            total.refactorizations,
+            solved.stats.refactorizations + op.refactorizations
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `pm_core::formulations` LPs on the re-indexed sub-platform) must agree on
 //! status and period for all four formulations — including when the masked
 //! solve warm-starts from the basis of a *different* mask, which exercises
-//! the bound-repair path in `pm-lp`.
+//! the dual pass in `pm-lp`.
 
 use pm_core::formulations::{
     BroadcastEb, FormulationError, MulticastLb, MulticastMultiSourceUb, MulticastUb,
@@ -195,8 +195,8 @@ proptest! {
     #[test]
     fn masked_warm_chains_agree_with_rebuilds(seed in 0u64..1_000_000) {
         // Solve the full platform first, then the masked sub-platform
-        // warm-started from the full-platform basis: the bound-repair path
-        // must not change the optimum.
+        // warm-started from the full-platform basis: the dual pass must not
+        // change the optimum.
         let case = random_case(seed);
         let inst = &case.instance;
         let sub = rebuilt_instance(&case);

@@ -383,8 +383,9 @@ impl LpProblem {
     /// [`crate::revised::WarmStartCache`]) is unchanged and any previous
     /// optimal basis of the problem remains a valid hint. This is what makes
     /// edge-cost drift on the masked `pm-core` templates a cheap delta: the
-    /// occupation-row coefficients are rewritten and the next solve repairs
-    /// the old basis in a few pivots instead of rebuilding the formulation.
+    /// occupation-row coefficients are rewritten and the next solve restarts
+    /// from the old basis in a few pivots instead of rebuilding the
+    /// formulation.
     ///
     /// # Panics
     /// Panics if `row` is out of range, the term does not exist, or `coeff`

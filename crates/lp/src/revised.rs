@@ -27,9 +27,18 @@
 //!
 //! **Crash starts**: a [`BoundsOverlay::crash`] basis (built with
 //! [`Basis::crash`]) stands in for a missing hint, or for one the install or
-//! the bound repair cannot use. When it installs the solve skips the
+//! the dual pass cannot use. When it installs the solve skips the
 //! all-artificial phase 1 exactly as a warm start does, but it counts as a
 //! cold solve: its [`WarmStatus`] is never [`WarmStatus::Hit`].
+//!
+//! **The dual pass**: a hint is the final basis of an earlier solve, so it
+//! is lexicographically dual feasible. An overlay that fixes columns or
+//! overrides a RHS changes no cost; it only leaves some basic columns off
+//! their bounds. A start basis that installs nonsingular but leaves a
+//! pinned column (an artificial, or a column fixed to zero) above zero runs
+//! a lexicographic dual simplex pass that restores primal feasibility while
+//! keeping the lexicographic dual feasibility, so phases 2 and 3 start at
+//! (or next to) the candidate LP's lexicographic optimum.
 //!
 //! A hinted basis may hold artificial and fixed-to-zero columns at level
 //! zero: the artificial of a row that was redundant under the hint's
@@ -155,8 +164,8 @@ pub enum WarmStatus {
     /// No hint was offered: a cold solve (from the overlay's crash basis
     /// when it installs, else from the all-artificial phase 1).
     None,
-    /// The hinted basis was primal feasible (possibly after the bound-repair
-    /// pivots of [`resolve_with_bounds`]) and phase 1 was skipped.
+    /// The hinted basis installed (primal feasible as is, or made so by the
+    /// dual pass of [`resolve_with_bounds`]) and phase 1 was skipped.
     Hit,
     /// A hint was offered but rejected (singular or infeasible): a cold
     /// solve, as for [`WarmStatus::None`].
@@ -186,8 +195,9 @@ pub struct BoundsOverlay {
     /// `(row, rhs)` overrides of constraint right-hand sides.
     pub rhs: Vec<(usize, f64)>,
     /// A start basis for when the solve has no hint, or its hint fails to
-    /// install or to repair (see [`Basis::crash`]). A crash start counts as
-    /// a cold solve: its [`WarmStatus`] is never [`WarmStatus::Hit`].
+    /// install or its dual pass gives up (see [`Basis::crash`]). A crash
+    /// start counts as a cold solve: its [`WarmStatus`] is never
+    /// [`WarmStatus::Hit`].
     pub crash: Option<Basis>,
 }
 
@@ -206,8 +216,8 @@ enum WarmInstall {
     /// Feasible under the current bounds: phase 1 skipped.
     Ready,
     /// Non-negative but some basic artificial/fixed column is positive: the
-    /// bound-repair phase runs before phase 2.
-    NeedsRepair,
+    /// dual pass runs before phase 2.
+    Violated,
 }
 
 /// What tripped the recovery ladder into escalating past an attempt.
@@ -270,11 +280,16 @@ pub struct SolveStats {
     pub n: usize,
     /// Stored nonzeros of the full constraint matrix.
     pub nnz: usize,
-    /// Phase-1 pivots (0 when phase 1 was skipped), bound-repair pivots
-    /// included.
+    /// Pivots before phase 2: the all-artificial phase 1 with its
+    /// drive-out, or the dual pass of a start basis that violated a bound
+    /// (0 when a start basis installed feasible).
     pub phase1_pivots: usize,
-    /// Phase-2 pivots.
+    /// The dual pass's pivots (counted inside `phase1_pivots`).
+    pub dual_pivots: usize,
+    /// Phase-2 pivots, the lexicographic phase 3 included.
     pub phase2_pivots: usize,
+    /// The lexicographic phase 3's pivots (counted inside `phase2_pivots`).
+    pub phase3_pivots: usize,
     /// Basis refactorizations performed.
     pub refactorizations: usize,
     /// Warm-start outcome.
@@ -322,10 +337,17 @@ pub struct SolveOutcome {
 ///
 /// The pivot row `α = ρᵀA` is gathered sparsely over the CSR mirror of the
 /// constraint matrix that [`StandardForm::csr`] keeps.
+///
+/// The dual pass ([`Engine::dual_pass`]) keeps the secondary reduced costs
+/// beside the primary ones and updates both from the same pivot row.
 #[derive(Debug)]
 struct DevexPricing {
     /// Maintained reduced costs, one per column.
     rc: Vec<f64>,
+    /// Secondary reduced costs, one per column, maintained by the dual pass
+    /// only (all zero when the problem has no secondary objective; empty
+    /// until a pass runs).
+    rc2: Vec<f64>,
     /// Devex reference weights, one per column.
     weights: Vec<f64>,
     /// Whether `rc` reflects the current basis (false forces a recompute).
@@ -348,6 +370,7 @@ impl DevexPricing {
     fn new(m: usize, n_total: usize) -> Self {
         DevexPricing {
             rc: vec![0.0; n_total],
+            rc2: Vec::new(),
             weights: vec![1.0; n_total],
             valid: false,
             dirty: false,
@@ -403,13 +426,13 @@ struct Engine {
     in_basis: Vec<bool>,
     /// Columns fixed to zero (problem marks + overlay): they may never enter
     /// the basis, and a hinted basis containing one at a positive level goes
-    /// through the bound-repair phase before phase 2.
+    /// through the dual pass before phase 2.
     fixed: Vec<bool>,
     /// Whether any column is fixed (skips the per-column test otherwise).
     any_fixed: bool,
     /// Set from phase 2 on: the ratio test boxes every basic artificial
     /// and fixed-to-zero column in `[0, 0]` (see [`Engine::pinned`]).
-    /// Phase 1, its drive-out and the bound repair run without it, because
+    /// Phase 1, its drive-out and the dual pass run without it, because
     /// they must move those columns.
     hold_pinned: bool,
     /// Entering-column restriction of the lexicographic phase 3 (empty
@@ -1013,10 +1036,10 @@ impl Engine {
     ///
     /// * [`WarmInstall::Ready`] — nonsingular and primal feasible under the
     ///   current bounds: phase 1 can be skipped outright.
-    /// * [`WarmInstall::NeedsRepair`] — nonsingular and non-negative, but
+    /// * [`WarmInstall::Violated`] — nonsingular and non-negative, but
     ///   some basic artificial or fixed-to-zero column sits at a positive
     ///   level (the RHS or the fixed set changed since the hint's solve).
-    ///   The basis stays installed for [`Engine::repair_bounds`].
+    ///   The basis stays installed for [`Engine::dual_pass`].
     /// * [`WarmInstall::Rejected`] — singular or primal infeasible: the
     ///   all-slack/artificial cold basis is restored.
     fn try_warm_start(&mut self, hint: &Basis) -> WarmInstall {
@@ -1061,37 +1084,206 @@ impl Engine {
             debug_assert!(ok, "initial unit basis cannot be singular");
             return WarmInstall::Rejected;
         }
-        let violated = (0..self.m).any(|r| self.pinned(self.basis[r]) && self.x_b[r] > PIVOT_TOL);
-        if violated {
-            WarmInstall::NeedsRepair
+        if self.most_violated_row().is_some() {
+            WarmInstall::Violated
         } else {
             WarmInstall::Ready
         }
     }
 
-    /// Phase-1-style bound repair from an installed (non-negative but
-    /// bound-violating) hint basis: minimizes the total level of every
-    /// artificial and fixed-to-zero column, entering only free structural
-    /// and slack columns. Returns `Ok(true)` when the violation was driven
-    /// to zero, `Ok(false)` when a positive residual remains (the hint
-    /// cannot be repaired — the caller falls back to a cold solve, which
-    /// also settles genuine infeasibility).
-    fn repair_bounds(&mut self) -> Result<bool, LpError> {
-        self.cost.iter_mut().for_each(|c| *c = 0.0);
-        for j in self.artificial_start..self.n_total {
-            self.cost[j] = 1.0;
-        }
-        if self.any_fixed {
-            for j in 0..self.artificial_start {
-                if self.fixed[j] {
-                    self.cost[j] = 1.0;
-                }
+    /// The row whose basic column violates its bounds the most: a column
+    /// below zero, or a pinned column (see [`Engine::pinned`]) above zero,
+    /// by more than [`PIVOT_TOL`]. Ties go to the lowest row.
+    fn most_violated_row(&self) -> Option<usize> {
+        let mut worst = PIVOT_TOL;
+        let mut row = None;
+        for (r, &x) in self.x_b.iter().enumerate() {
+            let violation = if x < 0.0 || self.pinned(self.basis[r]) {
+                x.abs()
+            } else {
+                continue;
+            };
+            if violation > worst {
+                worst = violation;
+                row = Some(r);
             }
         }
-        self.pricing.reset_phase();
+        row
+    }
+
+    /// The lexicographic dual simplex pass from an installed start basis
+    /// that violates a bound ([`WarmInstall::Violated`]).
+    ///
+    /// The reduced costs are priced once at entry, under the phase-2 costs
+    /// and the secondary objective ([`Engine::price_lexicographically`]).
+    /// Each pivot then takes the most violated row as the leaving row (see
+    /// [`Engine::most_violated_row`]): a column below zero leaves at zero
+    /// through an entering column with a negative pivot-row entry, a pinned
+    /// column above zero through a positive one. The entering column wins
+    /// the lexicographic ratio test ([`Engine::dual_ratio_test`]), which
+    /// keeps every (primary, secondary) reduced-cost pair lexicographically
+    /// non-negative. Both reduced-cost vectors are updated from the pivot
+    /// row of [`Engine::compute_pivot_row`].
+    ///
+    /// From a hint whose overlay only fixed columns or moved a RHS, the pass
+    /// ends on the candidate LP's lexicographic optimum, where phases 2 and
+    /// 3 certify it without pivoting. Columns whose costs the pass shifted
+    /// price negative again under the true costs, and phases 2 and 3 price
+    /// them out.
+    ///
+    /// Returns `Ok(true)` once every basic column is within its bounds and
+    /// `Ok(false)` when a violated row has no entering column (the candidate
+    /// LP may be infeasible) or the user's work cap is spent: the caller
+    /// falls back to the crash start. A numerical failure (an injected
+    /// fault, a singular refactorization, a non-finite value, a pass past
+    /// its internal budget) is an error with its trigger recorded.
+    fn dual_pass(&mut self, problem: &LpProblem) -> Result<bool, LpError> {
+        self.entry_guard()?;
+        self.price_lexicographically(problem);
         let budget = phase1_budget(self.m, self.n_total);
-        self.optimize(self.artificial_start, budget)?;
-        Ok(self.phase_objective() <= 1e-6)
+        let entry_pivots = self.pivots;
+        while let Some(row) = self.most_violated_row() {
+            if self.user_budget_exhausted() {
+                return Ok(false);
+            }
+            if self.pivots - entry_pivots >= budget {
+                return Err(self.fail(RecoveryTrigger::IterationLimit));
+            }
+            self.compute_pivot_row(row);
+            let Some(entering) = self.dual_ratio_test(self.x_b[row] < 0.0) else {
+                return Ok(false);
+            };
+            // The FTRANed column's pivot element must agree with the pivot
+            // row's entry: a mismatch means the factorization has drifted.
+            self.ftran_col(entering);
+            let alpha_rq = self.pricing.alpha_at(entering);
+            let w_r = self.work[row];
+            if (alpha_rq - w_r).abs() > 1e-6 * w_r.abs().max(1.0) {
+                if self.fac.updates_since_refactor() == 0 || !self.refactorize() {
+                    return Err(self.fail(RecoveryTrigger::SingularBasis));
+                }
+                continue;
+            }
+            let leaving = self.basis[row];
+            let ratio = self.pricing.rc[entering] / alpha_rq;
+            let ratio2 = self.pricing.rc2[entering] / alpha_rq;
+            self.apply_pivot(row, entering)?;
+            let p = &mut self.pricing;
+            for idx in 0..p.acols.len() {
+                let j = p.acols[idx] as usize;
+                if self.in_basis[j] {
+                    continue;
+                }
+                let arj = p.alpha[j];
+                p.rc[j] -= ratio * arj;
+                p.rc2[j] -= ratio2 * arj;
+            }
+            p.rc[entering] = 0.0;
+            p.rc2[entering] = 0.0;
+            p.rc[leaving] = -ratio;
+            p.rc2[leaving] = -ratio2;
+            self.maybe_refactorize()?;
+        }
+        Ok(true)
+    }
+
+    /// Prices the installed basis for the dual pass: the primary reduced
+    /// costs under the phase-2 costs into `rc`, the secondary ones into
+    /// `rc2` (zero without a secondary objective). A nonbasic column whose
+    /// pair is lexicographically negative — a negative primary, or a zero
+    /// primary and a negative secondary — has its negative part shifted to
+    /// zero, as if its costs were raised for the pass. A hint from an
+    /// earlier optimum prices that way only in columns its overlay
+    /// released.
+    fn price_lexicographically(&mut self, problem: &LpProblem) {
+        self.pricing.rc2.clear();
+        self.pricing.rc2.resize(self.n_total, 0.0);
+        if problem.has_secondary() {
+            self.install_secondary_costs(problem);
+            self.compute_pricing_vector();
+            let p = &mut self.pricing;
+            for j in 0..self.n_total {
+                p.rc2[j] = self.cost[j] - self.form.a.col_dot(j, &self.price);
+            }
+        }
+        self.install_primary_costs(problem);
+        self.recompute_reduced_costs();
+        for j in 0..self.artificial_start {
+            if self.col_blocked(j) {
+                continue;
+            }
+            let p = &mut self.pricing;
+            if p.rc[j] < -EPS {
+                p.rc[j] = 0.0;
+                p.rc2[j] = 0.0;
+            } else if p.rc[j] <= EPS && p.rc2[j] < -EPS {
+                p.rc2[j] = 0.0;
+            }
+        }
+    }
+
+    /// The dual pass's entering column for the pivot row in the pricing
+    /// scratch: among the free nonbasic columns whose entry `α_j` has the
+    /// sign that moves the leaving column back to its bound (negative when
+    /// it sits below zero, positive when a pinned column sits above) and
+    /// exceeds [`PIVOT_TOL`] in magnitude, the smallest ratio pair
+    /// `(rc_j, rc2_j) / |α_j|` in lexicographic order (each component
+    /// compared within `EPS`), then the largest `|α_j|`, then the lowest
+    /// column. `None` when no column qualifies.
+    fn dual_ratio_test(&self, below: bool) -> Option<usize> {
+        let p = &self.pricing;
+        // (column, primary ratio, secondary ratio, |α|) of the best so far.
+        let mut best: Option<(usize, f64, f64, f64)> = None;
+        for &ju in &p.acols {
+            let j = ju as usize;
+            if j >= self.artificial_start || self.col_blocked(j) {
+                continue;
+            }
+            let a = if below { -p.alpha[j] } else { p.alpha[j] };
+            if a <= PIVOT_TOL {
+                continue;
+            }
+            let primary = p.rc[j].max(0.0) / a;
+            let secondary = p.rc2[j] / a;
+            let wins = match best {
+                None => true,
+                Some((bj, bp, bs, ba)) => {
+                    if (primary - bp).abs() > EPS {
+                        primary < bp
+                    } else if (secondary - bs).abs() > EPS {
+                        secondary < bs
+                    } else {
+                        a > ba || (a == ba && j < bj)
+                    }
+                }
+            };
+            if wins {
+                best = Some((j, primary, secondary, a));
+            }
+        }
+        best.map(|(j, ..)| j)
+    }
+
+    /// Installs the phase-2 costs: the user objective, sense-normalised to
+    /// a minimization.
+    fn install_primary_costs(&mut self, problem: &LpProblem) {
+        let sense = match problem.objective() {
+            Objective::Minimize => 1.0,
+            Objective::Maximize => -1.0,
+        };
+        self.cost.iter_mut().for_each(|c| *c = 0.0);
+        for j in 0..self.n_user {
+            self.cost[j] = sense * problem.objective_coeff(VarId(j));
+        }
+    }
+
+    /// Installs the secondary objective's costs (always minimized as given,
+    /// with no sense flip).
+    fn install_secondary_costs(&mut self, problem: &LpProblem) {
+        self.cost.iter_mut().for_each(|c| *c = 0.0);
+        for j in 0..self.n_user {
+            self.cost[j] = problem.secondary_coeff(VarId(j));
+        }
     }
 
     /// Phase 1: minimize the sum of artificial variables from the unit
@@ -1163,14 +1355,7 @@ impl Engine {
     /// the pinned basic columns at zero.
     fn phase2(&mut self, problem: &LpProblem) -> Result<usize, LpError> {
         self.hold_pinned = true;
-        let sense = match problem.objective() {
-            Objective::Minimize => 1.0,
-            Objective::Maximize => -1.0,
-        };
-        self.cost.iter_mut().for_each(|c| *c = 0.0);
-        for j in 0..self.n_user {
-            self.cost[j] = sense * problem.objective_coeff(VarId(j));
-        }
+        self.install_primary_costs(problem);
         self.pricing.reset_phase();
         let budget = phase2_budget(self.m, self.n_total);
         self.optimize(self.artificial_start, budget)
@@ -1207,11 +1392,7 @@ impl Engine {
                 *r = true;
             }
         }
-        // The secondary is always minimized as given (no sense flip).
-        self.cost.iter_mut().for_each(|c| *c = 0.0);
-        for j in 0..self.n_user {
-            self.cost[j] = problem.secondary_coeff(VarId(j));
-        }
+        self.install_secondary_costs(problem);
         self.restrict = restrict;
         self.pricing.reset_phase();
         let budget = phase2_budget(self.m, self.n_total);
@@ -1227,14 +1408,7 @@ impl Engine {
         self.restrict = Vec::new();
         // Reinstall the phase-2 costs: `extract` derives the duals from
         // `self.cost` and they must certify the *primary* objective.
-        let sense = match problem.objective() {
-            Objective::Minimize => 1.0,
-            Objective::Maximize => -1.0,
-        };
-        self.cost.iter_mut().for_each(|c| *c = 0.0);
-        for j in 0..self.n_user {
-            self.cost[j] = sense * problem.objective_coeff(VarId(j));
-        }
+        self.install_primary_costs(problem);
         out
     }
 
@@ -1488,10 +1662,12 @@ pub fn solve_with_hint(problem: &LpProblem, hint: Option<&Basis>) -> Result<Solv
 ///
 /// This is the masked-formulation fast path: when the hint basis contains
 /// newly fixed columns (or the RHS overrides moved a hinted basis off its
-/// old level), a deterministic *bound-repair* phase drives the violating
-/// columns back to zero in a few pivots instead of discarding the hint and
-/// paying a cold phase 1+2. Like plain warm starts, the repair is an
-/// accelerator only — any failure falls back to a cold solve.
+/// old level), a deterministic lexicographic dual simplex pass drives the
+/// violating columns back to zero in a few pivots, keeping the hint's
+/// optimality, instead of discarding the hint and paying a cold phase 1+2.
+/// Like plain warm starts, the pass is an accelerator only: a pass that
+/// gives up falls back to the crash start, and a numerical failure inside
+/// it sends the solve to the cold rung of the recovery ladder.
 ///
 /// ```
 /// use pm_lp::revised::{resolve_with_bounds, BoundsOverlay};
@@ -1604,7 +1780,9 @@ pub(crate) fn resolve_dense(
         n,
         nnz: terms + n - n_user,
         phase1_pivots: 0,
+        dual_pivots: 0,
         phase2_pivots: 0,
+        phase3_pivots: 0,
         refactorizations: 0,
         warm: if hint.is_some() {
             WarmStatus::Miss
@@ -1749,7 +1927,9 @@ pub fn solve_in(
             n: attempt.engine.n_total,
             nnz: attempt.engine.form.a.nnz(),
             phase1_pivots: attempt.phase1_pivots,
+            dual_pivots: attempt.dual_pivots,
             phase2_pivots: attempt.phase2_pivots,
+            phase3_pivots: attempt.phase3_pivots,
             refactorizations: attempt.engine.refactorizations,
             warm: if rung == RecoveryRung::First {
                 warm
@@ -1785,7 +1965,9 @@ pub fn solve_in(
                 .expect("the dense rung only runs after a failure");
             let mut stats = build_stats(&last, warm, RecoveryRung::Dense, false);
             stats.phase1_pivots = 0;
+            stats.dual_pivots = 0;
             stats.phase2_pivots = 0;
+            stats.phase3_pivots = 0;
             Ok(SolveOutcome {
                 solution,
                 basis,
@@ -1841,41 +2023,43 @@ struct Attempt {
     /// phase 1 was skipped.
     installed: bool,
     phase1_pivots: usize,
+    dual_pivots: usize,
     phase2_pivots: usize,
+    phase3_pivots: usize,
     outcome: Result<(LpSolution, Basis), LpError>,
 }
 
 /// Installs `start` (a hint or a crash basis) into `engine`, running the
-/// bound repair when it needs one. Returns whether phase 1 can be skipped.
-/// A failed repair (positive residual or numerical trouble) rebuilds the
-/// engine, so the next start begins from the canonical unit basis with
-/// truthful pivot counters. An armed chaos fault the repair already
-/// consumed stays consumed (its strike was absorbed by the repair).
+/// dual pass when it violates a bound. Returns whether phase 1 can be
+/// skipped. A pass that gives up rebuilds the engine, so the next start
+/// begins from the canonical unit basis with truthful pivot counters. A
+/// numerical failure inside the pass (an armed chaos fault always is one:
+/// the pass's entry consumes it) is returned as the error of the attempt,
+/// its trigger recorded in `engine`.
 fn install_start(
     engine: &mut Engine,
     start: &Basis,
     problem: &LpProblem,
     overlay: Option<&BoundsOverlay>,
     cfg: EngineCfg,
-) -> bool {
+) -> Result<bool, LpError> {
     match engine.try_warm_start(start) {
-        WarmInstall::Ready => true,
-        WarmInstall::NeedsRepair => match engine.repair_bounds() {
-            Ok(true) => true,
-            _ => {
-                let mut fresh = cfg;
-                fresh.chaos = engine.chaos;
-                *engine = Engine::new(problem, overlay, fresh);
-                false
+        WarmInstall::Ready => Ok(true),
+        WarmInstall::Violated => {
+            if engine.dual_pass(problem)? {
+                return Ok(true);
             }
-        },
-        WarmInstall::Rejected => false,
+            *engine = Engine::new(problem, overlay, cfg);
+            Ok(false)
+        }
+        WarmInstall::Rejected => Ok(false),
     }
 }
 
 /// Runs one attempt: from `hint` when it installs, else from `crash` when
 /// that installs, else from the all-artificial phase 1. Only an installed
-/// hint is a [`WarmStatus::Hit`]; a crash start is as cold as phase 1.
+/// hint is a [`WarmStatus::Hit`]; a crash start is as cold as phase 1. A
+/// start whose dual pass fails numerically fails the attempt.
 fn attempt_solve(
     problem: &LpProblem,
     overlay: Option<&BoundsOverlay>,
@@ -1885,22 +2069,28 @@ fn attempt_solve(
 ) -> (Attempt, WarmStatus) {
     let mut engine = Engine::new(problem, overlay, cfg);
     let mut warm = WarmStatus::None;
-    let mut installed = false;
+    // Whether a start basis installed, or the error its dual pass failed
+    // with.
+    let mut start: Result<bool, LpError> = Ok(false);
     if let Some(hint) = hint {
-        installed = install_start(&mut engine, hint, problem, overlay, cfg);
-        warm = if installed {
-            WarmStatus::Hit
-        } else {
+        start = install_start(&mut engine, hint, problem, overlay, cfg);
+        warm = if start == Ok(false) {
             WarmStatus::Miss
+        } else {
+            WarmStatus::Hit
         };
     }
-    if let (false, Some(crash)) = (installed, crash) {
-        installed = install_start(&mut engine, crash, problem, overlay, cfg);
+    if let (Ok(false), Some(crash)) = (&start, crash) {
+        start = install_start(&mut engine, crash, problem, overlay, cfg);
     }
+    // A failed pass also started from a basis: the ladder retries it cold.
+    let installed = start != Ok(false);
+    let dual_pivots = engine.pivots;
     let mut phase1_pivots = 0;
+    let mut phase3_pivots = 0;
     let mut degraded = false;
     let outcome = (|| {
-        if !installed {
+        if !start? {
             let phase1 = engine.phase1();
             // Read the pivot counter before propagating a phase-1 error:
             // the split must stay truthful for infeasible/budget-exhausted
@@ -1908,7 +2098,7 @@ fn attempt_solve(
             phase1_pivots = engine.pivots;
             phase1?;
         } else {
-            // Bound-repair pivots (if any) belong to the phase-1 bucket.
+            // The dual pass's pivots (if any) belong to the phase-1 bucket.
             phase1_pivots = engine.pivots;
         }
         match engine.phase2(problem) {
@@ -1930,7 +2120,10 @@ fn attempt_solve(
             Err(e) => return Err(e),
         }
         if problem.has_secondary() {
-            match engine.phase3(problem) {
+            let before = engine.pivots;
+            let phase3 = engine.phase3(problem);
+            phase3_pivots = engine.pivots - before;
+            match phase3 {
                 Ok(_) => {}
                 Err(LpError::IterationLimit) if engine.budget_exhausted => {
                     // The primary optimum is certified; only the
@@ -1958,7 +2151,9 @@ fn attempt_solve(
             engine,
             installed,
             phase1_pivots,
+            dual_pivots,
             phase2_pivots,
+            phase3_pivots,
             outcome,
         },
         warm,
@@ -1968,12 +2163,15 @@ fn attempt_solve(
 fn print_stats(stats: &SolveStats, status: &str) {
     eprintln!(
         "pm-lp: engine=revised m={} n={} nnz={} phase1_pivots={} phase2_pivots={} \
-         refactorizations={} warm={} elapsed={:.3}s status={status}",
+         dual_pivots={} phase3_pivots={} refactorizations={} warm={} elapsed={:.3}s \
+         status={status}",
         stats.m,
         stats.n,
         stats.nnz,
         stats.phase1_pivots,
         stats.phase2_pivots,
+        stats.dual_pivots,
+        stats.phase3_pivots,
         stats.refactorizations,
         match stats.warm {
             WarmStatus::None => "none",
@@ -1994,7 +2192,7 @@ fn print_stats(stats: &SolveStats, status: &str) {
 /// per-row relation + term sparsity pattern (coefficient *values*, RHS
 /// magnitudes and the fixed-to-zero variable set are excluded on purpose —
 /// a basis is a valid warm-start hint for any problem with the same
-/// pattern, and bound/RHS mismatches are settled by the repair phase or a
+/// pattern, and bound/RHS mismatches are settled by the dual pass or a
 /// cold fallback). `DefaultHasher` uses fixed keys, so signatures are
 /// stable across runs.
 fn signature(problem: &LpProblem) -> u64 {
@@ -2056,6 +2254,18 @@ pub struct WarmStartCache {
     pub hits: u64,
     /// Solves that started cold (no cached basis, or the hint was rejected).
     pub misses: u64,
+    /// Pivots before phase 2 across the successful revised-engine solves
+    /// (see [`SolveStats::phase1_pivots`]).
+    pub phase1_pivots: u64,
+    /// Dual-pass pivots across those solves (counted in `phase1_pivots`).
+    pub dual_pivots: u64,
+    /// Phase-2 pivots across those solves (see
+    /// [`SolveStats::phase2_pivots`]).
+    pub phase2_pivots: u64,
+    /// Phase-3 pivots across those solves (counted in `phase2_pivots`).
+    pub phase3_pivots: u64,
+    /// Basis refactorizations across those solves.
+    pub refactorizations: u64,
     /// Bases evicted by the LRU bound (always 0 while unbounded).
     pub evictions: u64,
     /// Maximum number of retained bases (`None` = unbounded, the default).
@@ -2157,7 +2367,8 @@ impl WarmStartCache {
     /// the last solve with the same constraint pattern (same rows,
     /// relations and sparsity) and storing the new optimal basis. Counts a
     /// hit when the cached basis installed, else a miss (a solver error is
-    /// a miss too).
+    /// a miss too), and adds a successful solve's pivots and
+    /// refactorizations to the cache's running totals.
     ///
     /// A context whose engine is [`crate::SolverKind::Dense`] takes no
     /// hint: its solve counts one miss and stores nothing, so
@@ -2184,6 +2395,11 @@ impl WarmStartCache {
                 } else {
                     self.misses += 1;
                 }
+                self.phase1_pivots += o.stats.phase1_pivots as u64;
+                self.dual_pivots += o.stats.dual_pivots as u64;
+                self.phase2_pivots += o.stats.phase2_pivots as u64;
+                self.phase3_pivots += o.stats.phase3_pivots as u64;
+                self.refactorizations += o.stats.refactorizations as u64;
                 self.store(key, o.basis.clone());
             }
             Err(_) => self.misses += 1,
@@ -2386,6 +2602,11 @@ mod tests {
         assert_eq!(cache.misses, 1);
         assert_eq!(cache.hits, 2);
         assert_eq!(cache.solves(), 3);
+        // The cold solve did the pivoting; the warm ones certify at once.
+        let cold = solve_with_hint(&lp, None).unwrap().stats;
+        assert!(cold.phase2_pivots > 0);
+        assert_eq!(cache.phase2_pivots, cold.phase2_pivots as u64);
+        assert_eq!(cache.refactorizations, 3 * cold.refactorizations as u64);
         // The dense oracle takes no hint: one miss, nothing stored.
         let mut dense = WarmStartCache::new();
         let s = dense.solve(&on(SolverKind::Dense), &lp).unwrap();
@@ -2520,7 +2741,7 @@ mod tests {
         // Corrupt warm-start hints by marking arbitrary rows REDUNDANT (so
         // their artificial re-enters the basis): whatever the hint claims,
         // a successful solve must return a feasible point with the dense
-        // oracle's objective — the bound repair and the phase-2 ratio test
+        // oracle's objective — the dual pass and the phase-2 ratio test
         // keep re-entered artificials at zero, and the check after the
         // solve falls back to a cold solve if one still ends off zero.
         let mut rng_state = 0x1234_5678_9abc_def0u64;
@@ -2599,8 +2820,8 @@ mod tests {
     #[test]
     fn repair_path_recovers_a_basis_with_a_newly_fixed_column() {
         // Solve unmasked: y = 6 is basic in the optimal basis. Re-solving
-        // with y fixed to zero from that basis must go through the bound
-        // repair (or a cold fallback) and still land on the dense oracle's
+        // with y fixed to zero from that basis must go through the dual
+        // pass (or a cold fallback) and still land on the dense oracle's
         // masked optimum.
         let lp = sample_lp();
         let cold = solve_with_hint(&lp, None).unwrap();
@@ -2721,9 +2942,46 @@ mod tests {
     }
 
     #[test]
+    fn a_hint_whose_released_column_prices_negative_takes_the_dual_pass() {
+        // The hint solved with the relay cut routes the demand over the
+        // direct edge n_st. The new overlay cuts n_st and restores the
+        // relay: n_st is basic at 1 although fixed, and the released n_vt
+        // prices at 1 - 3 = -2 against that basis, so the pass must shift
+        // its cost to stay dual feasible.
+        let lp = relay_lp();
+        let hint = resolve_with_bounds(&lp, &fixing(&[1, 2]), None)
+            .unwrap()
+            .basis;
+        let overlay = fixing(&[0]);
+        let cfg = EngineCfg {
+            budget: None,
+            chaos: None,
+        };
+        let mut engine = Engine::new(&lp, Some(&overlay), cfg);
+        assert_eq!(engine.try_warm_start(&hint), WarmInstall::Violated);
+        engine.install_primary_costs(&lp);
+        engine.recompute_reduced_costs();
+        assert!(engine.pricing.rc[2] < -EPS, "n_vt must price negative");
+
+        let warm = resolve_with_bounds(&lp, &overlay, Some(&hint)).unwrap();
+        assert_eq!(warm.stats.warm, WarmStatus::Hit);
+        assert_eq!(warm.stats.rung, RecoveryRung::First);
+        assert!(warm.stats.dual_pivots > 0);
+        // Every pivot before phase 2 is the pass's: no phase 1 ran.
+        assert_eq!(warm.stats.phase1_pivots, warm.stats.dual_pivots);
+        let cold = resolve_with_bounds(&lp, &overlay, None).unwrap();
+        approx(cold.solution.objective, 2.0);
+        assert!((warm.solution.objective - cold.solution.objective).abs() <= 1e-9);
+        for (w, c) in warm.solution.values().iter().zip(cold.solution.values()) {
+            assert!((w - c).abs() <= 1e-9, "warm {w} vs cold {c}");
+        }
+    }
+
+    #[test]
     fn fixing_every_path_makes_the_lp_infeasible_not_wrong() {
         // x must be >= 2 but is fixed at zero: infeasible from both the
-        // cold path and the warm repair path.
+        // cold path and the warm path, whose dual pass finds no entering
+        // column and falls back.
         let mut lp = LpProblem::new(Objective::Minimize);
         let x = lp.add_var("x");
         lp.set_objective_coeff(x, 1.0);

@@ -2,11 +2,14 @@
 //!
 //! The greedy heuristics re-solve one template LP per candidate node under a
 //! [`BoundsOverlay`] that fixes the candidate's edges to zero, warm-started
-//! from an earlier optimal basis. Once the thread has solved that template
-//! once, such a re-solve reuses the thread's standard form and its spare LU
-//! factorization, so it allocates only the engine's per-solve vectors and
-//! the returned solution: a fixed number of allocations, whatever the size
-//! of the LP and however many pivots and refactorizations it takes.
+//! from an earlier optimal basis. The fixed edges carry flow in that basis,
+//! so the re-solve runs the dual pass. Once the thread has solved that
+//! template once, such a re-solve reuses the thread's standard form and its
+//! spare LU factorization, so it allocates only the engine's per-solve
+//! vectors and the returned solution: a fixed number of allocations,
+//! whatever the size of the LP and however many pivots and
+//! refactorizations it takes. The dual pass keeps its secondary reduced
+//! costs in the engine's pricing storage, beside the primary ones.
 //!
 //! The re-solve takes its configuration by reference from a
 //! [`SolveContext`] built before the measurement, as a masked template
@@ -21,7 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Allocations (fresh blocks and reallocations) the measured re-solve may
-/// make, at every problem size. It makes 22: the engine's per-solve vectors,
+/// make, at every problem size. It makes 23: the engine's per-solve vectors,
 /// the warm-start install and the returned solution, duals and basis.
 const BUDGET: usize = 32;
 
@@ -192,6 +195,10 @@ fn warm_masked_resolve_allocates_a_fixed_number_of_times() {
             measured.stats.warm,
             WarmStatus::Hit,
             "k={k}: warm start lost"
+        );
+        assert!(
+            measured.stats.dual_pivots > 0,
+            "k={k}: the masked re-solve must run the dual pass"
         );
         assert!(
             measured.stats.phase1_pivots + measured.stats.phase2_pivots > 0

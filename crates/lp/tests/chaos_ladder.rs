@@ -237,7 +237,7 @@ fn structured_verdicts_survive_chaos() {
 }
 
 /// Overlay re-solves (the masked-template fast path) under chaos: the
-/// warm-chained, bounds-repaired path must recover like the plain one.
+/// warm-chained path through the dual pass must recover like the plain one.
 #[test]
 fn overlay_resolves_recover_under_chaos() {
     let (lp, vars) = random_bounded_lp(5, 4, 77);
@@ -264,6 +264,67 @@ fn overlay_resolves_recover_under_chaos() {
             reference.solution.objective
         );
     }
+}
+
+/// A strike inside the dual pass fails the attempt like a strike anywhere
+/// else: the ladder climbs to `Cold` and records the trigger. (A pass that
+/// swallowed the fault and fell back to a cold start inside the first
+/// attempt would report `First`, one attempt and no trigger.)
+#[test]
+fn a_struck_dual_pass_climbs_to_the_cold_rung() {
+    let (lp, vars) = random_bounded_lp(5, 4, 77);
+    let cold = lp
+        .resolve_with_bounds(&BoundsOverlay::default(), None)
+        .unwrap();
+    // Fix a column the hint holds positive: it installs basic above zero.
+    let basic = *vars
+        .iter()
+        .find(|&&v| cold.solution.value(v) > TOL)
+        .expect("the optimum uses a column");
+    let overlay = BoundsOverlay {
+        fix_zero: vec![basic],
+        ..BoundsOverlay::default()
+    };
+    let unstruck = lp
+        .resolve_in(&SolveContext::default(), &overlay, Some(&cold.basis), None)
+        .unwrap();
+    assert!(
+        unstruck.stats.dual_pivots > 0,
+        "the hint must need the pass"
+    );
+    let mut struck_once = 0;
+    for seed in 0..64 {
+        let tally = Arc::new(SolveTally::new());
+        let ctx = SolveContext {
+            chaos: Some(ChaosConfig::only(ChaosFault::SingularBasis, seed)),
+            tally: Some(Arc::clone(&tally)),
+            ..SolveContext::default()
+        };
+        let out = lp
+            .resolve_in(&ctx, &overlay, Some(&cold.basis), None)
+            .unwrap();
+        if tally.counters().injected == 0 {
+            assert_eq!(out.stats.attempts, 1, "seed {seed}");
+            continue;
+        }
+        assert!(out.stats.attempts >= 2, "seed {seed}: the strike vanished");
+        assert_eq!(
+            out.stats.trigger,
+            Some(RecoveryTrigger::SingularBasis),
+            "seed {seed}"
+        );
+        if out.stats.attempts == 2 {
+            assert_eq!(out.stats.rung, RecoveryRung::Cold, "seed {seed}");
+            assert!(
+                (out.solution.objective - unstruck.solution.objective).abs() <= 1e-9,
+                "seed {seed}: {} vs {}",
+                out.solution.objective,
+                unstruck.solution.objective
+            );
+            struck_once += 1;
+        }
+    }
+    assert!(struck_once > 0, "no seed in 0..64 strikes exactly once");
 }
 
 /// A healthy solve reports the telemetry of a first-attempt win.

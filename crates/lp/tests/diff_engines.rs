@@ -7,7 +7,9 @@
 //! Overlay re-solves run on the engine their context selects, too, and a
 //! warm-chained revised re-solve — its LU updates running on a basis
 //! installed by a warm start rather than built by its own pivot walk —
-//! must agree with a fresh dense solve at every step.
+//! must agree with a fresh dense solve at every step. Chains whose hints
+//! violate the new overlay's bounds run the dual pass, and under a
+//! secondary objective they must land on the cold solve's point.
 
 use pm_lp::{
     Basis, BoundsOverlay, LpError, LpProblem, Objective, RecoveryRung, Relation, SolveContext,
@@ -310,6 +312,84 @@ proptest! {
         prop_assert_eq!(lp.solve_in(&on(SolverKind::Dense)), Err(LpError::Unbounded));
         prop_assert_eq!(lp.solve_in(&on(SolverKind::Revised)), Err(LpError::Unbounded));
     }
+}
+
+/// A random LP (see [`random_lp`]) with a positive secondary objective:
+/// with random continuous coefficients its lexicographic optimum, and so
+/// its optimal point, is unique.
+fn random_lex_lp(num_vars: usize, num_cons: usize, seed: u64) -> LpProblem {
+    let mut lp = random_lp(num_vars, num_cons, seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5ec0_0da7);
+    for j in 0..num_vars {
+        lp.set_secondary_coeff(VarId(j), rng.gen_range(0.5..2.0));
+    }
+    lp
+}
+
+/// Warm chains through the dual pass. Each step's overlay fixes some of
+/// the columns the previous step's optimum holds positive, so they sit
+/// basic above zero in the hint, and releases the columns the previous
+/// step fixed, which may price negative against it. Every step must match
+/// the dense oracle's status and objective, and a cold revised solve of
+/// the same overlay in every value: the pass and phases 2 and 3 end on the
+/// same lexicographic optimum as a cold solve.
+#[test]
+fn warm_chains_through_the_dual_pass_match_cold_solves() {
+    let revised = on(SolverKind::Revised);
+    let dense = on(SolverKind::Dense);
+    let (mut steps, mut passes) = (0usize, 0usize);
+    for seed in 0..200u64 {
+        let lp = random_lex_lp(2 + seed as usize % 5, 1 + seed as usize % 7, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x00c4_a12b);
+        let Ok(mut previous) = lp.resolve_in(&revised, &BoundsOverlay::new(), None, None) else {
+            continue;
+        };
+        for step in 0..4 {
+            let positive: Vec<VarId> = (0..lp.num_vars())
+                .map(VarId)
+                .filter(|&v| previous.solution.value(v) > TOL)
+                .collect();
+            let Some(&always) = positive.get(rng.gen_range(0..positive.len().max(1))) else {
+                break;
+            };
+            let mut overlay = BoundsOverlay::new();
+            overlay.fix_zero = positive
+                .iter()
+                .copied()
+                .filter(|&v| v == always || rng.gen_bool(0.3))
+                .collect();
+            let warm = lp.resolve_in(&revised, &overlay, Some(&previous.basis), None);
+            let cold = lp.resolve_in(&revised, &overlay, None, None);
+            let oracle = lp.resolve_in(&dense, &overlay, None, None);
+            let label = format!("seed {seed} step {step}");
+            match (&warm, &cold, &oracle) {
+                (Ok(w), Ok(c), Ok(d)) => {
+                    let (wo, dobj) = (w.solution.objective, d.solution.objective);
+                    assert!(
+                        (wo - dobj).abs() <= TOL * (1.0 + dobj.abs()),
+                        "{label}: warm {wo} vs dense {dobj}"
+                    );
+                    for (a, b) in w.solution.values().iter().zip(c.solution.values()) {
+                        assert!((a - b).abs() <= 1e-9, "{label}: warm {a} vs cold {b}");
+                    }
+                    steps += 1;
+                    passes += (w.stats.dual_pivots > 0) as usize;
+                }
+                (Err(we), Err(ce), Err(de)) => {
+                    assert!(we == ce && ce == de, "{label}: {we:?} / {ce:?} / {de:?}");
+                }
+                _ => panic!("{label}: status mismatch: {warm:?} / {cold:?} / {oracle:?}"),
+            }
+            match warm {
+                Ok(w) => previous = w,
+                Err(_) => break,
+            }
+        }
+    }
+    assert!(
+        passes >= 50,
+        "{passes} of {steps} solved steps ran the dual pass"
+    );
 }
 
 /// Textbook duals: max 3x + 5y s.t. x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18 has the

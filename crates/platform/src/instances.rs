@@ -69,6 +69,22 @@ impl MulticastInstance {
         source: NodeId,
         targets: Vec<NodeId>,
     ) -> Result<Self, InstanceError> {
+        let targets = Self::validated_targets(&platform, source, targets)?;
+        Ok(Self {
+            platform,
+            source,
+            targets,
+        })
+    }
+
+    /// The target set [`MulticastInstance::new`] would store for `source`
+    /// and `targets` on `platform`, checked the same way, without building
+    /// (or cloning a platform into) an instance.
+    pub fn validated_targets(
+        platform: &Platform,
+        source: NodeId,
+        targets: Vec<NodeId>,
+    ) -> Result<Vec<NodeId>, InstanceError> {
         let n = platform.node_count() as u32;
         if source.0 >= n {
             return Err(InstanceError::UnknownNode(source));
@@ -84,19 +100,15 @@ impl MulticastInstance {
                 return Err(InstanceError::UnknownNode(t));
             }
         }
-        if !all_reachable(&platform, source, &targets) {
+        if !all_reachable(platform, source, &targets) {
             let unreachable = targets
                 .iter()
                 .copied()
-                .find(|&t| !all_reachable(&platform, source, &[t]))
+                .find(|&t| !all_reachable(platform, source, &[t]))
                 .expect("at least one target is unreachable");
             return Err(InstanceError::UnreachableTarget(unreachable));
         }
-        Ok(Self {
-            platform,
-            source,
-            targets,
-        })
+        Ok(targets)
     }
 
     /// Number of targets `|Ptarget|`.
