@@ -1,10 +1,18 @@
 //! LP engine micro-benchmarks: dense tableau vs sparse revised simplex,
 //! cold vs warm-started, on network-flow-shaped LPs of increasing size (the
-//! shape the multicast formulations produce). Runs in CI's bench-smoke job
-//! under `--test` (every body executes once).
+//! shape the multicast formulations produce), and the LU refactorization
+//! stage on its own. Runs in CI's bench-smoke job under `--test` (every
+//! body executes once).
 
+// `network_basis`, shared with pm-lp's `alloc_budget.rs` test.
+#[path = "../../lp/tests/common/mod.rs"]
+mod common;
+
+use common::network_basis;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pm_lp::{revised, LpProblem, Objective, Relation, SolveContext, SolverKind};
+use pm_lp::{
+    revised, CscMatrix, LpProblem, LuBasis, Objective, Relation, SolveContext, SolverKind,
+};
 
 /// A transshipment LP on a `rows × cols` grid: one unit of flow enters at
 /// the top-left corner and must reach the bottom-right corner; arcs go right
@@ -91,5 +99,33 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engines);
+/// One `LuBasis` refactorizing a 3,000-row network basis, back to back and
+/// alternating with a 16-row basis, as a thread's spare factorization does
+/// when the drift workload interleaves flow LPs and packing LPs.
+fn bench_refactorize(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lu_refactorize");
+    group.sample_size(20);
+    group.measurement_time(std::time::Duration::from_secs(2));
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    let (large, small) = (network_basis(3000), network_basis(16));
+    let mut lu = LuBasis::new();
+    let mut basis = vec![0; large.rows()];
+    // Every refactorization starts from the identity slot order: the
+    // factorization permutes the slots it is given.
+    let mut refactorize = |lu: &mut LuBasis, a: &CscMatrix| {
+        let slots = &mut basis[..a.rows()];
+        slots.iter_mut().enumerate().for_each(|(j, s)| *s = j);
+        assert!(lu.refactorize(a, slots));
+    };
+    group.bench_function("3000_rows", |b| b.iter(|| refactorize(&mut lu, &large)));
+    group.bench_function("3000_rows_after_16", |b| {
+        b.iter(|| {
+            refactorize(&mut lu, &small);
+            refactorize(&mut lu, &large);
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_engines, bench_refactorize);
 criterion_main!(benches);

@@ -238,8 +238,9 @@ impl MultiFlowLp {
     /// Builds the joint template: per-commodity `Multicast-LB` conservation
     /// rows (unit demand per target, max accounting per commodity) and
     /// shared one-port occupation rows splitting every node's capacity
-    /// across all commodities at their demand weights.
-    pub fn new(set: &CommoditySet) -> Self {
+    /// across all commodities at their demand weights. The template keeps
+    /// `set` (see [`MultiFlowLp::set`]).
+    pub fn new(set: CommoditySet) -> Self {
         let platform = &set.platform;
         let m = platform.edge_count();
         let k = set.len();
@@ -379,7 +380,7 @@ impl MultiFlowLp {
 
         let problem = lp.build().expect("multi-commodity template is a valid LP");
         MultiFlowLp {
-            set: set.clone(),
+            set,
             problem,
             x,
             n,
@@ -564,8 +565,9 @@ pub enum MultiTemplate {
 }
 
 impl MultiTemplate {
-    /// Builds the template for a commodity set.
-    pub fn new(set: &CommoditySet) -> Self {
+    /// Builds the template for a commodity set; the joint template keeps
+    /// the set.
+    pub fn new(set: CommoditySet) -> Self {
         if set.len() == 1 {
             MultiTemplate::Single {
                 template: Box::new(MaskedFlowLp::multicast_lb(&set.instance(0))),
@@ -1011,7 +1013,7 @@ mod tests {
             }],
         )
         .unwrap();
-        let template = MultiTemplate::new(&set);
+        let template = MultiTemplate::new(set.clone());
         let mask = full_mask(&platform);
         let multi = template.solve(&mask, None).unwrap();
 
@@ -1069,7 +1071,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let template = MultiTemplate::new(&set);
+        let template = MultiTemplate::new(set.clone());
         let flow = template.solve(&full_mask(&platform), None).unwrap();
         assert!(flow.period.is_finite() && flow.period > 0.0);
         assert_eq!(flow.rates.len(), 2);
@@ -1120,7 +1122,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let template = MultiTemplate::new(&set);
+        let template = MultiTemplate::new(set.clone());
         let flow = template.solve(&full_mask(&platform), None).unwrap();
         assert!((flow.rates[0] / flow.rates[1] - 3.0).abs() < 1e-6);
         // Jointly they cannot beat the single-commodity optimum of the
@@ -1154,7 +1156,7 @@ mod tests {
             },
         ];
         let set = CommoditySet::new(platform.clone(), commodities.clone()).unwrap();
-        let mut template = MultiFlowLp::new(&set);
+        let mut template = MultiFlowLp::new(set);
         let mask = full_mask(&platform);
         let before = template.solve(&mask, None).unwrap();
 
@@ -1168,7 +1170,7 @@ mod tests {
         let mut fresh_platform = platform.clone();
         fresh_platform.set_cost(e, 2.5).unwrap();
         let fresh_set = CommoditySet::new(fresh_platform, commodities).unwrap();
-        let fresh = MultiFlowLp::new(&fresh_set).solve(&mask, None).unwrap();
+        let fresh = MultiFlowLp::new(fresh_set).solve(&mask, None).unwrap();
         assert_eq!(cold.period.to_bits(), fresh.period.to_bits());
         for (a, b) in cold.flows.iter().zip(&fresh.flows) {
             assert_eq!(a.target_flows, b.target_flows);
@@ -1199,7 +1201,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let template = MultiFlowLp::new(&set);
+        let template = MultiFlowLp::new(set);
         let mut mask = full_mask(&platform);
         mask.remove(NodeId(1));
         // Node 1 is commodity 1's source.

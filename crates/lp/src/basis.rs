@@ -101,10 +101,10 @@ pub struct LuBasis {
 /// The working storage of [`LuBasis::refactorize`] and
 /// [`LuBasis::update`]. It lives in the factorization and keeps its
 /// capacity from call to call, so a reused `LuBasis` stops allocating once
-/// its buffers fit the bases it factorizes (per-row lists beyond the
-/// current basis size are freed, see [`clear_lists`]). Every buffer is
-/// cleared before use and filled in the same order as a fresh one would be,
-/// so reuse never changes a result.
+/// its buffers fit the bases it factorizes, whatever the order of their
+/// sizes (per-row lists beyond the current basis size are kept, unread,
+/// see [`clear_lists`]). Every buffer is cleared before use and filled in
+/// the same order as a fresh one would be, so reuse never changes a result.
 #[derive(Debug, Default)]
 struct LuWorkspace {
     /// The active matrix: one working column per basis slot.
@@ -131,13 +131,16 @@ struct LuWorkspace {
     f_vals: Vec<f64>,
 }
 
-/// Makes `lists` exactly `len` empty lists. The lists kept keep their
-/// capacity; lists beyond `len`, left from a larger basis, are freed, so a
-/// small LP does not hold a large one's storage.
+/// Makes the first `len` of `lists` empty, adding lists if there are fewer,
+/// and keeps every list's capacity. Lists beyond `len`, left from a larger
+/// basis, are kept as they are: no reader looks past the current basis
+/// size, and the next large basis then reuses them instead of allocating
+/// them again.
 fn clear_lists<T>(lists: &mut Vec<Vec<T>>, len: usize) {
-    lists.truncate(len);
-    lists.iter_mut().for_each(Vec::clear);
-    lists.resize_with(len, Vec::new);
+    if lists.len() < len {
+        lists.resize_with(len, Vec::new);
+    }
+    lists[..len].iter_mut().for_each(Vec::clear);
 }
 
 /// Sets `v` to `len` copies of `value`, reusing its capacity.
@@ -191,16 +194,22 @@ impl LuBasis {
         self.unnz = m;
     }
 
+    /// Appends an `L` op with the entries above [`DROP_TOL`]. An op left
+    /// without entries changes no value in FTRAN or BTRAN, so it is not
+    /// stored.
     fn push_op(&mut self, kind: LOpKind, pivot: u32, entries: impl Iterator<Item = (u32, f64)>) {
-        self.op_kind.push(kind);
-        self.op_pivot.push(pivot);
+        let start = self.op_idx.len();
         for (i, v) in entries {
             if v.abs() > DROP_TOL {
                 self.op_idx.push(i);
                 self.op_val.push(v);
             }
         }
-        self.op_start.push(self.op_idx.len());
+        if self.op_idx.len() > start {
+            self.op_kind.push(kind);
+            self.op_pivot.push(pivot);
+            self.op_start.push(self.op_idx.len());
+        }
     }
 
     /// Applies the `L` ops in order (dense).
@@ -314,13 +323,14 @@ impl LuBasis {
             return true;
         }
 
-        // The active matrix: one working column per basis slot.
+        // The active matrix: one working column per basis slot. Only the
+        // first `m` lists belong to this basis (see `clear_lists`).
         clear_lists(&mut ws.cols, m);
-        for (col, &j) in ws.cols.iter_mut().zip(basis.iter()) {
+        for (col, &j) in ws.cols[..m].iter_mut().zip(basis.iter()) {
             let (rows, vals) = a.col(j);
             col.extend(rows.iter().copied().zip(vals.iter().copied()));
         }
-        let cols = &mut ws.cols;
+        let cols = &mut ws.cols[..m];
         refill(&mut ws.col_alive, m, true);
         refill(&mut ws.row_alive, m, true);
         ws.col_count.clear();
@@ -420,9 +430,15 @@ impl LuBasis {
             basis[pr] = ws.saved[pc];
             self.push_op(LOpKind::Col, pr as u32, ws.lents.iter().copied());
 
-            // Right-looking update of every live column containing the
-            // pivot row. Fill only lands in live rows, so `rowlist[pr]`
-            // stays fixed while it is walked.
+            // Right-looking update of every live column with an entry in
+            // the pivot row. Fill only lands in live rows, so `rowlist[pr]`
+            // stays fixed while it is walked. No `rowlist` entry is stale:
+            // an entry never leaves its working column, a fill is only
+            // pushed for a row its column lacks, and the columns of `a`
+            // hold each row once. A unit pivot (no multipliers) changes no
+            // value, so its step only takes the pivot-row entry out of each
+            // column's active count.
+            let unit = ws.lents.is_empty();
             // One epoch per column, so each column's index below is fresh.
             let epoch = self.reserve_epochs(m as u32);
             for a in 0..ws.rowlist[pr].len() {
@@ -431,24 +447,28 @@ impl LuBasis {
                 if !ws.col_alive[c] {
                     continue;
                 }
-                let Some(&(_, v_prc)) = cols[c].iter().find(|&&(r, _)| r as usize == pr) else {
-                    continue; // stale rowlist entry
-                };
-                // Index the column's live entries for O(1) lookup.
-                let epoch_c = epoch + ck;
-                for (slot, &(r, _)) in cols[c].iter().enumerate() {
-                    self.scratch_stamp[r as usize] = epoch_c;
-                    self.scratch[r as usize] = slot as f64;
-                }
+                debug_assert!(
+                    cols[c].iter().any(|&(r, _)| r as usize == pr),
+                    "stale rowlist entry"
+                );
                 ws.fills.clear();
-                for &(i, l) in &ws.lents {
-                    let iu = i as usize;
-                    let delta = l * v_prc;
-                    if self.scratch_stamp[iu] == epoch_c {
-                        let slot = self.scratch[iu] as usize;
-                        cols[c][slot].1 -= delta;
-                    } else if delta.abs() > DROP_TOL {
-                        ws.fills.push((i, -delta));
+                if !unit {
+                    // Index the column's entries for O(1) lookup.
+                    let epoch_c = epoch + ck;
+                    for (slot, &(r, _)) in cols[c].iter().enumerate() {
+                        self.scratch_stamp[r as usize] = epoch_c;
+                        self.scratch[r as usize] = slot as f64;
+                    }
+                    let v_prc = cols[c][self.scratch[pr] as usize].1;
+                    for &(i, l) in &ws.lents {
+                        let iu = i as usize;
+                        let delta = l * v_prc;
+                        if self.scratch_stamp[iu] == epoch_c {
+                            let slot = self.scratch[iu] as usize;
+                            cols[c][slot].1 -= delta;
+                        } else if delta.abs() > DROP_TOL {
+                            ws.fills.push((i, -delta));
+                        }
                     }
                 }
                 // The pivot-row entry leaves the active count (it is now a
@@ -1053,6 +1073,24 @@ mod tests {
                 "offset {offset}: a reused factorization near the epoch limit diverged"
             );
         }
+    }
+
+    /// `lu_script`'s bits, hashed (FNV-1a), are pinned to the value of an
+    /// elimination that takes every step through the column update and
+    /// stores every `L` op, empty ones included. The script's first
+    /// refactorization pivots only unit columns and its second mixes them
+    /// with dense ones, so the unit-pivot path and the dropped empty ops are
+    /// shown to change no pivot order and no bit.
+    #[test]
+    fn unit_pivots_and_dropped_empty_ops_change_no_bit() {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in lu_script(&mut LuBasis::new())
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+        {
+            hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(hash, 0x7423_dfa3_4a66_74cc);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Allocation budget of a warm masked re-solve.
+//! Allocation budgets of a warm masked re-solve and of a refactorization.
 //!
 //! The greedy heuristics re-solve one template LP per candidate node under a
 //! [`BoundsOverlay`] that fixes the candidate's edges to zero, warm-started
@@ -15,11 +15,19 @@
 //! [`SolveContext`] built before the measurement, as a masked template
 //! holds one: the context costs no allocation per solve.
 //!
+//! A thread's spare [`LuBasis`] serves LPs of every size in turn: drift
+//! solves a 16-row packing LP between two flow LPs of a few thousand rows.
+//! Once it has factorized the largest basis, a refactorization allocates
+//! nothing, whatever size the basis before it had.
+//!
 //! The binary installs a counting global allocator. Counts are kept per
 //! thread, so the test harness's own threads cannot disturb them.
 
+mod common;
+
+use common::network_basis;
 use pm_lp::revised::{BoundsOverlay, SolveOutcome};
-use pm_lp::{LpProblem, Objective, Relation, SolveContext, VarId, WarmStatus};
+use pm_lp::{CscMatrix, LpProblem, LuBasis, Objective, Relation, SolveContext, VarId, WarmStatus};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -217,5 +225,32 @@ fn warm_masked_resolve_allocates_a_fixed_number_of_times() {
             measured.stats.phase1_pivots + measured.stats.phase2_pivots,
             measured.stats.refactorizations,
         );
+    }
+}
+
+#[test]
+fn refactorizations_stop_allocating_across_basis_sizes() {
+    let (large, small) = (network_basis(3000), network_basis(16));
+    let mut basis = vec![0; 3000];
+    let mut lu = LuBasis::new();
+    // Every refactorization starts from the identity slot order: the
+    // factorization permutes the slots it is given.
+    let mut refactorize = |a: &CscMatrix| {
+        let slots = &mut basis[..a.rows()];
+        slots.iter_mut().enumerate().for_each(|(j, s)| *s = j);
+        let (allocations, ok) = count_allocations(|| lu.refactorize(a, slots));
+        assert!(ok, "the {}-row network basis is nonsingular", a.rows());
+        allocations
+    };
+    for round in 0..3 {
+        let large_allocations = refactorize(&large);
+        let small_allocations = refactorize(&small);
+        if round > 0 {
+            assert_eq!(
+                (large_allocations, small_allocations),
+                (0, 0),
+                "round {round}: (3000-row, 16-row) refactorizations allocated"
+            );
+        }
     }
 }

@@ -2,7 +2,9 @@
 //! hands its `LuBasis` to the next engine on the same thread, so one
 //! factorization serves solve after solve: reuse must keep buffers, never
 //! state. A reused factorization is compared bit for bit against a fresh
-//! one on random bases of random LP matrices, singular ones included.
+//! one on random bases of random LP matrices, singular ones included, at
+//! one size and across sizes: a small basis after a large one leaves the
+//! large one's per-row lists in place beyond its size, unread.
 
 use pm_lp::{CscMatrix, LpProblem, LuBasis, Objective, Relation, VarId};
 use proptest::prelude::*;
@@ -149,25 +151,40 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     // One LuBasis reused for a sequence of factorizations — some singular,
-    // one failing at its last elimination step — must behave bit for bit
-    // like a fresh LuBasis per basis: reuse keeps buffers, never state.
+    // one per matrix failing at its last elimination step — must behave
+    // bit for bit like a fresh LuBasis per basis: reuse keeps buffers,
+    // never state. The bases come from a large matrix, a small one and
+    // another large one, so the small bases run over per-row lists a
+    // large basis left beyond their size.
     #[test]
     fn reused_lu_matches_a_fresh_lu_per_basis(
         num_vars in 1usize..7,
         num_cons in 1usize..8,
+        large_vars in 6usize..12,
+        large_cons in 6usize..14,
         seed in 0u64..1_000_000,
     ) {
-        let lp = random_lp(num_vars, num_cons, seed);
-        let a = with_unit_columns(&lp);
-        let (bases, singular_at) = random_bases(&a, 6, seed);
+        let sizes = [(large_vars, large_cons), (num_vars, num_cons), (large_vars, large_cons)];
         let mut reused = LuBasis::new();
-        for (k, basis) in bases.iter().enumerate() {
-            let fresh = lu_trace(&mut LuBasis::new(), &a, basis);
-            if Some(k) == singular_at {
-                prop_assert!(fresh[0] == 0, "the duplicated column must be singular");
+        for (step, &(num_vars, num_cons)) in sizes.iter().enumerate() {
+            let seed = seed + step as u64;
+            let a = with_unit_columns(&random_lp(num_vars, num_cons, seed));
+            let (bases, singular_at) = random_bases(&a, 6, seed);
+            for (k, basis) in bases.iter().enumerate() {
+                let fresh = lu_trace(&mut LuBasis::new(), &a, basis);
+                if Some(k) == singular_at {
+                    prop_assert!(fresh[0] == 0, "the duplicated column must be singular");
+                }
+                let again = lu_trace(&mut reused, &a, basis);
+                prop_assert!(
+                    fresh == again,
+                    "matrix {} ({} rows), basis {} ({:?}): reused LU diverged",
+                    step,
+                    a.rows(),
+                    k,
+                    basis
+                );
             }
-            let again = lu_trace(&mut reused, &a, basis);
-            prop_assert!(fresh == again, "basis {} ({:?}): reused LU diverged", k, basis);
         }
     }
 }
