@@ -34,6 +34,7 @@ use crate::formulations::{BroadcastEb, FormulationError, MulticastLb, MulticastU
 use crate::masked::{MaskedFlow, MaskedFlowLp, MaskedMultiSource, MaskedMultiSourceUb};
 use crate::realize::SteadyStateSolution;
 use crate::session::SessionOpStats;
+use pm_lp::SolveStats;
 use pm_platform::algo::multi_source_bottleneck;
 use pm_platform::graph::{EdgeId, NodeId};
 use pm_platform::instances::MulticastInstance;
@@ -177,14 +178,14 @@ const MAX_GREEDY_STEPS: usize = 256;
 /// period to compare and a warm status to account.
 trait CandidateOutcome {
     fn period(&self) -> f64;
-    fn stats(&self) -> &crate::masked::MaskedStats;
+    fn stats(&self) -> &SolveStats;
 }
 
 impl CandidateOutcome for MaskedFlow {
     fn period(&self) -> f64 {
         self.flow.period
     }
-    fn stats(&self) -> &crate::masked::MaskedStats {
+    fn stats(&self) -> &SolveStats {
         &self.stats
     }
 }
@@ -193,7 +194,7 @@ impl CandidateOutcome for MaskedMultiSource {
     fn period(&self) -> f64 {
         self.solution.period
     }
-    fn stats(&self) -> &crate::masked::MaskedStats {
+    fn stats(&self) -> &SolveStats {
         &self.stats
     }
 }

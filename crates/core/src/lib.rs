@@ -65,7 +65,7 @@ pub use heuristics::{
 pub use masked::{MaskedFlow, MaskedFlowLp, MaskedMultiSource, MaskedMultiSourceUb};
 pub use multi::{
     pack_tree_groups, realize_multi, realize_multi_with_pool, Commodity, CommoditySet, MultiFlow,
-    MultiFlowLp, MultiRealization, MultiTemplate,
+    MultiRealization,
 };
 pub use realize::{Realization, RealizeError, SteadyStateSolution};
 pub use report::{HeuristicKind, KindLpStats, MulticastReport};

@@ -25,21 +25,38 @@
 //! then a pure bound-set change with an unchanged RHS, which the
 //! lexicographic dual pass in `pm-lp` settles in a handful of pivots.
 //!
+//! **One flow template.** `Broadcast-EB`, `Multicast-LB`, `Multicast-UB` and
+//! the joint multi-commodity LP of [`crate::multi`] share one LP shape:
+//! unit-flow blocks under shared one-port occupation rows. [`MaskedFlowLp`]
+//! lays out commodity blocks `c = 0..k`, each with a source, its targets
+//! and a weight `w_c`. The columns are the flows `x`, the max-accounting
+//! loads `n`, the skip variables (`Broadcast-EB` only), then `T*`. Each
+//! block has its source-outflow, no-backflow, demand, conservation and
+//! `x ≤ n` rows; the shared port and edge occupation rows follow, where a
+//! load costs `w_c·c(e)`, as it does in the secondary objective. The
+//! paper's three bounds are `k = 1`, `w = 1`; [`MaskedFlowLp::joint`]
+//! weighs each commodity by its demand. [`MaskedMultiSourceUb`] keeps its
+//! own destination blocks and shares the rest: the occupation rows, edge
+//! costs, solve settings, error mapping and `T*` crash of
+//! [`MaskedTemplate`].
+//!
 //! A solve without a usable hint does not run the all-artificial phase 1.
 //! Every solve also builds a *crash basis* for its mask
 //! ([`pm_lp::Basis::crash`], offered as [`pm_lp::BoundsOverlay::crash`])
-//! from one cheapest-path tree ([`pm_platform::algo::dijkstra`]) rooted at
-//! the source over the active edges, weighted by edge cost — the secondary
-//! objective's weights. For every active commodity the tree arc into each
-//! reachable node is basic in that node's conservation or demand row, so
+//! from one cheapest-path tree ([`pm_platform::algo::dijkstra`]) per block
+//! source over the active edges, weighted by edge cost — the secondary
+//! objective's weights. For every active target the tree arc into each
+//! reachable node is basic in that target's conservation or demand row, so
 //! one unit flows down the path to the target and the other arcs sit
 //! degenerate at zero. The skip variables are basic in the demand rows of
-//! deactivated commodities, under max accounting `n_e` is basic in the
-//! `x ≤ n` row of the first commodity routed over `e`, and `T*` is basic in
-//! the busiest occupation row; every other row stays on its slack or
-//! artificial. That basis is a feasible vertex, so `pm-lp` starts from it
-//! whenever the solve has no hint, or the hint fails to install or its dual
-//! pass gives up.
+//! deactivated targets, under max accounting `n_{c,e}` is basic in the
+//! `x ≤ n` row of the first target of block `c` routed over `e`, and `T*`
+//! is basic in the busiest occupation row, whose load weighs each block by
+//! `w_c`; every other row stays on its slack or artificial. That basis is a
+//! feasible vertex, so `pm-lp` starts from it whenever the solve has no
+//! hint, or the hint fails to install or its dual pass gives up. The same
+//! trees are the reachability pre-check: an active target off its block's
+//! tree is unreachable, and no LP is solved.
 //! The whole arborescence is basic, not just the paths to the targets: an
 //! off-path row left on its artificial costs phase-2 pivots to price out.
 //! A crash start counts as a cold solve, never as a warm hit.
@@ -53,38 +70,27 @@
 //! Templates are *owned* values (they clone the instance they are built
 //! from), so a long-lived [`crate::session::Session`] can hold them next to
 //! its authoritative platform without self-referential lifetimes. Edge-cost
-//! drift is an in-place delta: [`MaskedFlowLp::set_edge_cost`] /
-//! [`MaskedMultiSourceUb::set_edge_cost`] rewrite the occupation-row
-//! coefficients through [`LpProblem::set_coeff`] — the constraint pattern
-//! (and with it every cached warm-start basis) survives the edit.
+//! drift is an in-place delta: [`MaskedTemplate::set_edge_cost`] rewrites
+//! the occupation-row coefficients through [`LpProblem::set_coeff`] — the
+//! constraint pattern (and with it every cached warm-start basis) survives
+//! the edit.
 
 use crate::formulations::{FlowSolution, FormulationError, MultiSourceSolution};
+use crate::multi::{CommoditySet, MultiFlow};
 use pm_lp::{
     Basis, BoundsOverlay, LpError, LpProblem, Objective, Relation, SolveBudget, SolveContext,
-    SolveStats, SparseBuilder, VarId, WarmStatus,
+    SolveOutcome, SolveStats, SparseBuilder, VarId,
 };
 use pm_platform::algo::{dijkstra, PathTree};
 use pm_platform::graph::{EdgeId, NodeId, Platform};
 use pm_platform::instances::MulticastInstance;
 use pm_platform::mask::NodeMask;
+use std::iter::once;
 use std::sync::Arc;
 
-/// Accounting of one masked solve.
-#[derive(Debug, Clone, Copy)]
-pub struct MaskedStats {
-    /// Warm-start outcome of the underlying LP solve. Solves skipped by the
-    /// reachability pre-check report [`WarmStatus::None`].
-    pub warm: WarmStatus,
-    /// The full per-solve diagnostics of the underlying LP solve (pivot
-    /// counts, refactorizations, wall time) — the structured counterpart of
-    /// the `PM_LP_STATS=1` stderr lines, aggregated by
-    /// [`crate::session::SessionStats`].
-    pub solve: SolveStats,
-}
-
 /// A successful masked solve of a single-source formulation: the flow
-/// solution (indexed by *full-platform* commodity and edge ids), the optimal
-/// basis to warm-start the next candidate, and the solve accounting.
+/// solution (indexed by *full-platform* target and edge ids), the optimal
+/// basis to warm-start the next candidate, and the solve's diagnostics.
 #[derive(Debug, Clone)]
 pub struct MaskedFlow {
     /// The optimal flows and period.
@@ -92,302 +98,188 @@ pub struct MaskedFlow {
     /// The optimal basis (a warm-start hint for any other mask of the same
     /// template).
     pub basis: Basis,
-    /// Solve accounting.
-    pub stats: MaskedStats,
+    /// The LP solve's diagnostics (warm status, pivots, wall time).
+    pub stats: SolveStats,
 }
 
-/// Which of the paper's single-source formulations a [`MaskedFlowLp`]
-/// template encodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlowKind {
-    /// `Broadcast-EB` on the masked sub-platform: one commodity per
-    /// non-source node, deactivated along with its node.
-    BroadcastEb,
-    /// `Multicast-LB` (equation 10', max accounting) on the masked
-    /// sub-platform; the target set is the instance's and must stay active.
-    MulticastLb,
-    /// `Multicast-UB` (equation 10, scatter accounting); targets must stay
-    /// active.
-    MulticastUb,
+/// Per edge: a list of `(column, w)` terms whose coefficient, or secondary
+/// cost, is `w·c(e)`. The lists are stored flat, edge after edge, a term as
+/// its column and the index of its weight among the few distinct ones (at
+/// most one per commodity block): 8 bytes a term.
+#[derive(Debug, Default)]
+struct EdgeTerms {
+    /// `ends[e]`: one past edge `e`'s last term.
+    ends: Vec<usize>,
+    terms: Vec<(u32, u32)>,
+    weights: Vec<f64>,
 }
 
-/// A reusable full-platform template of one of the single-source
-/// formulations, re-solvable under any [`NodeMask`].
+impl EdgeTerms {
+    /// Appends `terms` to the list of the edge being filled.
+    fn extend(&mut self, terms: impl IntoIterator<Item = (VarId, f64)>) {
+        for (v, w) in terms {
+            let known = self.weights.iter().position(|x| x.to_bits() == w.to_bits());
+            let weight = known.unwrap_or_else(|| {
+                self.weights.push(w);
+                self.weights.len() - 1
+            });
+            let index = |i: usize| u32::try_from(i).expect("fewer than 2^32 columns");
+            self.terms.push((index(v.index()), index(weight)));
+        }
+    }
+
+    /// Ends the list of the edge being filled.
+    fn close_edge(&mut self) {
+        self.ends.push(self.terms.len());
+    }
+
+    /// Edge `e`'s terms.
+    fn of(&self, e: EdgeId) -> impl Iterator<Item = (VarId, f64)> + '_ {
+        let start = e.index().checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        let terms = self.terms[start..self.ends[e.index()]].iter();
+        terms.map(|&(v, w)| (VarId(v as usize), self.weights[w as usize]))
+    }
+}
+
+/// A reusable full-platform template of a masked formulation, re-solvable
+/// under any [`NodeMask`]: [`MaskedFlowLp`] or [`MaskedMultiSourceUb`],
+/// told apart by their column and row layout `L`.
 ///
-/// The template is immutable after construction: a solve builds only a
+/// Every template ends in the same shared one-port occupation rows: an
+/// in-port and an out-port row per node and a row per edge, each
+/// `Σ w·c(e)·load ≤ T*` over per-edge tables of `(column, w)` load terms.
+/// The same tables price the lexicographic tie-break and drive the in-place
+/// edge-cost edit, so that build, [`MaskedTemplate::set_edge_cost`], the
+/// solve settings and the solve's error mapping exist once, here.
+///
+/// The template is immutable between edits: a solve builds only a
 /// per-solve [`BoundsOverlay`], so a greedy round re-solves one template
 /// under each candidate's mask, every time from the round's basis.
 #[derive(Debug, Clone)]
-pub struct MaskedFlowLp {
+pub struct MaskedTemplate<L> {
     instance: MulticastInstance,
-    kind: FlowKind,
     problem: LpProblem,
-    /// `x[i][e]`: fraction of commodity `i` crossing edge `e`.
-    x: Vec<Vec<VarId>>,
-    /// `n[e]` edge-load variables (max accounting only).
-    n: Option<Vec<VarId>>,
     t_star: VarId,
-    /// The target node of each commodity.
-    commodity_targets: Vec<NodeId>,
-    /// Per commodity: the skip variables of the source-outflow and
-    /// target-demand rows (`None` when the commodity can never deactivate,
-    /// i.e. for the multicast templates). Fixed to zero while the commodity
-    /// is active; released to absorb the demand when it deactivates.
-    commodity_skips: Vec<Option<(VarId, VarId)>>,
-    /// At `i·n + v`: the row of commodity `i`'s flow balance at node `v` —
-    /// the source-outflow row at the source, the demand row at the target,
-    /// the conservation row elsewhere (`u32::MAX` for a node without
-    /// edges, which has none). The crash basis makes tree arcs basic in
-    /// them. The table never changes after the build, so every clone of
-    /// the template (each session clones its own) shares it.
-    flow_rows: Arc<[u32]>,
-    /// First row of the `x ≤ n` block (max accounting only): commodity
-    /// `i`'s row for edge `e` is `xn_first + i·m + e`.
-    xn_first: usize,
     /// Per node: the `(in-port, out-port)` occupation row indices (absent
-    /// for nodes without edges on that side) — the rows an edge-cost edit
-    /// must rewrite.
+    /// for nodes without edges on that side).
     port_rows: Vec<(Option<usize>, Option<usize>)>,
     /// Per edge: its own occupation row index.
     edge_rows: Vec<usize>,
+    /// Per edge: the load terms of its occupation rows, coefficient
+    /// `w·c(e)` there and secondary cost `w·c(e)`. Never changes after the
+    /// build, so every clone of the template shares it.
+    load_terms: Arc<EdgeTerms>,
+    /// Per edge: further terms of secondary cost `w·c(e)`, in no occupation
+    /// row (the flows under max accounting, whose loads are the `n`).
+    traffic_terms: Arc<EdgeTerms>,
     /// Deterministic per-solve work caps; `None` is unlimited.
     budget: Option<SolveBudget>,
     /// The context every solve of the template runs under.
     ctx: SolveContext,
+    layout: L,
 }
 
-impl MaskedFlowLp {
-    /// Builds the masked `Broadcast-EB` template: targets are every
-    /// non-source node of the platform; deactivating a node also
-    /// deactivates its commodity.
-    pub fn broadcast_eb(instance: &MulticastInstance) -> Self {
-        let targets: Vec<NodeId> = instance
-            .platform
-            .nodes()
-            .filter(|&v| v != instance.source)
-            .collect();
-        Self::build(instance, FlowKind::BroadcastEb, targets)
-    }
-
-    /// Builds the masked `Multicast-LB` template (max accounting, the lower
-    /// bound). Every instance target must stay active in the masks it is
-    /// solved under.
-    pub fn multicast_lb(instance: &MulticastInstance) -> Self {
-        Self::build(instance, FlowKind::MulticastLb, instance.targets.clone())
-    }
-
-    /// Builds the masked `Multicast-UB` template (scatter accounting, the
-    /// upper bound). Every instance target must stay active.
-    pub fn multicast_ub(instance: &MulticastInstance) -> Self {
-        Self::build(instance, FlowKind::MulticastUb, instance.targets.clone())
-    }
-
-    fn build(instance: &MulticastInstance, kind: FlowKind, targets: Vec<NodeId>) -> Self {
+impl<L> MaskedTemplate<L> {
+    /// Finishes a template whose layout rows `lp` holds: appends the shared
+    /// occupation rows — (5)(8)/(6)(9) per port, (4)(7) per edge — over
+    /// `load_terms`, prices `load_terms` and `traffic_terms` in the
+    /// secondary objective, and builds the LP.
+    fn finish(
+        instance: MulticastInstance,
+        mut lp: SparseBuilder,
+        t_star: VarId,
+        mut load_terms: EdgeTerms,
+        mut traffic_terms: EdgeTerms,
+        layout: L,
+    ) -> Self {
         let platform = &instance.platform;
-        let m = platform.edge_count();
-        let t_count = targets.len();
-        let max_rule = matches!(kind, FlowKind::BroadcastEb | FlowKind::MulticastLb);
-
-        let mut lp = SparseBuilder::new(Objective::Minimize);
-        let mut x: Vec<Vec<VarId>> = Vec::with_capacity(t_count);
-        for i in 0..t_count {
-            x.push((0..m).map(|e| lp.add_var(&format!("x_{i}_{e}"))).collect());
+        let load = |e: EdgeId| {
+            let cost = platform.cost(e);
+            load_terms.of(e).map(move |(v, w)| (v, w * cost))
+        };
+        let mut port_rows = vec![(None, None); platform.node_count()];
+        for node in platform.nodes() {
+            let (in_row, out_row) = &mut port_rows[node.index()];
+            for (slot, edges) in [
+                (in_row, platform.in_edges(node)),
+                (out_row, platform.out_edges(node)),
+            ] {
+                if !edges.is_empty() {
+                    let terms = edges.iter().flat_map(|&e| load(e));
+                    let row =
+                        lp.add_constraint(terms.chain(once((t_star, -1.0))), Relation::Le, 0.0);
+                    *slot = Some(row.0);
+                }
+            }
         }
-        let n: Option<Vec<VarId>> =
-            max_rule.then(|| (0..m).map(|e| lp.add_var(&format!("n_{e}"))).collect());
-        // Skip variables, only for the broadcast template (a commodity of a
-        // multicast template can never deactivate: its target must stay in
-        // every mask).
-        let commodity_skips: Vec<Option<(VarId, VarId)>> = (0..t_count)
-            .map(|i| {
-                matches!(kind, FlowKind::BroadcastEb).then(|| {
-                    (
-                        lp.add_var(&format!("skip_src_{i}")),
-                        lp.add_var(&format!("skip_dem_{i}")),
-                    )
-                })
+        let edge_rows = platform
+            .edge_ids()
+            .map(|e| {
+                lp.add_constraint(load(e).chain(once((t_star, -1.0))), Relation::Le, 0.0)
+                    .0
             })
             .collect();
-        let t_star = lp.add_var("T*");
-        lp.set_objective_coeff(t_star, 1.0);
-
-        let nn = platform.node_count();
-        let mut flow_rows = vec![u32::MAX; t_count * nn];
-        // (1) the whole message leaves the source, per commodity — or its
-        // skip variable absorbs the demand when the commodity deactivates.
-        for (i, x_row) in x.iter().enumerate() {
-            let row = lp.add_constraint(
-                platform
-                    .out_edges(instance.source)
-                    .iter()
-                    .map(|&e| (x_row[e.index()], 1.0))
-                    .chain(commodity_skips[i].map(|(u, _)| (u, 1.0))),
-                Relation::Eq,
-                1.0,
-            );
-            flow_rows[i * nn + instance.source.index()] = row_index(row.0);
-        }
-        // No commodity flows back into the source (see
-        // `formulations::solve_single_source` for the rationale).
-        for x_row in &x {
-            for &e in platform.in_edges(instance.source) {
-                lp.add_constraint([(x_row[e.index()], 1.0)], Relation::Eq, 0.0);
-            }
-        }
-        // (2) the whole message reaches each target (or its skip absorbs
-        // it). A never-deactivating target with no incoming edge gets an
-        // unsatisfiable `0 = 1` row: harmless, because the reachability
-        // pre-check reports it as unreachable before any solve.
-        for (i, &target) in targets.iter().enumerate() {
-            let row = lp.add_constraint(
-                platform
-                    .in_edges(target)
-                    .iter()
-                    .map(|&e| (x[i][e.index()], 1.0))
-                    .chain(commodity_skips[i].map(|(_, w)| (w, 1.0))),
-                Relation::Eq,
-                1.0,
-            );
-            flow_rows[i * nn + target.index()] = row_index(row.0);
-        }
-        // (3) conservation at every other node.
-        for (i, &target) in targets.iter().enumerate() {
-            for node in platform.nodes() {
-                if node == instance.source || node == target {
-                    continue;
-                }
-                let terms: Vec<(VarId, f64)> = platform
-                    .out_edges(node)
-                    .iter()
-                    .map(|&e| (x[i][e.index()], 1.0))
-                    .chain(
-                        platform
-                            .in_edges(node)
-                            .iter()
-                            .map(|&e| (x[i][e.index()], -1.0)),
-                    )
-                    .collect();
-                if !terms.is_empty() {
-                    let row = lp.add_constraint(terms, Relation::Eq, 0.0);
-                    flow_rows[i * nn + node.index()] = row_index(row.0);
-                }
-            }
-        }
-        // (10') n_e >= x_i_e for the max rule.
-        let xn_first = lp.num_rows();
-        if let Some(n) = &n {
-            for x_row in &x {
-                for e in 0..m {
-                    lp.add_constraint([(x_row[e], 1.0), (n[e], -1.0)], Relation::Le, 0.0);
-                }
-            }
-        }
-        let load_terms = |e: usize| -> Vec<(VarId, f64)> {
-            let cost = platform.cost(EdgeId(e as u32));
-            match &n {
-                Some(n) => vec![(n[e], cost)],
-                None => x.iter().map(|row| (row[e], cost)).collect(),
-            }
-        };
-        // (5)(8)/(6)(9) port occupations and (4)(7) edge occupations. The
-        // row indices are recorded so edge-cost drift can rewrite exactly
-        // the coefficients that carry a cost (see `set_edge_cost`).
-        let mut port_rows: Vec<(Option<usize>, Option<usize>)> =
-            vec![(None, None); platform.node_count()];
-        for node in platform.nodes() {
-            for (incoming, edges) in [
-                (true, platform.in_edges(node)),
-                (false, platform.out_edges(node)),
-            ] {
-                if edges.is_empty() {
-                    continue;
-                }
-                let mut terms: Vec<(VarId, f64)> = Vec::new();
-                for &e in edges {
-                    terms.extend(load_terms(e.index()));
-                }
-                terms.push((t_star, -1.0));
-                let row = lp.add_constraint(terms, Relation::Le, 0.0);
-                let slot = &mut port_rows[node.index()];
-                if incoming {
-                    slot.0 = Some(row.0);
-                } else {
-                    slot.1 = Some(row.0);
-                }
-            }
-        }
-        let mut edge_rows = Vec::with_capacity(m);
-        for e in 0..m {
-            let mut terms = load_terms(e);
-            terms.push((t_star, -1.0));
-            edge_rows.push(lp.add_constraint(terms, Relation::Le, 0.0).0);
-        }
         // Lexicographic tie-break: among the tied-optimal vertices of these
         // highly degenerate flow LPs, pick the one moving the least
         // cost-weighted traffic. This pins the greedy candidate scores (and
         // hence heuristic outcomes) to a canonical vertex, independent of
-        // engine, pricing rule, or warm-start history. Skip variables stay
-        // unpenalized: skipping a commodity must never look like traffic.
-        for e in 0..m {
-            let cost = platform.cost(EdgeId(e as u32));
-            for x_row in &x {
-                lp.set_secondary_coeff(x_row[e], cost);
-            }
-            if let Some(n) = &n {
-                lp.set_secondary_coeff(n[e], cost);
+        // engine, pricing rule, or warm-start history. Skip and injection
+        // variables stay unpenalized: skipping a commodity must never look
+        // like traffic.
+        for e in platform.edge_ids() {
+            let cost = platform.cost(e);
+            for (v, w) in load_terms.of(e).chain(traffic_terms.of(e)) {
+                lp.set_secondary_coeff(v, w * cost);
             }
         }
-
-        let problem = lp.build().expect("masked flow template is a valid LP");
-        MaskedFlowLp {
-            instance: instance.clone(),
-            kind,
-            problem,
-            x,
-            n,
+        load_terms.terms.shrink_to_fit();
+        traffic_terms.terms.shrink_to_fit();
+        MaskedTemplate {
+            instance,
+            problem: lp.build().expect("a masked template is a valid LP"),
             t_star,
-            commodity_targets: targets,
-            commodity_skips,
-            flow_rows: flow_rows.into(),
-            xn_first,
             port_rows,
             edge_rows,
+            load_terms: Arc::new(load_terms),
+            traffic_terms: Arc::new(traffic_terms),
             budget: None,
             ctx: SolveContext::default(),
+            layout,
         }
     }
 
-    /// Sets the deterministic per-solve work caps for every subsequent
-    /// [`MaskedFlowLp::solve`] of this template (`None` is unlimited).
-    /// Under an exhausted budget a solve returns a primal-feasible anytime
-    /// solution whose stats flag [`pm_lp::SolveStats::degraded`] instead of
-    /// erroring — a session under pressure serves a certified-suboptimal
-    /// schedule rather than failing. Set it before sharing the template
-    /// across threads: solves take `&self`.
+    /// Sets the deterministic per-solve work caps for every subsequent solve
+    /// of this template (`None` is unlimited). Under an exhausted budget a
+    /// solve returns a primal-feasible anytime solution whose stats flag
+    /// [`pm_lp::SolveStats::degraded`] instead of erroring — a session under
+    /// pressure serves a certified-suboptimal schedule rather than failing.
+    /// Set it before sharing the template across threads: solves take
+    /// `&self`.
     pub fn set_budget(&mut self, budget: Option<SolveBudget>) {
         self.budget = budget;
     }
 
-    /// Sets the [`SolveContext`] every subsequent [`MaskedFlowLp::solve`]
-    /// of this template runs under (the default context until set).
+    /// Sets the [`SolveContext`] every subsequent solve of this template runs
+    /// under (the default context until set).
     pub fn set_context(&mut self, ctx: SolveContext) {
         self.ctx = ctx;
     }
 
     /// The instance the template was built from (its platform carries the
-    /// template's *current* edge costs — [`MaskedFlowLp::set_edge_cost`]
-    /// keeps the two in sync).
+    /// template's *current* edge costs — [`MaskedTemplate::set_edge_cost`]
+    /// keeps the two in sync). A joint template keeps its first commodity's.
     pub fn instance(&self) -> &MulticastInstance {
         &self.instance
     }
 
     /// Updates the cost of edge `e` in place: the template's platform copy
-    /// and every occupation-row coefficient that carries the cost are
-    /// rewritten through [`LpProblem::set_coeff`]. The constraint pattern —
-    /// and with it the warm-start signature and every previously returned
-    /// [`Basis`] — is unchanged, so the next [`MaskedFlowLp::solve`] restarts
-    /// from the old basis in a few pivots instead of paying a rebuild + cold
-    /// solve.
+    /// and every coefficient that carries the cost — one per load term in
+    /// each of the edge's three occupation rows, through
+    /// [`LpProblem::set_coeff`], and the secondary objective's. The
+    /// constraint pattern — and with it the warm-start signature and every
+    /// previously returned [`Basis`] — is unchanged, so the next solve
+    /// restarts from the old basis in a few pivots instead of paying a
+    /// rebuild + cold solve.
     ///
     /// # Panics
     /// Panics if `cost` is not finite and strictly positive.
@@ -402,40 +294,331 @@ impl MaskedFlowLp {
             self.port_rows[edge.src.index()].1,
             Some(self.edge_rows[e.index()]),
         ];
+        let (load, traffic) = (&self.load_terms, &self.traffic_terms);
         for row in rows.into_iter().flatten() {
-            match &self.n {
-                // Max accounting: the cost multiplies the edge-load variable.
-                Some(n) => self.problem.set_coeff(row, n[e.index()], cost),
-                // Scatter accounting: one term per commodity.
-                None => {
-                    for x_row in &self.x {
-                        self.problem.set_coeff(row, x_row[e.index()], cost);
-                    }
-                }
+            for (v, w) in load.of(e) {
+                self.problem.set_coeff(row, v, w * cost);
             }
         }
         // Keep the lexicographic tie-break priced at the drifted cost.
-        for x_row in &self.x {
-            self.problem.set_secondary_coeff(x_row[e.index()], cost);
-        }
-        if let Some(n) = &self.n {
-            self.problem.set_secondary_coeff(n[e.index()], cost);
+        for (v, w) in load.of(e).chain(traffic.of(e)) {
+            self.problem.set_secondary_coeff(v, w * cost);
         }
     }
 
-    /// The number of commodities of the template.
-    pub fn commodity_count(&self) -> usize {
-        self.commodity_targets.len()
+    /// Solves the LP under `overlay`, warm-starting from `hint`. The
+    /// reachability pre-check passed, so a reported `Infeasible` is
+    /// numerical (the flow LP of reachable demands is always feasible). The
+    /// rebuild path maps it to `Unreachable` all the same (`formulations`),
+    /// and status parity with that oracle is what the differential tests
+    /// pin down — so it reports `Unreachable(node)` rather than diverge.
+    fn resolve(
+        &self,
+        overlay: &BoundsOverlay,
+        hint: Option<&Basis>,
+        node: NodeId,
+    ) -> Result<SolveOutcome, FormulationError> {
+        self.problem
+            .resolve_in(&self.ctx, overlay, hint, self.budget)
+            .map_err(|e| match e {
+                LpError::Infeasible => FormulationError::Unreachable(node),
+                other => FormulationError::Lp(other),
+            })
     }
 
-    /// Solves the formulation restricted to the active nodes of `mask`,
-    /// warm-starting from `hint` (the basis of any previous solve of this
-    /// template, under any mask).
+    /// The crash basis of the `(row, column)` pairs `basic` plus `T*`,
+    /// basic in the occupation row with the largest occupation
+    /// `Σ c(e)·load[e]`, where `load[e]` is what edge `e` carries in the
+    /// crash's flow, weighted like its occupation terms. With `T*` there,
+    /// every other occupation row keeps a non-negative slack. A port row's
+    /// occupation is at least that of each of its edges' own rows, so the
+    /// port rows suffice.
+    fn crash(&self, mut basic: Vec<(usize, VarId)>, load: &[f64]) -> Basis {
+        let platform = &self.instance.platform;
+        let mut busiest: Option<(f64, usize)> = None;
+        for node in platform.nodes() {
+            let (in_row, out_row) = self.port_rows[node.index()];
+            for (row, edges) in [
+                (in_row, platform.in_edges(node)),
+                (out_row, platform.out_edges(node)),
+            ] {
+                let Some(row) = row else { continue };
+                let occupation: f64 = edges
+                    .iter()
+                    .map(|&e| platform.cost(e) * load[e.index()])
+                    .sum();
+                if busiest.is_none_or(|(max, _)| occupation > max) {
+                    busiest = Some((occupation, row));
+                }
+            }
+        }
+        basic.extend(busiest.map(|(_, row)| (row, self.t_star)));
+        Basis::crash(&self.problem, basic)
+    }
+}
+
+/// The flow template: `Broadcast-EB`, `Multicast-LB`, `Multicast-UB` and the
+/// joint multi-commodity LP (see the module docs).
+pub type MaskedFlowLp = MaskedTemplate<FlowLayout>;
+
+/// Which of the paper's single-source formulations the flow template's
+/// blocks follow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FlowKind {
+    /// `Broadcast-EB` on the masked sub-platform: one target per non-source
+    /// node, deactivated along with its node.
+    BroadcastEb,
+    /// `Multicast-LB` (equation 10', max accounting) on the masked
+    /// sub-platform; the targets must stay active.
+    MulticastLb,
+    /// `Multicast-UB` (equation 10, scatter accounting); targets must stay
+    /// active.
+    MulticastUb,
+}
+
+/// The layout of a [`MaskedFlowLp`]: its formulation and commodity blocks.
+#[derive(Debug, Clone)]
+pub struct FlowLayout {
+    kind: FlowKind,
+    blocks: Vec<Block>,
+    /// The super-unit period per unit of `T*` ([`MaskedFlowLp::solve_multi`]):
+    /// the demand of a one-commodity joint template, whose block keeps
+    /// weight 1; else 1.
+    period_scale: f64,
+}
+
+/// One commodity block of the flow template: a unit of flow from `source`
+/// to each of `targets`.
+#[derive(Debug, Clone)]
+struct Block {
+    source: NodeId,
+    targets: Vec<NodeId>,
+    /// The block's weight `w` in the shared occupation rows and the
+    /// secondary objective: 1, or the commodity's demand in a joint
+    /// template.
+    weight: f64,
+    /// `x[i][e]`: fraction of the message bound to target `i` crossing edge
+    /// `e`.
+    x: Vec<Vec<VarId>>,
+    /// `n[e]`: the block's edge loads (max accounting only).
+    n: Option<Vec<VarId>>,
+    /// Per target: the skip variables of its source-outflow and demand rows
+    /// (`Broadcast-EB` only: a multicast target never deactivates). Fixed
+    /// to zero while the target is active; released to absorb the demand
+    /// when it deactivates.
+    skips: Vec<Option<(VarId, VarId)>>,
+    /// At `i·n + v`: the row of target `i`'s flow balance at node `v` — the
+    /// source-outflow row at the source, the demand row at the target, the
+    /// conservation row elsewhere (`u32::MAX` for a node without edges,
+    /// which has none). The crash basis makes tree arcs basic in them. The
+    /// table never changes after the build, so every clone of the template
+    /// (each session clones its own) shares it.
+    flow_rows: Arc<[u32]>,
+    /// First row of the `x ≤ n` rows (max accounting only): target `i`'s
+    /// row for edge `e` is `xn_first + i·m + e`.
+    xn_first: usize,
+}
+
+impl MaskedFlowLp {
+    /// Builds the masked `Broadcast-EB` template: targets are every
+    /// non-source node of the platform; deactivating a node also
+    /// deactivates its target.
+    pub fn broadcast_eb(instance: &MulticastInstance) -> Self {
+        let source = instance.source;
+        let targets = instance.platform.nodes().filter(|&v| v != source).collect();
+        let block = (source, targets, 1.0);
+        Self::build(instance.clone(), FlowKind::BroadcastEb, vec![block], 1.0)
+    }
+
+    /// Builds the masked `Multicast-LB` template (max accounting, the lower
+    /// bound). Every instance target must stay active in the masks it is
+    /// solved under.
+    pub fn multicast_lb(instance: &MulticastInstance) -> Self {
+        let block = (instance.source, instance.targets.clone(), 1.0);
+        Self::build(instance.clone(), FlowKind::MulticastLb, vec![block], 1.0)
+    }
+
+    /// Builds the masked `Multicast-UB` template (scatter accounting, the
+    /// upper bound). Every instance target must stay active.
+    pub fn multicast_ub(instance: &MulticastInstance) -> Self {
+        let block = (instance.source, instance.targets.clone(), 1.0);
+        Self::build(instance.clone(), FlowKind::MulticastUb, vec![block], 1.0)
+    }
+
+    /// Builds the joint multi-commodity template of `set` (see
+    /// [`crate::multi`]): one `Multicast-LB` block per commodity, weighted
+    /// by its demand `d_c` in the shared occupation rows, so `T*` is the
+    /// super-unit period. A one-commodity set keeps weight 1 — its LP is
+    /// [`MaskedFlowLp::multicast_lb`]'s, bit for bit — and scales the
+    /// period by its demand instead. Every commodity's source and targets
+    /// must stay active.
+    pub fn joint(set: &CommoditySet) -> Self {
+        let commodities = set.commodities();
+        let single = commodities.len() == 1;
+        let weight = |demand| if single { 1.0 } else { demand };
+        let blocks = (commodities.iter())
+            .map(|c| (c.source, c.targets.clone(), weight(c.demand)))
+            .collect();
+        let scale = if single { commodities[0].demand } else { 1.0 };
+        Self::build(set.instance(0), FlowKind::MulticastLb, blocks, scale)
+    }
+
+    fn build(
+        instance: MulticastInstance,
+        kind: FlowKind,
+        commodities: Vec<(NodeId, Vec<NodeId>, f64)>,
+        period_scale: f64,
+    ) -> Self {
+        let platform = &instance.platform;
+        let (m, nn) = (platform.edge_count(), platform.node_count());
+        let max_rule = kind != FlowKind::MulticastUb;
+
+        let mut lp = SparseBuilder::new(Objective::Minimize);
+        let x: Vec<Vec<Vec<VarId>>> = (commodities.iter().enumerate())
+            .map(|(c, (_, targets, _))| {
+                (0..targets.len())
+                    .map(|i| {
+                        (0..m)
+                            .map(|e| lp.add_var(&format!("x_{c}_{i}_{e}")))
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let n: Vec<Option<Vec<VarId>>> = (0..commodities.len())
+            .map(|c| max_rule.then(|| (0..m).map(|e| lp.add_var(&format!("n_{c}_{e}"))).collect()))
+            .collect();
+        let skips: Vec<Vec<Option<(VarId, VarId)>>> = (commodities.iter().enumerate())
+            .map(|(c, (_, targets, _))| {
+                (0..targets.len())
+                    .map(|i| {
+                        (kind == FlowKind::BroadcastEb).then(|| {
+                            let src = lp.add_var(&format!("skip_src_{c}_{i}"));
+                            (src, lp.add_var(&format!("skip_dem_{c}_{i}")))
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        let t_star = lp.add_var("T*");
+        lp.set_objective_coeff(t_star, 1.0);
+
+        let mut blocks = Vec::with_capacity(commodities.len());
+        for (((source, targets, weight), x), (n, skips)) in
+            commodities.into_iter().zip(x).zip(n.into_iter().zip(skips))
+        {
+            let mut flow_rows = vec![u32::MAX; targets.len() * nn];
+            // (1) the whole message leaves the source, per target — or the
+            // target's skip variable absorbs the demand when it deactivates.
+            for (i, x_row) in x.iter().enumerate() {
+                let terms = platform
+                    .out_edges(source)
+                    .iter()
+                    .map(|&e| (x_row[e.index()], 1.0));
+                let row = lp.add_constraint(
+                    terms.chain(skips[i].map(|(u, _)| (u, 1.0))),
+                    Relation::Eq,
+                    1.0,
+                );
+                flow_rows[i * nn + source.index()] = row_index(row.0);
+            }
+            // No flow of the block back into its source (see
+            // `formulations::solve_single_source` for the rationale); other
+            // blocks may still route through it.
+            for x_row in &x {
+                for &e in platform.in_edges(source) {
+                    lp.add_constraint([(x_row[e.index()], 1.0)], Relation::Eq, 0.0);
+                }
+            }
+            // (2) the whole message reaches each target (or its skip absorbs
+            // it). A never-deactivating target with no incoming edge gets an
+            // unsatisfiable `0 = 1` row: harmless, because the reachability
+            // pre-check reports it as unreachable before any solve.
+            for (i, &target) in targets.iter().enumerate() {
+                let terms = platform
+                    .in_edges(target)
+                    .iter()
+                    .map(|&e| (x[i][e.index()], 1.0));
+                let row = lp.add_constraint(
+                    terms.chain(skips[i].map(|(_, w)| (w, 1.0))),
+                    Relation::Eq,
+                    1.0,
+                );
+                flow_rows[i * nn + target.index()] = row_index(row.0);
+            }
+            // (3) conservation at every other node.
+            for (i, &target) in targets.iter().enumerate() {
+                for node in platform.nodes().filter(|&v| v != source && v != target) {
+                    let out = platform
+                        .out_edges(node)
+                        .iter()
+                        .map(|&e| (x[i][e.index()], 1.0));
+                    let back = platform
+                        .in_edges(node)
+                        .iter()
+                        .map(|&e| (x[i][e.index()], -1.0));
+                    let terms: Vec<(VarId, f64)> = out.chain(back).collect();
+                    if !terms.is_empty() {
+                        let row = lp.add_constraint(terms, Relation::Eq, 0.0);
+                        flow_rows[i * nn + node.index()] = row_index(row.0);
+                    }
+                }
+            }
+            // (10') n_e >= x_i_e for the max rule.
+            let xn_first = lp.num_rows();
+            if let Some(n) = &n {
+                for x_row in &x {
+                    for e in 0..m {
+                        lp.add_constraint([(x_row[e], 1.0), (n[e], -1.0)], Relation::Le, 0.0);
+                    }
+                }
+            }
+            blocks.push(Block {
+                source,
+                targets,
+                weight,
+                x,
+                n,
+                skips,
+                flow_rows: flow_rows.into(),
+                xn_first,
+            });
+        }
+        // A block's load on an edge is `n_e` under max accounting, with the
+        // flows priced in the secondary objective only; under scatter
+        // accounting it is every target's flow.
+        let (mut load_terms, mut traffic_terms) = (EdgeTerms::default(), EdgeTerms::default());
+        for e in 0..m {
+            for block in &blocks {
+                let flows = block.x.iter().map(|row| (row[e], block.weight));
+                match &block.n {
+                    Some(n) => {
+                        load_terms.extend([(n[e], block.weight)]);
+                        traffic_terms.extend(flows);
+                    }
+                    None => load_terms.extend(flows),
+                }
+            }
+            load_terms.close_edge();
+            traffic_terms.close_edge();
+        }
+        let layout = FlowLayout {
+            kind,
+            blocks,
+            period_scale,
+        };
+        MaskedTemplate::finish(instance, lp, t_star, load_terms, traffic_terms, layout)
+    }
+
+    /// Solves a single-commodity template restricted to the active nodes of
+    /// `mask`, warm-starting from `hint` (the basis of any previous solve of
+    /// this template, under any mask). A joint template reports its first
+    /// commodity's flow; [`MaskedFlowLp::solve_multi`] reports them all.
     ///
     /// Errors mirror the rebuild path: an active target that the masked
     /// platform cannot reach reports [`FormulationError::Unreachable`]
-    /// (detected by a pre-check on the crash basis's shortest-path tree, so
-    /// no LP is solved), and a mask deactivating the source (or, for the
+    /// (detected by a pre-check on the crash basis's shortest-path trees,
+    /// so no LP is solved), and a mask deactivating a source (or, for the
     /// multicast templates, a target) is an
     /// [`FormulationError::InvalidArgument`].
     pub fn solve(
@@ -443,154 +626,175 @@ impl MaskedFlowLp {
         mask: &NodeMask,
         hint: Option<&Basis>,
     ) -> Result<MaskedFlow, FormulationError> {
+        let (_, mut flows, out) = self.solve_blocks(mask, hint)?;
+        Ok(MaskedFlow {
+            flow: flows.swap_remove(0),
+            basis: out.basis,
+            stats: out.stats,
+        })
+    }
+
+    /// Solves the template like [`MaskedFlowLp::solve`] and reports every
+    /// commodity: the super-unit period, each commodity's rate `w_c / T*`
+    /// and its unit flow, whose period is the per-message `T* / w_c`.
+    pub fn solve_multi(
+        &self,
+        mask: &NodeMask,
+        hint: Option<&Basis>,
+    ) -> Result<MultiFlow, FormulationError> {
+        let (t_star, flows, out) = self.solve_blocks(mask, hint)?;
+        let rates = self
+            .layout
+            .blocks
+            .iter()
+            .map(|block| {
+                if t_star > 0.0 {
+                    block.weight / t_star
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect();
+        Ok(MultiFlow {
+            period: self.layout.period_scale * t_star,
+            rates,
+            flows,
+            basis: out.basis,
+            stats: out.stats,
+        })
+    }
+
+    /// The pre-check, overlay, crash and solve of [`MaskedFlowLp::solve`]:
+    /// returns `T*`, every block's flow and the LP outcome.
+    fn solve_blocks(
+        &self,
+        mask: &NodeMask,
+        hint: Option<&Basis>,
+    ) -> Result<(f64, Vec<FlowSolution>, SolveOutcome), FormulationError> {
         let platform = &self.instance.platform;
-        let source = self.instance.source;
-        if !mask.contains(source) {
-            return Err(FormulationError::InvalidArgument(format!(
-                "mask deactivates the source {source}"
-            )));
-        }
-        if !matches!(self.kind, FlowKind::BroadcastEb) {
-            for &t in &self.commodity_targets {
-                if !mask.contains(t) {
+        let (m, nn) = (platform.edge_count(), platform.node_count());
+        let blocks = &self.layout.blocks;
+        let edge_active: Vec<bool> = platform
+            .edge_ids()
+            .map(|e| mask.edge_active(platform, e))
+            .collect();
+        // Pre-check, block by block: the source and (multicast) the targets
+        // stay active, and every active target is reachable over the masked
+        // platform, on the crash tree of the block's source — else the LP
+        // would be infeasible.
+        let mut trees = Vec::with_capacity(blocks.len());
+        for block in blocks {
+            if !mask.contains(block.source) {
+                return Err(FormulationError::InvalidArgument(format!(
+                    "mask deactivates the source {}",
+                    block.source
+                )));
+            }
+            if self.layout.kind != FlowKind::BroadcastEb {
+                if let Some(&t) = block.targets.iter().find(|&&t| !mask.contains(t)) {
                     return Err(FormulationError::InvalidArgument(format!(
                         "mask deactivates target {t}"
                     )));
                 }
             }
-        }
-        let edge_active: Vec<bool> = platform
-            .edge_ids()
-            .map(|e| mask.edge_active(platform, e))
-            .collect();
-        // Reachability pre-check over the masked platform, on the crash
-        // basis's tree: every active commodity must be reachable, else the
-        // LP would be infeasible.
-        let tree = crash_tree(platform, source, &edge_active);
-        for &t in &self.commodity_targets {
-            if mask.contains(t) && !tree.reachable(t) {
+            let tree = crash_tree(platform, block.source, &edge_active);
+            let unreachable = |&&t: &&NodeId| mask.contains(t) && !tree.reachable(t);
+            if let Some(&t) = block.targets.iter().find(unreachable) {
                 return Err(FormulationError::Unreachable(t));
             }
+            trees.push(tree);
         }
+
+        // The overlay and, with it, the crash (see the module docs).
         let mut overlay = BoundsOverlay::new();
-        for (i, &target) in self.commodity_targets.iter().enumerate() {
-            if !mask.contains(target) {
-                // Deactivated commodity: all flow forced to zero, the skip
-                // variables released to absorb the demand rows.
-                overlay.fix_zero.extend(self.x[i].iter().copied());
-            } else {
-                if let Some((u, w)) = self.commodity_skips[i] {
-                    overlay.fix_zero.push(u);
-                    overlay.fix_zero.push(w);
-                }
-                for (e, &active) in edge_active.iter().enumerate() {
-                    if !active {
-                        overlay.fix_zero.push(self.x[i][e]);
-                    }
-                }
-            }
-        }
-        if let Some(n) = &self.n {
-            for (e, &active) in edge_active.iter().enumerate() {
-                if !active {
-                    overlay.fix_zero.push(n[e]);
-                }
-            }
-        }
-        overlay.crash = Some(self.crash(mask, &tree));
-
-        let out = self
-            .problem
-            .resolve_in(&self.ctx, &overlay, hint, self.budget)
-            .map_err(|e| match e {
-                // The reachability pre-check passed, so a reported
-                // Infeasible is numerical (the flow LP of a reachable
-                // demand is always feasible). The rebuild path maps it to
-                // Unreachable all the same (`formulations`), and status
-                // parity with that oracle is what the differential tests
-                // pin down — so mirror it rather than diverge.
-                LpError::Infeasible => FormulationError::Unreachable(self.commodity_targets[0]),
-                other => FormulationError::Lp(other),
-            })?;
-        let sol = &out.solution;
-        let period = sol.value(self.t_star);
-        let target_flows: Vec<Vec<f64>> = self
-            .x
-            .iter()
-            .map(|row| row.iter().map(|&v| sol.value(v)).collect())
-            .collect();
-        let edge_load: Vec<f64> = (0..platform.edge_count())
-            .map(|e| match &self.n {
-                Some(n) => sol.value(n[e]),
-                None => target_flows.iter().map(|row| row[e]).sum(),
-            })
-            .collect();
-        Ok(MaskedFlow {
-            flow: FlowSolution {
-                period,
-                throughput: if period > 0.0 {
-                    1.0 / period
-                } else {
-                    f64::INFINITY
-                },
-                target_flows,
-                edge_load,
-            },
-            basis: out.basis,
-            stats: MaskedStats {
-                warm: out.stats.warm,
-                solve: out.stats,
-            },
-        })
-    }
-
-    /// The crash basis of a solve under `mask` (see the module docs). Every
-    /// active commodity routes its unit along the cheapest-path tree of the
-    /// active edges: the tree arc into each reachable node is basic in the
-    /// commodity's balance row there, so one unit flows down the path to
-    /// the target and the other arcs sit at zero. A deactivated commodity
-    /// has its skip variables basic in its two demand rows. Under max
-    /// accounting `n_e` is basic in the `x ≤ n` row of the first commodity
-    /// routed over `e`, and `T*` is basic in the busiest occupation row.
-    fn crash(&self, mask: &NodeMask, tree: &PathTree) -> Basis {
-        let platform = &self.instance.platform;
-        let source = self.instance.source;
-        let m = platform.edge_count();
         let mut basic: Vec<(usize, VarId)> = Vec::new();
         // Per edge: the message units it carries, in the template's
-        // accounting (max: 0 or 1; scatter: one per commodity).
+        // accounting (max: the weight of every block routed over it;
+        // scatter: one weight per target), as the occupation rows count it.
         let mut load = vec![0.0; m];
-        let nn = platform.node_count();
-        for (i, &target) in self.commodity_targets.iter().enumerate() {
-            let row = |v: NodeId| {
-                let row = self.flow_rows[i * nn + v.index()];
+        let mut routed = vec![false; m];
+        for (block, tree) in blocks.iter().zip(&trees) {
+            let row = |i: usize, v: NodeId| {
+                let row = block.flow_rows[i * nn + v.index()];
                 debug_assert_ne!(row, u32::MAX, "a node with an edge has a balance row");
                 row as usize
             };
-            if !mask.contains(target) {
-                let (u, w) =
-                    self.commodity_skips[i].expect("only broadcast commodities deactivate");
-                basic.extend([(row(source), u), (row(target), w)]);
-                continue;
-            }
-            for v in platform.nodes() {
-                if let Some(e) = tree.parent_edge[v.index()] {
-                    basic.push((row(v), self.x[i][e.index()]));
+            routed.fill(false);
+            for (i, &target) in block.targets.iter().enumerate() {
+                if !mask.contains(target) {
+                    // Deactivated target: all flow forced to zero, the skip
+                    // variables released and basic in its two demand rows.
+                    overlay.fix_zero.extend(block.x[i].iter().copied());
+                    let (u, w) = block.skips[i].expect("only broadcast targets deactivate");
+                    basic.extend([(row(i, block.source), u), (row(i, target), w)]);
+                    continue;
+                }
+                overlay
+                    .fix_zero
+                    .extend(block.skips[i].into_iter().flat_map(|(u, w)| [u, w]));
+                for (e, &active) in edge_active.iter().enumerate() {
+                    if !active {
+                        overlay.fix_zero.push(block.x[i][e]);
+                    }
+                }
+                for v in platform.nodes() {
+                    if let Some(e) = tree.parent_edge[v.index()] {
+                        basic.push((row(i, v), block.x[i][e.index()]));
+                    }
+                }
+                for e in tree_path(platform, tree, target) {
+                    match &block.n {
+                        Some(n) if !routed[e] => {
+                            routed[e] = true;
+                            load[e] += block.weight;
+                            basic.push((block.xn_first + i * m + e, n[e]));
+                        }
+                        Some(_) => {}
+                        None => load[e] += block.weight,
+                    }
                 }
             }
-            for e in tree_path(platform, tree, target) {
-                match &self.n {
-                    Some(n) if load[e] == 0.0 => {
-                        load[e] = 1.0;
-                        basic.push((self.xn_first + i * m + e, n[e]));
+            if let Some(n) = &block.n {
+                for (e, &active) in edge_active.iter().enumerate() {
+                    if !active {
+                        overlay.fix_zero.push(n[e]);
                     }
-                    Some(_) => {}
-                    None => load[e] += 1.0,
                 }
             }
         }
-        basic.extend(busiest_port_row(platform, &self.port_rows, &load).map(|r| (r, self.t_star)));
-        Basis::crash(&self.problem, basic)
+        overlay.crash = Some(self.crash(basic, &load));
+
+        let out = self.resolve(&overlay, hint, blocks[0].targets[0])?;
+        let sol = &out.solution;
+        let t_star = sol.value(self.t_star);
+        let flows = blocks
+            .iter()
+            .map(|block| {
+                let period = t_star / block.weight;
+                let target_flows: Vec<Vec<f64>> = block
+                    .x
+                    .iter()
+                    .map(|row| row.iter().map(|&v| sol.value(v)).collect())
+                    .collect();
+                let edge_load = (0..m)
+                    .map(|e| match &block.n {
+                        Some(n) => sol.value(n[e]),
+                        None => target_flows.iter().map(|row| row[e]).sum(),
+                    })
+                    .collect();
+                FlowSolution {
+                    period,
+                    throughput: if period > 0.0 {
+                        1.0 / period
+                    } else {
+                        f64::INFINITY
+                    },
+                    target_flows,
+                    edge_load,
+                }
+            })
+            .collect();
+        Ok((t_star, flows, out))
     }
 }
 
@@ -602,8 +806,8 @@ pub struct MaskedMultiSource {
     /// The optimal basis (a warm-start hint for any other source selection
     /// or mask of the same template).
     pub basis: Basis,
-    /// Solve accounting.
-    pub stats: MaskedStats,
+    /// The LP solve's diagnostics.
+    pub stats: SolveStats,
 }
 
 /// A reusable template of `MulticastMultiSource-UB` (Section 5.2.3) whose
@@ -621,30 +825,23 @@ pub struct MaskedMultiSource {
 /// into per-origin path flows and vice versa, with cycles (the only
 /// decomposition obstruction) never load-decreasing. The `masked_vs_rebuilt`
 /// differential test checks this equivalence on random platforms.
+pub type MaskedMultiSourceUb = MaskedTemplate<MultiSourceLayout>;
+
+/// The layout of a [`MaskedMultiSourceUb`]: one block per potential
+/// destination, the shared occupation rows under scatter accounting.
 #[derive(Debug, Clone)]
-pub struct MaskedMultiSourceUb {
-    instance: MulticastInstance,
-    problem: LpProblem,
+pub struct MultiSourceLayout {
     /// `x[d][e]`: flow of destination `d`'s message on edge `e` (destination
     /// index over `dest_nodes`).
     x: Vec<Vec<VarId>>,
     /// `z[d][v]`: injection of destination `d`'s message at node `v`
     /// (`None` at `v == d`).
     z: Vec<Vec<Option<VarId>>>,
-    t_star: VarId,
     /// Every non-source node, in id order: the potential destinations.
     dest_nodes: Vec<NodeId>,
     /// Per destination: the skip variables of the injection-total and
     /// demand rows (fixed to zero while the destination is active).
     dest_skips: Vec<(VarId, VarId)>,
-    /// Per node: the `(in-port, out-port)` occupation row indices.
-    port_rows: Vec<(Option<usize>, Option<usize>)>,
-    /// Per edge: its own occupation row index.
-    edge_rows: Vec<usize>,
-    /// Deterministic per-solve work caps; `None` is unlimited.
-    budget: Option<SolveBudget>,
-    /// The context every solve of the template runs under.
-    ctx: SolveContext,
 }
 
 impl MaskedMultiSourceUb {
@@ -687,7 +884,7 @@ impl MaskedMultiSourceUb {
                     .iter()
                     .flatten()
                     .map(|&v| (v, 1.0))
-                    .chain(std::iter::once((dest_skips[di].0, 1.0))),
+                    .chain(once((dest_skips[di].0, 1.0))),
                 Relation::Eq,
                 1.0,
             );
@@ -698,140 +895,43 @@ impl MaskedMultiSourceUb {
                     .in_edges(d)
                     .iter()
                     .map(|&e| (x[di][e.index()], 1.0))
-                    .chain(std::iter::once((dest_skips[di].1, 1.0))),
+                    .chain(once((dest_skips[di].1, 1.0))),
                 Relation::Eq,
                 1.0,
             );
             debug_assert_eq!(row.0, ms_balance_row(nn, di, d, d));
             // (3) conservation with injection at every node v ≠ d:
             // out(v) − in(v) − z[d][v] = 0.
-            for v in platform.nodes() {
-                if v == d {
-                    continue;
-                }
-                let terms: Vec<(VarId, f64)> = platform
+            for v in platform.nodes().filter(|&v| v != d) {
+                let out = platform
                     .out_edges(v)
                     .iter()
-                    .map(|&e| (x[di][e.index()], 1.0))
-                    .chain(
-                        platform
-                            .in_edges(v)
-                            .iter()
-                            .map(|&e| (x[di][e.index()], -1.0)),
-                    )
-                    .chain(std::iter::once((
-                        z[di][v.index()].expect("z exists for v != d"),
-                        -1.0,
-                    )))
-                    .collect();
+                    .map(|&e| (x[di][e.index()], 1.0));
+                let back = platform
+                    .in_edges(v)
+                    .iter()
+                    .map(|&e| (x[di][e.index()], -1.0));
+                let z_v = z[di][v.index()].expect("z exists for v != d");
+                let terms: Vec<(VarId, f64)> = out.chain(back).chain(once((z_v, -1.0))).collect();
                 let row = lp.add_constraint(terms, Relation::Eq, 0.0);
                 debug_assert_eq!(row.0, ms_balance_row(nn, di, d, v));
             }
         }
-        // (10) scatter accounting + port/edge occupations against T*, with
-        // the row indices recorded for in-place edge-cost edits.
-        let load_terms = |e: usize| -> Vec<(VarId, f64)> {
-            let cost = platform.cost(EdgeId(e as u32));
-            x.iter().map(|row| (row[e], cost)).collect()
-        };
-        let mut port_rows: Vec<(Option<usize>, Option<usize>)> = vec![(None, None); nn];
-        for node in platform.nodes() {
-            for (incoming, edges) in [
-                (true, platform.in_edges(node)),
-                (false, platform.out_edges(node)),
-            ] {
-                if edges.is_empty() {
-                    continue;
-                }
-                let mut terms: Vec<(VarId, f64)> = Vec::new();
-                for &e in edges {
-                    terms.extend(load_terms(e.index()));
-                }
-                terms.push((t_star, -1.0));
-                let row = lp.add_constraint(terms, Relation::Le, 0.0);
-                let slot = &mut port_rows[node.index()];
-                if incoming {
-                    slot.0 = Some(row.0);
-                } else {
-                    slot.1 = Some(row.0);
-                }
-            }
-        }
-        let mut edge_rows = Vec::with_capacity(m);
+        // (10) scatter accounting: every destination's flow is a load;
+        // injections and skips are no traffic.
+        let (mut load_terms, mut no_traffic) = (EdgeTerms::default(), EdgeTerms::default());
         for e in 0..m {
-            let mut terms = load_terms(e);
-            terms.push((t_star, -1.0));
-            edge_rows.push(lp.add_constraint(terms, Relation::Le, 0.0).0);
+            load_terms.extend(x.iter().map(|row| (row[e], 1.0)));
+            load_terms.close_edge();
+            no_traffic.close_edge();
         }
-        // Canonical-vertex tie-break, as in `MaskedFlowLp::build`: minimize
-        // cost-weighted traffic over the optimal face. Injection (`z`) and
-        // skip variables stay unpenalized — only edge traffic is "cost".
-        for e in 0..m {
-            let cost = platform.cost(EdgeId(e as u32));
-            for x_row in &x {
-                lp.set_secondary_coeff(x_row[e], cost);
-            }
-        }
-
-        let problem = lp.build().expect("masked multi-source template is valid");
-        MaskedMultiSourceUb {
-            instance: instance.clone(),
-            problem,
+        let layout = MultiSourceLayout {
             x,
             z,
-            t_star,
             dest_nodes,
             dest_skips,
-            port_rows,
-            edge_rows,
-            budget: None,
-            ctx: SolveContext::default(),
-        }
-    }
-
-    /// Sets the deterministic per-solve work caps; see
-    /// [`MaskedFlowLp::set_budget`].
-    pub fn set_budget(&mut self, budget: Option<SolveBudget>) {
-        self.budget = budget;
-    }
-
-    /// Sets the solve context; see [`MaskedFlowLp::set_context`].
-    pub fn set_context(&mut self, ctx: SolveContext) {
-        self.ctx = ctx;
-    }
-
-    /// The instance the template was built from (kept cost-synchronised by
-    /// [`MaskedMultiSourceUb::set_edge_cost`]).
-    pub fn instance(&self) -> &MulticastInstance {
-        &self.instance
-    }
-
-    /// In-place edge-cost update; see [`MaskedFlowLp::set_edge_cost`] — the
-    /// scatter accounting rewrites one coefficient per destination in each
-    /// of the three occupation rows the edge participates in.
-    ///
-    /// # Panics
-    /// Panics if `cost` is not finite and strictly positive.
-    pub fn set_edge_cost(&mut self, e: EdgeId, cost: f64) {
-        self.instance
-            .platform
-            .set_cost(e, cost)
-            .expect("edge-cost drift must keep costs finite and positive");
-        let edge = *self.instance.platform.edge(e);
-        let rows = [
-            self.port_rows[edge.dst.index()].0,
-            self.port_rows[edge.src.index()].1,
-            Some(self.edge_rows[e.index()]),
-        ];
-        for row in rows.into_iter().flatten() {
-            for x_row in &self.x {
-                self.problem.set_coeff(row, x_row[e.index()], cost);
-            }
-        }
-        // Keep the lexicographic tie-break priced at the drifted cost.
-        for x_row in &self.x {
-            self.problem.set_secondary_coeff(x_row[e.index()], cost);
-        }
+        };
+        MaskedTemplate::finish(instance.clone(), lp, t_star, load_terms, no_traffic, layout)
     }
 
     /// Solves the formulation for the ordered source list `sources`
@@ -864,6 +964,7 @@ impl MaskedMultiSourceUb {
         want_flows: bool,
     ) -> Result<MaskedMultiSource, FormulationError> {
         let platform = &self.instance.platform;
+        let layout = &self.layout;
         let nn = platform.node_count();
         if sources.first() != Some(&self.instance.source) {
             return Err(FormulationError::InvalidArgument(
@@ -922,10 +1023,9 @@ impl MaskedMultiSourceUb {
             }
             reach_at_rank.push(seen.clone());
         }
-        let full_reach = &reach_at_rank[sources.len() - 1];
         // Per destination: whether it receives a message under this
         // selection (an active secondary source or plain target).
-        let active: Vec<bool> = self
+        let active: Vec<bool> = layout
             .dest_nodes
             .iter()
             .map(|&d| {
@@ -933,15 +1033,11 @@ impl MaskedMultiSourceUb {
                     && (source_rank[d.index()] != usize::MAX || self.instance.is_target(d))
             })
             .collect();
-        for (&d, _) in self.dest_nodes.iter().zip(&active).filter(|(_, &a)| a) {
+        for (&d, _) in layout.dest_nodes.iter().zip(&active).filter(|(_, &a)| a) {
             let rank = source_rank[d.index()];
-            let reachable = if rank != usize::MAX {
-                // Secondary source: served by strictly earlier sources.
-                reach_at_rank[rank - 1][d.index()]
-            } else {
-                full_reach[d.index()]
-            };
-            if !reachable {
+            // A secondary source is served by strictly earlier sources, a
+            // plain target (rank `usize::MAX`) by all of them.
+            if !reach_at_rank[rank.min(sources.len()) - 1][d.index()] {
                 return Err(FormulationError::Unreachable(d));
             }
         }
@@ -956,27 +1052,23 @@ impl MaskedMultiSourceUb {
             .map(|e| mask.edge_active(platform, e))
             .collect();
         let mut overlay = BoundsOverlay::new();
-        for (di, &d) in self.dest_nodes.iter().enumerate() {
+        for (di, &d) in layout.dest_nodes.iter().enumerate() {
             let rank = source_rank[d.index()];
             if !active[di] {
                 // Not a destination: flow and injections forced to zero,
                 // the skip variables absorb the two demand rows.
-                overlay.fix_zero.extend(self.x[di].iter().copied());
+                overlay.fix_zero.extend(layout.x[di].iter().copied());
                 overlay
                     .fix_zero
-                    .extend(self.z[di].iter().flatten().copied());
+                    .extend(layout.z[di].iter().flatten().copied());
                 continue;
             }
-            overlay.fix_zero.push(self.dest_skips[di].0);
-            overlay.fix_zero.push(self.dest_skips[di].1);
+            overlay.fix_zero.push(layout.dest_skips[di].0);
+            overlay.fix_zero.push(layout.dest_skips[di].1);
             // Allowed origins: sources ranked strictly below d (secondary
             // source) or every source (plain target).
-            let origin_limit = if rank != usize::MAX {
-                rank
-            } else {
-                sources.len()
-            };
-            for (&zv, &rank_v) in self.z[di].iter().zip(&source_rank) {
+            let origin_limit = rank.min(sources.len());
+            for (&zv, &rank_v) in layout.z[di].iter().zip(&source_rank) {
                 let Some(zv) = zv else { continue };
                 if rank_v >= origin_limit {
                     overlay.fix_zero.push(zv);
@@ -984,31 +1076,22 @@ impl MaskedMultiSourceUb {
             }
             for (e, &ea) in edge_active.iter().enumerate() {
                 if !ea {
-                    overlay.fix_zero.push(self.x[di][e]);
+                    overlay.fix_zero.push(layout.x[di][e]);
                 }
             }
         }
-        overlay.crash = Some(self.crash(&active, &edge_active));
+        overlay.crash = Some(self.ms_crash(&active, &edge_active));
 
-        let out = self
-            .problem
-            .resolve_in(&self.ctx, &overlay, hint, self.budget)
-            .map_err(|e| match e {
-                // Post-pre-check Infeasible is numerical; mapped to
-                // Unreachable for status parity with the rebuild oracle
-                // (see the single-source counterpart above).
-                LpError::Infeasible => FormulationError::Unreachable(self.dest_nodes[0]),
-                other => FormulationError::Lp(other),
-            })?;
+        let out = self.resolve(&overlay, hint, layout.dest_nodes[0])?;
         let sol = &out.solution;
         let period = sol.value(self.t_star);
         let m = platform.edge_count();
         let mut edge_load = vec![0.0; m];
         let mut dest_nodes: Vec<NodeId> = Vec::new();
         let mut dest_flows: Vec<Vec<f64>> = Vec::new();
-        for (di, &d) in self.dest_nodes.iter().enumerate() {
+        for (di, &d) in layout.dest_nodes.iter().enumerate() {
             if active[di] && want_flows {
-                let row: Vec<f64> = (0..m).map(|e| sol.value(self.x[di][e])).collect();
+                let row: Vec<f64> = (0..m).map(|e| sol.value(layout.x[di][e])).collect();
                 for (e, load) in edge_load.iter_mut().enumerate() {
                     *load += row[e];
                 }
@@ -1018,7 +1101,7 @@ impl MaskedMultiSourceUb {
                 // Inactive destination (flows fixed to zero) or a solve
                 // that skips extraction: accumulate without allocating.
                 for (e, load) in edge_load.iter_mut().enumerate() {
-                    *load += sol.value(self.x[di][e]);
+                    *load += sol.value(layout.x[di][e]);
                 }
             }
         }
@@ -1026,7 +1109,7 @@ impl MaskedMultiSourceUb {
         for node in platform.nodes() {
             let mut s = 0.0;
             for &e in platform.in_edges(node) {
-                for x_row in &self.x {
+                for x_row in &layout.x {
                     s += sol.value(x_row[e.index()]);
                 }
             }
@@ -1046,50 +1129,46 @@ impl MaskedMultiSourceUb {
                 dest_flows,
             },
             basis: out.basis,
-            stats: MaskedStats {
-                warm: out.stats.warm,
-                solve: out.stats,
-            },
+            stats: out.stats,
         })
     }
 
-    /// The crash basis of a solve (see [`MaskedFlowLp`]'s and the module
-    /// docs): every `active` destination takes its unit from the instance's
-    /// source — its injection there basic in the injection row — along the
-    /// cheapest-path tree of the active edges, whose arc into each
-    /// reachable node is basic in the destination's balance row there. An
-    /// inactive destination has its skip variables basic in its two demand
-    /// rows, and `T*` is basic in the busiest occupation row. The source
-    /// reaches every active destination: the reachability pre-check serves
-    /// each from earlier sources, which the source reaches in turn.
-    fn crash(&self, active: &[bool], edge_active: &[bool]) -> Basis {
+    /// The crash basis of a solve (see the module docs): every `active`
+    /// destination takes its unit from the instance's source — its injection
+    /// there basic in the injection row — along the cheapest-path tree of
+    /// the active edges, whose arc into each reachable node is basic in the
+    /// destination's balance row there. An inactive destination has its
+    /// skip variables basic in its two demand rows. The source reaches
+    /// every active destination: the reachability pre-check serves each
+    /// from earlier sources, which the source reaches in turn.
+    fn ms_crash(&self, active: &[bool], edge_active: &[bool]) -> Basis {
         let platform = &self.instance.platform;
+        let layout = &self.layout;
         let source = self.instance.source;
         let tree = crash_tree(platform, source, edge_active);
         let mut basic: Vec<(usize, VarId)> = Vec::new();
         // Per edge: the messages it carries (scatter accounting).
         let mut load = vec![0.0; platform.edge_count()];
         let nn = platform.node_count();
-        for (di, &d) in self.dest_nodes.iter().enumerate() {
+        for (di, &d) in layout.dest_nodes.iter().enumerate() {
             let injection = ms_injection_row(nn, di);
             if !active[di] {
-                let (u, w) = self.dest_skips[di];
+                let (u, w) = layout.dest_skips[di];
                 basic.extend([(injection, u), (ms_balance_row(nn, di, d, d), w)]);
                 continue;
             }
-            let z = self.z[di][source.index()].expect("z exists for v != d");
+            let z = layout.z[di][source.index()].expect("z exists for v != d");
             basic.push((injection, z));
             for v in platform.nodes() {
                 if let Some(e) = tree.parent_edge[v.index()] {
-                    basic.push((ms_balance_row(nn, di, d, v), self.x[di][e.index()]));
+                    basic.push((ms_balance_row(nn, di, d, v), layout.x[di][e.index()]));
                 }
             }
             for e in tree_path(platform, &tree, d) {
                 load[e] += 1.0;
             }
         }
-        basic.extend(busiest_port_row(platform, &self.port_rows, &load).map(|r| (r, self.t_star)));
-        Basis::crash(&self.problem, basic)
+        self.crash(basic, &load)
     }
 }
 
@@ -1118,7 +1197,7 @@ fn ms_balance_row(nn: usize, di: usize, d: NodeId, v: NodeId) -> usize {
     }
 }
 
-/// The cheapest-path arborescence of the active sub-platform, rooted at the
+/// The cheapest-path arborescence of the active sub-platform, rooted at a
 /// source and weighted by edge cost (the secondary objective's weights):
 /// the routing of every crash basis. Inactive edges cost `+∞`, so the tree
 /// never uses them.
@@ -1144,39 +1223,11 @@ fn tree_path<'a>(
     .map(EdgeId::index)
 }
 
-/// The occupation row with the largest occupation `Σ cost(e)·load[e]`
-/// (`None` on a platform without edges). With `T*` basic there, every other
-/// occupation row keeps a non-negative slack. A port row's occupation is at
-/// least that of each of its edges' own rows, so the port rows suffice.
-fn busiest_port_row(
-    platform: &Platform,
-    port_rows: &[(Option<usize>, Option<usize>)],
-    load: &[f64],
-) -> Option<usize> {
-    let mut busiest: Option<(f64, usize)> = None;
-    for node in platform.nodes() {
-        let (in_row, out_row) = port_rows[node.index()];
-        for (row, edges) in [
-            (in_row, platform.in_edges(node)),
-            (out_row, platform.out_edges(node)),
-        ] {
-            let Some(row) = row else { continue };
-            let occupation: f64 = edges
-                .iter()
-                .map(|&e| platform.cost(e) * load[e.index()])
-                .sum();
-            if busiest.is_none_or(|(max, _)| occupation > max) {
-                busiest = Some((occupation, row));
-            }
-        }
-    }
-    busiest.map(|(_, row)| row)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::formulations::{BroadcastEb, MulticastLb, MulticastMultiSourceUb, MulticastUb};
+    use crate::multi::CommoditySet;
     use pm_platform::instances::{figure1_instance, figure5_instance, relay_cross_instance};
 
     fn approx(a: f64, b: f64) {
@@ -1381,5 +1432,179 @@ mod tests {
             .cloned()
             .fold(0.0, f64::max);
         assert!(sol.solution.incoming_score[relay.index()] >= max - 1e-9);
+    }
+
+    /// FNV-1a over everything a solve reads: the column count, each row's
+    /// relation, rhs bits and terms in order with their coefficient bits,
+    /// and every column's objective and secondary coefficient bits.
+    /// Variable names are left out (only error messages read them).
+    fn lp_hash(problem: &LpProblem) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        eat(problem.num_vars() as u64);
+        for row in problem.constraints() {
+            eat(match row.relation {
+                Relation::Le => 0,
+                Relation::Ge => 1,
+                Relation::Eq => 2,
+            });
+            eat(row.rhs.to_bits());
+            eat(row.terms.len() as u64);
+            for &(v, a) in &row.terms {
+                eat(v.index() as u64);
+                eat(a.to_bits());
+            }
+        }
+        for j in 0..problem.num_vars() {
+            eat(problem.objective_coeff(VarId(j)).to_bits());
+            eat(problem.secondary_coeff(VarId(j)).to_bits());
+        }
+        h
+    }
+
+    /// The diamond of the multi-commodity tests: S <-> A <-> T, S <-> B <-> T.
+    fn diamond() -> Platform {
+        let mut b = pm_platform::graph::PlatformBuilder::new();
+        let n = b.add_nodes(4);
+        for (u, v, c) in [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 0.5), (2, 3, 0.5)] {
+            b.add_edge(n[u], n[v], c).unwrap();
+            b.add_edge(n[v], n[u], c).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// `k` commodities with demands 1, 2, 0.5, 4: on the diamond, with
+    /// fixed endpoints; on a seeded small-class platform, sampled like a
+    /// `fig11 --multi` cell.
+    fn joint_set(k: usize, small: bool) -> CommoditySet {
+        use crate::multi::Commodity;
+        use pm_platform::topology::{PlatformClass, TiersLikeGenerator};
+        use rand::SeedableRng;
+        let demand = |c: usize| [1.0, 2.0, 0.5, 4.0][c % 4];
+        if !small {
+            let ends = [
+                (0, vec![3]),
+                (3, vec![1, 2]),
+                (1, vec![2, 3]),
+                (2, vec![0, 1]),
+            ];
+            let commodities = ends[..k]
+                .iter()
+                .enumerate()
+                .map(|(c, (s, t))| Commodity {
+                    source: NodeId(*s),
+                    targets: t.iter().map(|&v| NodeId(v)).collect(),
+                    demand: demand(c),
+                })
+                .collect();
+            return CommoditySet::new(diamond(), commodities).unwrap();
+        }
+        let topology = TiersLikeGenerator::reduced_scale(PlatformClass::Small, 7).generate();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let commodities = (0..k)
+            .map(|c| {
+                let inst = topology.sample_instance(0.5, &mut rng);
+                Commodity {
+                    source: inst.source,
+                    targets: inst.targets,
+                    demand: demand(c),
+                }
+            })
+            .collect();
+        CommoditySet::new(topology.platform.clone(), commodities).unwrap()
+    }
+
+    /// The edge whose cost the pin drifts: the platform's middle edge, at
+    /// 1.75 times its cost.
+    fn pin_edit(platform: &Platform) -> (EdgeId, f64) {
+        let e = EdgeId((platform.edge_count() / 2) as u32);
+        (e, platform.cost(e) * 1.75)
+    }
+
+    /// Every template's LP, before and after one edge-cost edit, is the
+    /// one the separate single, multi-source and joint templates built:
+    /// the hashes were taken from them. A layout change moves a hash.
+    #[test]
+    fn template_lps_are_pinned() {
+        let pinned: [(&str, u64); 24] = [
+            ("figure 1 Broadcast-EB", 0xc9db72552c9c0c44),
+            ("figure 1 Broadcast-EB drifted", 0x03f875fb4e75c270),
+            ("figure 1 Multicast-LB", 0xa222155e2cdb65cd),
+            ("figure 1 Multicast-LB drifted", 0x29a693a0a30fbe71),
+            ("figure 1 Multicast-UB", 0x04d4831ec5701750),
+            ("figure 1 Multicast-UB drifted", 0x27e5969d892a3cc0),
+            ("figure 1 MulticastMultiSource-UB", 0xaac5165fb036a9cf),
+            (
+                "figure 1 MulticastMultiSource-UB drifted",
+                0x8685aa43329b54cf,
+            ),
+            ("figure 5 Broadcast-EB", 0x4878997c94c33337),
+            ("figure 5 Broadcast-EB drifted", 0xca0caabf7a4cf967),
+            ("figure 5 Multicast-LB", 0xe36943b2b674d58a),
+            ("figure 5 Multicast-LB drifted", 0x5fdc02a60a89b07b),
+            ("figure 5 Multicast-UB", 0x66288096381fa689),
+            ("figure 5 Multicast-UB drifted", 0xb4ea37f9e3a77339),
+            ("figure 5 MulticastMultiSource-UB", 0xc89332d21f1bbed3),
+            (
+                "figure 5 MulticastMultiSource-UB drifted",
+                0x156bbf5c306771cb,
+            ),
+            ("diamond joint k=2", 0x9218d6774f33ef77),
+            ("diamond joint k=2 drifted", 0xa4158878813b8fc3),
+            ("diamond joint k=4", 0x28b1eba068b2166f),
+            ("diamond joint k=4 drifted", 0x3a049402fbdf8ddb),
+            ("small joint k=2", 0x758ed5399f7d2eab),
+            ("small joint k=2 drifted", 0xe1f142c3177d49c2),
+            ("small joint k=4", 0xa4f04a692f50bcac),
+            ("small joint k=4 drifted", 0x635eed74aa760099),
+        ];
+        let mut got: Vec<(String, u64)> = Vec::new();
+        for (name, inst) in [
+            ("figure 1", figure1_instance()),
+            ("figure 5", figure5_instance(3)),
+        ] {
+            let (e, cost) = pin_edit(&inst.platform);
+            let flows = [
+                ("Broadcast-EB", MaskedFlowLp::broadcast_eb(&inst)),
+                ("Multicast-LB", MaskedFlowLp::multicast_lb(&inst)),
+                ("Multicast-UB", MaskedFlowLp::multicast_ub(&inst)),
+            ];
+            for (kind, mut template) in flows {
+                got.push((format!("{name} {kind}"), lp_hash(&template.problem)));
+                template.set_edge_cost(e, cost);
+                got.push((format!("{name} {kind} drifted"), lp_hash(&template.problem)));
+            }
+            let mut template = MaskedMultiSourceUb::new(&inst);
+            let kind = "MulticastMultiSource-UB";
+            got.push((format!("{name} {kind}"), lp_hash(&template.problem)));
+            template.set_edge_cost(e, cost);
+            got.push((format!("{name} {kind} drifted"), lp_hash(&template.problem)));
+        }
+        for small in [false, true] {
+            for k in [2, 4] {
+                let set = joint_set(k, small);
+                let name = if small { "small" } else { "diamond" };
+                let (e, cost) = pin_edit(set.platform());
+                let mut template = MaskedFlowLp::joint(&set);
+                got.push((format!("{name} joint k={k}"), lp_hash(&template.problem)));
+                template.set_edge_cost(e, cost);
+                got.push((
+                    format!("{name} joint k={k} drifted"),
+                    lp_hash(&template.problem),
+                ));
+            }
+        }
+        assert_eq!(got.len(), pinned.len());
+        for ((label, hash), (want_label, want)) in got.iter().zip(pinned) {
+            assert_eq!(label, want_label);
+            assert_eq!(
+                *hash, want,
+                "{label}: LP hash 0x{hash:016x}, pinned 0x{want:016x}"
+            );
+        }
     }
 }

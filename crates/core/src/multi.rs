@@ -11,16 +11,18 @@
 //!   messages from its source to its targets per *super-unit*. Rates are
 //!   relative — the joint LP maximizes the common scale at which all
 //!   demands are met simultaneously.
-//! * [`MultiFlowLp`] is the joint LP in the [`crate::masked`] template
-//!   style: per-commodity unit flow conservation (identical to the
-//!   single-commodity `Multicast-LB` rows) plus **shared one-port
-//!   occupation rows** — every node's send and receive capacity is split
-//!   across all commodities: `Σ_c d_c · Σ_{e ∈ port} c(e) · n_{c,e} ≤ T*`.
-//!   `T*` is the super-unit period: the time to deliver `d_c` messages of
-//!   *every* commodity `c`, so commodity `c`'s rate is `d_c / T*`. The
-//!   template re-solves under any [`NodeMask`] through a
-//!   [`pm_lp::BoundsOverlay`], warm-starting from any previous basis —
-//!   sessions and drift work unchanged.
+//! * [`MaskedFlowLp::joint`] is the joint LP: the k-commodity case of the
+//!   [`crate::masked`] flow template. Each commodity is a block of unit
+//!   flows with the single-commodity `Multicast-LB` rows (flows
+//!   `x_{c,i,e}`, max-accounting loads `n_{c,e}`), and the blocks share the
+//!   **one-port occupation rows** — every node's send and receive capacity
+//!   is split across all commodities: `Σ_c d_c · Σ_{e ∈ port} c(e) · n_{c,e}
+//!   ≤ T*`. `T*` is the super-unit period: the time to deliver `d_c`
+//!   messages of *every* commodity `c`, so commodity `c`'s rate is
+//!   `d_c / T*`. Like every masked template it re-solves under any
+//!   [`pm_platform::mask::NodeMask`] through a [`pm_lp::BoundsOverlay`],
+//!   warm-starting from any previous basis or, without one, from its
+//!   per-commodity crash trees — sessions and drift work unchanged.
 //! * [`realize_multi`] is the constructive half: per-commodity flow
 //!   decomposition ([`WeightedTreeSet::from_flows`] per commodity), one
 //!   **shared packing LP** with a scale variable (`Σ_k y_{c,k} = d_c · s`
@@ -32,23 +34,23 @@
 //!   commodity's own rate is then verified in `pm-sim` by replaying its
 //!   tag-restricted sub-schedule against its own target set.
 //!
-//! `k = 1` delegates to the existing single-commodity pipeline
-//! ([`MaskedFlowLp::multicast_lb`] + [`crate::realize::realize_with_pool`])
-//! via [`MultiTemplate::Single`], so a one-commodity set reproduces the
-//! single-commodity results bit for bit — the reduction is by construction,
-//! not by coincidence.
+//! `k = 1` keeps weight 1 in the flow template, so its LP is the
+//! single-commodity [`MaskedFlowLp::multicast_lb`] template's, and the
+//! realization delegates to [`crate::realize::realize_with_pool`]: a
+//! one-commodity set reproduces the single-commodity results bit for bit —
+//! the reduction is by construction, not by coincidence.
+//!
+//! [`MaskedFlowLp::joint`]: crate::masked::MaskedFlowLp::joint
+//! [`MaskedFlowLp::multicast_lb`]: crate::masked::MaskedFlowLp::multicast_lb
 
 use crate::formulations::{FlowSolution, FormulationError};
-use crate::masked::{MaskedFlowLp, MaskedStats};
 use crate::realize::SteadyStateSolution;
 use crate::realize::{candidate_pool, realize_with_pool, tree_edge_key, RealizeError};
 use pm_lp::{
-    Basis, BoundsOverlay, LpError, LpProblem, Objective, Relation, SolveBudget, SolveContext,
-    SparseBuilder, VarId, WarmStartCache,
+    Basis, LpError, LpProblem, Objective, Relation, SolveContext, SolveStats, VarId, WarmStartCache,
 };
-use pm_platform::graph::{EdgeId, NodeId, Platform};
+use pm_platform::graph::{NodeId, Platform};
 use pm_platform::instances::MulticastInstance;
-use pm_platform::mask::NodeMask;
 use pm_sched::schedule::PeriodicSchedule;
 use pm_sched::tree::{MulticastTree, WeightedTreeSet};
 use pm_sim::{CommodityLane, SimReport, SimulationConfig, Simulator};
@@ -74,8 +76,8 @@ pub struct Commodity {
 
 impl Commodity {
     /// Bit-exact equality (demands compared by bits, not tolerance) — the
-    /// criterion under which a session may keep reusing a built
-    /// [`MultiTemplate`].
+    /// criterion under which a session may keep reusing a built joint
+    /// template.
     pub fn bits_eq(&self, other: &Commodity) -> bool {
         self.source == other.source
             && self.targets == other.targets
@@ -175,8 +177,8 @@ impl CommoditySet {
     }
 
     /// The single-commodity [`MulticastInstance`] of commodity `c` (a
-    /// platform clone; used to drive the per-commodity decomposition and
-    /// the `k = 1` delegation).
+    /// platform clone; used to drive the per-commodity decomposition, the
+    /// `k = 1` delegation and, for `c = 0`, the joint template's instance).
     pub fn instance(&self, c: usize) -> MulticastInstance {
         MulticastInstance::new(
             self.platform.clone(),
@@ -206,423 +208,8 @@ pub struct MultiFlow {
     /// The optimal basis (warm-start hint for the next solve of the same
     /// template, under any mask or drifted costs).
     pub basis: Basis,
-    /// Solve accounting.
-    pub stats: MaskedStats,
-}
-
-/// The joint multi-commodity LP as a reusable masked template (the
-/// [`crate::masked`] pattern): built once on the full platform, re-solved
-/// under any [`NodeMask`] via bound overlays, edge-cost drift applied in
-/// place through [`MultiFlowLp::set_edge_cost`].
-#[derive(Debug, Clone)]
-pub struct MultiFlowLp {
-    set: CommoditySet,
-    problem: LpProblem,
-    /// `x[c][i][e]`: fraction of commodity `c`'s message bound to its
-    /// target `i` crossing edge `e`.
-    x: Vec<Vec<Vec<VarId>>>,
-    /// `n[c][e]`: commodity `c`'s max-accounting load on edge `e`.
-    n: Vec<Vec<VarId>>,
-    t_star: VarId,
-    /// Per node: the `(in-port, out-port)` shared occupation row indices.
-    port_rows: Vec<(Option<usize>, Option<usize>)>,
-    /// Per edge: its own shared occupation row index.
-    edge_rows: Vec<usize>,
-    /// Deterministic per-solve work caps; `None` is unlimited.
-    budget: Option<SolveBudget>,
-    /// The context every solve of the template runs under.
-    ctx: SolveContext,
-}
-
-impl MultiFlowLp {
-    /// Builds the joint template: per-commodity `Multicast-LB` conservation
-    /// rows (unit demand per target, max accounting per commodity) and
-    /// shared one-port occupation rows splitting every node's capacity
-    /// across all commodities at their demand weights. The template keeps
-    /// `set` (see [`MultiFlowLp::set`]).
-    pub fn new(set: CommoditySet) -> Self {
-        let platform = &set.platform;
-        let m = platform.edge_count();
-        let k = set.len();
-
-        let mut lp = SparseBuilder::new(Objective::Minimize);
-        let mut x: Vec<Vec<Vec<VarId>>> = Vec::with_capacity(k);
-        for (c, commodity) in set.commodities.iter().enumerate() {
-            x.push(
-                (0..commodity.targets.len())
-                    .map(|i| {
-                        (0..m)
-                            .map(|e| lp.add_var(&format!("x_{c}_{i}_{e}")))
-                            .collect()
-                    })
-                    .collect(),
-            );
-        }
-        let n: Vec<Vec<VarId>> = (0..k)
-            .map(|c| (0..m).map(|e| lp.add_var(&format!("n_{c}_{e}"))).collect())
-            .collect();
-        let t_star = lp.add_var("T*");
-        lp.set_objective_coeff(t_star, 1.0);
-
-        for (c, commodity) in set.commodities.iter().enumerate() {
-            let source = commodity.source;
-            // (1) one whole message of commodity `c` leaves its source, per
-            // target — and (per commodity) never flows back into it. Other
-            // commodities may still route *through* this commodity's source.
-            for x_row in &x[c] {
-                lp.add_constraint(
-                    platform
-                        .out_edges(source)
-                        .iter()
-                        .map(|&e| (x_row[e.index()], 1.0)),
-                    Relation::Eq,
-                    1.0,
-                );
-            }
-            for x_row in &x[c] {
-                for &e in platform.in_edges(source) {
-                    lp.add_constraint([(x_row[e.index()], 1.0)], Relation::Eq, 0.0);
-                }
-            }
-            // (2) the whole message reaches each of the commodity's targets.
-            for (i, &target) in commodity.targets.iter().enumerate() {
-                lp.add_constraint(
-                    platform
-                        .in_edges(target)
-                        .iter()
-                        .map(|&e| (x[c][i][e.index()], 1.0)),
-                    Relation::Eq,
-                    1.0,
-                );
-            }
-            // (3) conservation at every other node.
-            for (i, &target) in commodity.targets.iter().enumerate() {
-                for node in platform.nodes() {
-                    if node == source || node == target {
-                        continue;
-                    }
-                    let terms: Vec<(VarId, f64)> = platform
-                        .out_edges(node)
-                        .iter()
-                        .map(|&e| (x[c][i][e.index()], 1.0))
-                        .chain(
-                            platform
-                                .in_edges(node)
-                                .iter()
-                                .map(|&e| (x[c][i][e.index()], -1.0)),
-                        )
-                        .collect();
-                    if !terms.is_empty() {
-                        lp.add_constraint(terms, Relation::Eq, 0.0);
-                    }
-                }
-            }
-            // (10') n_{c,e} >= x_{c,i,e}: max accounting per commodity.
-            for x_row in &x[c] {
-                for e in 0..m {
-                    lp.add_constraint([(x_row[e], 1.0), (n[c][e], -1.0)], Relation::Le, 0.0);
-                }
-            }
-        }
-
-        // Shared occupation rows: a port (or edge) serves *all* commodities,
-        // each at its demand weight, within one super-unit period.
-        let load_terms = |e: usize| -> Vec<(VarId, f64)> {
-            let cost = platform.cost(EdgeId(e as u32));
-            set.commodities
-                .iter()
-                .enumerate()
-                .map(|(c, commodity)| (n[c][e], commodity.demand * cost))
-                .collect()
-        };
-        let mut port_rows: Vec<(Option<usize>, Option<usize>)> =
-            vec![(None, None); platform.node_count()];
-        for node in platform.nodes() {
-            for (incoming, edges) in [
-                (true, platform.in_edges(node)),
-                (false, platform.out_edges(node)),
-            ] {
-                if edges.is_empty() {
-                    continue;
-                }
-                let mut terms: Vec<(VarId, f64)> = Vec::new();
-                for &e in edges {
-                    terms.extend(load_terms(e.index()));
-                }
-                terms.push((t_star, -1.0));
-                let row = lp.add_constraint(terms, Relation::Le, 0.0);
-                let slot = &mut port_rows[node.index()];
-                if incoming {
-                    slot.0 = Some(row.0);
-                } else {
-                    slot.1 = Some(row.0);
-                }
-            }
-        }
-        let mut edge_rows = Vec::with_capacity(m);
-        for e in 0..m {
-            let mut terms = load_terms(e);
-            terms.push((t_star, -1.0));
-            edge_rows.push(lp.add_constraint(terms, Relation::Le, 0.0).0);
-        }
-        // Lexicographic tie-break: among tied-optimal vertices, the one
-        // moving the least demand-weighted cost-weighted traffic (the
-        // multi-commodity analogue of the single template's tie-break).
-        for e in 0..m {
-            let cost = platform.cost(EdgeId(e as u32));
-            for (c, commodity) in set.commodities.iter().enumerate() {
-                for x_row in &x[c] {
-                    lp.set_secondary_coeff(x_row[e], commodity.demand * cost);
-                }
-                lp.set_secondary_coeff(n[c][e], commodity.demand * cost);
-            }
-        }
-
-        let problem = lp.build().expect("multi-commodity template is a valid LP");
-        MultiFlowLp {
-            set,
-            problem,
-            x,
-            n,
-            t_star,
-            port_rows,
-            edge_rows,
-            budget: None,
-            ctx: SolveContext::default(),
-        }
-    }
-
-    /// The commodity set the template was built from (its platform carries
-    /// the template's current edge costs).
-    pub fn set(&self) -> &CommoditySet {
-        &self.set
-    }
-
-    /// Sets the deterministic per-solve work caps (`None` is unlimited);
-    /// see [`MaskedFlowLp::set_budget`].
-    pub fn set_budget(&mut self, budget: Option<SolveBudget>) {
-        self.budget = budget;
-    }
-
-    /// Sets the solve context; see [`MaskedFlowLp::set_context`].
-    pub fn set_context(&mut self, ctx: SolveContext) {
-        self.ctx = ctx;
-    }
-
-    /// Updates the cost of edge `e` in place, rewriting every shared
-    /// occupation-row coefficient that carries it (one per commodity per
-    /// row). The constraint pattern — and every cached basis — survives.
-    ///
-    /// # Panics
-    /// Panics if `cost` is not finite and strictly positive.
-    pub fn set_edge_cost(&mut self, e: EdgeId, cost: f64) {
-        self.set
-            .platform
-            .set_cost(e, cost)
-            .expect("edge-cost drift must keep costs finite and positive");
-        let edge = *self.set.platform.edge(e);
-        let rows = [
-            self.port_rows[edge.dst.index()].0,
-            self.port_rows[edge.src.index()].1,
-            Some(self.edge_rows[e.index()]),
-        ];
-        for row in rows.into_iter().flatten() {
-            for (c, commodity) in self.set.commodities.iter().enumerate() {
-                self.problem
-                    .set_coeff(row, self.n[c][e.index()], commodity.demand * cost);
-            }
-        }
-        for (c, commodity) in self.set.commodities.iter().enumerate() {
-            for x_row in &self.x[c] {
-                self.problem
-                    .set_secondary_coeff(x_row[e.index()], commodity.demand * cost);
-            }
-            self.problem
-                .set_secondary_coeff(self.n[c][e.index()], commodity.demand * cost);
-        }
-    }
-
-    /// Solves the joint formulation restricted to the active nodes of
-    /// `mask`, warm-starting from `hint`. Every commodity's source and
-    /// targets must stay active ([`FormulationError::InvalidArgument`]
-    /// otherwise), and every target must be reachable from its commodity's
-    /// source over the masked platform ([`FormulationError::Unreachable`],
-    /// detected by a BFS pre-check before any LP work).
-    pub fn solve(
-        &self,
-        mask: &NodeMask,
-        hint: Option<&Basis>,
-    ) -> Result<MultiFlow, FormulationError> {
-        let platform = &self.set.platform;
-        for (c, commodity) in self.set.commodities.iter().enumerate() {
-            if !mask.contains(commodity.source) {
-                return Err(FormulationError::InvalidArgument(format!(
-                    "mask deactivates commodity {c}'s source {}",
-                    commodity.source
-                )));
-            }
-            for &t in &commodity.targets {
-                if !mask.contains(t) {
-                    return Err(FormulationError::InvalidArgument(format!(
-                        "mask deactivates commodity {c}'s target {t}"
-                    )));
-                }
-            }
-            let seen = mask.reachable_from(platform, commodity.source);
-            for &t in &commodity.targets {
-                if !seen[t.index()] {
-                    return Err(FormulationError::Unreachable(t));
-                }
-            }
-        }
-
-        let edge_active: Vec<bool> = platform
-            .edge_ids()
-            .map(|e| mask.edge_active(platform, e))
-            .collect();
-        let mut overlay = BoundsOverlay::new();
-        for c in 0..self.set.len() {
-            for (e, &active) in edge_active.iter().enumerate() {
-                if !active {
-                    for x_row in &self.x[c] {
-                        overlay.fix_zero.push(x_row[e]);
-                    }
-                    overlay.fix_zero.push(self.n[c][e]);
-                }
-            }
-        }
-
-        let out = self
-            .problem
-            .resolve_in(&self.ctx, &overlay, hint, self.budget)
-            .map_err(|e| match e {
-                // The reachability pre-check passed, so a reported
-                // Infeasible is numerical; mirror the single-template
-                // convention (see `MaskedFlowLp::solve`).
-                LpError::Infeasible => {
-                    FormulationError::Unreachable(self.set.commodities[0].targets[0])
-                }
-                other => FormulationError::Lp(other),
-            })?;
-        let sol = &out.solution;
-        let period = sol.value(self.t_star);
-        let mut rates = Vec::with_capacity(self.set.len());
-        let mut flows = Vec::with_capacity(self.set.len());
-        for (c, commodity) in self.set.commodities.iter().enumerate() {
-            let per_message = if commodity.demand > 0.0 {
-                period / commodity.demand
-            } else {
-                f64::INFINITY
-            };
-            rates.push(if period > 0.0 {
-                commodity.demand / period
-            } else {
-                f64::INFINITY
-            });
-            flows.push(FlowSolution {
-                period: per_message,
-                throughput: if per_message > 0.0 {
-                    1.0 / per_message
-                } else {
-                    f64::INFINITY
-                },
-                target_flows: self.x[c]
-                    .iter()
-                    .map(|row| row.iter().map(|&v| sol.value(v)).collect())
-                    .collect(),
-                edge_load: self.n[c].iter().map(|&v| sol.value(v)).collect(),
-            });
-        }
-        Ok(MultiFlow {
-            period,
-            rates,
-            flows,
-            basis: out.basis,
-            stats: MaskedStats {
-                warm: out.stats.warm,
-                solve: out.stats,
-            },
-        })
-    }
-}
-
-/// A multi-commodity template: the joint LP for `k ≥ 2`, or the existing
-/// single-commodity `Multicast-LB` template for `k = 1` (bit-for-bit
-/// delegation — the reduction is structural, not numerical).
-#[derive(Debug, Clone)]
-pub enum MultiTemplate {
-    /// `k = 1`: the single-commodity masked template plus the commodity's
-    /// demand (pure bookkeeping: the rate of a lone commodity never
-    /// depends on its demand weight).
-    Single {
-        /// The wrapped single-commodity template.
-        template: Box<MaskedFlowLp>,
-        /// The commodity's demand weight.
-        demand: f64,
-    },
-    /// `k ≥ 2`: the joint LP with shared occupation rows.
-    Joint(Box<MultiFlowLp>),
-}
-
-impl MultiTemplate {
-    /// Builds the template for a commodity set; the joint template keeps
-    /// the set.
-    pub fn new(set: CommoditySet) -> Self {
-        if set.len() == 1 {
-            MultiTemplate::Single {
-                template: Box::new(MaskedFlowLp::multicast_lb(&set.instance(0))),
-                demand: set.commodities[0].demand,
-            }
-        } else {
-            MultiTemplate::Joint(Box::new(MultiFlowLp::new(set)))
-        }
-    }
-
-    /// Sets the deterministic per-solve work caps.
-    pub fn set_budget(&mut self, budget: Option<SolveBudget>) {
-        match self {
-            MultiTemplate::Single { template, .. } => template.set_budget(budget),
-            MultiTemplate::Joint(lp) => lp.set_budget(budget),
-        }
-    }
-
-    /// Sets the solve context of every solve.
-    pub fn set_context(&mut self, ctx: SolveContext) {
-        match self {
-            MultiTemplate::Single { template, .. } => template.set_context(ctx),
-            MultiTemplate::Joint(lp) => lp.set_context(ctx),
-        }
-    }
-
-    /// Applies edge-cost drift in place (see [`MultiFlowLp::set_edge_cost`]).
-    pub fn set_edge_cost(&mut self, e: EdgeId, cost: f64) {
-        match self {
-            MultiTemplate::Single { template, .. } => template.set_edge_cost(e, cost),
-            MultiTemplate::Joint(lp) => lp.set_edge_cost(e, cost),
-        }
-    }
-
-    /// Solves under `mask`, warm-starting from `hint`; both variants return
-    /// the same [`MultiFlow`] shape.
-    pub fn solve(
-        &self,
-        mask: &NodeMask,
-        hint: Option<&Basis>,
-    ) -> Result<MultiFlow, FormulationError> {
-        match self {
-            MultiTemplate::Single { template, demand } => {
-                let out = template.solve(mask, hint)?;
-                Ok(MultiFlow {
-                    period: demand * out.flow.period,
-                    rates: vec![out.flow.throughput],
-                    flows: vec![out.flow],
-                    basis: out.basis,
-                    stats: out.stats,
-                })
-            }
-            MultiTemplate::Joint(lp) => lp.solve(mask, hint),
-        }
-    }
+    /// The LP solve's diagnostics.
+    pub stats: SolveStats,
 }
 
 /// The result of realizing a multi-commodity solve: one super-period
@@ -981,7 +568,9 @@ pub fn pack_tree_groups(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::masked::MaskedFlowLp;
     use pm_platform::graph::PlatformBuilder;
+    use pm_platform::mask::NodeMask;
 
     /// A diamond with symmetric return edges: S <-> A <-> T, S <-> B <-> T.
     fn diamond_platform() -> Platform {
@@ -1013,9 +602,9 @@ mod tests {
             }],
         )
         .unwrap();
-        let template = MultiTemplate::new(set.clone());
+        let template = MaskedFlowLp::joint(&set);
         let mask = full_mask(&platform);
-        let multi = template.solve(&mask, None).unwrap();
+        let multi = template.solve_multi(&mask, None).unwrap();
 
         let single = MaskedFlowLp::multicast_lb(&set.instance(0))
             .solve(&mask, None)
@@ -1071,8 +660,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let template = MultiTemplate::new(set.clone());
-        let flow = template.solve(&full_mask(&platform), None).unwrap();
+        let template = MaskedFlowLp::joint(&set);
+        let flow = template.solve_multi(&full_mask(&platform), None).unwrap();
         assert!(flow.period.is_finite() && flow.period > 0.0);
         assert_eq!(flow.rates.len(), 2);
         // Equal demands: equal rates, by the mix constraint.
@@ -1122,8 +711,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let template = MultiTemplate::new(set.clone());
-        let flow = template.solve(&full_mask(&platform), None).unwrap();
+        let template = MaskedFlowLp::joint(&set);
+        let flow = template.solve_multi(&full_mask(&platform), None).unwrap();
         assert!((flow.rates[0] / flow.rates[1] - 3.0).abs() < 1e-6);
         // Jointly they cannot beat the single-commodity optimum of the
         // shared path structure: total rate <= 1.
@@ -1156,21 +745,23 @@ mod tests {
             },
         ];
         let set = CommoditySet::new(platform.clone(), commodities.clone()).unwrap();
-        let mut template = MultiFlowLp::new(set);
+        let mut template = MaskedFlowLp::joint(&set);
         let mask = full_mask(&platform);
-        let before = template.solve(&mask, None).unwrap();
+        let before = template.solve_multi(&mask, None).unwrap();
 
         // Drift an edge: a *cold* re-solve of the edited template must match
         // a template built fresh on the drifted platform, bit for bit (the
         // in-place coefficient rewrite preserves the constraint pattern).
         let e = platform.find_edge(NodeId(0), NodeId(1)).unwrap();
         template.set_edge_cost(e, 2.5);
-        let cold = template.solve(&mask, None).unwrap();
+        let cold = template.solve_multi(&mask, None).unwrap();
 
         let mut fresh_platform = platform.clone();
         fresh_platform.set_cost(e, 2.5).unwrap();
         let fresh_set = CommoditySet::new(fresh_platform, commodities).unwrap();
-        let fresh = MultiFlowLp::new(fresh_set).solve(&mask, None).unwrap();
+        let fresh = MaskedFlowLp::joint(&fresh_set)
+            .solve_multi(&mask, None)
+            .unwrap();
         assert_eq!(cold.period.to_bits(), fresh.period.to_bits());
         for (a, b) in cold.flows.iter().zip(&fresh.flows) {
             assert_eq!(a.target_flows, b.target_flows);
@@ -1178,7 +769,7 @@ mod tests {
 
         // A warm re-solve from the pre-drift basis reaches the same optimum
         // (possibly through a different pivot path, so compare by value).
-        let warm = template.solve(&mask, Some(&before.basis)).unwrap();
+        let warm = template.solve_multi(&mask, Some(&before.basis)).unwrap();
         assert!((warm.period - fresh.period).abs() < 1e-9);
     }
 
@@ -1201,12 +792,12 @@ mod tests {
             ],
         )
         .unwrap();
-        let template = MultiFlowLp::new(set);
+        let template = MaskedFlowLp::joint(&set);
         let mut mask = full_mask(&platform);
         mask.remove(NodeId(1));
         // Node 1 is commodity 1's source.
         assert!(matches!(
-            template.solve(&mask, None),
+            template.solve_multi(&mask, None),
             Err(FormulationError::InvalidArgument(_))
         ));
     }

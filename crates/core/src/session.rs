@@ -74,15 +74,15 @@ use crate::heuristics::{
     broadcast_commodities, AugmentedMulticast, AugmentedSources, HeuristicResult, Mcph,
     ReducedBroadcast, RunOptions, ThroughputHeuristic,
 };
-use crate::masked::{MaskedFlowLp, MaskedMultiSourceUb, MaskedStats};
+use crate::masked::{MaskedFlowLp, MaskedMultiSourceUb};
 use crate::multi::{
     normalize_workload, realize_multi_with_pool, same_commodities, Commodity, CommoditySet,
-    MultiFlow, MultiRealization, MultiTemplate,
+    MultiFlow, MultiRealization,
 };
 use crate::realize::{realize_with_pool, Realization, RealizeError, SteadyStateSolution};
 use crate::report::HeuristicKind;
 use crate::robust::{realize_robust_masked, RobustOptions, RobustRealization};
-use pm_lp::{Basis, SolveBudget, SolveContext, WarmStartCache, WarmStatus};
+use pm_lp::{Basis, SolveBudget, SolveContext, SolveStats, WarmStartCache, WarmStatus};
 use pm_platform::graph::{EdgeId, NodeId};
 use pm_platform::instances::MulticastInstance;
 use pm_platform::mask::NodeMask;
@@ -460,19 +460,19 @@ pub struct SessionOpStats {
 
 impl SessionOpStats {
     /// Counts one masked-template solve.
-    pub(crate) fn note(&mut self, stats: &MaskedStats) {
+    pub(crate) fn note(&mut self, stats: &SolveStats) {
         self.lp_solves += 1;
         if stats.warm == WarmStatus::Hit {
             self.warm_hits += 1;
         } else {
             self.warm_misses += 1;
         }
-        self.phase1_pivots += stats.solve.phase1_pivots as u64;
-        self.dual_pivots += stats.solve.dual_pivots as u64;
-        self.phase2_pivots += stats.solve.phase2_pivots as u64;
-        self.phase3_pivots += stats.solve.phase3_pivots as u64;
-        self.refactorizations += stats.solve.refactorizations as u64;
-        self.degraded_solves += stats.solve.degraded as u64;
+        self.phase1_pivots += stats.phase1_pivots as u64;
+        self.dual_pivots += stats.dual_pivots as u64;
+        self.phase2_pivots += stats.phase2_pivots as u64;
+        self.phase3_pivots += stats.phase3_pivots as u64;
+        self.refactorizations += stats.refactorizations as u64;
+        self.degraded_solves += stats.degraded as u64;
     }
 
     /// The running totals of the LPs solved through `cache`. The
@@ -728,9 +728,9 @@ pub struct Session {
     solutions: Vec<(HeuristicKind, HeuristicResult)>,
     realizations: Vec<(HeuristicKind, Realization)>,
     robust_realizations: Vec<(HeuristicKind, RobustRealization)>,
-    /// The joint multi-commodity template, keyed by the commodity list it
-    /// was built for (a solve with a different list rebuilds it).
-    multi_template: Option<(Vec<Commodity>, MultiTemplate)>,
+    /// The joint multi-commodity flow template, keyed by the commodity list
+    /// it was built for (a solve with a different list rebuilds it).
+    multi_template: Option<(Vec<Commodity>, MaskedFlowLp)>,
     /// The last completed multi-commodity solve, with its workload.
     multi_solution: Option<(Vec<Commodity>, MultiFlow)>,
     /// The last completed multi-commodity realization.
@@ -1269,9 +1269,9 @@ impl Session {
     /// every other template slot. A solve with a *different* workload
     /// rebuilds the template (and drops the stale basis).
     ///
-    /// A one-commodity workload delegates to the single-commodity
-    /// `Multicast-LB` template, so `k = 1` results are bit-identical to the
-    /// existing pipeline.
+    /// A one-commodity workload keeps weight 1 in the flow template, whose
+    /// LP is then the single-commodity `Multicast-LB` template's, so `k = 1`
+    /// results are bit-identical to the existing pipeline.
     pub fn solve_multi(
         &mut self,
         commodities: &[Commodity],
@@ -1290,7 +1290,7 @@ impl Session {
                 session.ensure_multi(&commodities);
                 let hint = session.bases[SLOT_MULTI].clone();
                 let (_, template) = session.multi_template.as_ref().expect("just built");
-                let out = template.solve(&session.mask, hint.as_ref())?;
+                let out = template.solve_multi(&session.mask, hint.as_ref())?;
                 let mut op = SessionOpStats::default();
                 op.note(&out.stats);
                 session.bases[SLOT_MULTI] = Some(out.basis.clone());
@@ -1421,7 +1421,7 @@ impl Session {
             }
         }
         let set = CommoditySet::normalized(self.instance.platform.clone(), commodities.to_vec());
-        let mut template = MultiTemplate::new(set);
+        let mut template = MaskedFlowLp::joint(&set);
         template.set_budget(self.budget);
         template.set_context(self.ctx.clone());
         self.multi_template = Some((commodities.to_vec(), template));

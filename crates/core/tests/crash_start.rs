@@ -3,15 +3,17 @@
 //! their first attempt and count as cold, and they reach the period and
 //! the cost-weighted traffic of the rebuild oracle (`pm_core::formulations`
 //! on the restricted instance), whose LPs start from the all-artificial
-//! basis. A hint the install rejects falls back to the crash, not to
-//! phase 1.
+//! basis. The joint multi-commodity template crash-starts the same way and
+//! matches itself solved by the dense engine, which ignores crash bases. A
+//! hint the install rejects falls back to the crash, not to phase 1.
 
 use pm_core::formulations::{
     BroadcastEb, FlowSolution, FormulationError, MultiSourceSolution, MulticastLb,
     MulticastMultiSourceUb, MulticastUb,
 };
-use pm_core::masked::{MaskedFlowLp, MaskedMultiSourceUb, MaskedStats};
-use pm_lp::{RecoveryRung, WarmStatus};
+use pm_core::masked::{MaskedFlowLp, MaskedMultiSourceUb};
+use pm_core::multi::{Commodity, CommoditySet, MultiFlow};
+use pm_lp::{RecoveryRung, SolveContext, SolveStats, SolverKind, WarmStatus};
 use pm_platform::graph::{NodeId, Platform};
 use pm_platform::instances::{figure1_instance, figure5_instance, MulticastInstance};
 use pm_platform::mask::NodeMask;
@@ -31,10 +33,10 @@ fn close(label: &str, what: &str, got: f64, want: f64) {
 }
 
 /// A hint-less solve started from the crash: no phase 1, one attempt, cold.
-fn assert_crash_started(label: &str, stats: &MaskedStats) {
-    assert_eq!(stats.solve.phase1_pivots, 0, "{label}: phase 1 ran");
-    assert_eq!(stats.solve.attempts, 1, "{label}: attempts");
-    assert_eq!(stats.solve.rung, RecoveryRung::First, "{label}: rung");
+fn assert_crash_started(label: &str, stats: &SolveStats) {
+    assert_eq!(stats.phase1_pivots, 0, "{label}: phase 1 ran");
+    assert_eq!(stats.attempts, 1, "{label}: attempts");
+    assert_eq!(stats.rung, RecoveryRung::First, "{label}: rung");
     assert_eq!(stats.warm, WarmStatus::None, "{label}: warm status");
 }
 
@@ -186,6 +188,79 @@ fn hintless_template_solves_skip_phase_1_and_match_the_oracle() {
     );
 }
 
+/// The joint template's secondary objective: the cost-weighted traffic of
+/// every commodity, flows and max-accounting loads, weighted by its demand.
+fn joint_traffic(set: &CommoditySet, flow: &MultiFlow) -> f64 {
+    let weighted = set.commodities().iter().zip(&flow.flows);
+    weighted
+        .map(|(commodity, unit)| commodity.demand * flow_traffic(set.platform(), unit, true))
+        .sum()
+}
+
+#[test]
+fn hintless_joint_solves_skip_phase_1_and_match_the_dense_engine() {
+    let dense = SolveContext {
+        engine: SolverKind::Dense,
+        ..SolveContext::default()
+    };
+    let mut relay_masks = 0;
+    for seed in [0u64, 1, 2] {
+        let topology = TiersLikeGenerator::reduced_scale(PlatformClass::Small, seed).generate();
+        let platform = &topology.platform;
+        for k in [2, 4, 8] {
+            // Commodities sampled like a `fig11 --multi` cell, with demands
+            // 1, 2, 3, 4, 1, ... so the blocks weigh differently.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let commodities: Vec<Commodity> = (0..k)
+                .map(|c| {
+                    let inst = topology.sample_instance(0.5, &mut rng);
+                    Commodity {
+                        source: inst.source,
+                        targets: inst.targets,
+                        demand: (1 + c % 4) as f64,
+                    }
+                })
+                .collect();
+            let set = CommoditySet::new(platform.clone(), commodities).unwrap();
+            // The full mask, then the first relay (no commodity's source or
+            // target) whose removal leaves every commodity connected.
+            let full = NodeMask::full(platform.node_count());
+            let connected = |mask: &NodeMask| {
+                set.commodities().iter().all(|c| {
+                    let seen = mask.reachable_from(platform, c.source);
+                    c.targets.iter().all(|t| seen[t.index()])
+                })
+            };
+            let endpoint = |v: NodeId| {
+                let mut ends = set.commodities().iter();
+                ends.any(|c| c.source == v || c.targets.contains(&v))
+            };
+            let relay = platform
+                .nodes()
+                .filter(|&v| !endpoint(v))
+                .map(|v| full.without(v))
+                .find(connected);
+            relay_masks += usize::from(relay.is_some());
+            for mask in std::iter::once(full.clone()).chain(relay) {
+                let label = format!("seed {seed}, k = {k}, {} active", mask.active_count());
+                let mut template = MaskedFlowLp::joint(&set);
+                let out = template.solve_multi(&mask, None).unwrap();
+                assert_crash_started(&label, &out.stats);
+                template.set_context(dense.clone());
+                let oracle = template.solve_multi(&mask, None).unwrap();
+                close(&label, "period", out.period, oracle.period);
+                close(
+                    &label,
+                    "traffic",
+                    joint_traffic(&set, &out),
+                    joint_traffic(&set, &oracle),
+                );
+            }
+        }
+    }
+    assert!(relay_masks >= 3, "too few relay masks: {relay_masks}");
+}
+
 #[test]
 fn a_rejected_hint_falls_back_to_the_crash() {
     // Raise the cost of one loaded edge fifty-fold: the old optimum's `T*`
@@ -208,8 +283,8 @@ fn a_rejected_hint_falls_back_to_the_crash() {
         }
         rejected += 1;
         let label = format!("edge {e:?} cost x50");
-        assert_eq!(out.stats.solve.phase1_pivots, 0, "{label}: phase 1 ran");
-        assert_eq!(out.stats.solve.attempts, 1, "{label}");
+        assert_eq!(out.stats.phase1_pivots, 0, "{label}: phase 1 ran");
+        assert_eq!(out.stats.attempts, 1, "{label}");
         let mut drifted = inst.clone();
         drifted.platform.set_cost(e, edge.cost * 50.0).unwrap();
         let oracle = MulticastUb::new(&drifted).solve().unwrap();

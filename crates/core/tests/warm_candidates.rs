@@ -11,10 +11,8 @@
 //! the all-artificial basis.
 
 use pm_core::formulations::{BroadcastEb, FormulationError, MulticastMultiSourceUb};
-use pm_core::masked::{
-    MaskedFlow, MaskedFlowLp, MaskedMultiSource, MaskedMultiSourceUb, MaskedStats,
-};
-use pm_lp::{Basis, WarmStatus};
+use pm_core::masked::{MaskedFlow, MaskedFlowLp, MaskedMultiSource, MaskedMultiSourceUb};
+use pm_lp::{Basis, SolveStats, WarmStatus};
 use pm_platform::graph::NodeId;
 use pm_platform::instances::{figure5_instance, MulticastInstance};
 use pm_platform::mask::NodeMask;
@@ -33,14 +31,14 @@ const TOL: f64 = 1e-9;
 /// The period and solve accounting of a masked solve.
 trait Candidate {
     fn period(&self) -> f64;
-    fn stats(&self) -> &MaskedStats;
+    fn stats(&self) -> &SolveStats;
 }
 
 impl Candidate for MaskedFlow {
     fn period(&self) -> f64 {
         self.flow.period
     }
-    fn stats(&self) -> &MaskedStats {
+    fn stats(&self) -> &SolveStats {
         &self.stats
     }
 }
@@ -49,7 +47,7 @@ impl Candidate for MaskedMultiSource {
     fn period(&self) -> f64 {
         self.solution.period
     }
-    fn stats(&self) -> &MaskedStats {
+    fn stats(&self) -> &SolveStats {
         &self.stats
     }
 }
@@ -80,7 +78,7 @@ impl Tally {
                     w.period(),
                     c.period()
                 );
-                let stats = &w.stats().solve;
+                let stats = w.stats();
                 assert_eq!(
                     stats.attempts, 1,
                     "{label}: the warm solve was re-solved on rung {:?}",
