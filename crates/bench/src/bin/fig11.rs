@@ -68,6 +68,7 @@ use pm_bench::{
 use pm_core::report::HeuristicKind;
 use pm_lp::{SolveContext, SolverKind};
 use pm_platform::topology::PlatformClass;
+use pm_serve::protocol::{kind_from_key, kind_key};
 
 /// The value following a flag, or a named usage error (instead of an
 /// index-out-of-bounds panic) when the command line ends at the flag.
@@ -76,6 +77,19 @@ fn flag_value<'a>(args: &'a [String], i: usize, flag: &str) -> &'a str {
         eprintln!("{flag} requires a value");
         std::process::exit(2);
     })
+}
+
+/// A seed given to `flag`: an integer from 0 to 2^53, the largest the
+/// artifacts' numbers (`f64`) write exactly; anything else is a usage
+/// error.
+fn seed_value(text: &str, flag: &str) -> u64 {
+    match text.parse::<u64>() {
+        Ok(seed) if seed <= 1 << 53 => seed,
+        _ => {
+            eprintln!("{flag} takes integers from 0 to 2^53, got {text:?}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// The value of environment variable `name` among `choices`; an unknown
@@ -185,11 +199,8 @@ fn main() {
             // Seed of the chaos injection plans (chaos mode only).
             "--chaos-seed" => {
                 i += 1;
-                chaos_seed = Some(
-                    flag_value(&args, i, "--chaos-seed")
-                        .parse()
-                        .expect("--chaos-seed takes an integer"),
-                );
+                let text = flag_value(&args, i, "--chaos-seed");
+                chaos_seed = Some(seed_value(text, "--chaos-seed"));
             }
             // Drift events per scenario (drift mode only).
             "--steps" => {
@@ -209,23 +220,20 @@ fn main() {
                 i += 1;
                 items_jsonl_path = Some(flag_value(&args, i, "--items-jsonl").to_string());
             }
-            // Explicit curve selection by stable key (see `pm_bench::emit`).
+            // Explicit curve selection by stable key (see `pm_serve::protocol`).
             "--kinds" => {
                 i += 1;
                 kinds_explicit = true;
                 config.kinds = flag_value(&args, i, "--kinds")
                     .split(',')
                     .map(|k| {
-                        HeuristicKind::ALL
-                            .into_iter()
-                            .find(|&kind| pm_bench::emit::kind_key(kind) == k)
-                            .unwrap_or_else(|| {
-                                eprintln!(
-                                    "unknown heuristic kind {k:?}; valid keys: {:?}",
-                                    HeuristicKind::ALL.map(pm_bench::emit::kind_key)
-                                );
-                                std::process::exit(2);
-                            })
+                        kind_from_key(k).unwrap_or_else(|| {
+                            eprintln!(
+                                "unknown heuristic kind {k:?}; valid keys: {:?}",
+                                HeuristicKind::ALL.map(kind_key)
+                            );
+                            std::process::exit(2);
+                        })
                     })
                     .collect();
                 config.kinds_big = None;
@@ -242,16 +250,14 @@ fn main() {
                 seeds_explicit = true;
                 config.seeds = flag_value(&args, i, "--seeds")
                     .split(',')
-                    .map(|s| s.parse().expect("--seeds takes comma-separated integers"))
+                    .map(|s| seed_value(s, "--seeds"))
                     .collect();
             }
             // Backwards-compatible alias: a single base seed.
             "--seed" => {
                 i += 1;
                 seeds_explicit = true;
-                config.seeds = vec![flag_value(&args, i, "--seed")
-                    .parse()
-                    .expect("--seed takes an integer")];
+                config.seeds = vec![seed_value(flag_value(&args, i, "--seed"), "--seed")];
             }
             "--densities" => {
                 i += 1;
@@ -355,7 +361,7 @@ fn main() {
         let result = run_multi(&multi_config, &ctx);
         eprintln!(
             "fig11: multi {} cells, {} LP solves ({} warm hits, {:.0}% warm), {} ms total",
-            result.meta.cells,
+            result.cells.len(),
             result.meta.lp_solves,
             result.meta.warm_hits,
             100.0 * result.meta.warm_hit_rate(),
@@ -468,7 +474,7 @@ fn main() {
         eprintln!(
             "fig11: chaos {} scenarios, {} solves under injection ({} struck, {:.0}%), \
              rungs [first={} cold={} dense={}], {} unrecovered, {} panics healed",
-            result.meta.scenarios,
+            result.scenarios.len(),
             result.meta.ladder.solves,
             result.meta.ladder.injected,
             100.0 * result.meta.injected_rate(),
@@ -516,7 +522,7 @@ fn main() {
             if config.kinds.len() > 1 {
                 eprintln!(
                     "fig11: note: --faults realizes one kind; using {} and ignoring the rest",
-                    pm_bench::emit::kind_key(faults_config.kind)
+                    kind_key(faults_config.kind)
                 );
             }
         }
@@ -556,13 +562,13 @@ fn main() {
             faults_config.platforms,
             faults_config.loss_rates,
             faults_config.redundancy,
-            pm_bench::emit::kind_key(faults_config.kind),
+            kind_key(faults_config.kind),
             rayon::current_num_threads()
         );
         let result = run_faults(&faults_config, &ctx);
         eprintln!(
             "fig11: faults {} scenarios, {} LP solves ({} warm hits, {:.0}% warm), {} ms total",
-            result.meta.scenarios,
+            result.scenarios.len(),
             result.meta.lp_solves,
             result.meta.warm_hits,
             100.0 * result.meta.warm_hit_rate(),
@@ -668,7 +674,7 @@ fn main() {
         let result = run_drift(&drift_config, &ctx);
         eprintln!(
             "fig11: drift {} scenarios, {} LP solves ({} warm hits, {:.0}% warm), {} ms total",
-            result.meta.scenarios,
+            result.scenarios.len(),
             result.meta.lp_solves,
             result.meta.warm_hits,
             100.0 * result.meta.warm_hit_rate(),
@@ -689,7 +695,7 @@ fn main() {
                     scenario.class,
                     scenario.seed,
                     scenario.platform,
-                    pm_bench::emit::kind_key(kind.kind),
+                    kind_key(kind.kind),
                     kind.period,
                     kind.realization_gap,
                     transitions,
@@ -743,14 +749,10 @@ fn main() {
         batch.meta.lp_solves, batch.meta.warm_hits, batch.meta.warm_misses, batch.meta.solve_ms
     );
     for &(kind, stats) in &batch.meta.per_kind {
-        let rate = if stats.lp_solves > 0 {
-            100.0 * stats.warm_hits as f64 / stats.lp_solves as f64
-        } else {
-            0.0
-        };
+        let rate = 100.0 * pm_bench::emit::ratio(stats.warm_hits, stats.lp_solves);
         eprintln!(
             "fig11:   {:<22} {:>6} LP solves, {:>6} warm hits ({rate:.0}%)",
-            pm_bench::emit::kind_key(kind),
+            kind_key(kind),
             stats.lp_solves,
             stats.warm_hits,
         );
@@ -761,7 +763,7 @@ fn main() {
             eprintln!(
                 "fig11:   {:<22} {:>4} realized, {:>2} failed, {} one-port violations, \
                  realization_gap mean {:.3}% max {:.3}%",
-                pm_bench::emit::kind_key(kind),
+                kind_key(kind),
                 agg.realized,
                 agg.failed,
                 agg.one_port_violations,

@@ -26,11 +26,13 @@
 //! which CI filters exactly as it does for the other fig11 artifacts.
 
 use crate::drift::pick_disable_candidate;
-use crate::emit::{class_key, json_f64, kind_key};
+use crate::emit::{class_key, kinds_json, ratio};
 use pm_core::report::HeuristicKind;
 use pm_core::session::Session;
 use pm_lp::{ChaosConfig, ChaosCounters, SolveContext, SolveTally};
 use pm_platform::topology::{PlatformClass, TiersLikeGenerator};
+use pm_serve::json::{Json, Pretty};
+use pm_serve::protocol::kind_key;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -166,8 +168,6 @@ pub struct ChaosScenario {
 /// Aggregate accounting of a chaos batch.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct ChaosMeta {
-    /// Scenarios run.
-    pub scenarios: u64,
     /// Total wall-clock milliseconds across scenarios (nondeterministic).
     pub solve_ms: u64,
     /// Batch-wide ladder-phase counters.
@@ -181,21 +181,13 @@ pub struct ChaosMeta {
 impl ChaosMeta {
     /// Fraction of injection-phase solves that had a fault injected.
     pub fn injected_rate(&self) -> f64 {
-        if self.ladder.solves > 0 {
-            self.ladder.injected as f64 / self.ladder.solves as f64
-        } else {
-            0.0
-        }
+        ratio(self.ladder.injected, self.ladder.solves)
     }
 
     /// Fraction of budget-phase solves that returned a degraded anytime
     /// solution.
     pub fn degraded_rate(&self) -> f64 {
-        if self.budget.solves > 0 {
-            self.budget.degraded as f64 / self.budget.solves as f64
-        } else {
-            0.0
-        }
+        ratio(self.budget.degraded, self.budget.solves)
     }
 }
 
@@ -386,10 +378,7 @@ pub fn run_chaos(config: &ChaosBenchConfig, ctx: &SolveContext) -> ChaosResult {
         })
         .collect();
 
-    let mut meta = ChaosMeta {
-        scenarios: scenarios.len() as u64,
-        ..ChaosMeta::default()
-    };
+    let mut meta = ChaosMeta::default();
     for scenario in &scenarios {
         meta.solve_ms += scenario.solve_ms;
         meta.panics_healed += scenario.panics_healed;
@@ -416,22 +405,34 @@ pub fn run_chaos(config: &ChaosBenchConfig, ctx: &SolveContext) -> ChaosResult {
     }
 }
 
-/// Emits a counter block (one line, no wall times).
-fn push_counters_json(out: &mut String, counters: &ChaosCounters) {
-    let rungs: Vec<String> = counters
-        .recovered_by_rung
-        .iter()
-        .map(|r| r.to_string())
-        .collect();
-    out.push_str(&format!(
-        "{{\"solves\": {}, \"injected\": {}, \"recovered_by_rung\": [{}], \
-         \"degraded\": {}, \"unrecovered\": {}}}",
-        counters.solves,
-        counters.injected,
-        rungs.join(", "),
-        counters.degraded,
-        counters.unrecovered,
-    ));
+/// A counter block inline (no wall times).
+fn counters_json(counters: &ChaosCounters) -> Json {
+    let rungs = counters.recovered_by_rung.iter().map(|&r| r.into());
+    Json::obj(vec![
+        ("solves", counters.solves.into()),
+        ("injected", counters.injected.into()),
+        ("recovered_by_rung", Json::Arr(rungs.collect())),
+        ("degraded", counters.degraded.into()),
+        ("unrecovered", counters.unrecovered.into()),
+    ])
+}
+
+/// One kind's results, inline.
+fn kind_json(kind: &ChaosKindResult) -> Json {
+    Json::obj(vec![
+        ("kind", kind_key(kind.kind).into()),
+        ("period", kind.period.into()),
+        ("lp_solves", kind.lp_solves.into()),
+        ("warm_hits", kind.warm_hits.into()),
+        ("warm_misses", kind.warm_misses.into()),
+        ("probe_phase1", kind.probe_phase1.into()),
+        ("probe_phase2", kind.probe_phase2.into()),
+        ("budget_cap", kind.budget_cap.into()),
+        ("degraded", kind.degraded.into()),
+        ("degraded_period", kind.degraded_period.into()),
+        ("optimum_period", kind.optimum_period.into()),
+        ("degraded_gap", kind.degraded_gap.into()),
+    ])
 }
 
 /// The chaos batch as a pretty-printed schema-v7 JSON document.
@@ -440,104 +441,47 @@ fn push_counters_json(out: &mut String, counters: &ChaosCounters) {
 /// `grep -v '"solve_ms"'` filter CI applies to the other fig11 artifacts
 /// makes two chaos runs byte-comparable.
 pub fn chaos_to_json(result: &ChaosResult) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{CHAOS_JSON_SCHEMA}\",\n"));
-    out.push_str("  \"meta\": {\n");
-    out.push_str(&format!("    \"solve_ms\": {},\n", result.meta.solve_ms));
-    out.push_str(&format!("    \"scenarios\": {},\n", result.meta.scenarios));
-    out.push_str(&format!(
-        "    \"chaos_seed\": {},\n",
-        result.config.chaos_seed
-    ));
-    let kinds: Vec<String> = result
-        .config
-        .kinds
-        .iter()
-        .map(|&k| format!("\"{}\"", kind_key(k)))
-        .collect();
-    out.push_str(&format!("    \"kinds\": [{}],\n", kinds.join(", ")));
-    out.push_str(&format!(
-        "    \"panics_healed\": {},\n",
-        result.meta.panics_healed
-    ));
-    out.push_str(&format!(
-        "    \"injected_rate\": {},\n",
-        json_f64(result.meta.injected_rate())
-    ));
-    out.push_str(&format!(
-        "    \"degraded_rate\": {},\n",
-        json_f64(result.meta.degraded_rate())
-    ));
-    out.push_str("    \"ladder\": ");
-    push_counters_json(&mut out, &result.meta.ladder);
-    out.push_str(",\n    \"budget\": ");
-    push_counters_json(&mut out, &result.meta.budget);
-    out.push_str("\n  },\n");
-    out.push_str("  \"scenarios\": [\n");
-    for (si, scenario) in result.scenarios.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"class\": \"{}\",\n",
-            class_key(scenario.class)
-        ));
-        out.push_str(&format!("      \"seed\": {},\n", scenario.seed));
-        out.push_str(&format!("      \"platform\": {},\n", scenario.platform));
-        out.push_str(&format!("      \"nodes\": {},\n", scenario.nodes));
-        out.push_str(&format!("      \"targets\": {},\n", scenario.targets));
-        out.push_str(&format!(
-            "      \"panics_healed\": {},\n",
-            scenario.panics_healed
-        ));
-        out.push_str(&format!("      \"solve_ms\": {},\n", scenario.solve_ms));
-        out.push_str("      \"ladder\": ");
-        push_counters_json(&mut out, &scenario.ladder);
-        out.push_str(",\n      \"budget\": ");
-        push_counters_json(&mut out, &scenario.budget);
-        out.push_str(",\n      \"kinds\": [\n");
-        for (ki, kind) in scenario.kinds.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"kind\": \"{}\", \"period\": {}, \"lp_solves\": {}, \
-                 \"warm_hits\": {}, \"warm_misses\": {},\n",
-                kind_key(kind.kind),
-                json_f64(kind.period),
-                kind.lp_solves,
-                kind.warm_hits,
-                kind.warm_misses,
-            ));
-            out.push_str(&format!(
-                "         \"probe_phase1\": {}, \"probe_phase2\": {}, \"budget_cap\": {}, \
-                 \"degraded\": {},\n",
-                kind.probe_phase1, kind.probe_phase2, kind.budget_cap, kind.degraded,
-            ));
-            out.push_str(&format!(
-                "         \"degraded_period\": {}, \"optimum_period\": {}, \
-                 \"degraded_gap\": {}}}{}\n",
-                json_f64(kind.degraded_period),
-                json_f64(kind.optimum_period),
-                json_f64(kind.degraded_gap),
-                if ki + 1 < scenario.kinds.len() {
-                    ","
-                } else {
-                    ""
-                },
-            ));
-        }
-        out.push_str("      ]\n");
-        let comma = if si + 1 < result.scenarios.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!("    }}{comma}\n"));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let meta = &result.meta;
+    Pretty::document(|w| {
+        w.field("schema", CHAOS_JSON_SCHEMA);
+        w.object("meta", |w| {
+            w.field("solve_ms", meta.solve_ms);
+            w.field("scenarios", result.scenarios.len());
+            w.field("chaos_seed", result.config.chaos_seed);
+            w.field("kinds", kinds_json(&result.config.kinds));
+            w.field("panics_healed", meta.panics_healed);
+            w.field("injected_rate", meta.injected_rate());
+            w.field("degraded_rate", meta.degraded_rate());
+            w.field("ladder", counters_json(&meta.ladder));
+            w.field("budget", counters_json(&meta.budget));
+        });
+        w.array("scenarios", |w| {
+            for scenario in &result.scenarios {
+                w.item_object(|w| {
+                    w.field("class", class_key(scenario.class));
+                    w.field("seed", scenario.seed);
+                    w.field("platform", scenario.platform);
+                    w.field("nodes", scenario.nodes);
+                    w.field("targets", scenario.targets);
+                    w.field("panics_healed", scenario.panics_healed);
+                    w.field("solve_ms", scenario.solve_ms);
+                    w.field("ladder", counters_json(&scenario.ladder));
+                    w.field("budget", counters_json(&scenario.budget));
+                    w.array("kinds", |w| {
+                        for kind in &scenario.kinds {
+                            w.item(kind_json(kind));
+                        }
+                    });
+                });
+            }
+        });
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit::parse_modulo_wall_time;
 
     fn tiny_config() -> ChaosBenchConfig {
         ChaosBenchConfig {
@@ -589,13 +533,7 @@ mod tests {
         let config = tiny_config();
         let a = run_chaos(&config, &SolveContext::default());
         let b = run_chaos(&config, &SolveContext::default());
-        let filter = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("\"solve_ms\""))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(filter(&chaos_to_json(&a)), filter(&chaos_to_json(&b)));
-        assert!(chaos_to_json(&a).contains(CHAOS_JSON_SCHEMA));
+        let json = |result| parse_modulo_wall_time(&chaos_to_json(result), CHAOS_JSON_SCHEMA);
+        assert_eq!(json(&a), json(&b));
     }
 }

@@ -16,13 +16,15 @@
 //! produce byte-identical artifacts except for the `"solve_ms"` wall-time
 //! lines, which CI filters exactly as it does for the Figure 11 sweep.
 
-use crate::emit::{class_key, json_f64, kind_key};
+use crate::emit::{class_key, ratio, transition_json, LpTally};
 use pm_core::report::HeuristicKind;
 use pm_core::session::{Session, SessionError, TransitionCost};
 use pm_core::{FormulationError, RealizeError};
 use pm_lp::SolveContext;
 use pm_platform::graph::{EdgeId, NodeId};
 use pm_platform::topology::{PlatformClass, TiersLikeGenerator};
+use pm_serve::json::{Json, Pretty};
+use pm_serve::protocol::kind_key;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -162,32 +164,6 @@ pub struct DriftScenario {
     pub steps: Vec<DriftStep>,
 }
 
-/// Aggregate accounting of a drift batch.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct DriftMeta {
-    /// Total wall-clock milliseconds across scenarios (nondeterministic).
-    pub solve_ms: u64,
-    /// Linear programs solved.
-    pub lp_solves: u64,
-    /// Solves that warm-started.
-    pub warm_hits: u64,
-    /// Solves that ran cold.
-    pub warm_misses: u64,
-    /// Scenarios run.
-    pub scenarios: u64,
-}
-
-impl DriftMeta {
-    /// Warm-hit rate across every LP of the batch.
-    pub fn warm_hit_rate(&self) -> f64 {
-        if self.lp_solves > 0 {
-            self.warm_hits as f64 / self.lp_solves as f64
-        } else {
-            0.0
-        }
-    }
-}
-
 /// The result of a [`run_drift`] call.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DriftResult {
@@ -195,8 +171,8 @@ pub struct DriftResult {
     pub config: DriftConfig,
     /// One scenario per `(class, seed, platform)`, in configuration order.
     pub scenarios: Vec<DriftScenario>,
-    /// Aggregate accounting.
-    pub meta: DriftMeta,
+    /// Aggregate accounting across scenarios.
+    pub meta: LpTally,
 }
 
 /// The next drift event of a scenario's seeded trace, applied to `session`.
@@ -392,10 +368,7 @@ pub fn run_drift(config: &DriftConfig, ctx: &SolveContext) -> DriftResult {
         })
         .collect();
 
-    let mut meta = DriftMeta {
-        scenarios: scenarios.len() as u64,
-        ..DriftMeta::default()
-    };
+    let mut meta = LpTally::default();
     for scenario in &scenarios {
         for step in &scenario.steps {
             meta.solve_ms += step.solve_ms;
@@ -413,124 +386,65 @@ pub fn run_drift(config: &DriftConfig, ctx: &SolveContext) -> DriftResult {
     }
 }
 
-fn push_transition_json(out: &mut String, transition: Option<&TransitionCost>) {
-    match transition {
-        None => out.push_str("null"),
-        Some(t) => out.push_str(&format!(
-            "{{\"drain_time\": {}, \"first_delivery_latency\": {}, \"switch_time\": {}, \
-             \"multicasts_lost\": {}, \"throughput_delta\": {}, \"trees_kept\": {}, \
-             \"trees_added\": {}, \"trees_dropped\": {}}}",
-            json_f64(t.drain_time),
-            json_f64(t.first_delivery_latency),
-            json_f64(t.switch_time),
-            json_f64(t.multicasts_lost),
-            json_f64(t.throughput_delta),
-            t.trees_kept,
-            t.trees_added,
-            t.trees_dropped,
-        )),
-    }
-}
-
 /// The drift batch as a pretty-printed schema-v5 JSON document.
 ///
 /// Every `"solve_ms"` field (the meta total and each step's wall time) sits
 /// on its own line, so the same `grep -v '"solve_ms"'` filter CI applies to
 /// the sweep artifacts makes two drift runs byte-comparable.
 pub fn drift_to_json(result: &DriftResult) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{DRIFT_JSON_SCHEMA}\",\n"));
-    out.push_str("  \"meta\": {\n");
-    out.push_str(&format!("    \"solve_ms\": {},\n", result.meta.solve_ms));
-    out.push_str(&format!("    \"lp_solves\": {},\n", result.meta.lp_solves));
-    out.push_str(&format!("    \"warm_hits\": {},\n", result.meta.warm_hits));
-    out.push_str(&format!(
-        "    \"warm_misses\": {},\n",
-        result.meta.warm_misses
-    ));
-    out.push_str(&format!(
-        "    \"warm_hit_rate\": {},\n",
-        json_f64(result.meta.warm_hit_rate())
-    ));
-    out.push_str(&format!("    \"scenarios\": {},\n", result.meta.scenarios));
-    out.push_str(&format!(
-        "    \"steps_per_scenario\": {}\n",
-        result.config.steps
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"scenarios\": [\n");
-    for (si, scenario) in result.scenarios.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"class\": \"{}\",\n",
-            class_key(scenario.class)
-        ));
-        out.push_str(&format!("      \"seed\": {},\n", scenario.seed));
-        out.push_str(&format!("      \"platform\": {},\n", scenario.platform));
-        out.push_str(&format!("      \"nodes\": {},\n", scenario.nodes));
-        out.push_str(&format!("      \"targets\": {},\n", scenario.targets));
-        out.push_str("      \"steps\": [\n");
-        for (i, step) in scenario.steps.iter().enumerate() {
-            out.push_str("        {\n");
-            out.push_str(&format!("          \"step\": {},\n", step.step));
-            out.push_str(&format!("          \"event\": \"{}\",\n", step.event));
-            out.push_str(&format!("          \"solve_ms\": {},\n", step.solve_ms));
-            out.push_str("          \"kinds\": {");
-            let entries: Vec<String> = step
-                .kinds
-                .iter()
-                .map(|k| {
-                    let mut entry = format!(
-                        "\"{}\": {{\"period\": {}, \"simulated_throughput\": {}, \
-                         \"throughput_delta\": {}, \"warm_hit_rate\": {}, \"lp_solves\": {}, \
-                         \"warm_hits\": {}, \"warm_misses\": {}, \"realization_gap\": {}, \
-                         \"one_port_violations\": {}, \"trees\": {}, \"transition\": ",
-                        kind_key(k.kind),
-                        json_f64(k.period),
-                        json_f64(k.simulated_throughput),
-                        json_f64(k.throughput_delta),
-                        json_f64(if k.lp_solves > 0 {
-                            k.warm_hits as f64 / k.lp_solves as f64
-                        } else {
-                            0.0
-                        }),
-                        k.lp_solves,
-                        k.warm_hits,
-                        k.warm_misses,
-                        json_f64(k.realization_gap),
-                        k.one_port_violations,
-                        k.trees,
-                    );
-                    push_transition_json(&mut entry, k.transition.as_ref());
-                    entry.push('}');
-                    entry
-                })
-                .collect();
-            out.push_str(&entries.join(", "));
-            out.push_str("}\n");
-            let comma = if i + 1 < scenario.steps.len() {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(&format!("        }}{comma}\n"));
-        }
-        out.push_str("      ]\n");
-        let comma = if si + 1 < result.scenarios.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!("    }}{comma}\n"));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Pretty::document(|w| {
+        w.field("schema", DRIFT_JSON_SCHEMA);
+        w.object("meta", |w| {
+            result.meta.write_json(w);
+            w.field("scenarios", result.scenarios.len());
+            w.field("steps_per_scenario", result.config.steps);
+        });
+        w.array("scenarios", |w| {
+            for scenario in &result.scenarios {
+                w.item_object(|w| {
+                    w.field("class", class_key(scenario.class));
+                    w.field("seed", scenario.seed);
+                    w.field("platform", scenario.platform);
+                    w.field("nodes", scenario.nodes);
+                    w.field("targets", scenario.targets);
+                    w.array("steps", |w| {
+                        for step in &scenario.steps {
+                            w.item_object(|w| write_step(w, step));
+                        }
+                    });
+                });
+            }
+        });
+    })
+}
+
+fn write_step(w: &mut Pretty, step: &DriftStep) {
+    w.field("step", step.step);
+    w.field("event", step.event.as_str());
+    w.field("solve_ms", step.solve_ms);
+    let kinds = step.kinds.iter().map(|k| {
+        let record = Json::obj(vec![
+            ("period", k.period.into()),
+            ("simulated_throughput", k.simulated_throughput.into()),
+            ("throughput_delta", k.throughput_delta.into()),
+            ("warm_hit_rate", ratio(k.warm_hits, k.lp_solves).into()),
+            ("lp_solves", k.lp_solves.into()),
+            ("warm_hits", k.warm_hits.into()),
+            ("warm_misses", k.warm_misses.into()),
+            ("realization_gap", k.realization_gap.into()),
+            ("one_port_violations", k.one_port_violations.into()),
+            ("trees", k.trees.into()),
+            ("transition", transition_json(k.transition.as_ref())),
+        ]);
+        (kind_key(k.kind).to_string(), record)
+    });
+    w.field("kinds", Json::Obj(kinds.collect()));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit::parse_modulo_wall_time;
 
     fn tiny_config() -> DriftConfig {
         DriftConfig {
@@ -579,13 +493,7 @@ mod tests {
         let config = tiny_config();
         let a = run_drift(&config, &SolveContext::default());
         let b = run_drift(&config, &SolveContext::default());
-        let filter = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("\"solve_ms\""))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(filter(&drift_to_json(&a)), filter(&drift_to_json(&b)));
-        assert!(drift_to_json(&a).contains(DRIFT_JSON_SCHEMA));
+        let json = |result| parse_modulo_wall_time(&drift_to_json(result), DRIFT_JSON_SCHEMA);
+        assert_eq!(json(&a), json(&b));
     }
 }

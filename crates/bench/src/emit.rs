@@ -1,14 +1,21 @@
 //! Deterministic JSON and CSV emission for sweep results.
 //!
-//! Hand-rolled writers (the workspace's serde is a no-op stub, see
-//! `vendor/serde`): floats are printed with Rust's shortest round-trip
-//! formatting, infinities become JSON `null` / CSV `inf`, and iteration
-//! order follows the configuration, so identical configurations produce
-//! byte-identical files — CI diffs them against the committed baseline.
+//! Every JSON artifact of the harness is written through `pm_serve::json`
+//! (the workspace's serde is a no-op stub, see `vendor/serde`): documents
+//! through its [`Pretty`] writer, JSON Lines rows through
+//! [`Json::emit_inline`]. Floats are printed with Rust's shortest
+//! round-trip formatting, infinities become JSON `null` / CSV `inf`, and
+//! iteration order follows the configuration, so identical configurations
+//! produce byte-identical files — CI diffs them against the committed
+//! baseline.
 
 use crate::sweep::{BatchResult, SweepConfig, SweepResult};
 use pm_core::report::{HeuristicKind, MulticastReport};
+use pm_core::session::TransitionCost;
 use pm_platform::topology::PlatformClass;
+use pm_serve::json::{Json, Pretty};
+use pm_serve::protocol::{kind_key, TransitionDesc};
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::sync::Mutex;
@@ -38,30 +45,63 @@ pub fn class_key(class: PlatformClass) -> &'static str {
     }
 }
 
-/// Stable snake_case key of a heuristic kind (the paper labels of
-/// [`HeuristicKind::label`] contain spaces and dots, so they are kept for
-/// tables only).
-pub fn kind_key(kind: HeuristicKind) -> &'static str {
-    match kind {
-        HeuristicKind::Scatter => "scatter",
-        HeuristicKind::LowerBound => "lower_bound",
-        HeuristicKind::Broadcast => "broadcast",
-        HeuristicKind::Mcph => "mcph",
-        HeuristicKind::AugmentedMulticast => "augmented_multicast",
-        HeuristicKind::ReducedBroadcast => "reduced_broadcast",
-        HeuristicKind::MultisourceMulticast => "multisource_multicast",
+/// `part / whole`, or 0 when `whole` is 0.
+pub fn ratio(part: u64, whole: u64) -> f64 {
+    if whole > 0 {
+        part as f64 / whole as f64
+    } else {
+        0.0
     }
 }
 
-/// A finite float as a JSON number, anything else as `null` (JSON has no
-/// infinity literal). Shared with the drift emitter so the two artifact
-/// families can never drift apart in float formatting.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// Wall time and LP accounting of a drift, faults or multi batch.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+pub struct LpTally {
+    /// Total wall-clock milliseconds (nondeterministic).
+    pub solve_ms: u64,
+    /// Linear programs solved.
+    pub lp_solves: u64,
+    /// Solves that warm-started.
+    pub warm_hits: u64,
+    /// Solves that ran cold.
+    pub warm_misses: u64,
+}
+
+impl LpTally {
+    /// Warm-hit rate across every LP of the batch.
+    pub fn warm_hit_rate(&self) -> f64 {
+        ratio(self.warm_hits, self.lp_solves)
     }
+
+    /// Writes the five fields the drift, faults and multi artifacts open
+    /// their `meta` block with.
+    pub(crate) fn write_json(&self, w: &mut Pretty) {
+        w.field("solve_ms", self.solve_ms);
+        w.field("lp_solves", self.lp_solves);
+        w.field("warm_hits", self.warm_hits);
+        w.field("warm_misses", self.warm_misses);
+        w.field("warm_hit_rate", self.warm_hit_rate());
+    }
+}
+
+/// The keys of `kinds` as an array.
+pub(crate) fn kinds_json(kinds: &[HeuristicKind]) -> Json {
+    Json::Arr(kinds.iter().map(|&k| kind_key(k).into()).collect())
+}
+
+/// An object with one member per `(kind, value)` entry, keyed by kind.
+fn by_kind<T>(entries: &[(HeuristicKind, T)], value: impl Fn(&T) -> Json) -> Json {
+    let members = entries
+        .iter()
+        .map(|(k, v)| (kind_key(*k).to_string(), value(v)));
+    Json::Obj(members.collect())
+}
+
+/// A switchover cost in its wire encoding, `null` when absent.
+pub(crate) fn transition_json(transition: Option<&TransitionCost>) -> Json {
+    transition
+        .map(|t| TransitionDesc::from_cost(t).to_json())
+        .into()
 }
 
 /// A finite float for CSV, infinities spelled `inf`.
@@ -73,69 +113,32 @@ fn csv_f64(v: f64) -> String {
     }
 }
 
-fn push_sweep_json(out: &mut String, sweep: &SweepResult, indent: &str) {
+fn write_sweep(w: &mut Pretty, sweep: &SweepResult) {
     let cfg = &sweep.config;
-    out.push_str(&format!("{indent}{{\n"));
-    out.push_str(&format!(
-        "{indent}  \"class\": \"{}\",\n",
-        class_key(cfg.class)
-    ));
-    out.push_str(&format!("{indent}  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!(
-        "{indent}  \"paper_scale\": {},\n",
-        cfg.paper_scale
-    ));
-    out.push_str(&format!("{indent}  \"platforms\": {},\n", cfg.platforms));
-    let kinds: Vec<String> = cfg
-        .kinds
-        .iter()
-        .map(|&k| format!("\"{}\"", kind_key(k)))
-        .collect();
-    out.push_str(&format!("{indent}  \"kinds\": [{}],\n", kinds.join(", ")));
-    out.push_str(&format!("{indent}  \"points\": [\n"));
-    for (i, point) in sweep.points.iter().enumerate() {
-        out.push_str(&format!("{indent}    {{\n"));
-        out.push_str(&format!(
-            "{indent}      \"density\": {},\n",
-            json_f64(point.density)
-        ));
-        out.push_str(&format!(
-            "{indent}      \"instances\": {},\n",
-            point.instances
-        ));
-        out.push_str(&format!("{indent}      \"mean_period\": {{"));
-        let entries: Vec<String> = point
-            .mean_period
-            .iter()
-            .map(|&(k, p)| format!("\"{}\": {}", kind_key(k), json_f64(p)))
-            .collect();
-        out.push_str(&entries.join(", "));
-        out.push_str("},\n");
-        out.push_str(&format!("{indent}      \"realization\": {{"));
-        let entries: Vec<String> = point
-            .realization
-            .iter()
-            .map(|&(k, r)| {
-                format!(
-                    "\"{}\": {{\"realized\": {}, \"simulated_throughput\": {}, \
-                     \"realization_gap\": {}, \"max_realization_gap\": {}, \
-                     \"one_port_violations\": {}}}",
-                    kind_key(k),
-                    r.realized,
-                    json_f64(r.mean_simulated_throughput),
-                    json_f64(r.mean_realization_gap),
-                    json_f64(r.max_realization_gap),
-                    r.one_port_violations
-                )
-            })
-            .collect();
-        out.push_str(&entries.join(", "));
-        out.push_str("}\n");
-        let comma = if i + 1 < sweep.points.len() { "," } else { "" };
-        out.push_str(&format!("{indent}    }}{comma}\n"));
-    }
-    out.push_str(&format!("{indent}  ]\n"));
-    out.push_str(&format!("{indent}}}"));
+    w.field("class", class_key(cfg.class));
+    w.field("seed", cfg.seed);
+    w.field("paper_scale", cfg.paper_scale);
+    w.field("platforms", cfg.platforms);
+    w.field("kinds", kinds_json(&cfg.kinds));
+    w.array("points", |w| {
+        for point in &sweep.points {
+            w.item_object(|w| {
+                w.field("density", point.density);
+                w.field("instances", point.instances);
+                w.field("mean_period", by_kind(&point.mean_period, |&p| p.into()));
+                let realization = by_kind(&point.realization, |r| {
+                    Json::obj(vec![
+                        ("realized", r.realized.into()),
+                        ("simulated_throughput", r.mean_simulated_throughput.into()),
+                        ("realization_gap", r.mean_realization_gap.into()),
+                        ("max_realization_gap", r.max_realization_gap.into()),
+                        ("one_port_violations", r.one_port_violations.into()),
+                    ])
+                });
+                w.field("realization", realization);
+            });
+        }
+    });
 }
 
 /// One sweep as a pretty-printed JSON document.
@@ -158,66 +161,39 @@ pub fn sweep_to_json(sweep: &SweepResult) -> String {
 /// wall-clock measurement — byte-comparisons of two runs (as CI does) must
 /// filter the `"solve_ms"` line first.
 pub fn batch_to_json(batch: &BatchResult) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{JSON_SCHEMA}\",\n"));
-    out.push_str("  \"meta\": {\n");
-    out.push_str(&format!("    \"solve_ms\": {},\n", batch.meta.solve_ms));
-    out.push_str(&format!("    \"lp_solves\": {},\n", batch.meta.lp_solves));
-    out.push_str(&format!("    \"warm_hits\": {},\n", batch.meta.warm_hits));
-    out.push_str(&format!(
-        "    \"warm_misses\": {},\n",
-        batch.meta.warm_misses
-    ));
-    out.push_str("    \"per_heuristic\": {");
-    let entries: Vec<String> = batch
-        .meta
-        .per_kind
-        .iter()
-        .map(|&(kind, s)| {
-            format!(
-                "\"{}\": {{\"lp_solves\": {}, \"warm_hits\": {}, \"warm_misses\": {}}}",
-                kind_key(kind),
-                s.lp_solves,
-                s.warm_hits,
-                s.warm_misses
-            )
-        })
-        .collect();
-    out.push_str(&entries.join(", "));
-    out.push_str("},\n");
-    out.push_str("    \"realization\": {");
-    let entries: Vec<String> = batch
-        .meta
-        .realization
-        .iter()
-        .map(|&(kind, r)| {
-            format!(
-                "\"{}\": {{\"realized\": {}, \"failed\": {}, \"one_port_violations\": {}, \
-                 \"max_gap\": {}, \"mean_gap\": {}}}",
-                kind_key(kind),
-                r.realized,
-                r.failed,
-                r.one_port_violations,
-                json_f64(r.max_gap),
-                json_f64(r.mean_gap())
-            )
-        })
-        .collect();
-    out.push_str(&entries.join(", "));
-    out.push_str("}\n");
-    out.push_str("  },\n");
-    out.push_str("  \"sweeps\": [\n");
-    for (i, sweep) in batch.sweeps.iter().enumerate() {
-        push_sweep_json(&mut out, sweep, "    ");
-        out.push_str(if i + 1 < batch.sweeps.len() {
-            ",\n"
-        } else {
-            "\n"
+    let meta = &batch.meta;
+    Pretty::document(|w| {
+        w.field("schema", JSON_SCHEMA);
+        w.object("meta", |w| {
+            w.field("solve_ms", meta.solve_ms);
+            w.field("lp_solves", meta.lp_solves);
+            w.field("warm_hits", meta.warm_hits);
+            w.field("warm_misses", meta.warm_misses);
+            let per_heuristic = by_kind(&meta.per_kind, |s| {
+                Json::obj(vec![
+                    ("lp_solves", s.lp_solves.into()),
+                    ("warm_hits", s.warm_hits.into()),
+                    ("warm_misses", s.warm_misses.into()),
+                ])
+            });
+            w.field("per_heuristic", per_heuristic);
+            let realization = by_kind(&meta.realization, |r| {
+                Json::obj(vec![
+                    ("realized", r.realized.into()),
+                    ("failed", r.failed.into()),
+                    ("one_port_violations", r.one_port_violations.into()),
+                    ("max_gap", r.max_gap.into()),
+                    ("mean_gap", r.mean_gap().into()),
+                ])
+            });
+            w.field("realization", realization);
         });
-    }
-    out.push_str("  ]\n}\n");
-    out
+        w.array("sweeps", |w| {
+            for sweep in &batch.sweeps {
+                w.item_object(|w| write_sweep(w, sweep));
+            }
+        });
+    })
 }
 
 fn push_sweep_csv(out: &mut String, sweep: &SweepResult) {
@@ -395,45 +371,72 @@ pub fn item_rows(
                     ));
                 }
                 ItemRowFormat::Jsonl => {
-                    let realization = match real {
-                        Some(r) => format!(
-                            "{{\"simulated_throughput\": {}, \"realization_gap\": {}, \
-                             \"one_port_violations\": {}}}",
-                            json_f64(r.simulated_throughput),
-                            json_f64(r.realization_gap),
-                            r.one_port_violations
-                        ),
-                        None => "null".to_string(),
-                    };
-                    out.push_str(&format!(
-                        "{{\"class\": \"{}\", \"seed\": {}, \"paper_scale\": {}, \
-                         \"platform\": {platform_index}, \"density\": {}, \"nodes\": {}, \
-                         \"targets\": {}, \"kind\": \"{}\", \"period\": {}, \
-                         \"lp_solves\": {}, \"warm_hits\": {}, \"warm_misses\": {}, \
-                         \"realization\": {realization}}}
-",
-                        class_key(config.class),
-                        config.seed,
-                        config.paper_scale,
-                        json_f64(density),
-                        report.nodes,
-                        report.targets,
-                        kind_key(kind),
-                        json_f64(period),
-                        stats.lp_solves,
-                        stats.warm_hits,
-                        stats.warm_misses,
-                    ));
+                    let realization = real.map(|r| {
+                        Json::obj(vec![
+                            ("simulated_throughput", r.simulated_throughput.into()),
+                            ("realization_gap", r.realization_gap.into()),
+                            ("one_port_violations", r.one_port_violations.into()),
+                        ])
+                    });
+                    let row = Json::obj(vec![
+                        ("class", class_key(config.class).into()),
+                        ("seed", config.seed.into()),
+                        ("paper_scale", config.paper_scale.into()),
+                        ("platform", platform_index.into()),
+                        ("density", density.into()),
+                        ("nodes", report.nodes.into()),
+                        ("targets", report.targets.into()),
+                        ("kind", kind_key(kind).into()),
+                        ("period", period.into()),
+                        ("lp_solves", stats.lp_solves.into()),
+                        ("warm_hits", stats.warm_hits.into()),
+                        ("warm_misses", stats.warm_misses.into()),
+                        ("realization", realization.into()),
+                    ]);
+                    out.push_str(&row.emit_inline());
+                    out.push('\n');
                 }
             }
         }
     }
 }
 
+/// Parses an artifact, checks its schema tag and drops every `"solve_ms"`
+/// member (wall time), after checking that each one is a line of its own:
+/// CI compares two runs with `grep -v '"solve_ms"'`.
+#[cfg(test)]
+pub(crate) fn parse_modulo_wall_time(text: &str, schema: &str) -> Json {
+    for line in text.lines().filter(|l| l.contains("\"solve_ms\"")) {
+        let member = line.trim_start().trim_end_matches(',');
+        let value = member.strip_prefix("\"solve_ms\": ");
+        assert!(value.is_some_and(|v| v.parse::<u64>().is_ok()), "{line}");
+    }
+    fn strip(value: &mut Json) {
+        match value {
+            Json::Obj(fields) => {
+                fields.retain(|(k, _)| k != "solve_ms");
+                fields.iter_mut().for_each(|(_, v)| strip(v));
+            }
+            Json::Arr(items) => items.iter_mut().for_each(strip),
+            _ => {}
+        }
+    }
+    let mut doc = Json::parse(text).expect("the artifact parses");
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some(schema));
+    strip(&mut doc);
+    doc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sweep::{BatchResult, SweepConfig, SweepPoint};
+
+    /// The first point of the first sweep of a parsed document.
+    fn first_point(doc: &Json) -> &Json {
+        let sweep = &doc.get("sweeps").and_then(Json::as_arr).unwrap()[0];
+        &sweep.get("points").and_then(Json::as_arr).unwrap()[0]
+    }
 
     fn fake_sweep() -> SweepResult {
         SweepResult {
@@ -493,10 +496,14 @@ mod tests {
         assert!(json.contains("\"class\": \"small\""));
         assert!(json.contains("\"scatter\": 4.25"));
         assert!(json.contains("\"mcph\": null"));
-        // Balanced braces/brackets — a cheap well-formedness check given the
-        // writer never emits strings containing braces.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = Json::parse(&json).unwrap();
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(JSON_SCHEMA));
+        let mean_period = first_point(&doc).get("mean_period").unwrap();
+        assert_eq!(
+            mean_period.get("scatter").and_then(Json::as_f64),
+            Some(4.25)
+        );
+        assert_eq!(mean_period.get("mcph"), Some(&Json::Null));
     }
 
     #[test]
@@ -522,7 +529,13 @@ mod tests {
             "\"scatter\": {\"realized\": 2, \"simulated_throughput\": 0.25, \
              \"realization_gap\": 0, \"max_realization_gap\": 0, \"one_port_violations\": 0}"
         ));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = Json::parse(&json).unwrap();
+        let mcph = first_point(&doc).get("realization").unwrap().get("mcph");
+        assert_eq!(
+            mcph.unwrap().get("realized").and_then(Json::as_u64),
+            Some(0)
+        );
+        assert_eq!(mcph.unwrap().get("realization_gap"), Some(&Json::Null));
     }
 
     #[test]
@@ -580,6 +593,12 @@ mod tests {
             "\"reduced_broadcast\": {\"realized\": 4, \"failed\": 0, \
              \"one_port_violations\": 0, \"max_gap\": 0.5, \"mean_gap\": 0.25}"
         ));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        // Every member but the wall time survives the filter.
+        let meta = parse_modulo_wall_time(&json, JSON_SCHEMA)
+            .get("meta")
+            .cloned()
+            .unwrap();
+        assert_eq!(meta.get("solve_ms"), None);
+        assert_eq!(meta.get("lp_solves").and_then(Json::as_u64), Some(64));
     }
 }

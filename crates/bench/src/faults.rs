@@ -20,7 +20,7 @@
 //! for the sweep and drift artifacts.
 
 use crate::drift::pick_disable_candidate;
-use crate::emit::{class_key, json_f64, kind_key};
+use crate::emit::{class_key, transition_json, LpTally};
 use pm_core::report::HeuristicKind;
 use pm_core::session::{Session, TransitionCost};
 use pm_core::{RobustOptions, RobustRealization};
@@ -28,6 +28,8 @@ use pm_lp::SolveContext;
 use pm_platform::graph::{NodeId, PlatformBuilder};
 use pm_platform::instances::MulticastInstance;
 use pm_platform::topology::{PlatformClass, TiersLikeGenerator};
+use pm_serve::json::{Json, Pretty};
+use pm_serve::protocol::kind_key;
 use pm_sim::{FaultModel, SimulationConfig, Simulator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -240,32 +242,6 @@ pub struct WorkedExample {
     pub frontier: Vec<FrontierCell>,
 }
 
-/// Aggregate accounting of a faults batch.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct FaultsMeta {
-    /// Total wall-clock milliseconds across scenarios (nondeterministic).
-    pub solve_ms: u64,
-    /// Linear programs solved.
-    pub lp_solves: u64,
-    /// Solves that warm-started.
-    pub warm_hits: u64,
-    /// Solves that ran cold.
-    pub warm_misses: u64,
-    /// Scenarios run.
-    pub scenarios: u64,
-}
-
-impl FaultsMeta {
-    /// Warm-hit rate across every LP of the batch.
-    pub fn warm_hit_rate(&self) -> f64 {
-        if self.lp_solves > 0 {
-            self.warm_hits as f64 / self.lp_solves as f64
-        } else {
-            0.0
-        }
-    }
-}
-
 /// The result of a [`run_faults`] call.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FaultsResult {
@@ -275,8 +251,9 @@ pub struct FaultsResult {
     pub worked_example: WorkedExample,
     /// One scenario per `(class, seed, platform)`, in configuration order.
     pub scenarios: Vec<FaultsScenario>,
-    /// Aggregate accounting.
-    pub meta: FaultsMeta,
+    /// Aggregate accounting across the worked example's and the
+    /// scenarios' frontier cells.
+    pub meta: LpTally,
 }
 
 /// A deterministic per-measurement fault seed: mixes the scenario seed
@@ -526,10 +503,7 @@ pub fn run_faults(config: &FaultsConfig, ctx: &SolveContext) -> FaultsResult {
 
     let worked_example = run_worked_example(config, ctx);
 
-    let mut meta = FaultsMeta {
-        scenarios: scenarios.len() as u64,
-        ..FaultsMeta::default()
-    };
+    let mut meta = LpTally::default();
     for cell in worked_example
         .frontier
         .iter()
@@ -548,107 +522,48 @@ pub fn run_faults(config: &FaultsConfig, ctx: &SolveContext) -> FaultsResult {
     }
 }
 
-fn push_transition_json(out: &mut String, transition: Option<&TransitionCost>) {
-    match transition {
-        None => out.push_str("null"),
-        Some(t) => out.push_str(&format!(
-            "{{\"drain_time\": {}, \"first_delivery_latency\": {}, \"switch_time\": {}, \
-             \"multicasts_lost\": {}, \"throughput_delta\": {}, \"trees_kept\": {}, \
-             \"trees_added\": {}, \"trees_dropped\": {}}}",
-            json_f64(t.drain_time),
-            json_f64(t.first_delivery_latency),
-            json_f64(t.switch_time),
-            json_f64(t.multicasts_lost),
-            json_f64(t.throughput_delta),
-            t.trees_kept,
-            t.trees_added,
-            t.trees_dropped,
-        )),
-    }
+/// A crash or recovery round, inline.
+fn round_json(round: &FaultsTransition) -> Json {
+    Json::obj(vec![
+        ("event", round.event.as_str().into()),
+        ("robust_throughput", round.robust_throughput.into()),
+        ("path_disjointness", round.path_disjointness.into()),
+        ("transition", transition_json(round.transition.as_ref())),
+    ])
 }
 
-fn push_round_json(out: &mut String, round: Option<&FaultsTransition>) {
-    match round {
-        None => out.push_str("null"),
-        Some(r) => {
-            out.push_str(&format!(
-                "{{\"event\": \"{}\", \"robust_throughput\": {}, \"path_disjointness\": {}, \
-                 \"transition\": ",
-                r.event,
-                json_f64(r.robust_throughput),
-                r.path_disjointness,
-            ));
-            push_transition_json(out, r.transition.as_ref());
-            out.push('}');
+/// The frontier-cell array member `frontier`.
+fn write_frontier(w: &mut Pretty, cells: &[FrontierCell]) {
+    w.array("frontier", |w| {
+        for cell in cells {
+            w.item_object(|w| {
+                w.field("f", cell.f);
+                w.field("trees", cell.trees);
+                w.field("achieved_disjointness", cell.achieved_disjointness);
+                w.field("path_disjointness", cell.path_disjointness);
+                w.field("period", cell.period);
+                w.field("robust_throughput", cell.robust_throughput);
+                w.field("baseline_throughput", cell.baseline_throughput);
+                w.field("throughput_sacrifice", cell.throughput_sacrifice);
+                w.field("survives_single_edge_loss", cell.survives_single_edge_loss);
+                w.field("fill_latency", cell.fill_latency);
+                w.field("solve_ms", cell.solve_ms);
+                w.field("lp_solves", cell.lp_solves);
+                w.field("warm_hits", cell.warm_hits);
+                w.field("warm_misses", cell.warm_misses);
+                let losses = cell.losses.iter().map(|p| {
+                    Json::obj(vec![
+                        ("loss", p.loss.into()),
+                        ("delivery_ratio", p.delivery_ratio.into()),
+                        ("goodput", p.goodput.into()),
+                        ("expected_floor", p.expected_floor.into()),
+                        ("meets_expected", p.meets_expected.into()),
+                    ])
+                });
+                w.field("losses", Json::Arr(losses.collect()));
+            });
         }
-    }
-}
-
-/// Emits a frontier-cell array with its items indented by `pad`.
-fn push_frontier_json(out: &mut String, cells: &[FrontierCell], pad: &str) {
-    out.push_str("[\n");
-    for (ci, cell) in cells.iter().enumerate() {
-        out.push_str(&format!("{pad}{{\n"));
-        out.push_str(&format!("{pad}  \"f\": {},\n", cell.f));
-        out.push_str(&format!("{pad}  \"trees\": {},\n", cell.trees));
-        out.push_str(&format!(
-            "{pad}  \"achieved_disjointness\": {},\n",
-            cell.achieved_disjointness
-        ));
-        out.push_str(&format!(
-            "{pad}  \"path_disjointness\": {},\n",
-            cell.path_disjointness
-        ));
-        out.push_str(&format!("{pad}  \"period\": {},\n", json_f64(cell.period)));
-        out.push_str(&format!(
-            "{pad}  \"robust_throughput\": {},\n",
-            json_f64(cell.robust_throughput)
-        ));
-        out.push_str(&format!(
-            "{pad}  \"baseline_throughput\": {},\n",
-            json_f64(cell.baseline_throughput)
-        ));
-        out.push_str(&format!(
-            "{pad}  \"throughput_sacrifice\": {},\n",
-            json_f64(cell.throughput_sacrifice)
-        ));
-        out.push_str(&format!(
-            "{pad}  \"survives_single_edge_loss\": {},\n",
-            cell.survives_single_edge_loss
-        ));
-        out.push_str(&format!(
-            "{pad}  \"fill_latency\": {},\n",
-            json_f64(cell.fill_latency)
-        ));
-        out.push_str(&format!("{pad}  \"solve_ms\": {},\n", cell.solve_ms));
-        out.push_str(&format!(
-            "{pad}  \"lp_solves\": {}, \"warm_hits\": {}, \"warm_misses\": {},\n",
-            cell.lp_solves, cell.warm_hits, cell.warm_misses
-        ));
-        out.push_str(&format!("{pad}  \"losses\": ["));
-        let points: Vec<String> = cell
-            .losses
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"loss\": {}, \"delivery_ratio\": {}, \"goodput\": {}, \
-                     \"expected_floor\": {}, \"meets_expected\": {}}}",
-                    json_f64(p.loss),
-                    json_f64(p.delivery_ratio),
-                    json_f64(p.goodput),
-                    json_f64(p.expected_floor),
-                    p.meets_expected,
-                )
-            })
-            .collect();
-        out.push_str(&points.join(", "));
-        out.push_str("]\n");
-        let comma = if ci + 1 < cells.len() { "," } else { "" };
-        out.push_str(&format!("{pad}}}{comma}\n"));
-    }
-    // Closing bracket at one level out from the items.
-    out.push_str(&pad[..pad.len().saturating_sub(2)]);
-    out.push(']');
+    });
 }
 
 /// The faults batch as a pretty-printed schema-v6 JSON document.
@@ -658,97 +573,47 @@ fn push_frontier_json(out: &mut String, cells: &[FrontierCell], pad: &str) {
 /// CI applies to the sweep and drift artifacts makes two faults runs
 /// byte-comparable.
 pub fn faults_to_json(result: &FaultsResult) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{FAULTS_JSON_SCHEMA}\",\n"));
-    out.push_str("  \"meta\": {\n");
-    out.push_str(&format!("    \"solve_ms\": {},\n", result.meta.solve_ms));
-    out.push_str(&format!("    \"lp_solves\": {},\n", result.meta.lp_solves));
-    out.push_str(&format!("    \"warm_hits\": {},\n", result.meta.warm_hits));
-    out.push_str(&format!(
-        "    \"warm_misses\": {},\n",
-        result.meta.warm_misses
-    ));
-    out.push_str(&format!(
-        "    \"warm_hit_rate\": {},\n",
-        json_f64(result.meta.warm_hit_rate())
-    ));
-    out.push_str(&format!("    \"scenarios\": {},\n", result.meta.scenarios));
-    out.push_str(&format!(
-        "    \"kind\": \"{}\",\n",
-        kind_key(result.config.kind)
-    ));
-    let floats = |v: &[f64]| {
-        v.iter()
-            .map(|&x| json_f64(x))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    out.push_str(&format!(
-        "    \"loss_rates\": [{}],\n",
-        floats(&result.config.loss_rates)
-    ));
-    out.push_str(&format!(
-        "    \"redundancy\": [{}]\n",
-        result
-            .config
-            .redundancy
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"worked_example\": {\n");
-    out.push_str(&format!(
-        "    \"nodes\": {},\n",
-        result.worked_example.nodes
-    ));
-    out.push_str(&format!(
-        "    \"targets\": {},\n",
-        result.worked_example.targets
-    ));
-    out.push_str(&format!(
-        "    \"capability\": {},\n",
-        result.worked_example.capability
-    ));
-    out.push_str("    \"frontier\": ");
-    push_frontier_json(&mut out, &result.worked_example.frontier, "      ");
-    out.push_str("\n  },\n");
-    out.push_str("  \"scenarios\": [\n");
-    for (si, scenario) in result.scenarios.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"class\": \"{}\",\n",
-            class_key(scenario.class)
-        ));
-        out.push_str(&format!("      \"seed\": {},\n", scenario.seed));
-        out.push_str(&format!("      \"platform\": {},\n", scenario.platform));
-        out.push_str(&format!("      \"nodes\": {},\n", scenario.nodes));
-        out.push_str(&format!("      \"targets\": {},\n", scenario.targets));
-        out.push_str(&format!("      \"capability\": {},\n", scenario.capability));
-        out.push_str("      \"frontier\": ");
-        push_frontier_json(&mut out, &scenario.frontier, "        ");
-        out.push_str(",\n");
-        out.push_str("      \"crash\": ");
-        push_round_json(&mut out, scenario.crash.as_ref());
-        out.push_str(",\n      \"recovery\": ");
-        push_round_json(&mut out, scenario.recovery.as_ref());
-        out.push('\n');
-        let comma = if si + 1 < result.scenarios.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!("    }}{comma}\n"));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let config = &result.config;
+    Pretty::document(|w| {
+        w.field("schema", FAULTS_JSON_SCHEMA);
+        w.object("meta", |w| {
+            result.meta.write_json(w);
+            w.field("scenarios", result.scenarios.len());
+            w.field("kind", kind_key(config.kind));
+            let losses = config.loss_rates.iter().map(|&x| x.into());
+            w.field("loss_rates", Json::Arr(losses.collect()));
+            let redundancy = config.redundancy.iter().map(|&f| f.into());
+            w.field("redundancy", Json::Arr(redundancy.collect()));
+        });
+        w.object("worked_example", |w| {
+            let example = &result.worked_example;
+            w.field("nodes", example.nodes);
+            w.field("targets", example.targets);
+            w.field("capability", example.capability);
+            write_frontier(w, &example.frontier);
+        });
+        w.array("scenarios", |w| {
+            for scenario in &result.scenarios {
+                w.item_object(|w| {
+                    w.field("class", class_key(scenario.class));
+                    w.field("seed", scenario.seed);
+                    w.field("platform", scenario.platform);
+                    w.field("nodes", scenario.nodes);
+                    w.field("targets", scenario.targets);
+                    w.field("capability", scenario.capability);
+                    write_frontier(w, &scenario.frontier);
+                    w.field("crash", scenario.crash.as_ref().map(round_json));
+                    w.field("recovery", scenario.recovery.as_ref().map(round_json));
+                });
+            }
+        });
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit::parse_modulo_wall_time;
 
     fn tiny_config() -> FaultsConfig {
         FaultsConfig {
@@ -855,13 +720,7 @@ mod tests {
         let config = tiny_config();
         let a = run_faults(&config, &SolveContext::default());
         let b = run_faults(&config, &SolveContext::default());
-        let filter = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("\"solve_ms\""))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(filter(&faults_to_json(&a)), filter(&faults_to_json(&b)));
-        assert!(faults_to_json(&a).contains(FAULTS_JSON_SCHEMA));
+        let json = |result| parse_modulo_wall_time(&faults_to_json(result), FAULTS_JSON_SCHEMA);
+        assert_eq!(json(&a), json(&b));
     }
 }

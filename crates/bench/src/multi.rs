@@ -19,13 +19,14 @@
 //! `"solve_ms"` wall-time lines, which CI filters exactly as it does for
 //! the other fig11 artifacts.
 
-use crate::emit::{class_key, json_f64};
+use crate::emit::{class_key, transition_json, LpTally};
 use pm_core::multi::Commodity;
 use pm_core::report::HeuristicKind;
 use pm_core::session::{Session, TransitionCost};
 use pm_lp::SolveContext;
 use pm_platform::graph::EdgeId;
 use pm_platform::topology::{PlatformClass, TiersLikeGenerator};
+use pm_serve::json::{Json, Pretty};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -224,32 +225,6 @@ pub struct MultiCell {
     pub drift: MultiDriftRecord,
 }
 
-/// Aggregate accounting of a multi-commodity batch.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct MultiMeta {
-    /// Total wall-clock milliseconds across cells (nondeterministic).
-    pub solve_ms: u64,
-    /// Linear programs solved.
-    pub lp_solves: u64,
-    /// Solves that warm-started.
-    pub warm_hits: u64,
-    /// Solves that ran cold.
-    pub warm_misses: u64,
-    /// Cells run.
-    pub cells: u64,
-}
-
-impl MultiMeta {
-    /// Warm-hit rate across every LP of the batch.
-    pub fn warm_hit_rate(&self) -> f64 {
-        if self.lp_solves > 0 {
-            self.warm_hits as f64 / self.lp_solves as f64
-        } else {
-            0.0
-        }
-    }
-}
-
 /// The result of a [`run_multi`] call.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MultiBenchResult {
@@ -258,8 +233,8 @@ pub struct MultiBenchResult {
     /// One cell per `(class, seed, platform, k, skew)`, in configuration
     /// order.
     pub cells: Vec<MultiCell>,
-    /// Aggregate accounting.
-    pub meta: MultiMeta,
+    /// Aggregate accounting across cells and their drift steps.
+    pub meta: LpTally,
 }
 
 /// Samples the cell's `k` commodities from the topology. The sampling
@@ -468,10 +443,7 @@ pub fn run_multi(config: &MultiBenchConfig, ctx: &SolveContext) -> MultiBenchRes
         })
         .collect();
 
-    let mut meta = MultiMeta {
-        cells: cells.len() as u64,
-        ..MultiMeta::default()
-    };
+    let mut meta = LpTally::default();
     for cell in &cells {
         meta.solve_ms += cell.solve_ms;
         meta.lp_solves += cell.lp_solves + cell.drift.lp_solves;
@@ -485,157 +457,76 @@ pub fn run_multi(config: &MultiBenchConfig, ctx: &SolveContext) -> MultiBenchRes
     }
 }
 
-fn push_transition_json(out: &mut String, transition: Option<&TransitionCost>) {
-    match transition {
-        None => out.push_str("null"),
-        Some(t) => out.push_str(&format!(
-            "{{\"drain_time\": {}, \"first_delivery_latency\": {}, \"switch_time\": {}, \
-             \"multicasts_lost\": {}, \"throughput_delta\": {}, \"trees_kept\": {}, \
-             \"trees_added\": {}, \"trees_dropped\": {}}}",
-            json_f64(t.drain_time),
-            json_f64(t.first_delivery_latency),
-            json_f64(t.switch_time),
-            json_f64(t.multicasts_lost),
-            json_f64(t.throughput_delta),
-            t.trees_kept,
-            t.trees_added,
-            t.trees_dropped,
-        )),
-    }
-}
-
 /// The multi-commodity batch as a pretty-printed schema-v8 JSON document.
 ///
 /// Every `"solve_ms"` field (the meta total and each cell's wall time) sits
 /// on its own line, so the same `grep -v '"solve_ms"'` filter CI applies to
 /// the other fig11 artifacts makes two multi runs byte-comparable.
 pub fn multi_to_json(result: &MultiBenchResult) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{MULTI_JSON_SCHEMA}\",\n"));
-    out.push_str("  \"meta\": {\n");
-    out.push_str(&format!("    \"solve_ms\": {},\n", result.meta.solve_ms));
-    out.push_str(&format!("    \"lp_solves\": {},\n", result.meta.lp_solves));
-    out.push_str(&format!("    \"warm_hits\": {},\n", result.meta.warm_hits));
-    out.push_str(&format!(
-        "    \"warm_misses\": {},\n",
-        result.meta.warm_misses
-    ));
-    out.push_str(&format!(
-        "    \"warm_hit_rate\": {},\n",
-        json_f64(result.meta.warm_hit_rate())
-    ));
-    out.push_str(&format!("    \"cells\": {}\n", result.meta.cells));
-    out.push_str("  },\n");
-    out.push_str("  \"cells\": [\n");
-    for (ci, cell) in result.cells.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"class\": \"{}\",\n",
-            class_key(cell.class)
-        ));
-        out.push_str(&format!("      \"seed\": {},\n", cell.seed));
-        out.push_str(&format!("      \"platform\": {},\n", cell.platform));
-        out.push_str(&format!("      \"k\": {},\n", cell.k));
-        out.push_str(&format!("      \"skew\": \"{}\",\n", skew_key(cell.skew)));
-        out.push_str(&format!("      \"nodes\": {},\n", cell.nodes));
-        out.push_str(&format!(
-            "      \"lp_period\": {},\n",
-            json_f64(cell.lp_period)
-        ));
-        out.push_str(&format!(
-            "      \"super_period\": {},\n",
-            json_f64(cell.super_period)
-        ));
-        out.push_str(&format!(
-            "      \"packed_scale\": {},\n",
-            json_f64(cell.packed_scale)
-        ));
-        out.push_str(&format!(
-            "      \"realization_gap\": {},\n",
-            json_f64(cell.realization_gap)
-        ));
-        out.push_str(&format!(
-            "      \"one_port_violations\": {},\n",
-            cell.one_port_violations
-        ));
-        out.push_str(&format!("      \"trees\": {},\n", cell.trees));
-        out.push_str(&format!("      \"lp_solves\": {},\n", cell.lp_solves));
-        out.push_str(&format!("      \"warm_hits\": {},\n", cell.warm_hits));
-        out.push_str(&format!("      \"warm_misses\": {},\n", cell.warm_misses));
-        out.push_str(&format!("      \"solve_ms\": {},\n", cell.solve_ms));
-        out.push_str(&format!(
-            "      \"matches_single\": {},\n",
-            match cell.matches_single {
-                None => "null".to_string(),
-                Some(b) => b.to_string(),
+    Pretty::document(|w| {
+        w.field("schema", MULTI_JSON_SCHEMA);
+        w.object("meta", |w| {
+            result.meta.write_json(w);
+            w.field("cells", result.cells.len());
+        });
+        w.array("cells", |w| {
+            for cell in &result.cells {
+                w.item_object(|w| write_cell(w, cell));
             }
-        ));
-        out.push_str("      \"commodities\": [\n");
-        for (i, c) in cell.commodities.iter().enumerate() {
-            let comma = if i + 1 < cell.commodities.len() {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(&format!(
-                "        {{\"commodity\": {}, \"demand\": {}, \"targets\": {}, \
-                 \"lp_rate\": {}, \"certified_rate\": {}, \"simulated_rate\": {}, \
-                 \"rate_met\": {}, \"trees\": {}}}{comma}\n",
-                c.commodity,
-                json_f64(c.demand),
-                c.targets,
-                json_f64(c.lp_rate),
-                json_f64(c.certified_rate),
-                json_f64(c.simulated_rate),
-                c.rate_met,
-                c.trees,
-            ));
+        });
+    })
+}
+
+fn write_cell(w: &mut Pretty, cell: &MultiCell) {
+    w.field("class", class_key(cell.class));
+    w.field("seed", cell.seed);
+    w.field("platform", cell.platform);
+    w.field("k", cell.k);
+    w.field("skew", skew_key(cell.skew));
+    w.field("nodes", cell.nodes);
+    w.field("lp_period", cell.lp_period);
+    w.field("super_period", cell.super_period);
+    w.field("packed_scale", cell.packed_scale);
+    w.field("realization_gap", cell.realization_gap);
+    w.field("one_port_violations", cell.one_port_violations);
+    w.field("trees", cell.trees);
+    w.field("lp_solves", cell.lp_solves);
+    w.field("warm_hits", cell.warm_hits);
+    w.field("warm_misses", cell.warm_misses);
+    w.field("solve_ms", cell.solve_ms);
+    w.field("matches_single", cell.matches_single);
+    w.array("commodities", |w| {
+        for c in &cell.commodities {
+            w.item(Json::obj(vec![
+                ("commodity", c.commodity.into()),
+                ("demand", c.demand.into()),
+                ("targets", c.targets.into()),
+                ("lp_rate", c.lp_rate.into()),
+                ("certified_rate", c.certified_rate.into()),
+                ("simulated_rate", c.simulated_rate.into()),
+                ("rate_met", c.rate_met.into()),
+                ("trees", c.trees.into()),
+            ]));
         }
-        out.push_str("      ],\n");
-        out.push_str("      \"drift\": {\n");
-        out.push_str(&format!("        \"event\": \"{}\",\n", cell.drift.event));
-        out.push_str(&format!(
-            "        \"lp_period\": {},\n",
-            json_f64(cell.drift.lp_period)
-        ));
-        out.push_str(&format!(
-            "        \"super_period\": {},\n",
-            json_f64(cell.drift.super_period)
-        ));
-        out.push_str(&format!(
-            "        \"one_port_violations\": {},\n",
-            cell.drift.one_port_violations
-        ));
-        out.push_str(&format!(
-            "        \"all_rates_met\": {},\n",
-            cell.drift.all_rates_met
-        ));
-        out.push_str(&format!(
-            "        \"lp_solves\": {},\n",
-            cell.drift.lp_solves
-        ));
-        out.push_str(&format!(
-            "        \"warm_hits\": {},\n",
-            cell.drift.warm_hits
-        ));
-        out.push_str(&format!(
-            "        \"warm_misses\": {},\n",
-            cell.drift.warm_misses
-        ));
-        out.push_str("        \"transition\": ");
-        push_transition_json(&mut out, cell.drift.transition.as_ref());
-        out.push_str("\n      }\n");
-        let comma = if ci + 1 < result.cells.len() { "," } else { "" };
-        out.push_str(&format!("    }}{comma}\n"));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    });
+    let drift = &cell.drift;
+    w.object("drift", |w| {
+        w.field("event", drift.event.as_str());
+        w.field("lp_period", drift.lp_period);
+        w.field("super_period", drift.super_period);
+        w.field("one_port_violations", drift.one_port_violations);
+        w.field("all_rates_met", drift.all_rates_met);
+        w.field("lp_solves", drift.lp_solves);
+        w.field("warm_hits", drift.warm_hits);
+        w.field("warm_misses", drift.warm_misses);
+        w.field("transition", transition_json(drift.transition.as_ref()));
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::emit::parse_modulo_wall_time;
 
     fn tiny_config() -> MultiBenchConfig {
         MultiBenchConfig {
@@ -690,13 +581,7 @@ mod tests {
         let config = tiny_config();
         let a = run_multi(&config, &SolveContext::default());
         let b = run_multi(&config, &SolveContext::default());
-        let filter = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("\"solve_ms\""))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(filter(&multi_to_json(&a)), filter(&multi_to_json(&b)));
-        assert!(multi_to_json(&a).contains(MULTI_JSON_SCHEMA));
+        let json = |result| parse_modulo_wall_time(&multi_to_json(result), MULTI_JSON_SCHEMA);
+        assert_eq!(json(&a), json(&b));
     }
 }

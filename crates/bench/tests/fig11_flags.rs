@@ -47,3 +47,27 @@ fn smoke_keeps_explicit_settings_in_any_order() {
     assert!(first.contains("\"platforms\": 1,"), "{first}");
     assert!(first.contains("\"density\": 0.5,"), "{first}");
 }
+
+/// Seeds reach the artifacts as JSON numbers (`f64`), so a seed is written
+/// exactly only up to 2^53: larger ones are a usage error, before any work.
+#[test]
+fn seeds_above_two_to_the_53_are_usage_errors() {
+    let too_big = "9007199254740993";
+    for args in [
+        vec!["--seed", too_big],
+        vec!["--seeds", &format!("42,{too_big}")],
+        vec!["--chaos", "--chaos-seed", too_big],
+        vec!["--seed", "not-a-seed"],
+    ] {
+        let status = Command::new(env!("CARGO_BIN_EXE_fig11"))
+            .args(&args)
+            .args(["--json", "/dev/null", "--csv", "/dev/null"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .expect("fig11 runs");
+        assert_eq!(status.code(), Some(2), "fig11 {args:?}");
+    }
+    let json = sweep_json(&["small", "--smoke", "--seed", "9007199254740992"], "max");
+    assert!(json.contains("\"seed\": 9007199254740992,"), "{json}");
+}

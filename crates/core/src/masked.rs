@@ -452,15 +452,17 @@ impl MaskedFlowLp {
     /// [`MaskedFlowLp::multicast_lb`]'s, bit for bit — and scales the
     /// period by its demand instead. Every commodity's source and targets
     /// must stay active.
-    pub fn joint(set: &CommoditySet) -> Self {
-        let commodities = set.commodities();
+    pub fn joint(set: CommoditySet) -> Self {
+        let (platform, commodities) = set.into_parts();
         let single = commodities.len() == 1;
-        let weight = |demand| if single { 1.0 } else { demand };
-        let blocks = (commodities.iter())
-            .map(|c| (c.source, c.targets.clone(), weight(c.demand)))
-            .collect();
         let scale = if single { commodities[0].demand } else { 1.0 };
-        Self::build(set.instance(0), FlowKind::MulticastLb, blocks, scale)
+        let (source, targets) = (commodities[0].source, commodities[0].targets.clone());
+        let instance = MulticastInstance::new(platform, source, targets)
+            .expect("a validated commodity is a valid instance");
+        let blocks = (commodities.into_iter())
+            .map(|c| (c.source, c.targets, if single { 1.0 } else { c.demand }))
+            .collect();
+        Self::build(instance, FlowKind::MulticastLb, blocks, scale)
     }
 
     fn build(
@@ -1589,7 +1591,7 @@ mod tests {
                 let set = joint_set(k, small);
                 let name = if small { "small" } else { "diamond" };
                 let (e, cost) = pin_edit(set.platform());
-                let mut template = MaskedFlowLp::joint(&set);
+                let mut template = MaskedFlowLp::joint(set);
                 got.push((format!("{name} joint k={k}"), lp_hash(&template.problem)));
                 template.set_edge_cost(e, cost);
                 got.push((

@@ -177,8 +177,8 @@ impl CommoditySet {
     }
 
     /// The single-commodity [`MulticastInstance`] of commodity `c` (a
-    /// platform clone; used to drive the per-commodity decomposition, the
-    /// `k = 1` delegation and, for `c = 0`, the joint template's instance).
+    /// platform clone; used to drive the per-commodity decomposition and
+    /// the `k = 1` delegation).
     pub fn instance(&self, c: usize) -> MulticastInstance {
         MulticastInstance::new(
             self.platform.clone(),
@@ -186,6 +186,11 @@ impl CommoditySet {
             self.commodities[c].targets.clone(),
         )
         .expect("a validated commodity is a valid instance")
+    }
+
+    /// The platform and the commodities, moved out of the set.
+    pub(crate) fn into_parts(self) -> (Platform, Vec<Commodity>) {
+        (self.platform, self.commodities)
     }
 }
 
@@ -602,7 +607,7 @@ mod tests {
             }],
         )
         .unwrap();
-        let template = MaskedFlowLp::joint(&set);
+        let template = MaskedFlowLp::joint(set.clone());
         let mask = full_mask(&platform);
         let multi = template.solve_multi(&mask, None).unwrap();
 
@@ -660,7 +665,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let template = MaskedFlowLp::joint(&set);
+        let template = MaskedFlowLp::joint(set.clone());
         let flow = template.solve_multi(&full_mask(&platform), None).unwrap();
         assert!(flow.period.is_finite() && flow.period > 0.0);
         assert_eq!(flow.rates.len(), 2);
@@ -711,7 +716,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let template = MaskedFlowLp::joint(&set);
+        let template = MaskedFlowLp::joint(set.clone());
         let flow = template.solve_multi(&full_mask(&platform), None).unwrap();
         assert!((flow.rates[0] / flow.rates[1] - 3.0).abs() < 1e-6);
         // Jointly they cannot beat the single-commodity optimum of the
@@ -745,7 +750,7 @@ mod tests {
             },
         ];
         let set = CommoditySet::new(platform.clone(), commodities.clone()).unwrap();
-        let mut template = MaskedFlowLp::joint(&set);
+        let mut template = MaskedFlowLp::joint(set);
         let mask = full_mask(&platform);
         let before = template.solve_multi(&mask, None).unwrap();
 
@@ -759,7 +764,7 @@ mod tests {
         let mut fresh_platform = platform.clone();
         fresh_platform.set_cost(e, 2.5).unwrap();
         let fresh_set = CommoditySet::new(fresh_platform, commodities).unwrap();
-        let fresh = MaskedFlowLp::joint(&fresh_set)
+        let fresh = MaskedFlowLp::joint(fresh_set)
             .solve_multi(&mask, None)
             .unwrap();
         assert_eq!(cold.period.to_bits(), fresh.period.to_bits());
@@ -792,7 +797,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let template = MaskedFlowLp::joint(&set);
+        let template = MaskedFlowLp::joint(set);
         let mut mask = full_mask(&platform);
         mask.remove(NodeId(1));
         // Node 1 is commodity 1's source.

@@ -1421,7 +1421,7 @@ impl Session {
             }
         }
         let set = CommoditySet::normalized(self.instance.platform.clone(), commodities.to_vec());
-        let mut template = MaskedFlowLp::joint(&set);
+        let mut template = MaskedFlowLp::joint(set);
         template.set_budget(self.budget);
         template.set_context(self.ctx.clone());
         self.multi_template = Some((commodities.to_vec(), template));

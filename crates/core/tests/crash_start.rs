@@ -243,7 +243,7 @@ fn hintless_joint_solves_skip_phase_1_and_match_the_dense_engine() {
             relay_masks += usize::from(relay.is_some());
             for mask in std::iter::once(full.clone()).chain(relay) {
                 let label = format!("seed {seed}, k = {k}, {} active", mask.active_count());
-                let mut template = MaskedFlowLp::joint(&set);
+                let mut template = MaskedFlowLp::joint(set.clone());
                 let out = template.solve_multi(&mask, None).unwrap();
                 assert_crash_started(&label, &out.stats);
                 template.set_context(dense.clone());

@@ -30,6 +30,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use pm_core::report::HeuristicKind;
+use pm_serve::json::Pretty;
 use pm_serve::{InstanceSpec, Request, Response, ServeConfig, Server};
 
 const SCHEMA: &str = "pm-bench/serve/v1";
@@ -197,14 +198,6 @@ fn percentile(sorted: &[u64], p: f64) -> f64 {
     }
     let rank = (p * (sorted.len() - 1) as f64).round() as usize;
     sorted[rank.min(sorted.len() - 1)] as f64
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn main() {
@@ -459,139 +452,60 @@ fn main() {
     let events_per_sec = load_requests as f64 / load_elapsed.as_secs_f64();
     let elapsed_ms = load_elapsed.as_secs_f64() * 1e3;
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-    out.push_str("  \"config\": {\n");
-    out.push_str(&format!("    \"sessions\": {sessions},\n"));
-    out.push_str(&format!("    \"rounds\": {rounds},\n"));
-    out.push_str(&format!("    \"burst\": {BURST},\n"));
-    out.push_str(&format!("    \"shards\": {},\n", config.shards));
-    out.push_str(&format!("    \"tick\": {},\n", config.tick));
-    out.push_str(&format!("    \"queue_cap\": {},\n", config.queue_cap));
-    out.push_str(&format!(
-        "    \"cache_capacity\": {},\n",
-        match config.cache_capacity {
-            Some(c) => c.to_string(),
-            None => "null".to_string(),
-        }
-    ));
-    out.push_str(&format!(
-        "    \"compact_interval\": {}\n",
-        config.compact_interval
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"counts\": {\n");
-    out.push_str(&format!("    \"requests\": {},\n", counters.requests));
-    out.push_str(&format!(
-        "    \"sessions_created\": {},\n",
-        counters.sessions_created
-    ));
-    out.push_str(&format!(
-        "    \"sessions_destroyed\": {},\n",
-        counters.sessions_destroyed
-    ));
-    out.push_str(&format!(
-        "    \"sessions_live\": {},\n",
-        counters.sessions_live
-    ));
-    out.push_str(&format!(
-        "    \"drift_events\": {},\n",
-        counters.drift_events
-    ));
-    out.push_str(&format!(
-        "    \"coalesced_writes\": {},\n",
-        counters.coalesced_writes
-    ));
-    out.push_str(&format!("    \"flushes\": {},\n", counters.flushes));
-    out.push_str(&format!(
-        "    \"coalescing_ratio\": {},\n",
-        json_f64(counters.coalescing_ratio())
-    ));
-    out.push_str(&format!("    \"shed\": {},\n", counters.shed));
-    out.push_str(&format!(
-        "    \"overloaded_responses\": {},\n",
-        stats.overloaded
-    ));
-    out.push_str(&format!(
-        "    \"malformed_responses\": {},\n",
-        stats.malformed
-    ));
-    out.push_str(&format!("    \"error_responses\": {},\n", stats.errors));
-    out.push_str(&format!(
-        "    \"template_builds\": {},\n",
-        counters.template_builds
-    ));
-    out.push_str(&format!(
-        "    \"template_hits\": {},\n",
-        counters.template_hits
-    ));
-    out.push_str(&format!("    \"solves\": {},\n", counters.solves));
-    out.push_str(&format!(
-        "    \"realizations\": {},\n",
-        counters.realizations
-    ));
-    out.push_str(&format!(
-        "    \"degraded_solves\": {},\n",
-        counters.degraded_solves
-    ));
-    out.push_str(&format!("    \"warm_hits\": {},\n", counters.warm_hits));
-    out.push_str(&format!("    \"warm_misses\": {},\n", counters.warm_misses));
-    out.push_str(&format!(
-        "    \"warm_hit_rate\": {},\n",
-        json_f64(counters.warm_hit_rate())
-    ));
-    out.push_str(&format!("    \"cache_hits\": {},\n", counters.cache_hits));
-    out.push_str(&format!(
-        "    \"cache_misses\": {},\n",
-        counters.cache_misses
-    ));
-    out.push_str(&format!(
-        "    \"cache_evictions\": {},\n",
-        counters.cache_evictions
-    ));
-    out.push_str(&format!(
-        "    \"cache_hit_rate\": {},\n",
-        json_f64(counters.cache_hit_rate())
-    ));
-    out.push_str(&format!("    \"compactions\": {},\n", counters.compactions));
-    out.push_str(&format!(
-        "    \"journal_entries_dropped\": {},\n",
-        counters.journal_entries_dropped
-    ));
-    out.push_str(&format!(
-        "    \"transition_entries\": {},\n",
-        stats.transition_entries
-    ));
-    out.push_str(&format!("    \"server_errors\": {}\n", counters.errors));
-    out.push_str("  },\n");
-    out.push_str("  \"perf\": {\n");
-    out.push_str(&format!("    \"setup_ms\": {},\n", json_f64(setup_ms)));
-    out.push_str(&format!("    \"elapsed_ms\": {},\n", json_f64(elapsed_ms)));
-    out.push_str(&format!(
-        "    \"events_per_sec\": {},\n",
-        json_f64(events_per_sec)
-    ));
-    out.push_str(&format!(
-        "    \"p50_us\": {},\n",
-        json_f64(percentile(&latencies, 0.50))
-    ));
-    out.push_str(&format!(
-        "    \"p95_us\": {},\n",
-        json_f64(percentile(&latencies, 0.95))
-    ));
-    out.push_str(&format!(
-        "    \"p99_us\": {},\n",
-        json_f64(percentile(&latencies, 0.99))
-    ));
-    out.push_str(&format!("    \"phase_a_ms\": {},\n", json_f64(phase_a_ms)));
-    out.push_str(&format!("    \"phase_b_ms\": {},\n", json_f64(phase_b_ms)));
-    out.push_str(&format!(
-        "    \"batch_speedup\": {}\n",
-        json_f64(batch_speedup)
-    ));
-    out.push_str("  }\n");
-    out.push_str("}\n");
+    let out = Pretty::document(|w| {
+        w.field("schema", SCHEMA);
+        w.object("config", |w| {
+            w.field("sessions", sessions);
+            w.field("rounds", rounds);
+            w.field("burst", BURST);
+            w.field("shards", config.shards);
+            w.field("tick", config.tick);
+            w.field("queue_cap", config.queue_cap);
+            w.field("cache_capacity", config.cache_capacity);
+            w.field("compact_interval", config.compact_interval);
+        });
+        w.object("counts", |w| {
+            w.field("requests", counters.requests);
+            w.field("sessions_created", counters.sessions_created);
+            w.field("sessions_destroyed", counters.sessions_destroyed);
+            w.field("sessions_live", counters.sessions_live);
+            w.field("drift_events", counters.drift_events);
+            w.field("coalesced_writes", counters.coalesced_writes);
+            w.field("flushes", counters.flushes);
+            w.field("coalescing_ratio", counters.coalescing_ratio());
+            w.field("shed", counters.shed);
+            w.field("overloaded_responses", stats.overloaded);
+            w.field("malformed_responses", stats.malformed);
+            w.field("error_responses", stats.errors);
+            w.field("template_builds", counters.template_builds);
+            w.field("template_hits", counters.template_hits);
+            w.field("solves", counters.solves);
+            w.field("realizations", counters.realizations);
+            w.field("degraded_solves", counters.degraded_solves);
+            w.field("warm_hits", counters.warm_hits);
+            w.field("warm_misses", counters.warm_misses);
+            w.field("warm_hit_rate", counters.warm_hit_rate());
+            w.field("cache_hits", counters.cache_hits);
+            w.field("cache_misses", counters.cache_misses);
+            w.field("cache_evictions", counters.cache_evictions);
+            w.field("cache_hit_rate", counters.cache_hit_rate());
+            w.field("compactions", counters.compactions);
+            w.field("journal_entries_dropped", counters.journal_entries_dropped);
+            w.field("transition_entries", stats.transition_entries);
+            w.field("server_errors", counters.errors);
+        });
+        w.object("perf", |w| {
+            w.field("setup_ms", setup_ms);
+            w.field("elapsed_ms", elapsed_ms);
+            w.field("events_per_sec", events_per_sec);
+            w.field("p50_us", percentile(&latencies, 0.50));
+            w.field("p95_us", percentile(&latencies, 0.95));
+            w.field("p99_us", percentile(&latencies, 0.99));
+            w.field("phase_a_ms", phase_a_ms);
+            w.field("phase_b_ms", phase_b_ms);
+            w.field("batch_speedup", batch_speedup);
+        });
+    });
 
     let mut file = std::fs::File::create(&out_path).expect("create artifact");
     file.write_all(out.as_bytes()).expect("write artifact");

@@ -1,11 +1,12 @@
 //! A minimal self-contained JSON value, parser and emitter.
 //!
-//! The vendored `serde` stub has no runtime, so the wire protocol is
-//! hand-rolled: requests and responses are single-line JSON objects built
-//! from and parsed into [`Json`] trees. The emitter is deterministic —
-//! object keys keep insertion order and floats print through Rust's `{}`
-//! formatting (shortest round-trip representation), matching the artifact
-//! emission idiom in `pm_bench::emit`.
+//! The vendored `serde` stub has no runtime, so JSON is hand-rolled here,
+//! once, for the wire and for the artifacts: requests and responses are
+//! single-line JSON objects built from and parsed into [`Json`] trees
+//! ([`Json::emit`]), and every `fig11` and `serve_bench` artifact is written
+//! by [`Pretty`]. Emission is deterministic — object keys keep insertion
+//! order and floats print through Rust's `{}` formatting (shortest
+//! round-trip representation; non-finite values become `null`).
 
 use std::fmt::Write as _;
 
@@ -34,11 +35,6 @@ impl Json {
     /// A string value.
     pub fn str(s: &str) -> Json {
         Json::Str(s.to_string())
-    }
-
-    /// A numeric value; non-finite floats map to `null` on emission.
-    pub fn num(v: f64) -> Json {
-        Json::Num(v)
     }
 
     /// Field lookup on an object (first match, like every JSON decoder).
@@ -98,14 +94,22 @@ impl Json {
         Ok(value)
     }
 
-    /// Emits the value as compact single-line JSON.
+    /// Emits the value as compact single-line JSON (the wire form).
     pub fn emit(&self) -> String {
         let mut out = String::new();
-        self.emit_into(&mut out);
+        self.emit_into::<false>(&mut out);
         out
     }
 
-    fn emit_into(&self, out: &mut String) {
+    /// Emits the value on one line with `", "` and `": "` separators: the
+    /// form of every value an artifact writes inline (see [`Pretty`]).
+    pub fn emit_inline(&self) -> String {
+        let mut out = String::new();
+        self.emit_into::<true>(&mut out);
+        out
+    }
+
+    fn emit_into<const SPACED: bool>(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -121,9 +125,9 @@ impl Json {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        push_separator::<SPACED>(out, ',');
                     }
-                    item.emit_into(out);
+                    item.emit_into::<SPACED>(out);
                 }
                 out.push(']');
             }
@@ -131,15 +135,145 @@ impl Json {
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        push_separator::<SPACED>(out, ',');
                     }
                     emit_string(k, out);
-                    out.push(':');
-                    v.emit_into(out);
+                    push_separator::<SPACED>(out, ':');
+                    v.emit_into::<SPACED>(out);
                 }
                 out.push('}');
             }
         }
+    }
+}
+
+/// The separator `c`, followed by a space in the inline form.
+fn push_separator<const SPACED: bool>(out: &mut String, c: char) {
+    out.push(c);
+    if SPACED {
+        out.push(' ');
+    }
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Num(v)
+    }
+}
+
+/// Numbers are `f64`, so an integer above 2^53 would be written rounded:
+/// every count the artifacts write is far below that, and `fig11` refuses
+/// larger seeds.
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Num(v as f64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Num(v as f64)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::str(v)
+    }
+}
+
+/// `None` is written as `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// The writer of the pretty-printed artifacts. The caller opens the block
+/// objects and arrays, which hold one member per line at a two-space
+/// indent and close on a line of their own, and writes every other value
+/// inline ([`Json::emit_inline`]). So every member of a block has a line to
+/// itself: CI drops the `"solve_ms"` wall times with a line filter.
+pub struct Pretty {
+    out: String,
+    depth: usize,
+}
+
+impl Pretty {
+    /// A document whose root is the block object `build` fills, ending in
+    /// a newline.
+    pub fn document(build: impl FnOnce(&mut Pretty)) -> String {
+        let mut w = Pretty {
+            out: String::new(),
+            depth: 0,
+        };
+        w.block('{', '}', build);
+        w.out.push('\n');
+        w.out
+    }
+
+    /// The member `"key": value` of the open block object, inline.
+    pub fn field(&mut self, key: &str, value: impl Into<Json>) {
+        self.member(Some(key));
+        value.into().emit_into::<true>(&mut self.out);
+    }
+
+    /// An item of the open block array, inline.
+    pub fn item(&mut self, value: impl Into<Json>) {
+        self.member(None);
+        value.into().emit_into::<true>(&mut self.out);
+    }
+
+    /// The member `key` of the open block object: a block object.
+    pub fn object(&mut self, key: &str, build: impl FnOnce(&mut Pretty)) {
+        self.member(Some(key));
+        self.block('{', '}', build);
+    }
+
+    /// The member `key` of the open block object: a block array.
+    pub fn array(&mut self, key: &str, build: impl FnOnce(&mut Pretty)) {
+        self.member(Some(key));
+        self.block('[', ']', build);
+    }
+
+    /// An item of the open block array: a block object.
+    pub fn item_object(&mut self, build: impl FnOnce(&mut Pretty)) {
+        self.member(None);
+        self.block('{', '}', build);
+    }
+
+    /// Starts a member on a line of its own. Only a block's opening
+    /// bracket can precede its first member (a value never ends in one),
+    /// so every other member follows a comma.
+    fn member(&mut self, key: Option<&str>) {
+        if !self.out.ends_with(['{', '[']) {
+            self.out.push(',');
+        }
+        self.newline();
+        if let Some(key) = key {
+            emit_string(key, &mut self.out);
+            self.out.push_str(": ");
+        }
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        self.out.extend(std::iter::repeat_n("  ", self.depth));
+    }
+
+    fn block(&mut self, open: char, close: char, build: impl FnOnce(&mut Pretty)) {
+        self.out.push(open);
+        self.depth += 1;
+        build(self);
+        self.depth -= 1;
+        self.newline();
+        self.out.push(close);
     }
 }
 
@@ -380,6 +514,51 @@ mod tests {
     }
 
     #[test]
+    fn pretty_nests_blocks_around_inline_values_and_parses_back() {
+        let inline = Json::obj(vec![("x", Json::Null), ("y", Json::Arr(vec![1u64.into()]))]);
+        let text = Pretty::document(|w| {
+            w.field("a", 1u64);
+            w.object("b", |w| {
+                w.array("c", |w| {
+                    w.item_object(|w| w.field("d", true));
+                    w.item(inline.clone());
+                });
+                w.array("e", |_| {});
+            });
+            w.object("f", |_| {});
+        });
+        let expected = "{\n  \"a\": 1,\n  \"b\": {\n    \"c\": [\n      {\n        \"d\": true\n      },\n      \
+                        {\"x\": null, \"y\": [1]}\n    ],\n    \"e\": [\n    ]\n  },\n  \"f\": {\n  }\n}\n";
+        assert_eq!(text, expected);
+        let c = Json::Arr(vec![Json::obj(vec![("d", true.into())]), inline]);
+        let b = Json::obj(vec![("c", c), ("e", Json::Arr(Vec::new()))]);
+        let tree = Json::obj(vec![
+            ("a", 1u64.into()),
+            ("b", b),
+            ("f", Json::obj(Vec::new())),
+        ]);
+        assert_eq!(Json::parse(&text).unwrap(), tree);
+        assert_eq!(tree.emit(), text.split_whitespace().collect::<String>());
+    }
+
+    #[test]
+    fn pretty_escapes_keys_and_writes_non_finite_numbers_as_null() {
+        let text = Pretty::document(|w| {
+            w.field("say \"hi\"\n", f64::NAN);
+            w.field(
+                "inf",
+                Json::Arr(vec![f64::INFINITY.into(), None::<u64>.into()]),
+            );
+        });
+        let expected = "{\n  \"say \\\"hi\\\"\\n\": null,\n  \"inf\": [null, null]\n}\n";
+        assert_eq!(text, expected);
+        assert_eq!(
+            Json::parse(&text).unwrap().get("say \"hi\"\n"),
+            Some(&Json::Null)
+        );
+    }
+
+    #[test]
     fn whitespace_and_unicode_escapes_parse() {
         let v = Json::parse(" { \"k\" : [ \"\\u0041\" ] } ").unwrap();
         assert_eq!(v.get("k").unwrap().as_arr().unwrap()[0].as_str(), Some("A"));
@@ -447,6 +626,8 @@ mod tests {
             prop_assert_eq!(&back, &value);
             // Emission is a fixed point of the round trip.
             prop_assert_eq!(back.emit(), line);
+            // The artifacts' inline form parses back to the same tree.
+            prop_assert_eq!(Json::parse(&value.emit_inline()).ok(), Some(value));
         }
     }
 

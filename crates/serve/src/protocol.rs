@@ -16,8 +16,9 @@ use pm_core::session::{SessionError, TransitionCost};
 use pm_platform::graph::{NodeId, Platform, PlatformBuilder};
 use pm_platform::instances::MulticastInstance;
 
-/// Snake-case wire name of a heuristic kind (matches the key naming used by
-/// `pm_bench` artifacts).
+/// Snake-case key of a heuristic kind, on the wire and in every `pm_bench`
+/// artifact (the paper labels of [`HeuristicKind::label`] contain spaces
+/// and dots, so they are kept for tables only).
 pub fn kind_key(kind: HeuristicKind) -> &'static str {
     match kind {
         HeuristicKind::Scatter => "scatter",
@@ -721,7 +722,9 @@ impl TransitionDesc {
         }
     }
 
-    fn to_json(&self) -> Json {
+    /// The transition as a JSON object, on the wire and in the drift,
+    /// faults and multi artifacts.
+    pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("drain_time", Json::Num(self.drain_time)),
             (
