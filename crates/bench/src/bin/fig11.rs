@@ -92,6 +92,15 @@ fn seed_value(text: &str, flag: &str) -> u64 {
     }
 }
 
+/// `text` parsed as the `what` that `flag` takes; anything else is a usage
+/// error (exit 2), not a panic.
+fn parsed<T: std::str::FromStr>(text: &str, flag: &str, what: &str) -> T {
+    text.parse().unwrap_or_else(|_| {
+        eprintln!("{flag} takes {what}, got {text:?}");
+        std::process::exit(2);
+    })
+}
+
 /// The value of environment variable `name` among `choices`; an unknown
 /// value is reported and ignored.
 fn env_choice<T: Copy>(name: &str, choices: &[(&str, T)]) -> Option<T> {
@@ -205,11 +214,8 @@ fn main() {
             // Drift events per scenario (drift mode only).
             "--steps" => {
                 i += 1;
-                steps = Some(
-                    flag_value(&args, i, "--steps")
-                        .parse()
-                        .expect("--steps takes an integer"),
-                );
+                let text = flag_value(&args, i, "--steps");
+                steps = Some(parsed(text, "--steps", "a non-negative integer"));
             }
             // Streamed per-item rows (see the module docs).
             "--items-csv" => {
@@ -241,9 +247,8 @@ fn main() {
             "--platforms" => {
                 i += 1;
                 platforms_explicit = true;
-                config.platforms = flag_value(&args, i, "--platforms")
-                    .parse()
-                    .expect("--platforms takes an integer");
+                let text = flag_value(&args, i, "--platforms");
+                config.platforms = parsed(text, "--platforms", "a non-negative integer");
             }
             "--seeds" => {
                 i += 1;
@@ -264,7 +269,7 @@ fn main() {
                 density_explicit = true;
                 config.densities = flag_value(&args, i, "--densities")
                     .split(',')
-                    .map(|d| d.parse().expect("--densities takes comma-separated floats"))
+                    .map(|d| parsed(d, "--densities", "comma-separated numbers"))
                     .collect();
             }
             "--json" => {

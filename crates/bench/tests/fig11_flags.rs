@@ -71,3 +71,28 @@ fn seeds_above_two_to_the_53_are_usage_errors() {
     let json = sweep_json(&["small", "--smoke", "--seed", "9007199254740992"], "max");
     assert!(json.contains("\"seed\": 9007199254740992,"), "{json}");
 }
+
+/// A malformed number after `--platforms`, `--densities` or `--steps` is a
+/// usage error that names the flag (exit 2), not a panic (exit 101).
+#[test]
+fn malformed_numbers_are_usage_errors() {
+    for args in [
+        vec!["--platforms", "x"],
+        vec!["--densities", "0.5,abc"],
+        vec!["--drift", "--steps", "-1"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig11"))
+            .args(&args)
+            .args(["--json", "/dev/null", "--csv", "/dev/null"])
+            .stdout(Stdio::null())
+            .output()
+            .expect("fig11 runs");
+        assert_eq!(out.status.code(), Some(2), "fig11 {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(args[args.len() - 2]),
+            "fig11 {args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "fig11 {args:?}: {stderr}");
+    }
+}

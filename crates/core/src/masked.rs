@@ -73,7 +73,8 @@
 //! drift is an in-place delta: [`MaskedTemplate::set_edge_cost`] rewrites
 //! the occupation-row coefficients through [`LpProblem::set_coeff`] — the
 //! constraint pattern (and with it every cached warm-start basis) survives
-//! the edit.
+//! the edit, and the LP's standard form is patched, not rebuilt. A template
+//! stores none of the edge's terms: they follow from the column layout.
 
 use crate::formulations::{FlowSolution, FormulationError, MultiSourceSolution};
 use crate::multi::{CommoditySet, MultiFlow};
@@ -102,43 +103,69 @@ pub struct MaskedFlow {
     pub stats: SolveStats,
 }
 
-/// Per edge: a list of `(column, w)` terms whose coefficient, or secondary
-/// cost, is `w·c(e)`. The lists are stored flat, edge after edge, a term as
-/// its column and the index of its weight among the few distinct ones (at
-/// most one per commodity block): 8 bytes a term.
-#[derive(Debug, Default)]
-struct EdgeTerms {
-    /// `ends[e]`: one past edge `e`'s last term.
-    ends: Vec<usize>,
-    terms: Vec<(u32, u32)>,
-    weights: Vec<f64>,
+/// Where one commodity block's columns sit: the flow of target `i` on edge
+/// `e` at `x_first + i·stride + e` and, under max accounting, the edge's
+/// load `n_e` at `n_first + e`. Every term that carries an edge cost is one
+/// of these columns with the block's weight `w`, so an edge's terms follow
+/// from the layout and are never stored.
+#[derive(Debug, Clone, Copy)]
+struct Columns {
+    x_first: usize,
+    stride: usize,
+    targets: usize,
+    n_first: Option<usize>,
+    /// The block's weight `w` in the shared occupation rows and the
+    /// secondary objective: 1, or the commodity's demand in a joint
+    /// template.
+    weight: f64,
 }
 
-impl EdgeTerms {
-    /// Appends `terms` to the list of the edge being filled.
-    fn extend(&mut self, terms: impl IntoIterator<Item = (VarId, f64)>) {
-        for (v, w) in terms {
-            let known = self.weights.iter().position(|x| x.to_bits() == w.to_bits());
-            let weight = known.unwrap_or_else(|| {
-                self.weights.push(w);
-                self.weights.len() - 1
-            });
-            let index = |i: usize| u32::try_from(i).expect("fewer than 2^32 columns");
-            self.terms.push((index(v.index()), index(weight)));
-        }
+impl Columns {
+    /// Target `i`'s flow on edge `e`.
+    fn x(self, i: usize, e: usize) -> VarId {
+        VarId(self.x_first + i * self.stride + e)
     }
 
-    /// Ends the list of the edge being filled.
-    fn close_edge(&mut self) {
-        self.ends.push(self.terms.len());
+    /// The load of edge `e` (max accounting only).
+    fn n(self, e: usize) -> Option<VarId> {
+        self.n_first.map(|n| VarId(n + e))
     }
 
-    /// Edge `e`'s terms.
-    fn of(&self, e: EdgeId) -> impl Iterator<Item = (VarId, f64)> + '_ {
-        let start = e.index().checked_sub(1).map_or(0, |prev| self.ends[prev]);
-        let terms = self.terms[start..self.ends[e.index()]].iter();
-        terms.map(|&(v, w)| (VarId(v as usize), self.weights[w as usize]))
+    /// Edge `e`'s load terms `(column, w)`, coefficient `w·c(e)` in its
+    /// occupation rows and secondary cost `w·c(e)`: `n_e` under max
+    /// accounting, else every target's flow.
+    fn load(self, e: usize) -> impl Iterator<Item = (VarId, f64)> {
+        let flows = if self.n_first.is_some() {
+            0
+        } else {
+            self.targets
+        };
+        (self.n(e).into_iter())
+            .chain((0..flows).map(move |i| self.x(i, e)))
+            .map(move |v| (v, self.weight))
     }
+
+    /// Edge `e`'s further terms of secondary cost `w·c(e)`, in no
+    /// occupation row: the flows under max accounting, whose load is `n_e`.
+    fn traffic(self, e: usize) -> impl Iterator<Item = (VarId, f64)> {
+        let flows = if self.n_first.is_some() {
+            self.targets
+        } else {
+            0
+        };
+        (0..flows).map(move |i| (self.x(i, e), self.weight))
+    }
+}
+
+/// Edge `e`'s load terms over every block (see [`Columns::load`]).
+fn load_terms(columns: &[Columns], e: EdgeId) -> impl Iterator<Item = (VarId, f64)> + '_ {
+    columns.iter().flat_map(move |c| c.load(e.index()))
+}
+
+/// Edge `e`'s load and further traffic terms over every block: the terms of
+/// the secondary objective.
+fn traffic_terms(columns: &[Columns], e: EdgeId) -> impl Iterator<Item = (VarId, f64)> + '_ {
+    load_terms(columns, e).chain(columns.iter().flat_map(move |c| c.traffic(e.index())))
 }
 
 /// A reusable full-platform template of a masked formulation, re-solvable
@@ -147,8 +174,8 @@ impl EdgeTerms {
 ///
 /// Every template ends in the same shared one-port occupation rows: an
 /// in-port and an out-port row per node and a row per edge, each
-/// `Σ w·c(e)·load ≤ T*` over per-edge tables of `(column, w)` load terms.
-/// The same tables price the lexicographic tie-break and drive the in-place
+/// `Σ w·c(e)·load ≤ T*` over the load terms of its commodity blocks.
+/// The same terms price the lexicographic tie-break and drive the in-place
 /// edge-cost edit, so that build, [`MaskedTemplate::set_edge_cost`], the
 /// solve settings and the solve's error mapping exist once, here.
 ///
@@ -165,13 +192,8 @@ pub struct MaskedTemplate<L> {
     port_rows: Vec<(Option<usize>, Option<usize>)>,
     /// Per edge: its own occupation row index.
     edge_rows: Vec<usize>,
-    /// Per edge: the load terms of its occupation rows, coefficient
-    /// `w·c(e)` there and secondary cost `w·c(e)`. Never changes after the
-    /// build, so every clone of the template shares it.
-    load_terms: Arc<EdgeTerms>,
-    /// Per edge: further terms of secondary cost `w·c(e)`, in no occupation
-    /// row (the flows under max accounting, whose loads are the `n`).
-    traffic_terms: Arc<EdgeTerms>,
+    /// Per commodity block: where its flow and load columns sit.
+    columns: Vec<Columns>,
     /// Deterministic per-solve work caps; `None` is unlimited.
     budget: Option<SolveBudget>,
     /// The context every solve of the template runs under.
@@ -181,21 +203,20 @@ pub struct MaskedTemplate<L> {
 
 impl<L> MaskedTemplate<L> {
     /// Finishes a template whose layout rows `lp` holds: appends the shared
-    /// occupation rows — (5)(8)/(6)(9) per port, (4)(7) per edge — over
-    /// `load_terms`, prices `load_terms` and `traffic_terms` in the
-    /// secondary objective, and builds the LP.
+    /// occupation rows — (5)(8)/(6)(9) per port, (4)(7) per edge — over the
+    /// load terms of the blocks' `columns`, prices their load and traffic
+    /// terms in the secondary objective, and builds the LP.
     fn finish(
         instance: MulticastInstance,
         mut lp: SparseBuilder,
         t_star: VarId,
-        mut load_terms: EdgeTerms,
-        mut traffic_terms: EdgeTerms,
+        columns: Vec<Columns>,
         layout: L,
     ) -> Self {
         let platform = &instance.platform;
         let load = |e: EdgeId| {
             let cost = platform.cost(e);
-            load_terms.of(e).map(move |(v, w)| (v, w * cost))
+            load_terms(&columns, e).map(move |(v, w)| (v, w * cost))
         };
         let mut port_rows = vec![(None, None); platform.node_count()];
         for node in platform.nodes() {
@@ -228,20 +249,17 @@ impl<L> MaskedTemplate<L> {
         // like traffic.
         for e in platform.edge_ids() {
             let cost = platform.cost(e);
-            for (v, w) in load_terms.of(e).chain(traffic_terms.of(e)) {
+            for (v, w) in traffic_terms(&columns, e) {
                 lp.set_secondary_coeff(v, w * cost);
             }
         }
-        load_terms.terms.shrink_to_fit();
-        traffic_terms.terms.shrink_to_fit();
         MaskedTemplate {
             instance,
             problem: lp.build().expect("a masked template is a valid LP"),
             t_star,
             port_rows,
             edge_rows,
-            load_terms: Arc::new(load_terms),
-            traffic_terms: Arc::new(traffic_terms),
+            columns,
             budget: None,
             ctx: SolveContext::default(),
             layout,
@@ -294,14 +312,13 @@ impl<L> MaskedTemplate<L> {
             self.port_rows[edge.src.index()].1,
             Some(self.edge_rows[e.index()]),
         ];
-        let (load, traffic) = (&self.load_terms, &self.traffic_terms);
         for row in rows.into_iter().flatten() {
-            for (v, w) in load.of(e) {
+            for (v, w) in load_terms(&self.columns, e) {
                 self.problem.set_coeff(row, v, w * cost);
             }
         }
         // Keep the lexicographic tie-break priced at the drifted cost.
-        for (v, w) in load.of(e).chain(traffic.of(e)) {
+        for (v, w) in traffic_terms(&self.columns, e) {
             self.problem.set_secondary_coeff(v, w * cost);
         }
     }
@@ -388,20 +405,12 @@ pub struct FlowLayout {
 }
 
 /// One commodity block of the flow template: a unit of flow from `source`
-/// to each of `targets`.
+/// to each of `targets`. Its columns are the template's [`Columns`] of the
+/// same index.
 #[derive(Debug, Clone)]
 struct Block {
     source: NodeId,
     targets: Vec<NodeId>,
-    /// The block's weight `w` in the shared occupation rows and the
-    /// secondary objective: 1, or the commodity's demand in a joint
-    /// template.
-    weight: f64,
-    /// `x[i][e]`: fraction of the message bound to target `i` crossing edge
-    /// `e`.
-    x: Vec<Vec<VarId>>,
-    /// `n[e]`: the block's edge loads (max accounting only).
-    n: Option<Vec<VarId>>,
     /// Per target: the skip variables of its source-outflow and demand rows
     /// (`Broadcast-EB` only: a multicast target never deactivates). Fixed
     /// to zero while the target is active; released to absorb the demand
@@ -475,21 +484,33 @@ impl MaskedFlowLp {
         let (m, nn) = (platform.edge_count(), platform.node_count());
         let max_rule = kind != FlowKind::MulticastUb;
 
+        // The columns: every block's flows, target after target, then
+        // (max accounting) every block's loads, then the skips and `T*`.
         let mut lp = SparseBuilder::new(Objective::Minimize);
-        let x: Vec<Vec<Vec<VarId>>> = (commodities.iter().enumerate())
-            .map(|(c, (_, targets, _))| {
-                (0..targets.len())
-                    .map(|i| {
-                        (0..m)
-                            .map(|e| lp.add_var(&format!("x_{c}_{i}_{e}")))
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        let n: Vec<Option<Vec<VarId>>> = (0..commodities.len())
-            .map(|c| max_rule.then(|| (0..m).map(|e| lp.add_var(&format!("n_{c}_{e}"))).collect()))
-            .collect();
+        let mut columns = Vec::with_capacity(commodities.len());
+        for (c, (_, targets, weight)) in commodities.iter().enumerate() {
+            let x_first = lp.num_vars();
+            for i in 0..targets.len() {
+                for e in 0..m {
+                    lp.add_var(&format!("x_{c}_{i}_{e}"));
+                }
+            }
+            columns.push(Columns {
+                x_first,
+                stride: m,
+                targets: targets.len(),
+                n_first: None,
+                weight: *weight,
+            });
+        }
+        if max_rule {
+            for (c, columns) in columns.iter_mut().enumerate() {
+                columns.n_first = Some(lp.num_vars());
+                for e in 0..m {
+                    lp.add_var(&format!("n_{c}_{e}"));
+                }
+            }
+        }
         let skips: Vec<Vec<Option<(VarId, VarId)>>> = (commodities.iter().enumerate())
             .map(|(c, (_, targets, _))| {
                 (0..targets.len())
@@ -506,17 +527,15 @@ impl MaskedFlowLp {
         lp.set_objective_coeff(t_star, 1.0);
 
         let mut blocks = Vec::with_capacity(commodities.len());
-        for (((source, targets, weight), x), (n, skips)) in
-            commodities.into_iter().zip(x).zip(n.into_iter().zip(skips))
+        for ((source, targets, _), (&cols, skips)) in
+            commodities.into_iter().zip(columns.iter().zip(skips))
         {
+            let x = |i: usize, e: EdgeId| cols.x(i, e.index());
             let mut flow_rows = vec![u32::MAX; targets.len() * nn];
             // (1) the whole message leaves the source, per target — or the
             // target's skip variable absorbs the demand when it deactivates.
-            for (i, x_row) in x.iter().enumerate() {
-                let terms = platform
-                    .out_edges(source)
-                    .iter()
-                    .map(|&e| (x_row[e.index()], 1.0));
+            for i in 0..targets.len() {
+                let terms = platform.out_edges(source).iter().map(|&e| (x(i, e), 1.0));
                 let row = lp.add_constraint(
                     terms.chain(skips[i].map(|(u, _)| (u, 1.0))),
                     Relation::Eq,
@@ -527,9 +546,9 @@ impl MaskedFlowLp {
             // No flow of the block back into its source (see
             // `formulations::solve_single_source` for the rationale); other
             // blocks may still route through it.
-            for x_row in &x {
+            for i in 0..targets.len() {
                 for &e in platform.in_edges(source) {
-                    lp.add_constraint([(x_row[e.index()], 1.0)], Relation::Eq, 0.0);
+                    lp.add_constraint([(x(i, e), 1.0)], Relation::Eq, 0.0);
                 }
             }
             // (2) the whole message reaches each target (or its skip absorbs
@@ -537,10 +556,7 @@ impl MaskedFlowLp {
             // unsatisfiable `0 = 1` row: harmless, because the reachability
             // pre-check reports it as unreachable before any solve.
             for (i, &target) in targets.iter().enumerate() {
-                let terms = platform
-                    .in_edges(target)
-                    .iter()
-                    .map(|&e| (x[i][e.index()], 1.0));
+                let terms = platform.in_edges(target).iter().map(|&e| (x(i, e), 1.0));
                 let row = lp.add_constraint(
                     terms.chain(skips[i].map(|(_, w)| (w, 1.0))),
                     Relation::Eq,
@@ -551,14 +567,8 @@ impl MaskedFlowLp {
             // (3) conservation at every other node.
             for (i, &target) in targets.iter().enumerate() {
                 for node in platform.nodes().filter(|&v| v != source && v != target) {
-                    let out = platform
-                        .out_edges(node)
-                        .iter()
-                        .map(|&e| (x[i][e.index()], 1.0));
-                    let back = platform
-                        .in_edges(node)
-                        .iter()
-                        .map(|&e| (x[i][e.index()], -1.0));
+                    let out = platform.out_edges(node).iter().map(|&e| (x(i, e), 1.0));
+                    let back = platform.in_edges(node).iter().map(|&e| (x(i, e), -1.0));
                     let terms: Vec<(VarId, f64)> = out.chain(back).collect();
                     if !terms.is_empty() {
                         let row = lp.add_constraint(terms, Relation::Eq, 0.0);
@@ -568,48 +578,27 @@ impl MaskedFlowLp {
             }
             // (10') n_e >= x_i_e for the max rule.
             let xn_first = lp.num_rows();
-            if let Some(n) = &n {
-                for x_row in &x {
-                    for e in 0..m {
-                        lp.add_constraint([(x_row[e], 1.0), (n[e], -1.0)], Relation::Le, 0.0);
+            for i in 0..targets.len() {
+                for e in 0..m {
+                    if let Some(n_e) = cols.n(e) {
+                        lp.add_constraint([(cols.x(i, e), 1.0), (n_e, -1.0)], Relation::Le, 0.0);
                     }
                 }
             }
             blocks.push(Block {
                 source,
                 targets,
-                weight,
-                x,
-                n,
                 skips,
                 flow_rows: flow_rows.into(),
                 xn_first,
             });
-        }
-        // A block's load on an edge is `n_e` under max accounting, with the
-        // flows priced in the secondary objective only; under scatter
-        // accounting it is every target's flow.
-        let (mut load_terms, mut traffic_terms) = (EdgeTerms::default(), EdgeTerms::default());
-        for e in 0..m {
-            for block in &blocks {
-                let flows = block.x.iter().map(|row| (row[e], block.weight));
-                match &block.n {
-                    Some(n) => {
-                        load_terms.extend([(n[e], block.weight)]);
-                        traffic_terms.extend(flows);
-                    }
-                    None => load_terms.extend(flows),
-                }
-            }
-            load_terms.close_edge();
-            traffic_terms.close_edge();
         }
         let layout = FlowLayout {
             kind,
             blocks,
             period_scale,
         };
-        MaskedTemplate::finish(instance, lp, t_star, load_terms, traffic_terms, layout)
+        MaskedTemplate::finish(instance, lp, t_star, columns, layout)
     }
 
     /// Solves a single-commodity template restricted to the active nodes of
@@ -646,12 +635,11 @@ impl MaskedFlowLp {
     ) -> Result<MultiFlow, FormulationError> {
         let (t_star, flows, out) = self.solve_blocks(mask, hint)?;
         let rates = self
-            .layout
-            .blocks
+            .columns
             .iter()
-            .map(|block| {
+            .map(|cols| {
                 if t_star > 0.0 {
-                    block.weight / t_star
+                    cols.weight / t_star
                 } else {
                     f64::INFINITY
                 }
@@ -715,7 +703,7 @@ impl MaskedFlowLp {
         // scatter: one weight per target), as the occupation rows count it.
         let mut load = vec![0.0; m];
         let mut routed = vec![false; m];
-        for (block, tree) in blocks.iter().zip(&trees) {
+        for ((block, &cols), tree) in blocks.iter().zip(&self.columns).zip(&trees) {
             let row = |i: usize, v: NodeId| {
                 let row = block.flow_rows[i * nn + v.index()];
                 debug_assert_ne!(row, u32::MAX, "a node with an edge has a balance row");
@@ -726,7 +714,7 @@ impl MaskedFlowLp {
                 if !mask.contains(target) {
                     // Deactivated target: all flow forced to zero, the skip
                     // variables released and basic in its two demand rows.
-                    overlay.fix_zero.extend(block.x[i].iter().copied());
+                    overlay.fix_zero.extend((0..m).map(|e| cols.x(i, e)));
                     let (u, w) = block.skips[i].expect("only broadcast targets deactivate");
                     basic.extend([(row(i, block.source), u), (row(i, target), w)]);
                     continue;
@@ -736,31 +724,29 @@ impl MaskedFlowLp {
                     .extend(block.skips[i].into_iter().flat_map(|(u, w)| [u, w]));
                 for (e, &active) in edge_active.iter().enumerate() {
                     if !active {
-                        overlay.fix_zero.push(block.x[i][e]);
+                        overlay.fix_zero.push(cols.x(i, e));
                     }
                 }
                 for v in platform.nodes() {
                     if let Some(e) = tree.parent_edge[v.index()] {
-                        basic.push((row(i, v), block.x[i][e.index()]));
+                        basic.push((row(i, v), cols.x(i, e.index())));
                     }
                 }
                 for e in tree_path(platform, tree, target) {
-                    match &block.n {
-                        Some(n) if !routed[e] => {
+                    match cols.n(e) {
+                        Some(n_e) if !routed[e] => {
                             routed[e] = true;
-                            load[e] += block.weight;
-                            basic.push((block.xn_first + i * m + e, n[e]));
+                            load[e] += cols.weight;
+                            basic.push((block.xn_first + i * m + e, n_e));
                         }
                         Some(_) => {}
-                        None => load[e] += block.weight,
+                        None => load[e] += cols.weight,
                     }
                 }
             }
-            if let Some(n) = &block.n {
+            if cols.n_first.is_some() {
                 for (e, &active) in edge_active.iter().enumerate() {
-                    if !active {
-                        overlay.fix_zero.push(n[e]);
-                    }
+                    overlay.fix_zero.extend(cols.n(e).filter(|_| !active));
                 }
             }
         }
@@ -769,18 +755,17 @@ impl MaskedFlowLp {
         let out = self.resolve(&overlay, hint, blocks[0].targets[0])?;
         let sol = &out.solution;
         let t_star = sol.value(self.t_star);
-        let flows = blocks
+        let flows = self
+            .columns
             .iter()
-            .map(|block| {
-                let period = t_star / block.weight;
-                let target_flows: Vec<Vec<f64>> = block
-                    .x
-                    .iter()
-                    .map(|row| row.iter().map(|&v| sol.value(v)).collect())
+            .map(|&cols| {
+                let period = t_star / cols.weight;
+                let target_flows: Vec<Vec<f64>> = (0..cols.targets)
+                    .map(|i| sol.values()[cols.x(i, 0).index()..][..m].to_vec())
                     .collect();
                 let edge_load = (0..m)
-                    .map(|e| match &block.n {
-                        Some(n) => sol.value(n[e]),
+                    .map(|e| match cols.n(e) {
+                        Some(n_e) => sol.value(n_e),
                         None => target_flows.iter().map(|row| row[e]).sum(),
                     })
                     .collect();
@@ -833,12 +818,6 @@ pub type MaskedMultiSourceUb = MaskedTemplate<MultiSourceLayout>;
 /// destination, the shared occupation rows under scatter accounting.
 #[derive(Debug, Clone)]
 pub struct MultiSourceLayout {
-    /// `x[d][e]`: flow of destination `d`'s message on edge `e` (destination
-    /// index over `dest_nodes`).
-    x: Vec<Vec<VarId>>,
-    /// `z[d][v]`: injection of destination `d`'s message at node `v`
-    /// (`None` at `v == d`).
-    z: Vec<Vec<Option<VarId>>>,
     /// Every non-source node, in id order: the potential destinations.
     dest_nodes: Vec<NodeId>,
     /// Per destination: the skip variables of the injection-total and
@@ -856,16 +835,29 @@ impl MaskedMultiSourceUb {
         let nn = platform.node_count();
         let dest_nodes: Vec<NodeId> = platform.nodes().filter(|&v| v != instance.source).collect();
 
+        // One block of columns per destination (see [`ms_injection`]),
+        // then the skips and `T*`. Destination `di`'s flow on edge `e` is
+        // the template's flow column `(di, e)`. (10) scatter accounting:
+        // every destination's flow is a load; injections and skips are no
+        // traffic.
+        let flows = Columns {
+            x_first: 0,
+            stride: m + nn - 1,
+            targets: dest_nodes.len(),
+            n_first: None,
+            weight: 1.0,
+        };
+        let x = |di: usize, e: EdgeId| flows.x(di, e.index());
         let mut lp = SparseBuilder::new(Objective::Minimize);
-        let mut x: Vec<Vec<VarId>> = Vec::with_capacity(dest_nodes.len());
-        let mut z: Vec<Vec<Option<VarId>>> = Vec::with_capacity(dest_nodes.len());
         for (di, &d) in dest_nodes.iter().enumerate() {
-            x.push((0..m).map(|e| lp.add_var(&format!("x_{di}_{e}"))).collect());
-            z.push(
-                (0..nn)
-                    .map(|v| (v != d.index()).then(|| lp.add_var(&format!("z_{di}_{v}"))))
-                    .collect(),
-            );
+            for e in 0..m {
+                let x_e = lp.add_var(&format!("x_{di}_{e}"));
+                debug_assert_eq!(x_e, flows.x(di, e));
+            }
+            for v in platform.nodes().filter(|&v| v != d) {
+                let z_v = lp.add_var(&format!("z_{di}_{}", v.index()));
+                debug_assert_eq!(Some(z_v), ms_injection(flows, m, di, d, v));
+            }
         }
         let dest_skips: Vec<(VarId, VarId)> = (0..dest_nodes.len())
             .map(|di| {
@@ -879,13 +871,12 @@ impl MaskedMultiSourceUb {
         lp.set_objective_coeff(t_star, 1.0);
 
         for (di, &d) in dest_nodes.iter().enumerate() {
+            let z = |v: NodeId| ms_injection(flows, m, di, d, v);
             // (1) the injections of destination d sum to one message (the
             // skip variable absorbs it while d is not a destination).
             let row = lp.add_constraint(
-                z[di]
-                    .iter()
-                    .flatten()
-                    .map(|&v| (v, 1.0))
+                (platform.nodes().filter_map(z))
+                    .map(|v| (v, 1.0))
                     .chain(once((dest_skips[di].0, 1.0))),
                 Relation::Eq,
                 1.0,
@@ -896,7 +887,7 @@ impl MaskedMultiSourceUb {
                 platform
                     .in_edges(d)
                     .iter()
-                    .map(|&e| (x[di][e.index()], 1.0))
+                    .map(|&e| (x(di, e), 1.0))
                     .chain(once((dest_skips[di].1, 1.0))),
                 Relation::Eq,
                 1.0,
@@ -905,35 +896,30 @@ impl MaskedMultiSourceUb {
             // (3) conservation with injection at every node v ≠ d:
             // out(v) − in(v) − z[d][v] = 0.
             for v in platform.nodes().filter(|&v| v != d) {
-                let out = platform
-                    .out_edges(v)
-                    .iter()
-                    .map(|&e| (x[di][e.index()], 1.0));
-                let back = platform
-                    .in_edges(v)
-                    .iter()
-                    .map(|&e| (x[di][e.index()], -1.0));
-                let z_v = z[di][v.index()].expect("z exists for v != d");
+                let out = platform.out_edges(v).iter().map(|&e| (x(di, e), 1.0));
+                let back = platform.in_edges(v).iter().map(|&e| (x(di, e), -1.0));
+                let z_v = z(v).expect("z exists for v != d");
                 let terms: Vec<(VarId, f64)> = out.chain(back).chain(once((z_v, -1.0))).collect();
                 let row = lp.add_constraint(terms, Relation::Eq, 0.0);
                 debug_assert_eq!(row.0, ms_balance_row(nn, di, d, v));
             }
         }
-        // (10) scatter accounting: every destination's flow is a load;
-        // injections and skips are no traffic.
-        let (mut load_terms, mut no_traffic) = (EdgeTerms::default(), EdgeTerms::default());
-        for e in 0..m {
-            load_terms.extend(x.iter().map(|row| (row[e], 1.0)));
-            load_terms.close_edge();
-            no_traffic.close_edge();
-        }
         let layout = MultiSourceLayout {
-            x,
-            z,
             dest_nodes,
             dest_skips,
         };
-        MaskedTemplate::finish(instance.clone(), lp, t_star, load_terms, no_traffic, layout)
+        MaskedTemplate::finish(instance.clone(), lp, t_star, vec![flows], layout)
+    }
+
+    /// Destination `di`'s flow on edge `e`.
+    fn x(&self, di: usize, e: usize) -> VarId {
+        self.columns[0].x(di, e)
+    }
+
+    /// Destination `di`'s injection at node `v` (see [`ms_injection`]).
+    fn z(&self, di: usize, v: NodeId) -> Option<VarId> {
+        let m = self.instance.platform.edge_count();
+        ms_injection(self.columns[0], m, di, self.layout.dest_nodes[di], v)
     }
 
     /// Solves the formulation for the ordered source list `sources`
@@ -967,7 +953,7 @@ impl MaskedMultiSourceUb {
     ) -> Result<MaskedMultiSource, FormulationError> {
         let platform = &self.instance.platform;
         let layout = &self.layout;
-        let nn = platform.node_count();
+        let (m, nn) = (platform.edge_count(), platform.node_count());
         if sources.first() != Some(&self.instance.source) {
             return Err(FormulationError::InvalidArgument(
                 "the first source must be the instance's source".to_string(),
@@ -1059,10 +1045,10 @@ impl MaskedMultiSourceUb {
             if !active[di] {
                 // Not a destination: flow and injections forced to zero,
                 // the skip variables absorb the two demand rows.
-                overlay.fix_zero.extend(layout.x[di].iter().copied());
+                overlay.fix_zero.extend((0..m).map(|e| self.x(di, e)));
                 overlay
                     .fix_zero
-                    .extend(layout.z[di].iter().flatten().copied());
+                    .extend(platform.nodes().filter_map(|v| self.z(di, v)));
                 continue;
             }
             overlay.fix_zero.push(layout.dest_skips[di].0);
@@ -1070,15 +1056,15 @@ impl MaskedMultiSourceUb {
             // Allowed origins: sources ranked strictly below d (secondary
             // source) or every source (plain target).
             let origin_limit = rank.min(sources.len());
-            for (&zv, &rank_v) in layout.z[di].iter().zip(&source_rank) {
-                let Some(zv) = zv else { continue };
+            for (v, &rank_v) in platform.nodes().zip(&source_rank) {
+                let Some(zv) = self.z(di, v) else { continue };
                 if rank_v >= origin_limit {
                     overlay.fix_zero.push(zv);
                 }
             }
             for (e, &ea) in edge_active.iter().enumerate() {
                 if !ea {
-                    overlay.fix_zero.push(layout.x[di][e]);
+                    overlay.fix_zero.push(self.x(di, e));
                 }
             }
         }
@@ -1087,13 +1073,12 @@ impl MaskedMultiSourceUb {
         let out = self.resolve(&overlay, hint, layout.dest_nodes[0])?;
         let sol = &out.solution;
         let period = sol.value(self.t_star);
-        let m = platform.edge_count();
         let mut edge_load = vec![0.0; m];
         let mut dest_nodes: Vec<NodeId> = Vec::new();
         let mut dest_flows: Vec<Vec<f64>> = Vec::new();
         for (di, &d) in layout.dest_nodes.iter().enumerate() {
             if active[di] && want_flows {
-                let row: Vec<f64> = (0..m).map(|e| sol.value(layout.x[di][e])).collect();
+                let row: Vec<f64> = (0..m).map(|e| sol.value(self.x(di, e))).collect();
                 for (e, load) in edge_load.iter_mut().enumerate() {
                     *load += row[e];
                 }
@@ -1103,7 +1088,7 @@ impl MaskedMultiSourceUb {
                 // Inactive destination (flows fixed to zero) or a solve
                 // that skips extraction: accumulate without allocating.
                 for (e, load) in edge_load.iter_mut().enumerate() {
-                    *load += sol.value(layout.x[di][e]);
+                    *load += sol.value(self.x(di, e));
                 }
             }
         }
@@ -1111,8 +1096,8 @@ impl MaskedMultiSourceUb {
         for node in platform.nodes() {
             let mut s = 0.0;
             for &e in platform.in_edges(node) {
-                for x_row in &layout.x {
-                    s += sol.value(x_row[e.index()]);
+                for di in 0..layout.dest_nodes.len() {
+                    s += sol.value(self.x(di, e.index()));
                 }
             }
             incoming_score[node.index()] = s;
@@ -1159,11 +1144,11 @@ impl MaskedMultiSourceUb {
                 basic.extend([(injection, u), (ms_balance_row(nn, di, d, d), w)]);
                 continue;
             }
-            let z = layout.z[di][source.index()].expect("z exists for v != d");
+            let z = self.z(di, source).expect("z exists for v != d");
             basic.push((injection, z));
             for v in platform.nodes() {
                 if let Some(e) = tree.parent_edge[v.index()] {
-                    basic.push((ms_balance_row(nn, di, d, v), layout.x[di][e.index()]));
+                    basic.push((ms_balance_row(nn, di, d, v), self.x(di, e.index())));
                 }
             }
             for e in tree_path(platform, &tree, d) {
@@ -1177,6 +1162,14 @@ impl MaskedMultiSourceUb {
 /// A row index in the flow template's `u32` row table.
 fn row_index(row: usize) -> u32 {
     u32::try_from(row).expect("a template has fewer than 2^32 rows")
+}
+
+/// Destination `di`'s (node `d`) injection at node `v` in the multi-source
+/// template, `None` at `d` itself. Each destination has one block of
+/// `m + n − 1` columns: its flow on every edge (the flow columns `flows`
+/// describes), then its injection at every other node in id order.
+fn ms_injection(flows: Columns, m: usize, di: usize, d: NodeId, v: NodeId) -> Option<VarId> {
+    (v != d).then(|| VarId(flows.x(di, 0).index() + m + v.index() - usize::from(v > d)))
 }
 
 /// The multi-source template lays its destination blocks out first: the
@@ -1448,15 +1441,15 @@ mod tests {
             }
         };
         eat(problem.num_vars() as u64);
-        for row in problem.constraints() {
+        for row in problem.rows() {
             eat(match row.relation {
                 Relation::Le => 0,
                 Relation::Ge => 1,
                 Relation::Eq => 2,
             });
             eat(row.rhs.to_bits());
-            eat(row.terms.len() as u64);
-            for &(v, a) in &row.terms {
+            eat(row.len() as u64);
+            for (v, a) in row.terms() {
                 eat(v.index() as u64);
                 eat(a.to_bits());
             }
@@ -1608,5 +1601,63 @@ mod tests {
                 "{label}: LP hash 0x{hash:016x}, pinned 0x{want:016x}"
             );
         }
+    }
+
+    /// Random edge-cost drift on every template family: each edit patches
+    /// the template's standard form in place, and the patched form is the
+    /// one a fresh build of the edited LP gives, bit for bit.
+    #[test]
+    fn edge_cost_edits_patch_the_standard_form_exactly() {
+        let inst = figure5_instance(3);
+        let mut flows = [
+            MaskedFlowLp::broadcast_eb(&inst),
+            MaskedFlowLp::multicast_lb(&inst),
+            MaskedFlowLp::multicast_ub(&inst),
+            MaskedFlowLp::joint(joint_set(4, true)),
+        ];
+        let mut ms = MaskedMultiSourceUb::new(&inst);
+        let mut state = 11u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for edit in 0..24 {
+            let e = next() as u32;
+            let cost = 0.05 + (next() % 1000) as f64 / 137.0;
+            for (t, template) in flows.iter_mut().enumerate() {
+                let edges = template.instance.platform.edge_count() as u32;
+                template.set_edge_cost(EdgeId(e % edges), cost);
+                let fresh = template.problem.form_matches_rebuild();
+                assert!(fresh, "flow template {t}, edit {edit}: stale form");
+            }
+            let edges = inst.platform.edge_count() as u32;
+            ms.set_edge_cost(EdgeId(e % edges), cost);
+            let fresh = ms.problem.form_matches_rebuild();
+            assert!(fresh, "multi-source template, edit {edit}: stale form");
+        }
+    }
+
+    /// A template's clones share its standard form until one is edited:
+    /// drifting one clone leaves the other's form and solutions as they
+    /// were.
+    #[test]
+    fn editing_one_clone_leaves_the_other_unchanged() {
+        let inst = figure1_instance();
+        let full = NodeMask::full(inst.platform.node_count());
+        let template = MaskedFlowLp::multicast_lb(&inst);
+        let before = template.solve(&full, None).unwrap();
+        let mut drifted = template.clone();
+        let (e, cost) = pin_edit(&inst.platform);
+        drifted.set_edge_cost(e, cost * 3.0);
+        assert!(drifted.problem.form_matches_rebuild());
+        assert!(template.problem.form_matches_rebuild());
+        let after = template.solve(&full, None).unwrap();
+        assert_eq!(after.flow.period.to_bits(), before.flow.period.to_bits());
+        assert_eq!(after.flow.target_flows, before.flow.target_flows);
+        assert_eq!(after.basis, before.basis);
+        let moved = drifted.solve(&full, None).unwrap();
+        assert_ne!(moved.flow.period.to_bits(), before.flow.period.to_bits());
     }
 }

@@ -61,7 +61,7 @@ pub mod sparse;
 
 pub use basis::LuBasis;
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosFault, SolveTally};
-pub use problem::{LpError, LpProblem, LpSolution, Objective, Relation, VarId};
+pub use problem::{LpError, LpProblem, LpSolution, Objective, Relation, Row, VarId};
 pub use revised::{
     resolve_with_bounds, Basis, BoundsOverlay, RecoveryRung, RecoveryTrigger, SolveOutcome,
     SolveStats, WarmStartCache, WarmStatus,

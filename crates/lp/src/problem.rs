@@ -1,9 +1,11 @@
 //! Linear program model: non-negative variables, linear constraints, and a
 //! linear objective.
 
+use crate::revised::StandardForm;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Identifier of a decision variable in an [`LpProblem`].
 ///
@@ -41,15 +43,67 @@ pub enum Relation {
     Eq,
 }
 
-/// One linear constraint `sum coeff_j * x_j  (<=|>=|==)  rhs`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Constraint {
-    /// Sparse list of `(variable, coefficient)` terms.
-    pub terms: Vec<(VarId, f64)>,
+/// A view of one linear constraint `sum coeff_j * x_j  (<=|>=|==)  rhs` of
+/// an [`LpProblem`] (see [`LpProblem::row`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'a> {
     /// The constraint relation.
     pub relation: Relation,
     /// Right-hand side constant.
     pub rhs: f64,
+    cols: &'a [u32],
+    vals: &'a [f64],
+}
+
+impl<'a> Row<'a> {
+    /// The `(variable, coefficient)` terms, in insertion order, duplicates
+    /// included.
+    pub fn terms(&self) -> impl ExactSizeIterator<Item = (VarId, f64)> + 'a {
+        let (cols, vals) = (self.cols, self.vals);
+        cols.iter().zip(vals).map(|(&c, &v)| (VarId(c as usize), v))
+    }
+
+    /// The number of terms.
+    pub fn len(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Whether the row has no term.
+    pub fn is_empty(&self) -> bool {
+        self.cols.is_empty()
+    }
+}
+
+/// Variable names, back to back in one buffer: variable `j`'s name ends at
+/// `ends[j]`, and starts where variable `j - 1`'s ends.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Names {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl Names {
+    /// Appends a name and returns its variable's id.
+    pub(crate) fn push(&mut self, name: &str) -> VarId {
+        self.text.push_str(name);
+        let end = u32::try_from(self.text.len()).expect("variable names fit in 4 GiB");
+        self.ends.push(end);
+        VarId(self.ends.len() - 1)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn get(&self, j: usize) -> &str {
+        let start = j.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        &self.text[start..self.ends[j] as usize]
+    }
+}
+
+/// A column or term-offset index in the problem's `u32` storage.
+fn index32(i: usize) -> u32 {
+    u32::try_from(i).expect("an LP has fewer than 2^32 columns and terms")
 }
 
 /// Errors returned by the solver.
@@ -175,8 +229,8 @@ impl LpSolution {
     /// let dual_obj: f64 = sol
     ///     .duals()
     ///     .iter()
-    ///     .zip(lp.constraints())
-    ///     .map(|(y, c)| y * c.rhs)
+    ///     .zip(lp.rows())
+    ///     .map(|(y, row)| y * row.rhs)
     ///     .sum();
     /// assert!((dual_obj - sol.objective).abs() < 1e-9);
     /// ```
@@ -194,32 +248,38 @@ impl LpSolution {
 /// updates keeps the same warm-start signature (see
 /// [`crate::revised::WarmStartCache`]) — this is what the masked
 /// sub-platform formulations in `pm-core` are built on.
+///
+/// A *finished* problem — one built by [`LpProblem::from_triplets`] or
+/// [`crate::sparse::SparseBuilder::build`] — carries the standard form the
+/// revised engine solves: the matrix with its slack and artificial columns
+/// and the perturbed right-hand side. Its clones share that form, and
+/// [`LpProblem::set_coeff`] patches it in place, so a template re-solved
+/// after every edit never rebuilds it. [`LpProblem::add_var`],
+/// [`LpProblem::add_constraint`] and [`LpProblem::set_rhs`] drop it; a
+/// problem without one builds a private form for each solve.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LpProblem {
     objective: Objective,
-    names: Vec<String>,
+    names: Names,
     objective_coeffs: Vec<f64>,
-    constraints: Vec<Constraint>,
-    /// Variables currently fixed to zero (same length as `names`).
+    /// Variables currently fixed to zero (one per variable).
     fixed: Vec<bool>,
     /// Lexicographic secondary objective coefficients (empty when unused;
     /// grown on demand, so it may be shorter than `names`). See
     /// [`LpProblem::set_secondary_coeff`].
     secondary: Vec<f64>,
-    /// Content stamp of the variables, constraint matrix and right-hand
-    /// sides: a process-wide unique number, renewed by every edit of them.
-    /// A clone keeps the stamp (same content), so equal stamps imply an
-    /// equal standard form — the key of the revised engine's per-thread
-    /// standard-form reuse. Objective, secondary and fixed-variable edits
-    /// leave it alone: the standard form does not contain them.
-    stamp: u64,
-}
-
-/// A content stamp no problem has had before. `Relaxed` suffices: the
-/// counter publishes no other data, it only has to hand out distinct values.
-fn fresh_stamp() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+    /// The constraint rows in one block, in insertion order: row `i`'s
+    /// terms are `row_starts[i]..row_starts[i + 1]` of `cols` and `vals`,
+    /// duplicates included.
+    row_starts: Vec<u32>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+    rhs: Vec<f64>,
+    relations: Vec<Relation>,
+    /// The standard form of the variables, matrix and right-hand sides (see
+    /// the type docs). Objective, secondary and fixed-variable edits leave
+    /// it alone: the form does not contain them.
+    form: Option<Arc<StandardForm>>,
 }
 
 impl LpProblem {
@@ -227,12 +287,16 @@ impl LpProblem {
     pub fn new(objective: Objective) -> Self {
         LpProblem {
             objective,
-            names: Vec::new(),
+            names: Names::default(),
             objective_coeffs: Vec::new(),
-            constraints: Vec::new(),
             fixed: Vec::new(),
             secondary: Vec::new(),
-            stamp: fresh_stamp(),
+            row_starts: vec![0],
+            cols: Vec::new(),
+            vals: Vec::new(),
+            rhs: Vec::new(),
+            relations: Vec::new(),
+            form: None,
         }
     }
 
@@ -242,71 +306,76 @@ impl LpProblem {
     /// `(row, col)` triplets are summed by the solvers; explicit zeros are
     /// dropped here. This is the preferred construction path for large
     /// machine-generated models (see also [`crate::sparse::SparseBuilder`]
-    /// for an incremental variant with named variables).
+    /// for an incremental variant with named variables). The problem is
+    /// finished: it carries its standard form.
     pub fn from_triplets(
         objective: Objective,
         objective_coeffs: Vec<f64>,
         rows: Vec<(Relation, f64)>,
         triplets: &[(usize, usize, f64)],
     ) -> Result<Self, LpError> {
-        let names = (0..objective_coeffs.len())
-            .map(|j| format!("x{j}"))
-            .collect();
-        Self::from_parts(objective, names, objective_coeffs, rows, triplets.to_vec())
+        let mut names = Names::default();
+        for j in 0..objective_coeffs.len() {
+            names.push(&format!("x{j}"));
+        }
+        Self::from_parts(objective, names, objective_coeffs, rows, triplets)
     }
 
     /// Shared triplet-grouping backend of [`LpProblem::from_triplets`] and
-    /// [`crate::sparse::SparseBuilder::build`].
+    /// [`crate::sparse::SparseBuilder::build`]; builds the standard form.
     pub(crate) fn from_parts(
         objective: Objective,
-        names: Vec<String>,
+        names: Names,
         objective_coeffs: Vec<f64>,
         rows: Vec<(Relation, f64)>,
-        triplets: Vec<(usize, usize, f64)>,
+        triplets: &[(usize, usize, f64)],
     ) -> Result<Self, LpError> {
         let m = rows.len();
-        // Counting sort by row keeps the grouping linear in nnz.
-        let mut counts = vec![0usize; m + 1];
-        for &(r, _, _) in &triplets {
+        // Counting sort by row keeps the grouping linear in nnz and the
+        // terms of a row in stream order; the `u32` counts cannot overflow.
+        index32(triplets.len());
+        let mut row_starts = vec![0u32; m + 1];
+        for &(r, _, v) in triplets {
             if r >= m {
                 return Err(LpError::InvalidModel(format!(
                     "triplet references unknown row {r} (model has {m} rows)"
                 )));
             }
-            counts[r + 1] += 1;
-        }
-        for i in 0..m {
-            counts[i + 1] += counts[i];
-        }
-        let mut terms: Vec<Vec<(VarId, f64)>> = counts
-            .windows(2)
-            .map(|w| Vec::with_capacity(w[1] - w[0]))
-            .collect();
-        for &(r, c, v) in &triplets {
             if v != 0.0 {
-                terms[r].push((VarId(c), v));
+                row_starts[r + 1] += 1;
             }
         }
-        let constraints = terms
-            .into_iter()
-            .zip(rows)
-            .map(|(terms, (relation, rhs))| Constraint {
-                terms,
-                relation,
-                rhs,
-            })
-            .collect();
+        for i in 0..m {
+            row_starts[i + 1] += row_starts[i];
+        }
+        let nnz = row_starts[m] as usize;
+        let mut next = row_starts.clone();
+        let (mut cols, mut vals) = (vec![0u32; nnz], vec![0.0; nnz]);
+        for &(r, c, v) in triplets {
+            if v != 0.0 {
+                let k = next[r] as usize;
+                next[r] += 1;
+                cols[k] = index32(c);
+                vals[k] = v;
+            }
+        }
+        let (relations, rhs) = rows.into_iter().unzip();
         let fixed = vec![false; names.len()];
-        let problem = LpProblem {
+        let mut problem = LpProblem {
             objective,
             names,
             objective_coeffs,
-            constraints,
             fixed,
             secondary: Vec::new(),
-            stamp: fresh_stamp(),
+            row_starts,
+            cols,
+            vals,
+            rhs,
+            relations,
+            form: None,
         };
         problem.validate()?;
+        problem.form = Some(Arc::new(StandardForm::build(&problem, None)));
         Ok(problem)
     }
 
@@ -318,11 +387,10 @@ impl LpProblem {
     /// Adds a non-negative variable with objective coefficient 0 and returns
     /// its id.
     pub fn add_var(&mut self, name: &str) -> VarId {
-        let id = VarId(self.names.len());
-        self.names.push(name.to_string());
+        let id = self.names.push(name);
         self.objective_coeffs.push(0.0);
         self.fixed.push(false);
-        self.stamp = fresh_stamp();
+        self.form = None;
         id
     }
 
@@ -366,13 +434,13 @@ impl LpProblem {
     /// Panics if `row` is out of range or `rhs` is not finite.
     pub fn set_rhs(&mut self, row: usize, rhs: f64) {
         assert!(rhs.is_finite(), "constraint {row} rhs must be finite");
-        self.constraints[row].rhs = rhs;
-        self.stamp = fresh_stamp();
+        self.rhs[row] = rhs;
+        self.form = None;
     }
 
     /// The right-hand side of constraint `row`.
     pub fn rhs(&self, row: usize) -> f64 {
-        self.constraints[row].rhs
+        self.rhs[row]
     }
 
     /// Updates the coefficient of `var` in constraint `row` in place.
@@ -387,6 +455,13 @@ impl LpProblem {
     /// from the old basis in a few pivots instead of rebuilding the
     /// formulation.
     ///
+    /// A finished problem's standard form is patched in place, not rebuilt:
+    /// its matrix entry becomes the row's terms on `var` summed in term
+    /// order, times the row's sign, exactly as a fresh build sums them.
+    /// Clones sharing the form keep theirs. Only an edit that changes the
+    /// form's pattern (duplicate terms summing to zero, before or after)
+    /// rebuilds it.
+    ///
     /// # Panics
     /// Panics if `row` is out of range, the term does not exist, or `coeff`
     /// is zero or non-finite.
@@ -395,12 +470,12 @@ impl LpProblem {
             coeff.is_finite() && coeff != 0.0,
             "in-place coefficient of {} in row {row} must be finite and nonzero (got {coeff}); \
              a zero would change the sparsity pattern and with it the warm-start signature",
-            self.names[var.index()]
+            self.var_name(var)
         );
-        let term = self.constraints[row]
-            .terms
-            .iter_mut()
-            .find(|(v, _)| *v == var)
+        let terms = self.row_range(row);
+        let col = index32(var.index());
+        let k = (terms.clone())
+            .find(|&k| self.cols[k] == col)
             .unwrap_or_else(|| {
                 panic!(
                     "constraint {row} has no term on variable {}: in-place edits cannot \
@@ -408,18 +483,30 @@ impl LpProblem {
                     var.index()
                 )
             });
-        term.1 = coeff;
-        self.stamp = fresh_stamp();
+        self.vals[k] = coeff;
+        let patched = match &mut self.form {
+            None => true,
+            Some(form) => {
+                let sign = form.row_sign(row);
+                let mut entry = 0.0;
+                for k in terms.filter(|&k| self.cols[k] == col) {
+                    entry += sign * self.vals[k];
+                }
+                StandardForm::patch(form, row, var.index(), entry)
+            }
+        };
+        if !patched {
+            self.form = Some(Arc::new(StandardForm::build(self, None)));
+        }
     }
 
     /// The coefficient of `var` in constraint `row` (0 when the term is not
-    /// present).
+    /// present; the first term when there are duplicates).
     pub fn coeff(&self, row: usize, var: VarId) -> f64 {
-        self.constraints[row]
-            .terms
-            .iter()
-            .find(|(v, _)| *v == var)
-            .map_or(0.0, |&(_, c)| c)
+        self.row(row)
+            .terms()
+            .find(|&(v, _)| v == var)
+            .map_or(0.0, |(_, c)| c)
     }
 
     /// Updates the objective coefficient of a variable in place — the
@@ -437,12 +524,12 @@ impl LpProblem {
 
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
+        self.rhs.len()
     }
 
     /// Name of a variable.
     pub fn var_name(&self, var: VarId) -> &str {
-        &self.names[var.index()]
+        self.names.get(var.index())
     }
 
     /// Sets the objective coefficient of a variable.
@@ -509,37 +596,65 @@ impl LpProblem {
         relation: Relation,
         rhs: f64,
     ) -> usize {
-        self.constraints.push(Constraint {
-            terms,
-            relation,
-            rhs,
-        });
-        self.stamp = fresh_stamp();
-        self.constraints.len() - 1
+        for (v, c) in terms {
+            self.cols.push(index32(v.index()));
+            self.vals.push(c);
+        }
+        self.row_starts.push(index32(self.cols.len()));
+        self.rhs.push(rhs);
+        self.relations.push(relation);
+        self.form = None;
+        self.rhs.len() - 1
     }
 
-    /// The constraints of the problem.
-    pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
+    /// Constraint `i`.
+    pub fn row(&self, i: usize) -> Row<'_> {
+        let terms = self.row_range(i);
+        Row {
+            relation: self.relations[i],
+            rhs: self.rhs[i],
+            cols: &self.cols[terms.clone()],
+            vals: &self.vals[terms],
+        }
     }
 
-    /// The content stamp (see the field docs).
-    pub(crate) fn stamp(&self) -> u64 {
-        self.stamp
+    /// The constraints of the problem, in order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = Row<'_>> + '_ {
+        (0..self.num_constraints()).map(|i| self.row(i))
+    }
+
+    /// Where row `i`'s terms sit in `cols` and `vals`.
+    fn row_range(&self, i: usize) -> Range<usize> {
+        self.row_starts[i] as usize..self.row_starts[i + 1] as usize
+    }
+
+    /// The standard form of a finished problem (see the type docs).
+    pub(crate) fn form(&self) -> Option<&Arc<StandardForm>> {
+        self.form.as_ref()
+    }
+
+    /// Whether the problem's standard form, if it carries one, equals bit
+    /// for bit the form a fresh build of the problem gives: the check that
+    /// [`LpProblem::set_coeff`]'s in-place patches are exact. A test hook.
+    #[doc(hidden)]
+    pub fn form_matches_rebuild(&self) -> bool {
+        self.form
+            .as_ref()
+            .is_none_or(|form| form.bits() == StandardForm::build(self, None).bits())
     }
 
     /// Validates the model: every referenced variable exists and every
     /// coefficient is finite.
     pub fn validate(&self) -> Result<(), LpError> {
-        for (i, c) in self.constraints.iter().enumerate() {
-            if !c.rhs.is_finite() {
+        for (i, row) in self.rows().enumerate() {
+            if !row.rhs.is_finite() {
                 return Err(LpError::InvalidModel(format!(
                     "constraint {i} has non-finite rhs {}",
-                    c.rhs
+                    row.rhs
                 )));
             }
-            for &(v, coeff) in &c.terms {
-                if v.index() >= self.names.len() {
+            for (v, coeff) in row.terms() {
+                if v.index() >= self.num_vars() {
                     return Err(LpError::InvalidModel(format!(
                         "constraint {i} references unknown variable {}",
                         v.index()
@@ -548,7 +663,7 @@ impl LpProblem {
                 if !coeff.is_finite() {
                     return Err(LpError::InvalidModel(format!(
                         "constraint {i} has non-finite coefficient on {}",
-                        self.names[v.index()]
+                        self.var_name(v)
                     )));
                 }
             }
@@ -557,7 +672,7 @@ impl LpProblem {
             if !c.is_finite() {
                 return Err(LpError::InvalidModel(format!(
                     "objective coefficient of {} is not finite",
-                    self.names[j]
+                    self.var_name(VarId(j))
                 )));
             }
         }
@@ -572,7 +687,7 @@ impl LpProblem {
             if !c.is_finite() {
                 return Err(LpError::InvalidModel(format!(
                     "secondary objective coefficient of {} is not finite",
-                    self.names[j]
+                    self.var_name(VarId(j))
                 )));
             }
         }
@@ -664,12 +779,12 @@ impl LpProblem {
         {
             return false;
         }
-        for c in &self.constraints {
-            let lhs: f64 = c.terms.iter().map(|&(v, a)| a * values[v.index()]).sum();
-            let ok = match c.relation {
-                Relation::Le => lhs <= c.rhs + tol,
-                Relation::Ge => lhs >= c.rhs - tol,
-                Relation::Eq => (lhs - c.rhs).abs() <= tol,
+        for row in self.rows() {
+            let lhs: f64 = row.terms().map(|(v, a)| a * values[v.index()]).sum();
+            let ok = match row.relation {
+                Relation::Le => lhs <= row.rhs + tol,
+                Relation::Ge => lhs >= row.rhs - tol,
+                Relation::Eq => (lhs - row.rhs).abs() <= tol,
             };
             if !ok {
                 return false;

@@ -58,11 +58,10 @@ use crate::solver::{
     SolveContext,
 };
 use crate::sparse::CscMatrix;
-use std::cell::{Cell, OnceCell};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Numerical tolerance (same value as the dense engine).
 const EPS: f64 = 1e-9;
@@ -137,19 +136,20 @@ impl Basis {
     pub fn crash(problem: &LpProblem, basic: impl IntoIterator<Item = (usize, VarId)>) -> Basis {
         let mut slack = problem.num_vars();
         let mut cols: Vec<usize> = problem
-            .constraints()
-            .iter()
-            .map(|c| match effective_relation(c.relation, c.rhs < 0.0) {
-                Relation::Le => {
-                    slack += 1;
-                    slack - 1
-                }
-                Relation::Ge => {
-                    slack += 1;
-                    Basis::REDUNDANT
-                }
-                Relation::Eq => Basis::REDUNDANT,
-            })
+            .rows()
+            .map(
+                |row| match effective_relation(row.relation, row.rhs < 0.0) {
+                    Relation::Le => {
+                        slack += 1;
+                        slack - 1
+                    }
+                    Relation::Ge => {
+                        slack += 1;
+                        Basis::REDUNDANT
+                    }
+                    Relation::Eq => Basis::REDUNDANT,
+                },
+            )
             .collect();
         for (row, var) in basic {
             cols[row] = var.index();
@@ -336,7 +336,7 @@ pub struct SolveOutcome {
 /// reset whenever a weight overflows its trust range.
 ///
 /// The pivot row `α = ρᵀA` is gathered sparsely over the CSR mirror of the
-/// constraint matrix that [`StandardForm::csr`] keeps.
+/// constraint matrix that [`Engine::csr`] holds.
 ///
 /// The dual pass ([`Engine::dual_pass`]) keeps the secondary reduced costs
 /// beside the primary ones and updates both from the same pivot row.
@@ -415,7 +415,11 @@ struct EngineCfg {
 /// The revised-simplex working state.
 struct Engine {
     /// The standard form being solved (shared, read-only).
-    form: Rc<StandardForm>,
+    form: Arc<StandardForm>,
+    /// CSR mirror of the form's matrix (row pointers, column indices,
+    /// values) for the devex pivot rows, built on the engine's first pivot
+    /// row and dropped with the engine.
+    csr: Option<(Vec<usize>, Vec<u32>, Vec<f64>)>,
     m: usize,
     n_user: usize,
     /// First artificial column; structural + slack columns are below.
@@ -477,16 +481,20 @@ struct Engine {
 }
 
 impl Engine {
-    /// Sets up a solve of the problem's standard form (see
-    /// [`StandardForm`]) from the all-slack/artificial basis. The overlay's
-    /// RHS overrides go into the standard form; its fixed-variable marks
-    /// are merged with the problem's own.
-    fn new(problem: &LpProblem, overlay: Option<&BoundsOverlay>, cfg: EngineCfg) -> Engine {
-        let form = standard_form(problem, overlay);
+    /// Sets up a solve of `form`, the problem's standard form (see
+    /// [`StandardForm`]) under the overlay's RHS overrides, from the
+    /// all-slack/artificial basis. The overlay's fixed-variable marks are
+    /// merged with the problem's own.
+    fn new(
+        problem: &LpProblem,
+        form: &Arc<StandardForm>,
+        overlay: Option<&BoundsOverlay>,
+        cfg: EngineCfg,
+    ) -> Engine {
         let n_user = problem.num_vars();
         let m = form.a.rows();
         let n_total = form.n_total;
-        let basis = form.start_basis.clone();
+        let basis: Vec<usize> = form.start.iter().map(|&j| j as usize).collect();
         let mut in_basis = vec![false; n_total];
         for &j in &basis {
             in_basis[j] = true;
@@ -510,7 +518,8 @@ impl Engine {
             n_user,
             artificial_start: form.artificial_start,
             n_total,
-            form,
+            form: Arc::clone(form),
+            csr: None,
             basis,
             in_basis,
             fixed,
@@ -836,7 +845,8 @@ impl Engine {
     /// the pivot is applied: the devex rc/weight recurrences are algebra on
     /// the pre-pivot basis.
     fn compute_pivot_row(&mut self, row: usize) {
-        let (row_ptr, col_idx, vals) = self.form.csr();
+        let form = &self.form;
+        let (row_ptr, col_idx, vals) = self.csr.get_or_insert_with(|| form.a.to_csr());
         let p = &mut self.pricing;
         p.rho.iter_mut().for_each(|v| *v = 0.0);
         p.rho[row] = 1.0;
@@ -1052,10 +1062,7 @@ impl Engine {
             // Redundant rows re-enter on their own artificial (or slack for
             // an inequality row, which has one by construction).
             let col = if c == Basis::REDUNDANT {
-                match self.form.row_artificial[r].or(self.form.row_slack[r]) {
-                    Some(col) => col,
-                    None => return WarmInstall::Rejected,
-                }
+                self.form.start[r] as usize
             } else if c < self.artificial_start {
                 c
             } else {
@@ -1478,13 +1485,12 @@ impl Engine {
 ///
 /// It is a pure function of the problem's variables, matrix and RHS (plus
 /// any overlay RHS overrides) and never changes during a solve, so engines
-/// share it read-only: see [`standard_form`] for its per-thread reuse.
-#[derive(Debug)]
-struct StandardForm {
+/// share it read-only. A finished [`LpProblem`] carries its own (see
+/// [`LpProblem::set_coeff`] for the in-place patch); [`solve_in`] builds a
+/// private one for any other problem, or under RHS overrides.
+#[derive(Debug, Clone)]
+pub(crate) struct StandardForm {
     a: CscMatrix,
-    /// CSR mirror of `a` (row pointers, column indices, values) for the
-    /// devex pivot rows, built on first use.
-    csr: OnceCell<(Vec<usize>, Vec<u32>, Vec<f64>)>,
     /// Perturbed RHS (drives ratio tests, never reported).
     b: Vec<f64>,
     /// Exact RHS (solution values are read from its transform).
@@ -1492,24 +1498,20 @@ struct StandardForm {
     /// First artificial column; structural + slack columns are below.
     artificial_start: usize,
     n_total: usize,
-    /// Per row: its slack/surplus column, if any.
-    row_slack: Vec<Option<usize>>,
-    /// Per row: its artificial column, if any.
-    row_artificial: Vec<Option<usize>>,
+    /// Per row: the column it starts on — its artificial, else its slack —
+    /// which together make the all-slack/artificial start basis.
+    start: Vec<u32>,
     /// Per row: whether the `b ≥ 0` normalisation negated it (needed to map
     /// the standard-form duals back to the user's rows).
     row_flip: Vec<bool>,
-    /// The all-slack/artificial start basis, one column per row.
-    start_basis: Vec<usize>,
 }
 
 impl StandardForm {
     /// Builds the standard form, mirroring the dense engine. The overlay's
     /// RHS overrides are applied before normalisation.
-    fn build(problem: &LpProblem, overlay: Option<&BoundsOverlay>) -> StandardForm {
+    pub(crate) fn build(problem: &LpProblem, overlay: Option<&BoundsOverlay>) -> StandardForm {
         let n_user = problem.num_vars();
-        let constraints = problem.constraints();
-        let m = constraints.len();
+        let m = problem.num_constraints();
 
         let mut rhs_override: Vec<Option<f64>> = Vec::new();
         if let Some(overlay) = overlay {
@@ -1527,8 +1529,8 @@ impl StandardForm {
         let mut num_slack = 0usize;
         let mut num_artificial = 0usize;
         let mut relations = Vec::with_capacity(m);
-        for (r, c) in constraints.iter().enumerate() {
-            let relation = effective_relation(c.relation, row_rhs(r, c.rhs) < 0.0);
+        for (r, row) in problem.rows().enumerate() {
+            let relation = effective_relation(row.relation, row_rhs(r, row.rhs) < 0.0);
             relations.push(relation);
             match relation {
                 Relation::Le => num_slack += 1,
@@ -1541,45 +1543,40 @@ impl StandardForm {
         }
         let artificial_start = n_user + num_slack;
         let n_total = artificial_start + num_artificial;
+        let column = |j: usize| u32::try_from(j).expect("fewer than 2^32 columns");
 
-        let nnz_guess: usize = constraints.iter().map(|c| c.terms.len()).sum();
+        let nnz_guess: usize = problem.rows().map(|row| row.len()).sum();
         let mut triplets = Vec::with_capacity(nnz_guess + num_slack + num_artificial);
         let mut b = vec![0.0; m];
-        let mut start_basis = vec![usize::MAX; m];
-        let mut row_slack = vec![None; m];
-        let mut row_artificial = vec![None; m];
+        let mut start = vec![0u32; m];
         let mut row_flip = vec![false; m];
         let mut slack_idx = n_user;
         let mut art_idx = artificial_start;
-        for (r, c) in constraints.iter().enumerate() {
-            let rhs = row_rhs(r, c.rhs);
+        for (r, row) in problem.rows().enumerate() {
+            let rhs = row_rhs(r, row.rhs);
             let flip = rhs < 0.0;
             row_flip[r] = flip;
             let sign = if flip { -1.0 } else { 1.0 };
-            for &(v, coeff) in &c.terms {
+            for (v, coeff) in row.terms() {
                 triplets.push((r, v.index(), sign * coeff));
             }
             b[r] = sign * rhs;
             match relations[r] {
                 Relation::Le => {
                     triplets.push((r, slack_idx, 1.0));
-                    row_slack[r] = Some(slack_idx);
-                    start_basis[r] = slack_idx;
+                    start[r] = column(slack_idx);
                     slack_idx += 1;
                 }
                 Relation::Ge => {
                     triplets.push((r, slack_idx, -1.0));
-                    row_slack[r] = Some(slack_idx);
                     slack_idx += 1;
                     triplets.push((r, art_idx, 1.0));
-                    row_artificial[r] = Some(art_idx);
-                    start_basis[r] = art_idx;
+                    start[r] = column(art_idx);
                     art_idx += 1;
                 }
                 Relation::Eq => {
                     triplets.push((r, art_idx, 1.0));
-                    row_artificial[r] = Some(art_idx);
-                    start_basis[r] = art_idx;
+                    start[r] = column(art_idx);
                     art_idx += 1;
                 }
             }
@@ -1592,50 +1589,55 @@ impl StandardForm {
         perturb_rhs(&mut b, &relations, n_total);
         StandardForm {
             a,
-            csr: OnceCell::new(),
             b,
             b_shadow,
             artificial_start,
             n_total,
-            row_slack,
-            row_artificial,
+            start,
             row_flip,
-            start_basis,
         }
     }
 
-    /// The CSR mirror of the matrix as `(row_ptr, col_idx, values)`.
-    fn csr(&self) -> (&[usize], &[u32], &[f64]) {
-        let (row_ptr, col_idx, vals) = self.csr.get_or_init(|| self.a.to_csr());
-        (row_ptr, col_idx, vals)
+    /// The sign the `b ≥ 0` normalisation gave row `row`'s terms.
+    pub(crate) fn row_sign(&self, row: usize) -> f64 {
+        if self.row_flip[row] {
+            -1.0
+        } else {
+            1.0
+        }
     }
-}
 
-thread_local! {
-    /// The standard form of the last problem solved on this thread without
-    /// RHS overrides, with the problem's content stamp.
-    static LAST_FORM: Cell<Option<(u64, Rc<StandardForm>)>> = const { Cell::new(None) };
-}
-
-/// The standard form of `problem` under `overlay`. A solve of the problem
-/// the thread solved last, with unchanged content (same
-/// [`LpProblem::stamp`]), shares that solve's form: the greedy heuristics'
-/// masked re-solves differ only in fixed columns, which are not part of it.
-/// Overlays with RHS overrides always build a private form. The slot is
-/// only touched through `Cell::take`/`set`, never borrowed, so the recovery
-/// ladder's nested engines can consult it freely.
-fn standard_form(problem: &LpProblem, overlay: Option<&BoundsOverlay>) -> Rc<StandardForm> {
-    if overlay.is_some_and(|o| !o.rhs.is_empty()) {
-        return Rc::new(StandardForm::build(problem, overlay));
+    /// Writes `value` — row `row`'s terms on column `col`, summed and
+    /// normalised as [`StandardForm::build`] does — into that matrix entry,
+    /// copying the form first if another problem shares it. The RHS
+    /// perturbation reads only the RHS, the relations and the dimensions,
+    /// so it stays as it is. Returns `false`, changing nothing, when the
+    /// edit changes the pattern: the entry is absent, or `value` is zero.
+    pub(crate) fn patch(form: &mut Arc<StandardForm>, row: usize, col: usize, value: f64) -> bool {
+        match form.a.entry(row, col) {
+            Some(k) if value != 0.0 => {
+                *Arc::make_mut(form).a.value_mut(k) = value;
+                true
+            }
+            _ => false,
+        }
     }
-    let stamp = problem.stamp();
-    // A form of other content is dropped before the new one is built.
-    let form = match LAST_FORM.with(Cell::take).filter(|(s, _)| *s == stamp) {
-        Some((_, form)) => form,
-        None => Rc::new(StandardForm::build(problem, None)),
-    };
-    LAST_FORM.with(|slot| slot.set(Some((stamp, Rc::clone(&form)))));
-    form
+
+    /// Every number of the form, as bits (for exact comparisons).
+    pub(crate) fn bits(&self) -> Vec<u64> {
+        let (m, n) = (self.a.rows(), self.a.cols());
+        let mut bits = vec![m as u64, n as u64, self.artificial_start as u64];
+        for j in 0..n {
+            let (rows, vals) = self.a.col(j);
+            bits.push(rows.len() as u64);
+            bits.extend(rows.iter().map(|&r| u64::from(r)));
+            bits.extend(vals.iter().map(|v| v.to_bits()));
+        }
+        bits.extend(self.b.iter().chain(&self.b_shadow).map(|v| v.to_bits()));
+        bits.extend(self.start.iter().map(|&j| u64::from(j)));
+        bits.extend(self.row_flip.iter().map(|&f| u64::from(f)));
+        bits
+    }
 }
 
 /// Returns the engine's LU factorization to the thread for the next engine.
@@ -1767,14 +1769,15 @@ pub(crate) fn resolve_dense(
     let n_user = problem.num_vars();
     let n = n_user
         + problem
-            .constraints()
-            .iter()
-            .map(|c| match effective_relation(c.relation, c.rhs < 0.0) {
-                Relation::Ge => 2,
-                Relation::Le | Relation::Eq => 1,
-            })
+            .rows()
+            .map(
+                |row| match effective_relation(row.relation, row.rhs < 0.0) {
+                    Relation::Ge => 2,
+                    Relation::Le | Relation::Eq => 1,
+                },
+            )
             .sum::<usize>();
-    let terms: usize = problem.constraints().iter().map(|c| c.terms.len()).sum();
+    let terms: usize = problem.rows().map(|row| row.len()).sum();
     let stats = SolveStats {
         m: problem.num_constraints(),
         n,
@@ -1827,6 +1830,16 @@ pub fn solve_in(
 ) -> Result<SolveOutcome, LpError> {
     let start = std::time::Instant::now();
     let plan: Option<ChaosPlan> = crate::chaos::plan(ctx.chaos.as_ref(), || signature(problem));
+    // A finished problem's own form, unless RHS overrides change it; else
+    // a private form, built once for every attempt of the ladder.
+    let private: Arc<StandardForm>;
+    let form = match problem.form() {
+        Some(form) if overlay.is_none_or(|o| o.rhs.is_empty()) => form,
+        _ => {
+            private = Arc::new(StandardForm::build(problem, overlay));
+            &private
+        }
+    };
 
     // The deterministic recovery ladder: the ordinary attempt (from the
     // hint, else the overlay's crash basis, else the all-artificial phase
@@ -1877,7 +1890,8 @@ pub fn solve_in(
                 cfg.chaos = Some(p.fault);
             }
         }
-        let (attempt, warm) = attempt_solve(problem, overlay, attempt_hint, attempt_crash, cfg);
+        let (attempt, warm) =
+            attempt_solve(problem, form, overlay, attempt_hint, attempt_crash, cfg);
         attempts += 1;
         let e = match &attempt.outcome {
             Ok(_) if first && attempt.installed && !attempt.engine.bounds_at_zero() => continue,
@@ -2049,7 +2063,8 @@ fn install_start(
             if engine.dual_pass(problem)? {
                 return Ok(true);
             }
-            *engine = Engine::new(problem, overlay, cfg);
+            let form = Arc::clone(&engine.form);
+            *engine = Engine::new(problem, &form, overlay, cfg);
             Ok(false)
         }
         WarmInstall::Rejected => Ok(false),
@@ -2062,12 +2077,13 @@ fn install_start(
 /// start whose dual pass fails numerically fails the attempt.
 fn attempt_solve(
     problem: &LpProblem,
+    form: &Arc<StandardForm>,
     overlay: Option<&BoundsOverlay>,
     hint: Option<&Basis>,
     crash: Option<&Basis>,
     cfg: EngineCfg,
 ) -> (Attempt, WarmStatus) {
-    let mut engine = Engine::new(problem, overlay, cfg);
+    let mut engine = Engine::new(problem, form, overlay, cfg);
     let mut warm = WarmStatus::None;
     // Whether a start basis installed, or the error its dual pass failed
     // with.
@@ -2200,18 +2216,18 @@ fn signature(problem: &LpProblem) -> u64 {
     problem.num_vars().hash(&mut h);
     matches!(problem.objective(), Objective::Maximize).hash(&mut h);
     problem.num_constraints().hash(&mut h);
-    for c in problem.constraints() {
+    for row in problem.rows() {
         // The effective relation and flip decide the slack/artificial
         // layout, so they are part of the structure.
-        let flip = c.rhs < 0.0;
-        (match effective_relation(c.relation, flip) {
+        let flip = row.rhs < 0.0;
+        (match effective_relation(row.relation, flip) {
             Relation::Le => 0u8,
             Relation::Ge => 1,
             Relation::Eq => 2,
         })
         .hash(&mut h);
-        c.terms.len().hash(&mut h);
-        for &(v, _) in &c.terms {
+        row.len().hash(&mut h);
+        for (v, _) in row.terms() {
             v.index().hash(&mut h);
         }
     }
@@ -2500,8 +2516,8 @@ mod tests {
         let dual: f64 = s
             .duals()
             .iter()
-            .zip(lp.constraints())
-            .map(|(y, c)| y * c.rhs)
+            .zip(lp.rows())
+            .map(|(y, row)| y * row.rhs)
             .sum();
         approx(dual, s.objective);
     }
@@ -2908,7 +2924,8 @@ mod tests {
             budget: None,
             chaos: None,
         };
-        let (attempt, warm) = attempt_solve(lp, Some(overlay), Some(hint), None, cfg);
+        let form = Arc::new(StandardForm::build(lp, Some(overlay)));
+        let (attempt, warm) = attempt_solve(lp, &form, Some(overlay), Some(hint), None, cfg);
         assert_eq!(warm, WarmStatus::Hit);
         assert!(attempt.outcome.is_ok());
         assert!(attempt.engine.bounds_at_zero());
@@ -2957,7 +2974,8 @@ mod tests {
             budget: None,
             chaos: None,
         };
-        let mut engine = Engine::new(&lp, Some(&overlay), cfg);
+        let form = Arc::new(StandardForm::build(&lp, Some(&overlay)));
+        let mut engine = Engine::new(&lp, &form, Some(&overlay), cfg);
         assert_eq!(engine.try_warm_start(&hint), WarmInstall::Violated);
         engine.install_primary_costs(&lp);
         engine.recompute_reduced_costs();
@@ -3123,25 +3141,109 @@ mod tests {
         assert!(recovered_late, "no seed in 0..200 struck this solve");
     }
 
+    /// `lp` rebuilt term by term through [`crate::SparseBuilder`]: the same
+    /// problem, finished, so it carries its standard form.
+    fn finished(lp: &LpProblem) -> LpProblem {
+        let mut b = crate::SparseBuilder::new(lp.objective());
+        for j in 0..lp.num_vars() {
+            let v = b.add_var(lp.var_name(VarId(j)));
+            b.set_objective_coeff(v, lp.objective_coeff(v));
+            if lp.secondary_coeff(v) != 0.0 {
+                b.set_secondary_coeff(v, lp.secondary_coeff(v));
+            }
+        }
+        for row in lp.rows() {
+            b.add_constraint(row.terms(), row.relation, row.rhs);
+        }
+        let finished = b.build().unwrap();
+        assert!(finished.form().is_some());
+        finished
+    }
+
     #[test]
-    fn standard_form_is_shared_until_an_edit() {
-        let lp = sample_lp();
-        let first = standard_form(&lp, None);
-        assert!(Rc::ptr_eq(&first, &standard_form(&lp, None)));
-        // Fixed columns are not part of the standard form.
-        let mut fixes = BoundsOverlay::new();
-        fixes.fix_zero.push(VarId(0));
-        assert!(Rc::ptr_eq(&first, &standard_form(&lp, Some(&fixes))));
-        // RHS overrides build a private form and leave the shared one.
-        let mut rhs = BoundsOverlay::new();
-        rhs.rhs.push((0, 3.0));
-        assert!(!Rc::ptr_eq(&first, &standard_form(&lp, Some(&rhs))));
-        assert!(Rc::ptr_eq(&first, &standard_form(&lp, None)));
-        // A clone has the same content; an edit renews the stamp.
+    fn a_finished_problem_shares_its_form_until_an_edit() {
+        let lp = finished(&sample_lp());
+        let form = Arc::clone(lp.form().unwrap());
+        // Clones share the form; a coefficient edit copies it first, so
+        // the other clone keeps the form it had.
         let mut copy = lp.clone();
-        assert!(Rc::ptr_eq(&first, &standard_form(&copy, None)));
-        copy.set_rhs(0, 4.0);
-        assert!(!Rc::ptr_eq(&first, &standard_form(&copy, None)));
+        assert!(Arc::ptr_eq(&form, copy.form().unwrap()));
+        copy.set_coeff(2, VarId(0), 2.5);
+        assert!(!Arc::ptr_eq(&form, copy.form().unwrap()));
+        assert!(Arc::ptr_eq(&form, lp.form().unwrap()));
+        assert!(copy.form_matches_rebuild() && lp.form_matches_rebuild());
+        assert_ne!(form.bits(), copy.form().unwrap().bits());
+        // Edits that change the form's shape or its RHS drop it.
+        type Edit = fn(&mut LpProblem);
+        let drops: [Edit; 3] = [
+            |lp| lp.set_rhs(0, 3.0),
+            |lp| {
+                lp.add_constraint(vec![(VarId(0), 1.0)], Relation::Le, 7.0);
+            },
+            |lp| {
+                lp.add_var("z");
+            },
+        ];
+        for edit in drops {
+            let mut copy = lp.clone();
+            edit(&mut copy);
+            assert!(copy.form().is_none());
+        }
+        // A problem built row by row has none: each solve builds its own.
+        assert!(sample_lp().form().is_none());
+    }
+
+    /// Random finished LPs with duplicate terms and negative-RHS rows (which
+    /// the normalisation flips): every in-place coefficient edit leaves the
+    /// form a fresh build gives, bit for bit, including edits whose
+    /// duplicate terms sum to zero.
+    #[test]
+    fn coefficient_patches_match_a_fresh_form_bit_for_bit() {
+        let mut zero_sums = 0;
+        let mut state = 0x5eed_u64;
+        let mut rand = move |n: usize| (splitmix64(&mut state) % n as u64) as usize;
+        for _ in 0..40 {
+            let (n, m) = (2 + rand(6), 2 + rand(6));
+            let mut b = crate::SparseBuilder::new(Objective::Minimize);
+            let vars: Vec<VarId> = (0..n).map(|j| b.add_var(&format!("v{j}"))).collect();
+            let mut terms: Vec<(usize, VarId)> = Vec::new();
+            for r in 0..m {
+                let relation = [Relation::Le, Relation::Ge, Relation::Eq][rand(3)];
+                let rhs = rand(7) as f64 - 3.0;
+                let row = b.add_row(relation, rhs);
+                for _ in 0..1 + rand(4) {
+                    // Few variables per row, so duplicates are common.
+                    let v = vars[rand(n.min(3))];
+                    b.push(row, v, (rand(9) as f64 - 4.0) * 0.75 + 0.1);
+                    terms.push((r, v));
+                }
+            }
+            let mut lp = b.build().unwrap();
+            for _ in 0..12 {
+                let (r, v) = terms[rand(terms.len())];
+                // Now and then cancel the row's other terms on the variable.
+                let on_v = |lp: &LpProblem| -> Vec<f64> {
+                    lp.row(r)
+                        .terms()
+                        .filter(|&(u, _)| u == v)
+                        .map(|t| t.1)
+                        .collect()
+                };
+                let others: f64 = on_v(&lp)[1..].iter().sum();
+                let coeff = if rand(3) == 0 && others != 0.0 {
+                    -others
+                } else {
+                    (rand(9) as f64 - 4.0) * 0.3 + 0.05
+                };
+                lp.set_coeff(r, v, coeff);
+                if on_v(&lp).iter().fold(0.0, |sum, c| sum + c) == 0.0 {
+                    zero_sums += 1;
+                }
+                assert!(lp.form().is_some(), "a coefficient edit keeps a form");
+                assert!(lp.form_matches_rebuild(), "patched form differs");
+            }
+        }
+        assert!(zero_sums > 0, "no edit summed duplicate terms to zero");
     }
 
     /// The bits of everything a solve reports: objective, values, duals and
@@ -3156,8 +3258,8 @@ mod tests {
             .collect()
     }
 
-    /// Solves `problem` on a new thread, which starts without a cached
-    /// standard form or a spare factorization.
+    /// Solves `problem` on a new thread, which starts without a spare
+    /// factorization.
     fn fresh_thread_solve(problem: &LpProblem) -> Vec<u64> {
         let problem = problem.clone();
         std::thread::spawn(move || outcome_bits(&solve_with_hint(&problem, None).unwrap()))
@@ -3179,24 +3281,31 @@ mod tests {
                 lp.set_objective_coeff(z, -1.0);
             }),
         ];
-        for (name, edit) in edits {
-            let mut lp = sample_lp();
-            let before = solve_with_hint(&lp, None).unwrap();
-            let mut overlay = BoundsOverlay::new();
-            overlay.rhs.push((0, 3.0));
-            resolve_with_bounds(&lp, &overlay, Some(&before.basis)).unwrap();
-            edit(&mut lp);
-            let after = outcome_bits(&solve_with_hint(&lp, None).unwrap());
-            assert_ne!(
-                after,
-                outcome_bits(&before),
-                "{name}: the edit must move the optimum"
-            );
-            assert_eq!(
-                after,
-                fresh_thread_solve(&lp),
-                "{name}: stale standard form"
-            );
+        // A problem built row by row, and a finished one whose form the
+        // edits patch or drop; the fresh solve rebuilds every form.
+        for finish in [false, true] {
+            for (name, edit) in edits {
+                let mut lp = sample_lp();
+                if finish {
+                    lp = finished(&lp);
+                }
+                let before = solve_with_hint(&lp, None).unwrap();
+                let mut overlay = BoundsOverlay::new();
+                overlay.rhs.push((0, 3.0));
+                resolve_with_bounds(&lp, &overlay, Some(&before.basis)).unwrap();
+                edit(&mut lp);
+                let after = outcome_bits(&solve_with_hint(&lp, None).unwrap());
+                assert_ne!(
+                    after,
+                    outcome_bits(&before),
+                    "{name}: the edit must move the optimum"
+                );
+                assert_eq!(
+                    after,
+                    fresh_thread_solve(&finished(&lp)),
+                    "{name} (finished: {finish}): stale standard form"
+                );
+            }
         }
     }
 }

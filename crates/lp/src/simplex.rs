@@ -227,16 +227,15 @@ impl Tableau {
 /// context only `stats` applies: one stderr line per solve.
 pub fn solve(ctx: &crate::SolveContext, problem: &LpProblem) -> Result<LpSolution, LpError> {
     let num_user_vars = problem.num_vars();
-    let constraints = problem.constraints();
-    let m = constraints.len();
+    let m = problem.num_constraints();
 
     // Count slack/surplus and artificial variables.
     let mut num_slack = 0usize;
     let mut num_artificial = 0usize;
-    for c in constraints {
+    for row in problem.rows() {
         // Normalise to b >= 0 first to decide what the row needs.
-        let flip = c.rhs < 0.0;
-        let relation = effective_relation(c.relation, flip);
+        let flip = row.rhs < 0.0;
+        let relation = effective_relation(row.relation, flip);
         match relation {
             Relation::Le => num_slack += 1,
             Relation::Ge => {
@@ -258,14 +257,14 @@ pub fn solve(ctx: &crate::SolveContext, problem: &LpProblem) -> Result<LpSolutio
 
     let mut slack_idx = num_user_vars;
     let mut art_idx = artificial_start;
-    for (r, c) in constraints.iter().enumerate() {
-        let flip = c.rhs < 0.0;
+    for (r, row) in problem.rows().enumerate() {
+        let flip = row.rhs < 0.0;
         let sign = if flip { -1.0 } else { 1.0 };
-        for &(v, coeff) in &c.terms {
+        for (v, coeff) in row.terms() {
             a[r * n + v.index()] += sign * coeff;
         }
-        b[r] = sign * c.rhs;
-        row_relation[r] = effective_relation(c.relation, flip);
+        b[r] = sign * row.rhs;
+        row_relation[r] = effective_relation(row.relation, flip);
         match row_relation[r] {
             Relation::Le => {
                 a[r * n + slack_idx] = 1.0;
@@ -309,7 +308,7 @@ pub fn solve(ctx: &crate::SolveContext, problem: &LpProblem) -> Result<LpSolutio
     };
     let stats = ctx.stats;
     let nnz: usize =
-        constraints.iter().map(|c| c.terms.len()).sum::<usize>() + num_slack + num_artificial;
+        problem.rows().map(|row| row.len()).sum::<usize>() + num_slack + num_artificial;
     let solve_start = std::time::Instant::now();
     let mut phase1_iters = 0usize;
 

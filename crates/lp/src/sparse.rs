@@ -8,18 +8,19 @@
 //! [`SparseBuilder`] (or [`LpProblem::from_triplets`]) and never materialize
 //! zero coefficients.
 
-use crate::problem::{LpError, LpProblem, Objective, Relation, VarId};
+use crate::problem::{LpError, LpProblem, Names, Objective, Relation, VarId};
 
 /// A read-only sparse matrix in compressed-sparse-column (CSC) layout.
 ///
 /// Column `j` occupies `col_ptr[j]..col_ptr[j + 1]` in `row_idx` / `values`,
 /// with row indices strictly increasing inside a column and duplicate
-/// `(row, col)` triplets summed at construction time.
+/// `(row, col)` triplets summed at construction time. Offsets are `u32`: a
+/// matrix holds fewer than 2^32 entries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CscMatrix {
     m: usize,
     n: usize,
-    col_ptr: Vec<usize>,
+    col_ptr: Vec<u32>,
     row_idx: Vec<u32>,
     values: Vec<f64>,
 }
@@ -56,7 +57,7 @@ impl CscMatrix {
         }
         // Sort each column by row (through one reused buffer), then compress
         // duplicates and zeros.
-        let mut col_ptr = vec![0usize; n + 1];
+        let mut col_ptr = vec![0u32; n + 1];
         let mut out_rows: Vec<u32> = Vec::with_capacity(triplets.len());
         let mut out_vals: Vec<f64> = Vec::with_capacity(triplets.len());
         let mut entries: Vec<(u32, f64)> = Vec::new();
@@ -83,7 +84,7 @@ impl CscMatrix {
                     out_vals.push(sum);
                 }
             }
-            col_ptr[j + 1] = out_rows.len();
+            col_ptr[j + 1] = u32::try_from(out_rows.len()).expect("fewer than 2^32 entries");
         }
         CscMatrix {
             m,
@@ -115,14 +116,28 @@ impl CscMatrix {
     /// Number of stored entries in column `j`.
     #[inline]
     pub fn col_nnz(&self, j: usize) -> usize {
-        self.col_ptr[j + 1] - self.col_ptr[j]
+        (self.col_ptr[j + 1] - self.col_ptr[j]) as usize
     }
 
     /// The `(row indices, values)` slices of column `j`.
     #[inline]
     pub fn col(&self, j: usize) -> (&[u32], &[f64]) {
-        let (lo, hi) = (self.col_ptr[j], self.col_ptr[j + 1]);
+        let (lo, hi) = (self.col_ptr[j] as usize, self.col_ptr[j + 1] as usize);
         (&self.row_idx[lo..hi], &self.values[lo..hi])
+    }
+
+    /// The storage index of the entry at `(row, col)`, or `None` when the
+    /// entry is structurally zero.
+    pub(crate) fn entry(&self, row: usize, col: usize) -> Option<usize> {
+        let lo = self.col_ptr[col] as usize;
+        let rows = &self.row_idx[lo..self.col_ptr[col + 1] as usize];
+        let k = rows.binary_search(&u32::try_from(row).ok()?).ok()?;
+        Some(lo + k)
+    }
+
+    /// The value stored at storage index `k` (see [`CscMatrix::entry`]).
+    pub(crate) fn value_mut(&mut self, k: usize) -> &mut f64 {
+        &mut self.values[k]
     }
 
     /// Sparse dot product `yᵀ a_j` of a dense vector with column `j`.
@@ -158,18 +173,21 @@ impl CscMatrix {
         for i in 0..self.m {
             row_ptr[i + 1] += row_ptr[i];
         }
-        let mut next = row_ptr.clone();
+        // While filling, `row_ptr[r]` is row `r`'s next free slot; once
+        // filled it is row `r + 1`'s start, so one shift restores it.
         let mut col_idx = vec![0u32; self.nnz()];
         let mut values = vec![0.0f64; self.nnz()];
         for j in 0..self.n {
             let (rows, vals) = self.col(j);
             for (&r, &v) in rows.iter().zip(vals) {
-                let slot = next[r as usize];
-                next[r as usize] += 1;
+                let slot = row_ptr[r as usize];
+                row_ptr[r as usize] += 1;
                 col_idx[slot] = j as u32;
                 values[slot] = v;
             }
         }
+        row_ptr.copy_within(0..self.m, 1);
+        row_ptr[0] = 0;
         (row_ptr, col_idx, values)
     }
 }
@@ -186,7 +204,7 @@ impl CscMatrix {
 #[derive(Debug, Clone)]
 pub struct SparseBuilder {
     objective: Objective,
-    names: Vec<String>,
+    names: Names,
     objective_coeffs: Vec<f64>,
     secondary: Vec<(VarId, f64)>,
     rows: Vec<(Relation, f64)>,
@@ -202,7 +220,7 @@ impl SparseBuilder {
     pub fn new(objective: Objective) -> Self {
         SparseBuilder {
             objective,
-            names: Vec::new(),
+            names: Names::default(),
             objective_coeffs: Vec::new(),
             secondary: Vec::new(),
             rows: Vec::new(),
@@ -212,10 +230,8 @@ impl SparseBuilder {
 
     /// Adds a non-negative variable and returns its id.
     pub fn add_var(&mut self, name: &str) -> VarId {
-        let id = VarId(self.names.len());
-        self.names.push(name.to_string());
         self.objective_coeffs.push(0.0);
-        id
+        self.names.push(name)
     }
 
     /// Number of variables added so far.
@@ -266,15 +282,16 @@ impl SparseBuilder {
         row
     }
 
-    /// Finishes the model. Fails like [`LpProblem::validate`] on out-of-range
-    /// variables or non-finite data.
+    /// Finishes the model, standard form included (see [`LpProblem`]).
+    /// Fails like [`LpProblem::validate`] on out-of-range variables or
+    /// non-finite data.
     pub fn build(self) -> Result<LpProblem, LpError> {
         let mut problem = LpProblem::from_parts(
             self.objective,
             self.names,
             self.objective_coeffs,
             self.rows,
-            self.triplets,
+            &self.triplets,
         )?;
         for (var, coeff) in self.secondary {
             problem.set_secondary_coeff(var, coeff);
@@ -308,6 +325,10 @@ mod tests {
         assert_eq!(m.col_nnz(1), 0);
         assert_eq!(m.col_nnz(2), 0);
         assert_eq!(m.col(3), (&[0u32][..], &[4.25][..]));
+        let (row_ptr, col_idx, values) = m.to_csr();
+        assert_eq!(row_ptr, [0, 2, 2, 3]);
+        assert_eq!(col_idx, [0, 3, 0]);
+        assert_eq!(values, [2.0, 4.25, 1.5]);
     }
 
     #[test]
@@ -342,7 +363,7 @@ mod tests {
         let lp = b.build().unwrap();
         assert_eq!(lp.num_vars(), 2);
         assert_eq!(lp.num_constraints(), 3);
-        assert_eq!(lp.constraints()[0].terms, vec![(x, 1.0)]);
+        assert_eq!(lp.row(0).terms().collect::<Vec<_>>(), vec![(x, 1.0)]);
         let s = lp.solve().unwrap();
         assert!((s.objective - 36.0).abs() < 1e-6);
     }

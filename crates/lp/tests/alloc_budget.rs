@@ -3,13 +3,19 @@
 //! The greedy heuristics re-solve one template LP per candidate node under a
 //! [`BoundsOverlay`] that fixes the candidate's edges to zero, warm-started
 //! from an earlier optimal basis. The fixed edges carry flow in that basis,
-//! so the re-solve runs the dual pass. Once the thread has solved that
-//! template once, such a re-solve reuses the thread's standard form and its
-//! spare LU factorization, so it allocates only the engine's per-solve
-//! vectors and the returned solution: a fixed number of allocations,
-//! whatever the size of the LP and however many pivots and
-//! refactorizations it takes. The dual pass keeps its secondary reduced
-//! costs in the engine's pricing storage, beside the primary ones.
+//! so the re-solve runs the dual pass. The template is built like every
+//! production template, through a [`SparseBuilder`], so it carries its
+//! standard form. Once the thread has solved that template once, such a
+//! re-solve reuses the template's form and the thread's spare LU
+//! factorization, so it allocates only the engine's per-solve vectors (its
+//! CSR mirror of the matrix among them) and the returned solution: a fixed
+//! number of allocations, whatever the size of the LP and however many
+//! pivots and refactorizations it takes. The dual pass keeps its secondary
+//! reduced costs in the engine's pricing storage, beside the primary ones.
+//!
+//! A template is stored in a few flat blocks and shares its form with its
+//! clones, so cloning it allocates a fixed number of times too, whatever
+//! its size: sessions and servers clone templates by the thousand.
 //!
 //! The re-solve takes its configuration by reference from a
 //! [`SolveContext`] built before the measurement, as a masked template
@@ -27,13 +33,17 @@ mod common;
 
 use common::network_basis;
 use pm_lp::revised::{BoundsOverlay, SolveOutcome};
-use pm_lp::{CscMatrix, LpProblem, LuBasis, Objective, Relation, SolveContext, VarId, WarmStatus};
+use pm_lp::{
+    CscMatrix, LpProblem, LuBasis, Objective, Relation, SolveContext, SparseBuilder, VarId,
+    WarmStatus,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Allocations (fresh blocks and reallocations) the measured re-solve may
-/// make, at every problem size. It makes 23: the engine's per-solve vectors,
-/// the warm-start install and the returned solution, duals and basis.
+/// make, at every problem size. It makes 26: the engine's per-solve vectors
+/// (3 of them the CSR mirror), the warm-start install and the returned
+/// solution, duals and basis.
 const BUDGET: usize = 32;
 
 struct Counting;
@@ -104,7 +114,7 @@ fn grid_broadcast_lp(k: usize) -> (LpProblem, Vec<Vec<VarId>>) {
     }
     let source = 0;
     let targets = [nodes - 1, k - 1, nodes - k];
-    let mut lp = LpProblem::new(Objective::Minimize);
+    let mut lp = SparseBuilder::new(Objective::Minimize);
     let t = lp.add_var("T");
     lp.set_objective_coeff(t, 1.0);
     let mut incident: Vec<Vec<VarId>> = vec![Vec::new(); nodes];
@@ -154,7 +164,7 @@ fn grid_broadcast_lp(k: usize) -> (LpProblem, Vec<Vec<VarId>>) {
             lp.add_constraint(terms, Relation::Eq, demand);
         }
         for (e, &var) in x.iter().enumerate() {
-            lp.add_constraint(vec![(var, 1.0), (n[e], -1.0)], Relation::Le, 0.0);
+            lp.add_constraint([(var, 1.0), (n[e], -1.0)], Relation::Le, 0.0);
         }
     }
     for node in 0..nodes {
@@ -169,7 +179,7 @@ fn grid_broadcast_lp(k: usize) -> (LpProblem, Vec<Vec<VarId>>) {
             lp.add_constraint(terms, Relation::Le, 0.0);
         }
     }
-    (lp, incident)
+    (lp.build().expect("the grid LP is valid"), incident)
 }
 
 /// Solves the template cold, then re-solves it with relay `node` masked
@@ -226,6 +236,23 @@ fn warm_masked_resolve_allocates_a_fixed_number_of_times() {
             measured.stats.refactorizations,
         );
     }
+}
+
+#[test]
+fn cloning_a_template_allocates_a_fixed_number_of_times() {
+    // 224 and 540 rows: a clone copies the same few blocks at either size
+    // and shares the standard form.
+    let counts: Vec<usize> = [4, 6]
+        .into_iter()
+        .map(|k| {
+            let (lp, _) = grid_broadcast_lp(k);
+            let (allocations, copy) = count_allocations(|| lp.clone());
+            assert_eq!(copy.num_constraints(), lp.num_constraints());
+            allocations
+        })
+        .collect();
+    assert_eq!(counts[0], counts[1], "clone allocations grow with the LP");
+    assert!(counts[0] <= 12, "{} allocations per clone", counts[0]);
 }
 
 #[test]

@@ -105,15 +105,11 @@ fn random_lp(num_vars: usize, num_cons: usize, seed: u64) -> LpProblem {
 /// engines, while the optimum must not move.
 fn duplicated_lp(base: &LpProblem, copies: usize) -> LpProblem {
     let mut degen = base.clone();
-    for constraint in base.constraints().to_vec() {
+    for row in base.rows() {
         for copy in 0..copies {
             let scale = 1.0 + copy as f64;
-            let terms: Vec<(VarId, f64)> = constraint
-                .terms
-                .iter()
-                .map(|&(v, c)| (v, c * scale))
-                .collect();
-            degen.add_constraint(terms, constraint.relation, constraint.rhs * scale);
+            let terms: Vec<(VarId, f64)> = row.terms().map(|(v, c)| (v, c * scale)).collect();
+            degen.add_constraint(terms, row.relation, row.rhs * scale);
         }
     }
     degen
@@ -137,8 +133,8 @@ fn assert_duals_certify(lp: &LpProblem) -> Result<(), TestCaseError> {
     // Strong duality: Σ y_i b_i = optimal objective.
     let dual_obj: f64 = duals
         .iter()
-        .zip(lp.constraints())
-        .map(|(y, c)| y * c.rhs)
+        .zip(lp.rows())
+        .map(|(y, row)| y * row.rhs)
         .sum();
     prop_assert!(
         (dual_obj - dense.objective).abs() <= TOL * (1.0 + dense.objective.abs()),
@@ -152,8 +148,8 @@ fn assert_duals_certify(lp: &LpProblem) -> Result<(), TestCaseError> {
     for j in 0..lp.num_vars() {
         let var = VarId(j);
         let mut rc = lp.objective_coeff(var);
-        for (y, c) in duals.iter().zip(lp.constraints()) {
-            for &(v, a) in &c.terms {
+        for (y, row) in duals.iter().zip(lp.rows()) {
+            for (v, a) in row.terms() {
                 if v == var {
                     rc -= y * a;
                 }

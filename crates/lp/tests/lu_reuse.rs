@@ -53,8 +53,8 @@ fn random_lp(num_vars: usize, num_cons: usize, seed: u64) -> LpProblem {
 fn with_unit_columns(lp: &LpProblem) -> CscMatrix {
     let (m, n) = (lp.num_constraints(), lp.num_vars());
     let mut triplets = Vec::new();
-    for (r, c) in lp.constraints().iter().enumerate() {
-        for &(v, coeff) in &c.terms {
+    for (r, row) in lp.rows().enumerate() {
+        for (v, coeff) in row.terms() {
             triplets.push((r, v.index(), coeff));
         }
         triplets.push((r, n + r, 1.0));

@@ -121,18 +121,14 @@ proptest! {
         let base = lp.solve().expect("clean bounded LP must solve");
 
         let mut degen = lp.clone();
-        for constraint in lp.constraints().to_vec() {
+        for row in lp.rows() {
             for copy in 0..copies {
                 // Verbatim duplicates plus positively scaled duplicates:
                 // both describe the same halfspace, so the optimum must not
                 // move, but each adds a redundant basis candidate.
                 let scale = 1.0 + copy as f64;
-                let terms: Vec<(VarId, f64)> = constraint
-                    .terms
-                    .iter()
-                    .map(|&(v, c)| (v, c * scale))
-                    .collect();
-                degen.add_constraint(terms, constraint.relation, constraint.rhs * scale);
+                let terms: Vec<(VarId, f64)> = row.terms().map(|(v, c)| (v, c * scale)).collect();
+                degen.add_constraint(terms, row.relation, row.rhs * scale);
             }
         }
 
