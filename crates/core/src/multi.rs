@@ -45,7 +45,7 @@
 
 use crate::formulations::{FlowSolution, FormulationError};
 use crate::realize::SteadyStateSolution;
-use crate::realize::{candidate_pool, realize_with_pool, tree_edge_key, RealizeError};
+use crate::realize::{candidate_pool, realize_with_pool, RealizeError};
 use pm_lp::{
     Basis, LpError, LpProblem, Objective, Relation, SolveContext, SolveStats, VarId, WarmStartCache,
 };
@@ -416,8 +416,7 @@ pub fn realize_multi_with_pool(
             else {
                 continue;
             };
-            let key = tree_edge_key(&tree);
-            if pools[c].iter().any(|p| tree_edge_key(p) == key) {
+            if pools[c].iter().any(|p| p.edges() == tree.edges()) {
                 continue;
             }
             pools[c].push(tree);

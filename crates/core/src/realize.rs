@@ -291,8 +291,7 @@ pub fn realize_with_pool(
             let Ok(tree) = crate::heuristics::Mcph.build_tree_with_costs(instance, priced) else {
                 break;
             };
-            let key = tree_edge_key(&tree);
-            if pool.iter().any(|p| tree_edge_key(p) == key) {
+            if pool.iter().any(|p| p.edges() == tree.edges()) {
                 break;
             }
             pool.push(tree);
@@ -337,16 +336,6 @@ pub fn realize_with_pool(
     })
 }
 
-/// A tree's identity for pool deduplication: its sorted edge-id set.
-/// Different peel orders (and seed trees from a previous realization) can
-/// list the same tree's edges in different orders, and duplicate columns
-/// would only bloat the packing LP.
-pub(crate) fn tree_edge_key(tree: &MulticastTree) -> Vec<u32> {
-    let mut edges: Vec<u32> = tree.edges().iter().map(|e| e.0).collect();
-    edges.sort_unstable();
-    edges
-}
-
 /// Per-target end-to-end flow rows of a flow-shaped solution.
 pub(crate) type FlowRows = Vec<Vec<f64>>;
 
@@ -376,34 +365,36 @@ pub(crate) fn candidate_pool(
 
     // 2. Candidate trees: peel the flows, or take the explicit combination.
     let mut pool: Vec<MulticastTree> = Vec::new();
-    let add_tree = |pool: &mut Vec<MulticastTree>, tree: MulticastTree| {
-        let key = tree_edge_key(&tree);
-        if !pool.iter().any(|p| tree_edge_key(p) == key) {
-            pool.push(tree);
+    // Different peel orders (and seed trees from a previous realization)
+    // can find the same tree; duplicate columns would only bloat the
+    // packing LP.
+    let add_tree = |pool: &mut Vec<MulticastTree>, tree: &MulticastTree| {
+        if !pool.iter().any(|p| p.edges() == tree.edges()) {
+            pool.push(tree.clone());
         }
     };
     match (&flow_rows, solution) {
         (Some(rows), _) => {
             let natural = WeightedTreeSet::from_flows(instance, rows)?;
             for tree in natural.trees() {
-                add_tree(&mut pool, tree.clone());
+                add_tree(&mut pool, tree);
             }
             let reversed: Vec<usize> = (0..instance.targets.len()).rev().collect();
             if let Ok(set) = WeightedTreeSet::from_flows_with_order(instance, rows, &reversed) {
                 for tree in set.trees() {
-                    add_tree(&mut pool, tree.clone());
+                    add_tree(&mut pool, tree);
                 }
             }
         }
         (None, SteadyStateSolution::Trees { trees, .. }) => {
             for tree in trees.trees() {
-                add_tree(&mut pool, tree.clone());
+                add_tree(&mut pool, tree);
             }
         }
         (None, _) => unreachable!("flow-shaped solutions always produce rows"),
     }
     for tree in seed_trees {
-        add_tree(&mut pool, tree.clone());
+        add_tree(&mut pool, tree);
     }
     if pool.is_empty() {
         return Err(RealizeError::NotRealizable(

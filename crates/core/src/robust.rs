@@ -33,7 +33,7 @@
 
 use crate::exact::pack_trees_in;
 use crate::heuristics::Mcph;
-use crate::realize::{candidate_pool, tree_edge_key, RealizeError, SteadyStateSolution};
+use crate::realize::{candidate_pool, RealizeError, SteadyStateSolution};
 use pm_lp::{SolveContext, WarmStartCache};
 use pm_platform::algo::edge_disjoint_paths_where;
 use pm_platform::graph::{EdgeId, NodeId, Platform};
@@ -327,8 +327,7 @@ pub fn realize_robust_masked(
         let Ok(tree) = Mcph.build_tree_with_costs(instance, costs) else {
             break;
         };
-        let key = tree_edge_key(&tree);
-        if pool.iter().any(|p| tree_edge_key(p) == key) {
+        if pool.iter().any(|p| p.edges() == tree.edges()) {
             break; // nothing new to offer: the deficiency is structural
         }
         pool.push(tree);

@@ -1160,11 +1160,7 @@ impl Session {
                 )?;
                 let transition = session.realization_for(kind).map(|old| {
                     session
-                        .tree_swap(
-                            &old.tree_set,
-                            &realization.tree_set,
-                            &session.instance.targets,
-                        )
+                        .tree_swap(&old.tree_set, &realization.tree_set)
                         .at_rates(old.simulated.throughput, realization.simulated.throughput)
                 });
                 remember(&mut session.realizations, kind, realization.clone());
@@ -1221,11 +1217,7 @@ impl Session {
                 )?;
                 let transition = session.robust_realization_for(kind).map(|old| {
                     session
-                        .tree_swap(
-                            &old.tree_set,
-                            &realization.tree_set,
-                            &session.instance.targets,
-                        )
+                        .tree_swap(&old.tree_set, &realization.tree_set)
                         .at_rates(old.robust_throughput, realization.robust_throughput)
                 });
                 remember(&mut session.robust_realizations, kind, realization.clone());
@@ -1380,13 +1372,7 @@ impl Session {
         old: &MultiRealization,
         new: &MultiRealization,
     ) -> TransitionCost {
-        let swap = |c: usize| {
-            self.tree_swap(
-                &old.tree_sets[c],
-                &new.tree_sets[c],
-                &set.commodities()[c].targets,
-            )
-        };
+        let swap = |c: usize| self.tree_swap(&old.tree_sets[c], &new.tree_sets[c]);
         // A commodity set is never empty.
         let mut cost = swap(0);
         for part in (1..set.len()).map(swap) {
@@ -1773,16 +1759,11 @@ impl Session {
             .all(|&e| self.mask.edge_active(&self.instance.platform, e))
     }
 
-    /// The swap of `old` for `new` on one target set: the drain of the old
-    /// trees, the first delivery of the new ones and their diff by edge set
-    /// (see [`TransitionCost`]). The switchover and rate fields are left at
-    /// zero for [`TransitionCost::at_rates`].
-    fn tree_swap(
-        &self,
-        old: &WeightedTreeSet,
-        new: &WeightedTreeSet,
-        targets: &[NodeId],
-    ) -> TransitionCost {
+    /// The swap of `old` for `new` (one commodity's tree sets): the drain of
+    /// the old trees, the first delivery of the new ones and their diff by
+    /// edge set (see [`TransitionCost`]). The switchover and rate fields are
+    /// left at zero for [`TransitionCost::at_rates`].
+    fn tree_swap(&self, old: &WeightedTreeSet, new: &WeightedTreeSet) -> TransitionCost {
         let platform = &self.instance.platform;
         // Old trees through a node the drift disabled cannot drain any
         // in-flight traffic (consistent with the seed-pool filter of the
@@ -1791,21 +1772,16 @@ impl Session {
             .trees()
             .iter()
             .filter(|t| self.tree_active(t))
-            .map(|t| Simulator::tree_fill_makespan(platform, t, targets))
+            .map(|t| Simulator::tree_fill_makespan(platform, t))
             .fold(0.0, f64::max);
         let first_delivery_latency = new
             .trees()
             .iter()
-            .map(|t| Simulator::tree_fill_makespan(platform, t, targets))
+            .map(|t| Simulator::tree_fill_makespan(platform, t))
             .fold(f64::INFINITY, f64::min);
-        // Diff by edge set (sorted: peel order may list edges differently).
-        let edge_key = |t: &MulticastTree| {
-            let mut edges: Vec<u32> = t.edges().iter().map(|e| e.0).collect();
-            edges.sort_unstable();
-            edges
-        };
-        let old_keys: BTreeSet<Vec<u32>> = old.trees().iter().map(edge_key).collect();
-        let new_keys: BTreeSet<Vec<u32>> = new.trees().iter().map(edge_key).collect();
+        // Diff by edge set (a tree's edges are sorted and deduplicated).
+        let old_keys: BTreeSet<&[EdgeId]> = old.trees().iter().map(|t| t.edges()).collect();
+        let new_keys: BTreeSet<&[EdgeId]> = new.trees().iter().map(|t| t.edges()).collect();
         let trees_kept = new_keys.intersection(&old_keys).count();
         TransitionCost {
             drain_time,

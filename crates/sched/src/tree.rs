@@ -16,7 +16,6 @@ use crate::load::OnePortLoads;
 use pm_platform::graph::{EdgeId, NodeId, Platform};
 use pm_platform::instances::MulticastInstance;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 
 /// Errors raised while validating a multicast tree.
@@ -74,19 +73,18 @@ impl MulticastTree {
     /// non-root node involved has exactly one incoming edge, every edge is
     /// reachable from the root through tree edges) and must cover every
     /// target of the instance.
-    pub fn new(instance: &MulticastInstance, edges: Vec<EdgeId>) -> Result<Self, TreeError> {
+    pub fn new(instance: &MulticastInstance, mut edges: Vec<EdgeId>) -> Result<Self, TreeError> {
         let platform = &instance.platform;
         let n = platform.node_count();
         let mut parent: Vec<Option<EdgeId>> = vec![None; n];
-        let mut edge_set: HashSet<EdgeId> = HashSet::with_capacity(edges.len());
         for &e in &edges {
             if e.index() >= platform.edge_count() {
                 return Err(TreeError::UnknownEdge(e));
             }
-            if !edge_set.insert(e) {
+            let dst = platform.edge(e).dst;
+            if parent[dst.index()] == Some(e) {
                 continue; // ignore duplicates
             }
-            let dst = platform.edge(e).dst;
             if dst == instance.source {
                 return Err(TreeError::SourceHasParent);
             }
@@ -95,14 +93,16 @@ impl MulticastTree {
             }
             parent[dst.index()] = Some(e);
         }
-        let edges: Vec<EdgeId> = edge_set.into_iter().collect();
+        edges.sort_unstable();
+        edges.dedup();
         // Connectivity: walk up from each edge's source until the root; every
         // node on the way must have a parent (or be the root).
         let mut reach_cache: Vec<bool> = vec![false; n];
         reach_cache[instance.source.index()] = true;
+        let mut chain = Vec::new();
         for &e in &edges {
             let mut cur = platform.edge(e).src;
-            let mut chain = Vec::new();
+            chain.clear();
             while !reach_cache[cur.index()] {
                 chain.push(cur);
                 match parent[cur.index()] {
@@ -113,7 +113,7 @@ impl MulticastTree {
                     return Err(TreeError::Disconnected(platform.edge(e).src));
                 }
             }
-            for v in chain {
+            for &v in &chain {
                 reach_cache[v.index()] = true;
             }
         }
@@ -123,15 +123,14 @@ impl MulticastTree {
                 return Err(TreeError::TargetNotCovered(t));
             }
         }
-        let mut sorted = edges;
-        sorted.sort_unstable();
         Ok(MulticastTree {
             source: instance.source,
-            edges: sorted,
+            edges,
         })
     }
 
-    /// The tree edges (sorted by edge id).
+    /// The tree edges, sorted by edge id and free of duplicates: two trees
+    /// have the same edge set exactly when their `edges()` are equal.
     pub fn edges(&self) -> &[EdgeId] {
         &self.edges
     }
@@ -203,18 +202,24 @@ impl MulticastTree {
 /// and edge ids in order.
 pub fn cancel_flow_cycles(platform: &Platform, flow: &mut [f64], eps: f64) {
     let n = platform.node_count();
+    // Colors: 0 = unvisited, 1 = on the current DFS path, 2 = done.
+    let mut color = vec![0u8; n];
+    // The support out-edge taken to reach each on-path node.
+    let mut path: Vec<EdgeId> = Vec::new();
+    // Iterative DFS; the stack holds (node, next out-edge offset).
+    let mut stack: Vec<(NodeId, usize)> = Vec::new();
     loop {
-        // Colors: 0 = unvisited, 1 = on the current DFS path, 2 = done.
-        let mut color = vec![0u8; n];
-        // The support out-edge taken to reach each on-path node.
-        let mut path: Vec<EdgeId> = Vec::new();
-        let mut cycle: Option<Vec<EdgeId>> = None;
+        color.fill(0);
+        path.clear();
+        // The cycle found, as the start of its suffix of `path` and the
+        // back edge that closes it.
+        let mut cycle: Option<(usize, EdgeId)> = None;
         'search: for root in platform.nodes() {
             if color[root.index()] != 0 {
                 continue;
             }
-            // Iterative DFS; the stack holds (node, next out-edge offset).
-            let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
+            stack.clear();
+            stack.push((root, 0));
             color[root.index()] = 1;
             while let Some(&(u, next)) = stack.last() {
                 let out = platform.out_edges(u);
@@ -237,28 +242,26 @@ pub fn cancel_flow_cycles(platform: &Platform, flow: &mut [f64], eps: f64) {
                         stack.push((v, 0));
                     }
                     1 => {
-                        // Back edge: the cycle is e plus the path suffix
-                        // starting at v (each DFS-path node appears as the
+                        // Back edge: the cycle is the path suffix starting
+                        // at v plus e (each DFS-path node appears as the
                         // source of at most one path edge).
                         let start = path
                             .iter()
                             .position(|&pe| platform.edge(pe).src == v)
                             .unwrap_or(path.len());
-                        let mut edges: Vec<EdgeId> = path[start..].to_vec();
-                        edges.push(e);
-                        cycle = Some(edges);
+                        cycle = Some((start, e));
                         break 'search;
                     }
                     _ => {}
                 }
             }
         }
-        let Some(edges) = cycle else { break };
-        let w = edges
-            .iter()
-            .map(|&e| flow[e.index()])
+        let Some((start, back)) = cycle else { break };
+        let edges = || path[start..].iter().copied().chain(std::iter::once(back));
+        let w = edges()
+            .map(|e| flow[e.index()])
             .fold(f64::INFINITY, f64::min);
-        for &e in &edges {
+        for e in edges() {
             flow[e.index()] -= w;
             if flow[e.index()] <= eps {
                 flow[e.index()] = 0.0;
@@ -484,7 +487,8 @@ impl WeightedTreeSet {
                 ));
             }
         }
-        let mut x: Vec<Vec<f64>> = Vec::with_capacity(t);
+        // The flow rows, one block of `m` entries per target.
+        let mut x: Vec<f64> = Vec::with_capacity(t * m);
         for row in target_flows {
             if row.len() != m {
                 return Err(TreeError::InvalidFlow(format!(
@@ -492,31 +496,44 @@ impl WeightedTreeSet {
                     row.len()
                 )));
             }
-            let mut row: Vec<f64> = row
-                .iter()
-                .map(|&v| if v > FLOW_EPS { v } else { 0.0 })
-                .collect();
-            cancel_flow_cycles(platform, &mut row, FLOW_EPS);
-            x.push(row);
+            let start = x.len();
+            x.extend(row.iter().map(|&v| if v > FLOW_EPS { v } else { 0.0 }));
+            cancel_flow_cycles(platform, &mut x[start..], FLOW_EPS);
         }
+        let flow = |i: usize, e: EdgeId| i * m + e.index();
 
         let mut remaining = 1.0_f64;
         let max_rounds = 2 * (t * m + t) + 8;
         // Accumulated (canonical edge set, weight) rounds, deduplicated.
         let mut peeled: Vec<(MulticastTree, f64)> = Vec::new();
+        // Per-round state, reset at the start of every round.
+        let mut in_tree = vec![false; n];
+        let mut depth = vec![0usize; n];
+        let mut parent: Vec<Option<EdgeId>> = vec![None; n];
+        let mut tree_edges: Vec<EdgeId> = Vec::new();
+        // Per target: the new edges its path added (they cap the round
+        // weight), as the range `added_at[i]` of `added`; its full
+        // source→target tree path is charged through `parent`.
+        let mut added: Vec<EdgeId> = Vec::new();
+        let mut added_at = vec![(0usize, 0usize); t];
+        // Per-target BFS state.
+        let mut pred: Vec<Option<EdgeId>> = vec![None; n];
+        let mut seen = vec![false; n];
+        let mut seeds: Vec<NodeId> = Vec::with_capacity(n);
+        let mut queue: std::collections::VecDeque<NodeId> = std::collections::VecDeque::new();
+        let mut suffix: Vec<EdgeId> = Vec::new();
         for round in 0..max_rounds {
             if remaining <= DEMAND_EPS {
                 break;
             }
             // Grow one tree covering every target, following the supports.
-            let mut in_tree = vec![false; n];
+            in_tree.fill(false);
             in_tree[instance.source.index()] = true;
-            let mut depth = vec![0usize; n];
-            let mut parent: Vec<Option<EdgeId>> = vec![None; n];
-            let mut tree_edges: Vec<EdgeId> = Vec::new();
-            // Per target: the new edges its path added (they cap the round
-            // weight) and its full source→target tree path (it is charged).
-            let mut added: Vec<Vec<EdgeId>> = vec![Vec::new(); t];
+            depth.fill(0);
+            parent.fill(None);
+            tree_edges.clear();
+            added.clear();
+            added_at.fill((0, 0));
             let mut dead_end: Option<NodeId> = None;
             for &i in order {
                 let target = instance.targets[i];
@@ -531,14 +548,18 @@ impl WeightedTreeSet {
                 // with the round skeleton instead of falling back to the
                 // source is what lets consecutive rounds specialize into
                 // complementary trees (the Figure 1 optimum needs it).
-                let mut pred: Vec<Option<EdgeId>> = vec![None; n];
-                let mut seen = vec![false; n];
-                let mut seeds: Vec<NodeId> = (0..n)
-                    .map(|v| NodeId(v as u32))
-                    .filter(|&v| in_tree[v.index()])
-                    .collect();
-                seeds.sort_by_key(|&v| (std::cmp::Reverse(depth[v.index()]), v.index()));
-                let mut queue: std::collections::VecDeque<NodeId> = seeds.into();
+                pred.fill(None);
+                seen.fill(false);
+                seeds.clear();
+                seeds.extend(
+                    (0..n)
+                        .map(|v| NodeId(v as u32))
+                        .filter(|&v| in_tree[v.index()]),
+                );
+                // The keys are distinct, so the unstable sort is the stable one.
+                seeds.sort_unstable_by_key(|&v| (std::cmp::Reverse(depth[v.index()]), v.index()));
+                queue.clear();
+                queue.extend(&seeds);
                 for v in queue.iter() {
                     seen[v.index()] = true;
                 }
@@ -548,7 +569,7 @@ impl WeightedTreeSet {
                     }
                     for &e in platform.out_edges(u) {
                         let v = platform.edge(e).dst;
-                        if x[i][e.index()] > FLOW_EPS && !seen[v.index()] && !in_tree[v.index()] {
+                        if x[flow(i, e)] > FLOW_EPS && !seen[v.index()] && !in_tree[v.index()] {
                             seen[v.index()] = true;
                             pred[v.index()] = Some(e);
                             queue.push_back(v);
@@ -560,20 +581,22 @@ impl WeightedTreeSet {
                     break;
                 }
                 // Walk the new suffix back to the attachment point.
-                let mut suffix: Vec<EdgeId> = Vec::new();
+                suffix.clear();
                 let mut cur = target;
                 while let Some(e) = pred[cur.index()] {
                     suffix.push(e);
                     cur = platform.edge(e).src;
                 }
+                let first = added.len();
                 for &e in suffix.iter().rev() {
                     let edge = platform.edge(e);
                     in_tree[edge.dst.index()] = true;
                     depth[edge.dst.index()] = depth[edge.src.index()] + 1;
                     parent[edge.dst.index()] = Some(e);
                     tree_edges.push(e);
-                    added[i].push(e);
+                    added.push(e);
                 }
+                added_at[i] = (first, added.len());
             }
             if let Some(target) = dead_end {
                 if round == 0 {
@@ -587,9 +610,9 @@ impl WeightedTreeSet {
             // flow on every newly added edge (free rides on existing tree
             // edges do not constrain it).
             let mut w = remaining;
-            for (i, edges) in added.iter().enumerate() {
-                for &e in edges {
-                    w = w.min(x[i][e.index()]);
+            for (i, &(first, end)) in added_at.iter().enumerate() {
+                for &e in &added[first..end] {
+                    w = w.min(x[flow(i, e)]);
                 }
             }
             if w <= FLOW_EPS {
@@ -601,15 +624,16 @@ impl WeightedTreeSet {
             for (i, &target) in instance.targets.iter().enumerate() {
                 let mut cur = target;
                 while let Some(e) = parent[cur.index()] {
-                    let f = &mut x[i][e.index()];
+                    let f = &mut x[flow(i, e)];
                     *f = if *f - w > FLOW_EPS { *f - w } else { 0.0 };
                     cur = platform.edge(e).src;
                 }
             }
             remaining -= w;
-            let tree = MulticastTree::new(instance, tree_edges).map_err(|e| {
-                TreeError::InvalidFlow(format!("peeled edge set is not a tree: {e}"))
-            })?;
+            let tree =
+                MulticastTree::new(instance, std::mem::take(&mut tree_edges)).map_err(|e| {
+                    TreeError::InvalidFlow(format!("peeled edge set is not a tree: {e}"))
+                })?;
             match peeled.iter_mut().find(|(p, _)| p.edges() == tree.edges()) {
                 Some((_, pw)) => *pw += w,
                 None => peeled.push((tree, w)),
@@ -717,6 +741,30 @@ mod tests {
         let e_at = g.find_edge(NodeId(1), NodeId(3)).unwrap();
         let tree = MulticastTree::new(&inst, vec![e_sa, e_at, e_sa]).unwrap();
         assert_eq!(tree.len(), 2);
+        // A shuffled edge list with repeats comes back sorted and
+        // deduplicated: `edges()` is the tree's edge-set key.
+        let inst = figure1_instance();
+        let g = &inst.platform;
+        let e = |a: u32, b: u32| g.find_edge(NodeId(a), NodeId(b)).unwrap();
+        let shuffled = vec![
+            e(11, 13),
+            e(7, 9),
+            e(0, 1),
+            e(6, 7),
+            e(11, 13),
+            e(2, 6),
+            e(0, 3),
+            e(7, 10),
+            e(3, 2),
+            e(1, 11),
+            e(7, 8),
+            e(0, 1),
+            e(11, 12),
+            e(6, 7),
+        ];
+        let tree = MulticastTree::new(&inst, shuffled).unwrap();
+        assert_eq!(tree.len(), 11);
+        assert!(tree.edges().windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

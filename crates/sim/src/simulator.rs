@@ -177,6 +177,49 @@ struct ReplayTree {
     share: f64,
 }
 
+/// The delivery totals of a schedule replay.
+#[derive(Debug)]
+struct Tally {
+    /// Delivered `(message, target)` pairs.
+    pairs: usize,
+    /// Messages delivered to every target.
+    full: usize,
+    /// The earliest completion of a fully delivered message.
+    fill_latency: f64,
+    /// The last delivery.
+    makespan: f64,
+    /// Messages delivered, per target.
+    per_target: Vec<usize>,
+}
+
+impl Tally {
+    fn new(targets: usize) -> Self {
+        Tally {
+            pairs: 0,
+            full: 0,
+            fill_latency: f64::INFINITY,
+            makespan: 0.0,
+            per_target: vec![0; targets],
+        }
+    }
+
+    /// Records a message that reached `delivered` of the targets, the last
+    /// of them at `latest` (ignored when it reached none); the caller
+    /// counts the message in `per_target`.
+    fn message(&mut self, delivered: usize, latest: f64) {
+        self.pairs += delivered;
+        if delivered > 0 && latest > self.makespan {
+            self.makespan = latest;
+        }
+        if delivered == self.per_target.len() {
+            self.full += 1;
+            if latest < self.fill_latency {
+                self.fill_latency = latest;
+            }
+        }
+    }
+}
+
 /// The discrete-event simulator.
 #[derive(Debug, Clone, Default)]
 pub struct Simulator {
@@ -231,9 +274,11 @@ impl Simulator {
         let periods = self.config.horizon.max(1);
         let mut busy = OnePortLoads::new(platform.node_count());
         let mut violations = 0usize;
+        let mut senders: Vec<NodeId> = Vec::new();
+        let mut receivers: Vec<NodeId> = Vec::new();
         for (slot_idx, slot) in schedule.slots.iter().enumerate() {
-            let mut senders: Vec<NodeId> = Vec::new();
-            let mut receivers: Vec<NodeId> = Vec::new();
+            senders.clear();
+            receivers.clear();
             for t in &slot.transfers {
                 for endpoint in [t.src, t.dst] {
                     if !mask.contains(endpoint) {
@@ -308,10 +353,19 @@ impl Simulator {
 
     /// The per-message delivery replay behind [`Simulator::run_schedule_on`]:
     /// reconstructs the schedule's trees, spreads (or replicates) the
-    /// offered multicasts over them, and walks every copy down its tree
+    /// offered multicasts over them, and delivers every copy down its tree
     /// under the configured fault model. Leaves the report's analytic
     /// fields untouched; falls back to the perfect-delivery defaults when
     /// the schedule is not tree-shaped.
+    ///
+    /// A copy of message `m` on tree `k` reaches target `t` at
+    /// `inject_m + arrival_k[t]` if it reaches `t` at all. Under a model
+    /// that can fire, a walk down the tree's edges decides which nodes each
+    /// copy reaches, logging every loss. Under a null model every copy
+    /// reaches every node its tree covers, so no edge is walked and a
+    /// message is tallied from its carrier's precomputed targets; since
+    /// rounding is monotone, `inject + a` is largest (smallest) where `a`
+    /// is, and the report is the walk's bit for bit.
     fn replay_deliveries(
         &self,
         platform: &Platform,
@@ -350,137 +404,207 @@ impl Simulator {
             return;
         }
         let inject_gap = 1.0 / report.throughput;
-        let null = FaultModel::default();
-        let fault = self.config.faults.as_ref().unwrap_or(&null);
 
-        let mut delivered_per_target = vec![0usize; targets.len()];
-        let target_index: BTreeMap<u32, usize> =
-            targets.iter().enumerate().map(|(i, t)| (t.0, i)).collect();
-        let mut delivered_pairs = 0usize;
-        let mut full_deliveries = 0usize;
-        let mut fill_latency = f64::INFINITY;
-        let mut makespan = 0.0f64;
-        let mut events = Vec::new();
-        // Round-robin credits for the non-redundant assignment.
-        let mut credits = vec![0.0f64; trees.len()];
-        let mut reached = vec![false; n];
-        // Best delivery time per target for the current message.
-        let mut best = vec![f64::INFINITY; targets.len()];
-
-        for msg in 0..messages {
-            let inject = msg as f64 * inject_gap;
-            let carriers: Vec<usize> = if self.config.redundant {
-                (0..trees.len()).collect()
-            } else {
-                for (k, tree) in trees.iter().enumerate() {
-                    credits[k] += tree.share;
-                }
-                let chosen = credits
+        // Target slot of every node (a repeated target keeps its last slot).
+        let mut target_of = vec![usize::MAX; n];
+        for (i, t) in targets.iter().enumerate() {
+            if let Some(slot) = target_of.get_mut(t.index()) {
+                *slot = i;
+            }
+        }
+        // Per tree, in its BFS edge order: the targets it covers, as
+        // `(target slot, node, arrival offset)`.
+        let deliveries: Vec<Vec<(usize, NodeId, f64)>> = trees
+            .iter()
+            .map(|tree| {
+                tree.edges
                     .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(Ordering::Equal))
-                    .map(|(k, _)| k)
-                    .unwrap_or(0);
-                credits[chosen] -= 1.0;
-                vec![chosen]
-            };
-            best.iter_mut().for_each(|b| *b = f64::INFINITY);
-            for &k in &carriers {
-                let tree = &trees[k];
-                for item in reached.iter_mut() {
-                    *item = false;
-                }
-                if let Some(&(_, root, _)) = tree.edges.first() {
-                    reached[root.index()] = true;
-                }
-                for &(edge, src, dst) in &tree.edges {
-                    if !reached[src.index()] {
-                        continue;
-                    }
-                    let cross = inject + tree.arrival[dst.index()];
-                    let crashed = fault.node_down_at(src, cross) || fault.node_down_at(dst, cross);
-                    let lost = fault.drop_message(edge, tree.tag, msg);
-                    if crashed || lost {
-                        events.push(FaultEvent {
-                            time: cross,
-                            msg,
-                            tree: tree.tag,
-                            edge,
-                            cause: if crashed {
-                                FaultCause::Crash
-                            } else {
-                                FaultCause::Loss
-                            },
-                        });
-                        continue;
-                    }
-                    reached[dst.index()] = true;
-                    if let Some(&ti) = target_index.get(&dst.0) {
-                        if cross < best[ti] {
-                            best[ti] = cross;
+                    .filter(|&&(_, _, dst)| target_of[dst.index()] != usize::MAX)
+                    .map(|&(_, _, dst)| (target_of[dst.index()], dst, tree.arrival[dst.index()]))
+                    .collect()
+            })
+            .collect();
+
+        let mut tally = Tally::new(targets.len());
+        let mut events = Vec::new();
+        // Round-robin credits: the tree carrying each non-redundant message.
+        let mut credits = vec![0.0f64; trees.len()];
+        let mut next_tree = || {
+            for (k, tree) in trees.iter().enumerate() {
+                credits[k] += tree.share;
+            }
+            let chosen = credits
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(Ordering::Equal))
+                .map(|(k, _)| k)
+                .unwrap_or(0);
+            credits[chosen] -= 1.0;
+            chosen
+        };
+        let redundant = self.config.redundant;
+        match self.config.faults.as_ref().filter(|f| !f.is_null()) {
+            None => {
+                // What a message's carrier delivers, as `(target slot,
+                // offset)`: a tree's targets, or in redundant mode each
+                // target's earliest copy over all trees.
+                let carriers: Vec<Vec<(usize, f64)>> = if redundant {
+                    let mut earliest = vec![f64::INFINITY; targets.len()];
+                    for &(ti, _, offset) in deliveries.iter().flatten() {
+                        if offset < earliest[ti] {
+                            earliest[ti] = offset;
                         }
                     }
-                }
-            }
-            let mut full = true;
-            let mut completion = 0.0f64;
-            for (ti, &b) in best.iter().enumerate() {
-                if b.is_finite() {
-                    delivered_pairs += 1;
-                    delivered_per_target[ti] += 1;
-                    if b > makespan {
-                        makespan = b;
-                    }
-                    if b > completion {
-                        completion = b;
-                    }
+                    let union = earliest.into_iter().enumerate();
+                    vec![union.filter(|(_, offset)| offset.is_finite()).collect()]
                 } else {
-                    full = false;
+                    let pairs = |d: &Vec<(usize, NodeId, f64)>| {
+                        d.iter().map(|&(ti, _, offset)| (ti, offset)).collect()
+                    };
+                    deliveries.iter().map(pairs).collect()
+                };
+                let latest: Vec<f64> = carriers
+                    .iter()
+                    .map(|c| c.iter().map(|&(_, offset)| offset).fold(0.0, f64::max))
+                    .collect();
+                let mut carried = vec![0usize; carriers.len()];
+                for msg in 0..messages {
+                    let c = if redundant { 0 } else { next_tree() };
+                    carried[c] += 1;
+                    let inject = msg as f64 * inject_gap;
+                    tally.message(carriers[c].len(), inject + latest[c]);
+                }
+                for (carrier, &count) in carriers.iter().zip(&carried) {
+                    for &(ti, _) in carrier {
+                        tally.per_target[ti] += count;
+                    }
                 }
             }
-            if full {
-                full_deliveries += 1;
-                if completion < fill_latency {
-                    fill_latency = completion;
+            Some(fault) => {
+                // Nodes the current copy reached.
+                let mut reached = vec![false; n];
+                // Best delivery time per target for the current message.
+                let mut best = vec![f64::INFINITY; targets.len()];
+                for msg in 0..messages {
+                    let inject = msg as f64 * inject_gap;
+                    let carriers = if redundant {
+                        0..trees.len()
+                    } else {
+                        let k = next_tree();
+                        k..k + 1
+                    };
+                    best.iter_mut().for_each(|b| *b = f64::INFINITY);
+                    for k in carriers {
+                        let tree = &trees[k];
+                        for item in reached.iter_mut() {
+                            *item = false;
+                        }
+                        if let Some(&(_, root, _)) = tree.edges.first() {
+                            reached[root.index()] = true;
+                        }
+                        for &(edge, src, dst) in &tree.edges {
+                            if !reached[src.index()] {
+                                continue;
+                            }
+                            let cross = inject + tree.arrival[dst.index()];
+                            let crashed =
+                                fault.node_down_at(src, cross) || fault.node_down_at(dst, cross);
+                            let lost = fault.drop_message(edge, tree.tag, msg);
+                            if crashed || lost {
+                                events.push(FaultEvent {
+                                    time: cross,
+                                    msg,
+                                    tree: tree.tag,
+                                    edge,
+                                    cause: if crashed {
+                                        FaultCause::Crash
+                                    } else {
+                                        FaultCause::Loss
+                                    },
+                                });
+                                continue;
+                            }
+                            reached[dst.index()] = true;
+                        }
+                        for &(ti, node, offset) in &deliveries[k] {
+                            let cross = inject + offset;
+                            if reached[node.index()] && cross < best[ti] {
+                                best[ti] = cross;
+                            }
+                        }
+                    }
+                    let mut delivered = 0;
+                    let mut latest = 0.0f64;
+                    for (ti, &b) in best.iter().enumerate() {
+                        if b.is_finite() {
+                            delivered += 1;
+                            tally.per_target[ti] += 1;
+                            if b > latest {
+                                latest = b;
+                            }
+                        }
+                    }
+                    tally.message(delivered, latest);
                 }
             }
         }
 
-        report.delivery_ratio = delivered_pairs as f64 / (messages * targets.len()) as f64;
+        report.delivery_ratio = tally.pairs as f64 / (messages * targets.len()) as f64;
         report.target_delivery = targets
             .iter()
-            .zip(&delivered_per_target)
+            .zip(&tally.per_target)
             .map(|(&t, &d)| (t, d as f64 / messages as f64))
             .collect();
-        report.goodput = full_deliveries as f64 / report.total_time;
-        report.fill_latency = fill_latency;
-        report.makespan = makespan;
+        report.goodput = tally.full as f64 / report.total_time;
+        report.fill_latency = tally.fill_latency;
+        report.makespan = tally.makespan;
         report.fault_events = events;
     }
 
     /// The *fill makespan* of a single message multicast down `tree`: the
-    /// time from an idle start until every target has received it, under
-    /// the one-port store-and-forward model (a horizon-1
-    /// [`Simulator::run_tree_pipeline`]). This is the pipeline-depth
-    /// quantity behind transition costs on drifting platforms: it bounds
-    /// both how long the in-flight messages of an abandoned schedule take
-    /// to drain and how long a freshly installed schedule runs before its
-    /// first delivery. An associated function (no receiver): a single
-    /// message's makespan is independent of any horizon/warmup
-    /// configuration.
-    pub fn tree_fill_makespan(
-        platform: &Platform,
-        tree: &MulticastTree,
-        targets: &[NodeId],
-    ) -> f64 {
-        let one_shot = Simulator::new(SimulationConfig {
-            horizon: 1,
-            warmup: 0,
-            ..SimulationConfig::default()
-        });
-        one_shot
-            .run_tree_pipeline(platform, tree, targets)
-            .total_time
+    /// time from an idle start until the last node of the tree has received
+    /// it, under the one-port store-and-forward model. This is the
+    /// pipeline-depth quantity behind transition costs on drifting
+    /// platforms: it bounds both how long the in-flight messages of an
+    /// abandoned schedule take to drain and how long a freshly installed
+    /// schedule runs before its first delivery. An associated function (no
+    /// receiver): a single message's makespan is independent of any
+    /// horizon/warmup configuration.
+    ///
+    /// One pass from the source: every node forwards the message to its
+    /// children in `tree.edges()` order, its send port busy for each child's
+    /// edge cost in turn, starting when the message arrives (at `0.0` at the
+    /// source). The result is the `total_time` of a horizon-1
+    /// [`Simulator::run_tree_pipeline`], bit for bit.
+    pub fn tree_fill_makespan(platform: &Platform, tree: &MulticastTree) -> f64 {
+        let n = platform.node_count();
+        // Each node's tree edges out, in `tree.edges()` order, as a linked
+        // list: `first[v]` heads it and `next[i]` follows edge `i`.
+        const NONE: usize = usize::MAX;
+        let edges = tree.edges();
+        let mut first = vec![NONE; n];
+        let mut next = vec![NONE; edges.len()];
+        for (i, &e) in edges.iter().enumerate().rev() {
+            let src = platform.edge(e).src.index();
+            next[i] = first[src];
+            first[src] = i;
+        }
+        let mut makespan = 0.0f64;
+        let mut stack = vec![(tree.source, 0.0f64)];
+        while let Some((node, arrival)) = stack.pop() {
+            let mut now = arrival;
+            let mut i = first[node.index()];
+            while i != NONE {
+                let edge = platform.edge(edges[i]);
+                now += edge.cost;
+                if now > makespan {
+                    makespan = now;
+                }
+                stack.push((edge.dst, now));
+                i = next[i];
+            }
+        }
+        makespan
     }
 
     /// Simulates the natural store-and-forward pipelining of a series of
@@ -753,12 +877,19 @@ fn reconstruct_trees(platform: &Platform, schedule: &PeriodicSchedule) -> Option
         return None;
     }
     let n = platform.node_count();
+    const NONE: usize = usize::MAX;
     let mut trees = Vec::with_capacity(by_tag.len());
-    let mut rates = Vec::with_capacity(by_tag.len());
+    let mut parent: Vec<Option<(NodeId, EdgeId, f64, f64)>> = vec![None; n];
+    let mut is_node = vec![false; n];
+    // Each node's children in ascending node order, as a linked list:
+    // `first_child[u]` heads it and `next_sibling[v]` follows child `v`.
+    let mut first_child = vec![NONE; n];
+    let mut next_sibling = vec![NONE; n];
+    let mut queue = std::collections::VecDeque::new();
     for (&tag, edges) in &by_tag {
         // Tree shape: every receiver has exactly one incoming transfer.
-        let mut parent: Vec<Option<(NodeId, EdgeId, f64, f64)>> = vec![None; n];
-        let mut is_node = vec![false; n];
+        parent.fill(None);
+        is_node.fill(false);
         for (&(src, dst), &(duration, completion)) in edges {
             let (src, dst) = (NodeId(src), NodeId(dst));
             if src.index() >= n || dst.index() >= n {
@@ -780,23 +911,30 @@ fn reconstruct_trees(platform: &Platform, schedule: &PeriodicSchedule) -> Option
         if roots.next().is_some() {
             return None;
         }
+        first_child.fill(NONE);
+        for v in (0..n).rev() {
+            if let Some((src, ..)) = parent[v] {
+                next_sibling[v] = first_child[src.index()];
+                first_child[src.index()] = v;
+            }
+        }
         // BFS from the root, computing the steady-state arrival offsets: a
         // message available at `src` at offset `a` crosses the edge in the
         // first period whose completion offset is not earlier than `a`.
         let mut arrival = vec![f64::INFINITY; n];
         arrival[root.index()] = 0.0;
         let mut order = Vec::with_capacity(edges.len());
-        let mut queue = std::collections::VecDeque::new();
+        queue.clear();
         queue.push_back(root);
         let mut rate = 0.0f64;
         let mut rated_edges = 0usize;
         while let Some(u) = queue.pop_front() {
-            // Children of u, in ascending node order (BTreeMap iteration).
-            for v in 0..n {
-                let Some((src, edge, duration, completion)) = parent[v] else {
-                    continue;
-                };
-                if src != u || arrival[v].is_finite() {
+            let mut v = first_child[u.index()];
+            while v != NONE {
+                let (src, edge, duration, completion) = parent[v].expect("children have a parent");
+                let next = next_sibling[v];
+                if arrival[v].is_finite() {
+                    v = next;
                     continue;
                 }
                 let a = arrival[u.index()];
@@ -813,6 +951,7 @@ fn reconstruct_trees(platform: &Platform, schedule: &PeriodicSchedule) -> Option
                     rated_edges += 1;
                 }
                 queue.push_back(NodeId(v as u32));
+                v = next;
             }
         }
         if order.len() != edges.len() {
@@ -823,7 +962,6 @@ fn reconstruct_trees(platform: &Platform, schedule: &PeriodicSchedule) -> Option
         } else {
             0.0
         };
-        rates.push(share);
         trees.push(ReplayTree {
             tag,
             edges: order,
@@ -831,7 +969,7 @@ fn reconstruct_trees(platform: &Platform, schedule: &PeriodicSchedule) -> Option
             share,
         });
     }
-    let total: f64 = rates.iter().sum();
+    let total: f64 = trees.iter().map(|t| t.share).sum();
     if total > 0.0 {
         for tree in &mut trees {
             tree.share /= total;
@@ -1098,8 +1236,76 @@ mod tests {
         let g = &inst.platform;
         let e = |a: u32, b: u32| g.find_edge(NodeId(a), NodeId(b)).unwrap();
         let tree = MulticastTree::new(&inst, vec![e(0, 1), e(1, 2), e(2, 3)]).unwrap();
-        let makespan = Simulator::tree_fill_makespan(g, &tree, &inst.targets);
+        let makespan = Simulator::tree_fill_makespan(g, &tree);
         assert!((makespan - 1.5).abs() < 1e-12, "makespan {makespan}");
+    }
+
+    /// A seeded random tree: up to 24 nodes, where each node hangs below one
+    /// of the first few earlier nodes (so parents have several children),
+    /// the edges are added in shuffled order (so edge ids do not follow the
+    /// tree), and a quarter of the edges cost 1e-300, which vanishes next
+    /// to any arrival time: the zero-cost case, since a platform refuses
+    /// costs of zero. Extra reverse edges stay out of the tree.
+    fn random_tree(seed: u64) -> (Platform, MulticastTree) {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(2..24usize);
+        let mut links: Vec<(u32, u32, f64, bool)> = (1..n as u32)
+            .map(|v| {
+                let parent = rng.gen_range(0..v.min(4));
+                let cost = if rng.gen_bool(0.25) {
+                    1e-300
+                } else {
+                    rng.gen_range(0.1..2.0)
+                };
+                (parent, v, cost, true)
+            })
+            .collect();
+        for v in 1..n as u32 {
+            if rng.gen_bool(0.3) {
+                links.push((v, rng.gen_range(0..v), 1.0, false));
+            }
+        }
+        links.shuffle(&mut rng);
+        let mut b = PlatformBuilder::new();
+        let nodes = b.add_nodes(n);
+        for &(u, v, cost, _) in &links {
+            let _ = b.add_edge(nodes[u as usize], nodes[v as usize], cost);
+        }
+        let g = b.build().unwrap();
+        let tree_edges: Vec<EdgeId> = links
+            .iter()
+            .filter(|l| l.3)
+            .map(|&(u, v, ..)| g.find_edge(NodeId(u), NodeId(v)).unwrap())
+            .collect();
+        let targets = vec![NodeId(n as u32 - 1)];
+        let inst = MulticastInstance::new(g.clone(), NodeId(0), targets).unwrap();
+        let tree = MulticastTree::new(&inst, tree_edges).unwrap();
+        (g, tree)
+    }
+
+    #[test]
+    fn one_pass_fill_makespan_is_the_event_replay_bit_for_bit() {
+        let one_shot = Simulator::new(SimulationConfig {
+            horizon: 1,
+            warmup: 0,
+            ..SimulationConfig::default()
+        });
+        let mut branching = 0;
+        for seed in 0..200 {
+            let (g, tree) = random_tree(seed);
+            let replayed = one_shot.run_tree_pipeline(&g, &tree, &[]).total_time;
+            let one_pass = Simulator::tree_fill_makespan(&g, &tree);
+            assert_eq!(one_pass.to_bits(), replayed.to_bits(), "seed {seed}");
+            let mut children = vec![0; g.node_count()];
+            for &e in tree.edges() {
+                children[g.edge(e).src.index()] += 1;
+            }
+            branching += children.iter().filter(|&&c| c > 1).count();
+        }
+        assert!(branching > 200, "few nodes with several children");
     }
 
     #[test]
